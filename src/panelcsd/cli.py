@@ -15,7 +15,6 @@ import io
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -37,7 +36,7 @@ from .dgp import build_omega, family_from_string
 from .errors import NumericalError, UsageError
 from .estimators import EstimatorKind, fit
 from .inference import chi2_sf, parse_restrictions, wald
-from .montecarlo import McConfig, McReport, run_mc
+from .montecarlo import McConfig, McReport, run_mc, write_atomic
 from .panel import load_csv
 
 SCHEMA_VERSION = 1
@@ -51,17 +50,8 @@ class _Parser(argparse.ArgumentParser):
 def _write_text(path: str | None, text: str) -> None:
     if path in (None, "-"):
         sys.stdout.write(text)
-        return
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    else:
+        write_atomic(path, text)
 
 
 def _json_dumps(payload: dict) -> str:
@@ -143,19 +133,9 @@ def _parse_n_grid(arg: str) -> list[int]:
     return grid
 
 
-def _load_panel(args) -> tuple:
-    x_cols = _parse_x_cols(args.x_cols)
-    if x_cols is None:
-        with open(args.data, newline="") as fh:
-            header = next(csv.reader(fh), None)
-        if not header:
-            raise UsageError(f"{args.data}: empty file")
-        header = [h.strip() for h in header]
-        x_cols = [h for h in header
-                  if h not in (args.id_col, args.time_col, args.y_col)]
-    panel = load_csv(args.data, id_col=args.id_col, time_col=args.time_col,
-                     y_col=args.y_col, x_cols=x_cols)
-    return panel, x_cols
+def _load_panel(args):
+    return load_csv(args.data, id_col=args.id_col, time_col=args.time_col,
+                    y_col=args.y_col, x_cols=_parse_x_cols(args.x_cols))
 
 
 def _compute_cov_cli(result, args):
@@ -167,7 +147,8 @@ def _compute_cov_cli(result, args):
                       trunc=_parse_trunc(args.trunc), declared=args.declared)
 
 
-def _estimate_payload(panel, x_cols, args):
+def _estimate_payload(panel, args):
+    x_cols = panel.x_names
     result = fit(panel, EstimatorKind(args.model))
     rc = _compute_cov_cli(result, args)
     se = np.sqrt(np.clip(np.diag(rc.matrix), 0.0, None))
@@ -193,8 +174,8 @@ def _estimate_payload(panel, x_cols, args):
 
 
 def _cmd_estimate(args) -> None:
-    panel, x_cols = _load_panel(args)
-    payload, result, _ = _estimate_payload(panel, x_cols, args)
+    panel = _load_panel(args)
+    payload, result, _ = _estimate_payload(panel, args)
     if args.residuals:
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -206,15 +187,15 @@ def _cmd_estimate(args) -> None:
     if args.format == "table":
         rows = [[c, _fmt(payload["beta"][c]), _fmt(payload["se"][c]),
                  _fmt(payload["t_stats"][c]), _fmt(payload["p_values"][c])]
-                for c in x_cols]
+                for c in panel.x_names]
         _write_text(args.out, _table(rows, ["coef", "estimate", "se", "t", "p"]))
     else:
         _write_text(args.out, _json_dumps(payload))
 
 
 def _cmd_test(args) -> None:
-    panel, x_cols = _load_panel(args)
-    payload, result, rc = _estimate_payload(panel, x_cols, args)
+    panel = _load_panel(args)
+    payload, result, rc = _estimate_payload(panel, args)
     restriction = parse_restrictions(args.restr, panel.n_regressors)
     tr = wald(result.beta_hat, rc, restriction)
     payload["test"] = {
@@ -313,7 +294,7 @@ def _cmd_diagnose(args) -> None:
         return
     # single-matrix diagnostics from residuals: norms only, no growth exponent
     if args.data:
-        panel, _ = _load_panel(args)
+        panel = _load_panel(args)
         result = fit(panel, EstimatorKind(args.model))
         resid = result.residuals
     else:
@@ -373,10 +354,7 @@ def _cmd_mc_run(args) -> None:
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"{args.config}: bad config ({exc})") from None
     report = run_mc(cfg, workers=args.threads)
-    if args.out in (None, "-"):
-        sys.stdout.write(report.to_json())
-    else:
-        report.save(args.out)
+    _write_text(args.out, report.to_json())
 
 
 def _cmd_mc_report(args) -> None:

@@ -1,16 +1,20 @@
 """Covariance estimators for demeaned-panel slope estimators.
 
 Write the estimation error as a sum of per-period contributions,
-beta_hat - beta = sum_t w_t eps_t with w_t the (k, n) weight blocks. Three
-estimators of Var(beta_hat) follow:
+beta_hat - beta = sum_t G^{-1} x_t' eps_t, with G the gram matrix of the
+demeaned design and x_t its (n, k) period-t slice. The per-period scores
+u_t = G^{-1} x_t' e_t are formed directly from the demeaned design and the
+residuals (the weight blocks G^{-1} x_t' of :mod:`panelcsd.estimators` are
+the tests' reference, not an input here). Three estimators of
+Var(beta_hat) follow:
 
 * plug-in: replace the error covariance by the residual outer-product
   average (consistent only with many periods per cross-section pair);
-* cross-section robust: sum_t (w_t e_t)(w_t e_t)', robust to arbitrary
-  dependence within a period (zero-lag score sandwich);
+* cross-section robust: sum_t u_t u_t', robust to arbitrary dependence
+  within a period (zero-lag score sandwich);
 * kernel: adds lag-weighted cross-period score products
-  sum_j K(j) (A_j + A_j'), A_j = sum_t (w_t e_t)(w_{t-j} e_{t-j})',
-  robust to serial dependence up to the truncation lag.
+  sum_j K(j) (A_j + A_j'), A_j = sum_t u_t u_{t-j}', robust to serial
+  dependence up to the truncation lag.
 
 Exact finite-sample variance targets for simulated designs are computed
 blockwise from the lag structure of the errors, never materializing the
@@ -20,7 +24,7 @@ blockwise from the lag structure of the errors, never materializing the
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,14 +36,7 @@ from .errors import (
     TruncTooLarge,
 )
 from .dependence import CovMatrix
-from .estimators import (
-    EstimatorKind,
-    FitResult,
-    WeightBlocks,
-    grand_demean,
-    weight_blocks,
-    within_demean,
-)
+from .estimators import EstimatorKind, FitResult, demean, gram_inverse
 from .panel import PanelData
 
 __all__ = [
@@ -211,13 +208,10 @@ def omega_hat(residuals) -> CovMatrix:
     return CovMatrix(e @ e.T / t, meta=meta)
 
 
-def _scores(result: FitResult, weights: WeightBlocks | None) -> np.ndarray:
-    # u_t = w_t e_t stacked as (T, k).
-    if weights is None:
-        weights = weight_blocks(result)
-    stacked = weights.stacked()  # (T, k, n)
-    e = result.residuals  # (n, t)
-    return np.einsum("tkn,nt->tk", stacked, e)
+def _scores(result: FitResult) -> np.ndarray:
+    # u_t = G^{-1} x_t' e_t stacked as (T, k).
+    return (np.einsum("ntk,nt->tk", result.demeaned_x, result.residuals)
+            @ result.gram_inv.T)
 
 
 def _repair_psd(v: np.ndarray) -> tuple[np.ndarray, bool, float]:
@@ -241,21 +235,20 @@ def _check_invertible(v: np.ndarray) -> None:
             f"{evals[-1]:.3e}])")
 
 
-def cov_cross_section(result: FitResult, weights: WeightBlocks | None = None,
+def cov_cross_section(result: FitResult,
                       check_invertible: bool = False) -> RobustCov:
     """Zero-lag score sandwich, robust to within-period dependence.
+
+    This is :func:`cov_kernel` at truncation 0, reported as the
+    cross-section estimator (no kernel, no truncation lag).
 
     With zero residuals the result is the zero matrix; by default singularity
     is not an error here (pass ``check_invertible=True`` to raise
     SingularCov), it surfaces when the matrix is inverted downstream.
     """
-    u = _scores(result, weights)
-    v = u.T @ u
-    v, repaired, clipped = _repair_psd(v)
-    if check_invertible:
-        _check_invertible(v)
-    return RobustCov(matrix=v, method=CovMethod.CROSS_SECTION,
-                     psd_repaired=repaired, clipped_mass=clipped)
+    rc = cov_kernel(result, trunc=0, check_invertible=check_invertible)
+    return replace(rc, method=CovMethod.CROSS_SECTION, kernel_name=None,
+                   trunc_lag=None)
 
 
 _KERNELS = ("bartlett", "uniform", "parzen")
@@ -280,9 +273,8 @@ def kernel_weight(name: str, lag: int, trunc: int) -> float:
     return 2.0 * (1.0 - x) ** 3
 
 
-def cov_kernel(result: FitResult, weights: WeightBlocks | None = None,
-               kernel: str = "bartlett", trunc: int | str = "auto",
-               declared: str = "unknown",
+def cov_kernel(result: FitResult, kernel: str = "bartlett",
+               trunc: int | str = "auto", declared: str = "unknown",
                check_invertible: bool = False) -> RobustCov:
     """Lag-window score sandwich, robust to serial dependence.
 
@@ -311,7 +303,7 @@ def cov_kernel(result: FitResult, weights: WeightBlocks | None = None,
     if c >= t:
         raise TruncTooLarge(f"truncation {c} must be < n_periods {t}")
 
-    u = _scores(result, weights)
+    u = _scores(result)
     v = u.T @ u
     for j in range(1, c + 1):
         w = kernel_weight(kernel, j, c)
@@ -326,31 +318,29 @@ def cov_kernel(result: FitResult, weights: WeightBlocks | None = None,
                      trunc_lag=c, psd_repaired=repaired, clipped_mass=clipped)
 
 
-def _demeaned_design(x_design: PanelData, kind: EstimatorKind) -> np.ndarray:
-    if kind is EstimatorKind.FIXED_EFFECT:
-        return within_demean(x_design)[1]
-    if kind is EstimatorKind.POOLED:
-        return grand_demean(x_design)[1]
-    raise ValueError(f"unknown estimator kind {kind!r}")
-
-
-def _gram_inv(x_dm: np.ndarray) -> np.ndarray:
-    k = x_dm.shape[2]
-    gram = np.einsum("itk,itl->kl", x_dm, x_dm)
-    ginv = np.linalg.inv(gram)
-    return ginv @ (2.0 * np.eye(k) - gram @ ginv)
-
-
-def _sandwich_same_period(x_dm: np.ndarray, base: np.ndarray) -> np.ndarray:
-    # sum_t x_t' B x_t without forming anything bigger than (n, t, k).
-    bx = np.einsum("ij,jtk->itk", base, x_dm)
-    return np.einsum("itk,itl->kl", x_dm, bx)
-
-
 def _sandwich_lagged(x_dm: np.ndarray, base: np.ndarray, lag: int) -> np.ndarray:
-    # sum_t x_t' B x_{t+lag}, t = 0..T-1-lag.
+    # sum_t x_t' B x_{t+lag}, t = 0..T-1-lag, without forming anything
+    # bigger than (n, t, k).
     bx = np.einsum("ij,jtk->itk", base, x_dm[:, lag:, :])
     return np.einsum("itk,itl->kl", x_dm[:, :x_dm.shape[1] - lag, :], bx)
+
+
+def _exact_variance(x_design: PanelData, kind: EstimatorKind,
+                    omega0: np.ndarray,
+                    spec: TimeDependenceSpec = TimeDependenceSpec(),
+                    lag_base: np.ndarray | None = None) -> np.ndarray:
+    # G^{-1} (sum_t x_t' Omega_0 x_t + sum_j rho_j (C_j + C_j')) G^{-1},
+    # C_j = sum_t x_t' B x_{t+j}: the lag-j error block is rho_j * B.
+    x_dm = demean(x_design, kind)[1]
+    _, ginv = gram_inverse(x_dm)
+    meat = _sandwich_lagged(x_dm, omega0, 0)
+    for j in range(1, spec.max_lag(x_dm.shape[1]) + 1):
+        rho = spec.autocorr(j)
+        if rho == 0.0:
+            continue
+        c = _sandwich_lagged(x_dm, lag_base, j)
+        meat = meat + rho * (c + c.T)
+    return ginv @ meat @ ginv
 
 
 def cov_plugin(result: FitResult, omega: CovMatrix | None = None) -> RobustCov:
@@ -362,7 +352,7 @@ def cov_plugin(result: FitResult, omega: CovMatrix | None = None) -> RobustCov:
     """
     if omega is None:
         omega = omega_hat(result.residuals)
-    meat = _sandwich_same_period(result.demeaned_x, omega.values)
+    meat = _sandwich_lagged(result.demeaned_x, omega.values, 0)
     v = result.gram_inv @ meat @ result.gram_inv
     v, repaired, clipped = _repair_psd(v)
     return RobustCov(matrix=v, method=CovMethod.PLUG_IN,
@@ -382,10 +372,7 @@ def true_variance_cs(x_design: PanelData, kind: EstimatorKind,
         omega = CovMatrix(omega)
     if omega.n != x_design.n_units:
         raise ValueError("omega size does not match the panel cross-section")
-    x_dm = _demeaned_design(x_design, kind)
-    ginv = _gram_inv(x_dm)
-    meat = _sandwich_same_period(x_dm, omega.values)
-    return ginv @ meat @ ginv
+    return _exact_variance(x_design, kind, omega.values)
 
 
 def true_variance_mixed(
@@ -426,7 +413,7 @@ def true_variance_mixed(
     (its idiosyncratic part is serially independent and asymptotically
     dominated); pass the idio channel to keep both.
     """
-    n, t = x_design.n_units, x_design.n_periods
+    n = x_design.n_units
     if loadings is not None:
         loadings = np.asarray(loadings, dtype=float)
         if loadings.ndim != 2 or loadings.shape[0] != n:
@@ -444,10 +431,7 @@ def true_variance_mixed(
             omega0 += loadings @ loadings.T
         if sigma is not None:
             omega0 += sigma.values
-        x_dm = _demeaned_design(x_design, kind)
-        ginv = _gram_inv(x_dm)
-        meat = _sandwich_same_period(x_dm, omega0)
-        return ginv @ meat @ ginv, "cross_section_only"
+        return _exact_variance(x_design, kind, omega0), "cross_section_only"
 
     if spec.channel == "idio":
         if sigma is None:
@@ -466,13 +450,4 @@ def true_variance_mixed(
         structure = ("banded_factor_cov" if spec.form == "ma"
                      else "toeplitz_factor_cov")
 
-    x_dm = _demeaned_design(x_design, kind)
-    ginv = _gram_inv(x_dm)
-    meat = _sandwich_same_period(x_dm, omega0)
-    for j in range(1, spec.max_lag(t) + 1):
-        rho = spec.autocorr(j)
-        if rho == 0.0:
-            continue
-        c = _sandwich_lagged(x_dm, lag_base, j)
-        meat = meat + rho * (c + c.T)
-    return ginv @ meat @ ginv, structure
+    return _exact_variance(x_design, kind, omega0, spec, lag_base), structure

@@ -552,8 +552,7 @@ def _innovations(rng: np.random.Generator, shape, spec: DgpSpec) -> np.ndarray:
     return z * np.sqrt((spec.t_df - 2.0) / spec.t_df)
 
 
-def _filter_series(z: np.ndarray, tm: TimeDependenceSpec, t: int,
-                   rng: np.random.Generator, spec: DgpSpec) -> np.ndarray:
+def _filter_series(z: np.ndarray, tm: TimeDependenceSpec, t: int) -> np.ndarray:
     """Turn iid innovation columns into a serially dependent series of
     length t with unit marginal variance and the autocorrelations ``tm``
     asks for.
@@ -658,14 +657,14 @@ def gen_panel(
         f = _innovations(rng, (m, f_cols), spec)
         u = _innovations(rng, (n, u_cols), spec)
         if tm.channel == "factor":
-            f = _filter_series(f, tm, t, rng, spec)
+            f = _filter_series(f, tm, t)
         elif tm.channel == "idio":
-            u = _filter_series(u, tm, t, rng, spec)
+            u = _filter_series(u, tm, t)
         eps = loadings @ f + np.sqrt(family.idio_var) * u
     else:
         z = _innovations(rng, (n, _memory_cols(tm, t)), spec)
         if tm.channel != "none":
-            z = _filter_series(z, tm, t, rng, spec)
+            z = _filter_series(z, tm, t)
         eps = sqrt_omega @ z
 
     y = mu[:, np.newaxis] + np.einsum("itk,k->it", x, np.asarray(spec.beta_true)) + eps

@@ -4,11 +4,13 @@ Both estimators are least squares on demeaned data. The within (fixed-effect)
 estimator removes each unit's time average; the pooled estimator removes the
 grand mean. Neither ever materializes the (n_units * n_periods)^2 projection
 matrix: demeaning is done by subtracting averages, which is algebraically the
-same projection.
+same projection. :func:`demean` and :func:`gram_inverse` are the one place
+both steps live; the fit and the exact variance targets share them.
 
 The per-period weight blocks expose the estimator as a linear map of the
-errors: beta_hat - beta = sum_t blocks[t] @ eps[:, t], which is what every
-covariance estimator downstream consumes.
+errors: beta_hat - beta = sum_t blocks[t] @ eps[:, t]. They are the reference
+the tests check the covariance estimators against; the covariance code itself
+forms the per-period scores directly from the demeaned design and residuals.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ __all__ = [
     "WeightBlocks",
     "within_demean",
     "grand_demean",
+    "demean",
+    "gram_inverse",
     "fit",
     "weight_blocks",
 ]
@@ -57,6 +61,30 @@ def grand_demean(panel: PanelData) -> tuple[np.ndarray, np.ndarray]:
     y_dm = panel.y - panel.y.mean()
     x_dm = panel.x - panel.x.mean(axis=(0, 1), keepdims=True)
     return y_dm, x_dm
+
+
+def demean(panel: PanelData, kind: EstimatorKind) -> tuple[np.ndarray, np.ndarray]:
+    """Demean y and x as the estimator ``kind`` does: within units for the
+    fixed-effect estimator, by the grand mean for the pooled one."""
+    if kind is EstimatorKind.FIXED_EFFECT:
+        return within_demean(panel)
+    if kind is EstimatorKind.POOLED:
+        return grand_demean(panel)
+    raise ValueError(f"unknown estimator kind {kind!r}")
+
+
+def gram_inverse(x_dm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrix of a demeaned design (n, t, k) and its inverse.
+
+    The inverse takes one Newton step past the direct inverse, which
+    tightens gram @ gram_inv toward the identity.
+    """
+    n, t, k = x_dm.shape
+    xf = x_dm.reshape(n * t, k)
+    gram = xf.T @ xf
+    gram_inv = np.linalg.inv(gram)
+    gram_inv = gram_inv @ (2.0 * np.eye(k) - gram @ gram_inv)
+    return gram, gram_inv
 
 
 @dataclass(frozen=True)
@@ -122,13 +150,7 @@ def fit(panel: PanelData, kind: EstimatorKind = EstimatorKind.FIXED_EFFECT) -> F
         regressor that is constant within every unit (under the within
         estimator) lands here.
     """
-    if kind is EstimatorKind.FIXED_EFFECT:
-        y_dm, x_dm = within_demean(panel)
-    elif kind is EstimatorKind.POOLED:
-        y_dm, x_dm = grand_demean(panel)
-    else:
-        raise ValueError(f"unknown estimator kind {kind!r}")
-
+    y_dm, x_dm = demean(panel, kind)
     n, t, k = x_dm.shape
     xf = x_dm.reshape(n * t, k)
     yf = y_dm.reshape(n * t)
@@ -151,11 +173,7 @@ def fit(panel: PanelData, kind: EstimatorKind = EstimatorKind.FIXED_EFFECT) -> F
             f"demeaned design condition number {cond:.3e} exceeds {COND_WARN:.0e}",
             ConditionWarning, stacklevel=2)
 
-    gram = xf.T @ xf
-    gram_inv = np.linalg.inv(gram)
-    # One Newton step tightens gram @ gram_inv toward the identity.
-    gram_inv = gram_inv @ (2.0 * np.eye(k) - gram @ gram_inv)
-
+    gram, gram_inv = gram_inverse(x_dm)
     residuals = (yf - xf @ beta).reshape(n, t)
     if kind is EstimatorKind.FIXED_EFFECT:
         intercepts = panel.y.mean(axis=1) - panel.x.mean(axis=1) @ beta

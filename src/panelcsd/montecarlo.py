@@ -59,6 +59,21 @@ def _derive_seed(master_seed: int, n: int, t: int, tag: int, rep: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file in the same
+    directory, so a failed write never leaves partial output behind."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 @dataclass(frozen=True)
 class CovConfig:
     """Which covariance estimator each replication uses."""
@@ -314,17 +329,7 @@ class McReport:
                    schema_version=d.get("schema_version", 1))
 
     def save(self, path: str) -> None:
-        # Atomic: never leave a partial report on disk.
-        directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(self.to_json())
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        write_atomic(path, self.to_json())
 
     @classmethod
     def load(cls, path: str) -> "McReport":

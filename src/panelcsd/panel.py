@@ -45,12 +45,15 @@ class PanelData:
     unit_ids, time_ids : tuple of str
         Row/column labels. Generated as ``u0001, ...`` / ``t0001, ...``
         when omitted.
+    x_names : tuple of str
+        Regressor labels. Generated as ``x1, ..., xk`` when omitted.
     """
 
     y: np.ndarray
     x: np.ndarray
     unit_ids: tuple[str, ...] = field(default=())
     time_ids: tuple[str, ...] = field(default=())
+    x_names: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
@@ -76,6 +79,10 @@ class PanelData:
         _check_ids(time_ids, "time")
         object.__setattr__(self, "unit_ids", tuple(unit_ids))
         object.__setattr__(self, "time_ids", tuple(time_ids))
+        x_names = self.x_names or tuple(f"x{j + 1}" for j in range(x.shape[2]))
+        if len(x_names) != x.shape[2]:
+            raise ValueError("regressor name count does not match panel shape")
+        object.__setattr__(self, "x_names", tuple(x_names))
 
     @property
     def n_units(self) -> int:
@@ -154,7 +161,8 @@ def load_csv(
 
     The file must have a header naming ``id_col``, ``time_col``, ``y_col``,
     and the regressor columns. When ``x_cols`` is None every remaining column
-    is treated as a regressor, in header order. Row order in the file is
+    is treated as a regressor, in header order; the panel's ``x_names`` record
+    the regressor columns used. Row order in the file is
     irrelevant: cells are placed by their labels, units sorted by label and
     periods sorted ascending (numerically when all period labels are numeric).
 
@@ -224,4 +232,5 @@ def load_csv(
             yv, xv = rows[(u, p)]
             y[i, s] = yv
             x[i, s, :] = xv
-    return PanelData(y=y, x=x, unit_ids=tuple(units), time_ids=tuple(periods))
+    return PanelData(y=y, x=x, unit_ids=tuple(units), time_ids=tuple(periods),
+                     x_names=tuple(x_cols))

@@ -125,6 +125,14 @@ def test_unbalanced_csv_exits_one(tmp_path, capsys):
     assert "2" in err
 
 
+def test_empty_csv_exits_one_with_line(tmp_path, capsys):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    code, _, err = run_cli(capsys, "estimate", "--data", str(path))
+    assert code == 1
+    assert "line 1" in err
+
+
 def test_missing_file_exits_one(capsys):
     code, _, err = run_cli(capsys, "estimate", "--data", "/nonexistent.csv")
     assert code == 1
@@ -156,6 +164,23 @@ def test_atomic_output_no_partial_file(panel_csv, tmp_path, capsys):
     assert not (tmp_path / "no_such_dir").exists()
     # no stray temp files next to the intended target
     assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_replace_keeps_previous_output(panel_csv, tmp_path, capsys,
+                                              monkeypatch):
+    target = tmp_path / "out.json"
+    target.write_bytes(b"previous\n")
+
+    def failing_replace(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    code, _, err = run_cli(capsys, "estimate", "--data", panel_csv,
+                           "--out", str(target))
+    assert code == 1
+    assert "replace failed" in err
+    assert target.read_bytes() == b"previous\n"
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 def test_wald_subcommand(panel_csv, capsys):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,21 @@ def test_report_round_trip(tmp_path):
     for key in ("n", "t", "reps", "n_fail", "beta_mean", "beta_sd", "rmse",
                 "size_05", "coverage_95"):
         assert key in cell
+
+
+def test_report_save_failure_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "report.json"
+    path.write_bytes(b"previous\n")
+
+    def failing_replace(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    report = McReport(config={}, cells=[], rate=None)
+    with pytest.raises(OSError, match="replace failed"):
+        report.save(str(path))
+    assert path.read_bytes() == b"previous\n"
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 def test_unbiasedness_within_mc_error():

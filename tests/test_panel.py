@@ -70,12 +70,16 @@ def test_panel_validation():
     with pytest.raises(ValueError):
         PanelData(y=np.zeros((2, 2)), x=np.zeros((2, 2, 1)),
                   unit_ids=("a", "b", "c"))
+    with pytest.raises(ValueError):
+        PanelData(y=np.zeros((2, 2)), x=np.zeros((2, 2, 1)),
+                  x_names=("x1", "x2"))
 
 
 def test_default_labels():
     panel = small_panel()
     assert panel.unit_ids == ("u0001", "u0002")
     assert panel.time_ids == ("t0001", "t0002")
+    assert panel.x_names == ("x1", "x2")
 
 
 def _write(path, rows):
@@ -95,6 +99,10 @@ def test_load_csv_happy_path(tmp_path):
     assert_allclose(panel.y, [[3.0, 2.0], [1.0, 4.0]])
     assert_allclose(panel.x[0, 0], [0.5, 0.6])
     assert_allclose(panel.x[1, 1], [0.7, 0.8])
+    assert panel.x_names == ("x1", "x2")
+    picked = load_csv(str(f), x_cols=["x2", "x1"])
+    assert picked.x_names == ("x2", "x1")
+    assert_allclose(picked.x[0, 0], [0.6, 0.5])
 
 
 def test_load_csv_row_order_irrelevant(tmp_path):
