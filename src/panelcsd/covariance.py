@@ -18,7 +18,12 @@ Var(beta_hat) follow:
 
 Exact finite-sample variance targets for simulated designs are computed
 blockwise from the lag structure of the errors, never materializing the
-(n*t) x (n*t) covariance.
+(n*t) x (n*t) covariance. When the lag-j error block is rho_j B, all lag
+terms together are sum_t x_t' B z_t with the weighted leads
+z_t = sum_{j>=1} rho_j x_{t+j}: one sandwich whatever the memory length.
+Geometric memory, rho_j = d^j, builds z in one backward pass,
+z_{T-1} = 0 and z_s = d (x_{s+1} + z_{s+1}), so every lag up to T-1 is
+summed exactly.
 """
 
 from __future__ import annotations
@@ -36,13 +41,13 @@ from .errors import (
     TruncTooLarge,
 )
 from .dependence import CovMatrix
+from .dgp import TimeDependenceSpec
 from .estimators import EstimatorKind, FitResult, demean, gram_inverse
 from .panel import PanelData
 
 __all__ = [
     "CovMethod",
     "RobustCov",
-    "TimeDependenceSpec",
     "ma1_coefficient",
     "omega_hat",
     "cov_cross_section",
@@ -82,100 +87,6 @@ class RobustCov:
             "psd_repaired": self.psd_repaired,
             "clipped_mass": self.clipped_mass,
         }
-
-
-@dataclass(frozen=True)
-class TimeDependenceSpec:
-    """Serial dependence of simulated errors, by channel and form.
-
-    channel: "none" (serially independent), "idio" (the idiosyncratic part
-    carries the memory), or "factor" (the common factors carry it).
-    form: "ma" with coefficients ``psi`` (psi_0, ..., psi_q), or "summable"
-    with a geometric decay rate in (0, 1) realized as a first-order
-    autoregression. Autocorrelations are scale-free in psi.
-
-    Lag-k cross-covariances materialize as autocorr(k) times the channel's
-    base matrix (idiosyncratic covariance, or loading outer product with
-    identity factor variance). Matrix-valued factor autocovariances beyond
-    multiples of the identity are not representable here.
-    """
-
-    channel: str = "none"
-    form: str = "none"
-    psi: tuple[float, ...] | None = None
-    decay: float | None = None
-
-    def __post_init__(self):
-        if self.channel not in ("none", "idio", "factor"):
-            raise SpecMismatch(f"unknown channel {self.channel!r}")
-        if self.form not in ("none", "ma", "summable"):
-            raise SpecMismatch(f"unknown form {self.form!r}")
-        if (self.channel == "none") != (self.form == "none"):
-            raise SpecMismatch("channel and form must both be 'none' or neither")
-        if self.form == "ma":
-            if not self.psi or len(self.psi) < 1:
-                raise SpecMismatch("ma form needs at least psi_0")
-            psi = tuple(float(p) for p in self.psi)
-            if not all(np.isfinite(psi)) or sum(p * p for p in psi) <= 0:
-                raise SpecMismatch("ma coefficients must be finite and not all zero")
-            object.__setattr__(self, "psi", psi)
-        if self.form == "summable":
-            if self.decay is None or not (0.0 < float(self.decay) < 1.0):
-                raise SpecMismatch("summable form needs decay in (0, 1)")
-            object.__setattr__(self, "decay", float(self.decay))
-
-    # -- constructors ------------------------------------------------------
-    @classmethod
-    def none(cls) -> "TimeDependenceSpec":
-        return cls()
-
-    @classmethod
-    def idio_ma(cls, psi) -> "TimeDependenceSpec":
-        return cls(channel="idio", form="ma", psi=tuple(psi))
-
-    @classmethod
-    def factor_ma(cls, psi) -> "TimeDependenceSpec":
-        return cls(channel="factor", form="ma", psi=tuple(psi))
-
-    @classmethod
-    def idio_summable(cls, decay: float) -> "TimeDependenceSpec":
-        return cls(channel="idio", form="summable", decay=decay)
-
-    @classmethod
-    def factor_summable(cls, decay: float) -> "TimeDependenceSpec":
-        return cls(channel="factor", form="summable", decay=decay)
-
-    # -- structure ---------------------------------------------------------
-    @property
-    def order(self) -> int | None:
-        """MA order q, 0 when serially independent, None for summable."""
-        if self.form == "none":
-            return 0
-        if self.form == "ma":
-            return len(self.psi) - 1
-        return None
-
-    def autocorr(self, lag: int) -> float:
-        """Autocorrelation at the given lag (1 at lag 0 by normalization)."""
-        lag = abs(int(lag))
-        if self.form == "none":
-            return 1.0 if lag == 0 else 0.0
-        if self.form == "ma":
-            psi = np.asarray(self.psi)
-            if lag >= len(psi):
-                return 0.0
-            return float(psi[lag:] @ psi[:len(psi) - lag] / (psi @ psi))
-        return float(self.decay ** lag)
-
-    def max_lag(self, n_periods: int, cutoff: float = 1e-16) -> int:
-        """Largest lag with a non-negligible autocorrelation, capped at T-1."""
-        cap = n_periods - 1
-        if self.form == "none":
-            return 0
-        if self.form == "ma":
-            return min(len(self.psi) - 1, cap)
-        k = int(np.ceil(np.log(cutoff) / np.log(self.decay)))
-        return min(max(k, 0), cap)
 
 
 def ma1_coefficient(rho1: float) -> float:
@@ -318,28 +229,41 @@ def cov_kernel(result: FitResult, kernel: str = "bartlett",
                      trunc_lag=c, psd_repaired=repaired, clipped_mass=clipped)
 
 
-def _sandwich_lagged(x_dm: np.ndarray, base: np.ndarray, lag: int) -> np.ndarray:
-    # sum_t x_t' B x_{t+lag}, t = 0..T-1-lag, without forming anything
-    # bigger than (n, t, k).
-    bx = np.einsum("ij,jtk->itk", base, x_dm[:, lag:, :])
-    return np.einsum("itk,itl->kl", x_dm[:, :x_dm.shape[1] - lag, :], bx)
+def _sandwich(a: np.ndarray, base: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # sum_t a_t' B b_t over (n, t, k) arrays as two matrix products, with
+    # nothing bigger than (n, t, k) formed.
+    n, t, k = b.shape
+    bb = base @ b.reshape(n, t * k)
+    return a.reshape(n * t, k).T @ bb.reshape(n * t, k)
+
+
+def _weighted_leads(x_dm: np.ndarray, spec: TimeDependenceSpec) -> np.ndarray:
+    # z_t = sum_{j>=1} rho_j x_{t+j}: MA(q) adds q shifted copies, the
+    # summable form runs the backward pass z_s = d (x_{s+1} + z_{s+1}).
+    t = x_dm.shape[1]
+    z = np.zeros_like(x_dm)
+    if spec.form == "ma":
+        for j in range(1, spec.max_lag(t) + 1):
+            z[:, :t - j] += spec.autocorr(j) * x_dm[:, j:]
+    elif spec.form == "summable":
+        for s in range(t - 2, -1, -1):
+            z[:, s] = spec.decay * (x_dm[:, s + 1] + z[:, s + 1])
+    return z
 
 
 def _exact_variance(x_design: PanelData, kind: EstimatorKind,
                     omega0: np.ndarray,
                     spec: TimeDependenceSpec = TimeDependenceSpec(),
                     lag_base: np.ndarray | None = None) -> np.ndarray:
-    # G^{-1} (sum_t x_t' Omega_0 x_t + sum_j rho_j (C_j + C_j')) G^{-1},
-    # C_j = sum_t x_t' B x_{t+j}: the lag-j error block is rho_j * B.
+    # G^{-1} (sum_t x_t' Omega_0 x_t + C + C') G^{-1}: the lag-j error block
+    # is rho_j * B, so C = sum_j rho_j sum_t x_t' B x_{t+j} = sum_t x_t' B z_t
+    # with z the weighted leads, one sandwich for all lags together.
     x_dm = demean(x_design, kind)[1]
     _, ginv = gram_inverse(x_dm)
-    meat = _sandwich_lagged(x_dm, omega0, 0)
-    for j in range(1, spec.max_lag(x_dm.shape[1]) + 1):
-        rho = spec.autocorr(j)
-        if rho == 0.0:
-            continue
-        c = _sandwich_lagged(x_dm, lag_base, j)
-        meat = meat + rho * (c + c.T)
+    meat = _sandwich(x_dm, omega0, x_dm)
+    if spec.max_lag(x_dm.shape[1]) > 0:
+        c = _sandwich(x_dm, lag_base, _weighted_leads(x_dm, spec))
+        meat = meat + (c + c.T)
     return ginv @ meat @ ginv
 
 
@@ -352,7 +276,7 @@ def cov_plugin(result: FitResult, omega: CovMatrix | None = None) -> RobustCov:
     """
     if omega is None:
         omega = omega_hat(result.residuals)
-    meat = _sandwich_lagged(result.demeaned_x, omega.values, 0)
+    meat = _sandwich(result.demeaned_x, omega.values, result.demeaned_x)
     v = result.gram_inv @ meat @ result.gram_inv
     v, repaired, clipped = _repair_psd(v)
     return RobustCov(matrix=v, method=CovMethod.PLUG_IN,
@@ -385,9 +309,10 @@ def true_variance_mixed(
     """Exact conditional slope variance under serially dependent errors.
 
     The error lag structure is assembled blockwise from ``spec``: the lag-0
-    block and each lag-k block (autocorrelation times the memory channel's
-    base matrix) enter the sandwich directly, so nothing larger than the
-    panel itself is ever allocated.
+    block enters one sandwich, and every lag-k block (autocorrelation times
+    the memory channel's base matrix) enters a second one through the
+    autocorrelation-weighted leads of the design, so nothing larger than
+    the panel itself is ever allocated. Summable memory sums all T-1 lags.
 
     Parameters
     ----------

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import PSD_RTOL
-from .covariance import TimeDependenceSpec
 from .dependence import CovMatrix
 from .errors import NotPSD, SpecMismatch, UsageError
 from .panel import PanelData
@@ -35,6 +34,7 @@ __all__ = [
     "EXAMPLE_PRESETS",
     "family_from_string",
     "build_omega",
+    "TimeDependenceSpec",
     "DgpSpec",
     "gen_panel",
 ]
@@ -440,6 +440,102 @@ def build_omega(family, n: int) -> CovMatrix:
 
 # ---------------------------------------------------------------------------
 # Panel generation
+
+
+@dataclass(frozen=True)
+class TimeDependenceSpec:
+    """Serial dependence of simulated errors, by channel and form.
+
+    channel: "none" (serially independent), "idio" (the idiosyncratic part
+    carries the memory), or "factor" (the common factors carry it).
+    form: "ma" with coefficients ``psi`` (psi_0, ..., psi_q), or "summable"
+    with a geometric decay rate in (0, 1) realized as a first-order
+    autoregression. Autocorrelations are scale-free in psi.
+
+    Lag-k cross-covariances materialize as autocorr(k) times the channel's
+    base matrix (idiosyncratic covariance, or loading outer product with
+    identity factor variance). Matrix-valued factor autocovariances beyond
+    multiples of the identity are not representable here.
+    """
+
+    channel: str = "none"
+    form: str = "none"
+    psi: tuple[float, ...] | None = None
+    decay: float | None = None
+
+    def __post_init__(self):
+        if self.channel not in ("none", "idio", "factor"):
+            raise SpecMismatch(f"unknown channel {self.channel!r}")
+        if self.form not in ("none", "ma", "summable"):
+            raise SpecMismatch(f"unknown form {self.form!r}")
+        if (self.channel == "none") != (self.form == "none"):
+            raise SpecMismatch("channel and form must both be 'none' or neither")
+        if self.form == "ma":
+            if not self.psi or len(self.psi) < 1:
+                raise SpecMismatch("ma form needs at least psi_0")
+            psi = tuple(float(p) for p in self.psi)
+            if not all(np.isfinite(psi)) or sum(p * p for p in psi) <= 0:
+                raise SpecMismatch("ma coefficients must be finite and not all zero")
+            object.__setattr__(self, "psi", psi)
+        if self.form == "summable":
+            if self.decay is None or not (0.0 < float(self.decay) < 1.0):
+                raise SpecMismatch("summable form needs decay in (0, 1)")
+            object.__setattr__(self, "decay", float(self.decay))
+
+    # -- constructors ------------------------------------------------------
+    @classmethod
+    def none(cls) -> "TimeDependenceSpec":
+        return cls()
+
+    @classmethod
+    def idio_ma(cls, psi) -> "TimeDependenceSpec":
+        return cls(channel="idio", form="ma", psi=tuple(psi))
+
+    @classmethod
+    def factor_ma(cls, psi) -> "TimeDependenceSpec":
+        return cls(channel="factor", form="ma", psi=tuple(psi))
+
+    @classmethod
+    def idio_summable(cls, decay: float) -> "TimeDependenceSpec":
+        return cls(channel="idio", form="summable", decay=decay)
+
+    @classmethod
+    def factor_summable(cls, decay: float) -> "TimeDependenceSpec":
+        return cls(channel="factor", form="summable", decay=decay)
+
+    # -- structure ---------------------------------------------------------
+    @property
+    def order(self) -> int | None:
+        """MA order q, 0 when serially independent, None for summable."""
+        if self.form == "none":
+            return 0
+        if self.form == "ma":
+            return len(self.psi) - 1
+        return None
+
+    def autocorr(self, lag: int) -> float:
+        """Autocorrelation at the given lag (1 at lag 0 by normalization)."""
+        lag = abs(int(lag))
+        if self.form == "none":
+            return 1.0 if lag == 0 else 0.0
+        if self.form == "ma":
+            psi = np.asarray(self.psi)
+            if lag >= len(psi):
+                return 0.0
+            return float(psi[lag:] @ psi[:len(psi) - lag] / (psi @ psi))
+        return float(self.decay ** lag)
+
+    def max_lag(self, n_periods: int) -> int:
+        """Largest lag the exact variance sums over ``n_periods`` periods.
+
+        0 when serially independent, min(q, T-1) for an MA(q), and T-1 for
+        the summable form, whose geometric tail never reaches zero.
+        """
+        if self.form == "none":
+            return 0
+        if self.form == "ma":
+            return min(len(self.psi) - 1, n_periods - 1)
+        return n_periods - 1
 
 
 @dataclass(frozen=True)

@@ -203,15 +203,15 @@ def _worker_block(cfg_dict: dict, n: int, t: int, lo: int, hi: int,
                 res = fit(panel, cfg.estimator)
                 rc = _compute_cov(res, cfg.cov)
                 tr = wald(res.beta_hat, rc, restr)
-            except PanelError as exc:
+                if want_tv:
+                    tvar[i] = _true_variance_for(panel, cfg.estimator, truth)
+            except (PanelError, np.linalg.LinAlgError) as exc:
                 failed[i] = 1
                 fail_kinds.append(type(exc).__name__)
                 continue
             beta[i] = res.beta_hat
             vbar[i] = rc.matrix
             pval[i] = tr.p_value
-            if want_tv:
-                tvar[i] = _true_variance_for(panel, cfg.estimator, truth)
     return lo, hi, beta, vbar, pval, tvar, failed, fail_kinds
 
 

@@ -169,7 +169,9 @@ def load_csv(
     Raises
     ------
     ParseError
-        Missing columns or a value that does not parse, with the file line.
+        Missing columns, a regressor listed twice or naming the id, time or
+        y column (line 1), or a value that does not parse, with the file
+        line.
     DuplicateCell
         The same (unit, period) appears twice.
     UnbalancedPanel
@@ -189,9 +191,16 @@ def load_csv(
             x_cols = [h for h in header if h not in (id_col, time_col, y_col)]
         if not x_cols:
             raise ParseError("no regressor columns found", line=1)
-        for col in x_cols:
+        for j, col in enumerate(x_cols):
             if col not in header:
                 raise ParseError(f"missing regressor column {col!r}", line=1)
+            if col in x_cols[:j]:
+                raise ParseError(f"regressor column {col!r} listed twice",
+                                 line=1)
+            if col in (id_col, time_col, y_col):
+                raise ParseError(
+                    f"regressor column {col!r} is the id, time or y column",
+                    line=1)
         pos = {h: j for j, h in enumerate(header)}
         rows: dict[tuple[str, str], tuple[float, list[float]]] = {}
         for lineno, rec in enumerate(reader, start=2):

@@ -1,3 +1,8 @@
+import os
+from pathlib import Path
+
+import panelcsd
+
 criteria_lines: list[str] = []
 
 
@@ -6,3 +11,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in criteria_lines:
             terminalreporter.write_line(line)
+
+
+def child_env():
+    """Environment for a child interpreter that imports this suite's panelcsd,
+    whatever the working directory is."""
+    src = str(Path(panelcsd.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return env

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import panelcsd
+from conftest import child_env
 from panelcsd import EstimatorKind, chi2_sf, fit, load_csv
 from panelcsd.cli import dispatch
 from panelcsd.dgp import DgpSpec, Equicorr, gen_panel
@@ -131,6 +131,19 @@ def test_empty_csv_exits_one_with_line(tmp_path, capsys):
     code, _, err = run_cli(capsys, "estimate", "--data", str(path))
     assert code == 1
     assert "line 1" in err
+
+
+@pytest.mark.parametrize("x_cols, problem", [("x1,x1", "listed twice"),
+                                              ("x1,y", "id, time or y")])
+def test_bad_regressor_list_exits_one_with_line(panel_csv, capsys, x_cols,
+                                                problem):
+    # a repeated regressor or one naming the outcome is bad input, not a
+    # singular design or a perfect fit
+    code, out, err = run_cli(capsys, "estimate", "--data", panel_csv,
+                             "--x-cols", x_cols)
+    assert code == 1
+    assert out == ""
+    assert "line 1" in err and problem in err
 
 
 def test_missing_file_exits_one(capsys):
@@ -386,16 +399,6 @@ def test_no_command_exits_one(capsys):
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
-
-
-def child_env():
-    """Environment for a child interpreter that imports this suite's panelcsd,
-    whatever the working directory is."""
-    src = str(Path(panelcsd.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    return env
 
 
 def run_console_script(value, *argv):

@@ -324,6 +324,36 @@ def test_true_variance_mixed_idio_ma_dense_oracle():
     assert_allclose(v, oracle, atol=1e-12)
 
 
+@pytest.mark.parametrize("decay, t", [(0.9, 6), (0.02, 14)])
+@pytest.mark.parametrize("kind", [EstimatorKind.FIXED_EFFECT,
+                                  EstimatorKind.POOLED])
+@pytest.mark.parametrize("channel", ["idio", "factor"])
+def test_true_variance_mixed_summable_dense_oracle(channel, kind, decay, t):
+    # geometric memory sums every lag up to T-1 (at decay 0.02 the last lags
+    # are far below double precision relative to lag 0)
+    n = 3
+    panel = random_panel(n, t, 2, seed=31)
+    rng = np.random.default_rng(32)
+    lam = rng.standard_normal((n, 1))
+    sig = rng.standard_normal((n, n))
+    sig = sig @ sig.T + np.eye(n)
+    lags = np.abs(np.subtract.outer(np.arange(t), np.arange(t)))
+    toeplitz = decay ** lags
+    if channel == "idio":
+        spec = TimeDependenceSpec.idio_summable(decay)
+        v, structure = true_variance_mixed(panel, kind, spec, loadings=lam,
+                                           sigma=CovMatrix(sig))
+        assert structure == "toeplitz_full_cov"
+        gamma = np.kron(toeplitz, sig) + np.kron(np.eye(t), lam @ lam.T)
+    else:
+        spec = TimeDependenceSpec.factor_summable(decay)
+        v, structure = true_variance_mixed(panel, kind, spec, loadings=lam)
+        assert structure == "toeplitz_factor_cov"
+        gamma = np.kron(toeplitz, lam @ lam.T)
+    assert spec.max_lag(t) == t - 1
+    assert_allclose(v, dense_sandwich(panel, kind, gamma), atol=1e-12)
+
+
 def test_true_variance_mixed_spec_mismatch():
     panel = random_panel(3, 4, 1, seed=30)
     with pytest.raises(SpecMismatch):

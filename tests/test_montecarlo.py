@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from panelcsd import TimeDependenceSpec
+from panelcsd import TimeDependenceSpec, montecarlo
 from panelcsd.dgp import DgpSpec, Diagonal, Equicorr, Factor, gen_panel
 from panelcsd.errors import UsageError
 from panelcsd.montecarlo import (CovConfig, McConfig, McReport, _derive_seed,
@@ -88,6 +88,41 @@ def test_failure_tally_deterministic():
     assert cell["failed"] is True
     assert "TruncTooLarge" in cell["failure_kinds"]
     assert r1.to_json() == r2.to_json()
+
+
+def test_worker_block_tallies_linalg_and_true_variance_failures(monkeypatch):
+    # a numpy linear-algebra failure inside a replication, in the fit or in
+    # the exact variance, is tallied under its type name, not raised
+    cfg = small_config().to_dict()
+    clean = montecarlo._worker_block(cfg, 8, 12, 0, 5, None)
+    real_fit = montecarlo.fit
+    real_tv = montecarlo._true_variance_for
+    calls = {"fit": 0, "tv": 0}
+
+    def flaky_fit(panel, kind):
+        calls["fit"] += 1
+        if calls["fit"] == 2:
+            raise np.linalg.LinAlgError("fit failed")
+        return real_fit(panel, kind)
+
+    def flaky_tv(panel, kind, truth):
+        calls["tv"] += 1
+        if calls["tv"] == 3:
+            raise np.linalg.LinAlgError("true variance failed")
+        return real_tv(panel, kind, truth)
+
+    monkeypatch.setattr(montecarlo, "fit", flaky_fit)
+    monkeypatch.setattr(montecarlo, "_true_variance_for", flaky_tv)
+    lo, hi, beta, vbar, pval, tvar, failed, kinds = \
+        montecarlo._worker_block(cfg, 8, 12, 0, 5, None)
+    assert (lo, hi) == (0, 5)
+    # rep 1 fails in fit; rep 3 is the third true variance (reps 0, 2, 3)
+    assert failed.tolist() == [0, 1, 0, 1, 0]
+    assert kinds == ["LinAlgError", "LinAlgError"]
+    ok = failed == 0
+    for got, want in zip((beta, vbar, pval, tvar), clean[2:6]):
+        assert np.isnan(got[~ok]).all()
+        assert np.array_equal(got[ok], want[ok])
 
 
 def test_fixed_design_reuses_x():
