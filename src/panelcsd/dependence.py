@@ -128,6 +128,14 @@ class CovMatrix:
         """Orthonormal eigenvectors, column i pairing with eigenvalue i."""
         return self._eigensystem()[1]
 
+    def sqrt(self) -> np.ndarray:
+        """Symmetric square root P diag(sqrt(l)) P' from the cached
+        eigensystem, eigenvalues clipped at zero: a rank-deficient matrix,
+        whose small eigenvalues :attr:`eigenvalues` clamps to zero, gets a
+        root of the same rank."""
+        evals, evecs = self._eigensystem()
+        return (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
+
 
 def _as_values(omega) -> np.ndarray:
     return omega.values if isinstance(omega, CovMatrix) else np.asarray(omega, dtype=float)

@@ -8,15 +8,20 @@ draws its pre-sample innovations (stationary from the first period), and
 geometric memory uses a first-order recursion initialized from its stationary
 law. Draw order (x, unit effects, error innovations) is fixed so equal seeds
 give byte-identical panels.
+
+The cross-section covariance and its square root are built by
+:func:`build_omega` once per (family, n) per process and shared, read-only,
+by every draw of that size; families must be hashable (all here are frozen
+dataclasses).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import functools
 
 import numpy as np
 
-from .config import PSD_RTOL
 from .dependence import CovMatrix
 from .errors import NotPSD, SpecMismatch, UsageError
 from .panel import PanelData
@@ -635,10 +640,22 @@ class DgpSpec:
         )
 
 
-def _sym_sqrt(values: np.ndarray) -> np.ndarray:
-    evals, evecs = np.linalg.eigh(values)
-    evals = np.clip(evals, 0.0, None)
-    return (evecs * np.sqrt(evals)[np.newaxis, :]) @ evecs.T
+# run_mc finishes one cell before it submits the next, so one entry serves
+# a whole cell; more would only keep more n x n matrices alive.
+@functools.lru_cache(maxsize=1)
+def _cross_section(family, n: int):
+    """(omega, loadings, sigma, root) shared read-only by the draws: factor
+    errors go through the loadings (sigma = idio_var * I, no root), all
+    others through the symmetric root of omega (sigma = omega)."""
+    cov = build_omega(family, n)
+    if isinstance(family, Factor):
+        out = (cov.values, family.loadings(n), family.idio_var * np.eye(n), None)
+    else:
+        out = (cov.values, None, cov.values, cov.sqrt())
+    for a in out:
+        if a is not None:
+            a.setflags(write=False)
+    return out
 
 
 def _innovations(rng: np.random.Generator, shape, spec: DgpSpec) -> np.ndarray:
@@ -704,26 +721,15 @@ def gen_panel(
     (panel, truth)
         ``truth`` records everything the draw used: beta, mu, the realized
         covariance pieces (omega, loadings, sigma values), h_n, the family
-        and its parameters, and the law names.
+        and its parameters, and the law names. The covariance pieces and
+        the errors' square root are computed once per (family, n) per
+        process and shared by every draw, so ``omega``, ``loadings`` and
+        ``sigma`` are read-only.
     """
     k = len(spec.beta_true)
     family = spec.cross_section
-    is_factor = isinstance(family, Factor)
     rng = np.random.default_rng(seed)
-
-    loadings = family.loadings(n) if is_factor else None
-    if is_factor:
-        omega_values = loadings @ loadings.T + family.idio_var * np.eye(n)
-        sigma_values = family.idio_var * np.eye(n)
-        sqrt_omega = None
-    else:
-        omega_values = family.build(n)
-        sigma_values = omega_values
-        cov = CovMatrix(omega_values)
-        evals = cov.eigenvalues  # raises NotPSD for invalid parametrizations
-        if evals[0] < -PSD_RTOL * max(evals[-1], 0.0):
-            raise NotPSD(f"family {family.name!r} is not positive semidefinite")
-        sqrt_omega = _sym_sqrt(cov.values)
+    omega, loadings, sigma, root = _cross_section(family, n)
 
     # Draw order is part of the determinism contract: x, then mu, then errors.
     if design is not None:
@@ -746,7 +752,7 @@ def gen_panel(
               else np.zeros(n))
 
     tm = spec.time_memory
-    if is_factor:
+    if isinstance(family, Factor):
         m = loadings.shape[1]
         f_cols = _memory_cols(tm, t) if tm.channel == "factor" else t
         u_cols = _memory_cols(tm, t) if tm.channel == "idio" else t
@@ -761,16 +767,16 @@ def gen_panel(
         z = _innovations(rng, (n, _memory_cols(tm, t)), spec)
         if tm.channel != "none":
             z = _filter_series(z, tm, t)
-        eps = sqrt_omega @ z
+        eps = root @ z
 
     y = mu[:, np.newaxis] + np.einsum("itk,k->it", x, np.asarray(spec.beta_true)) + eps
     panel = PanelData(y=y, x=x)
     truth = {
         "beta": np.asarray(spec.beta_true),
         "mu": mu,
-        "omega": omega_values,
+        "omega": omega,
         "loadings": loadings,
-        "sigma": sigma_values,
+        "sigma": sigma,
         "h_n": family.h_n(n),
         "family": family.name,
         "family_params": family.params(),

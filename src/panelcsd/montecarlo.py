@@ -35,7 +35,7 @@ from .covariance import (
     true_variance_mixed,
 )
 from .dependence import CovMatrix, _loglog_slope
-from .dgp import DgpSpec, Equicorr, gen_panel
+from .dgp import DgpSpec, Equicorr, build_omega, gen_panel
 from .errors import ConditionWarning, PanelError, UsageError
 from .estimators import EstimatorKind, fit
 from .inference import LinearRestriction, wald
@@ -356,8 +356,13 @@ def run_mc(config: McConfig, workers: int | None = None) -> McReport:
                     dpanel, dtruth = gen_panel(config.dgp, n, t, dseed)
                     design = (dpanel.x, dtruth["mu"])
                     if config.true_variance:
-                        tv_fixed = _true_variance_for(dpanel, config.estimator,
-                                                      dtruth)
+                        try:
+                            tv_fixed = _true_variance_for(
+                                dpanel, config.estimator, dtruth)
+                        except (PanelError, np.linalg.LinAlgError):
+                            # The cell then reports no exact variance; its
+                            # replications tally their own failures.
+                            pass
                 beta = np.full((config.reps, k), np.nan)
                 vbar = np.full((config.reps, k, k), np.nan)
                 pval = np.full(config.reps, np.nan)
@@ -413,9 +418,7 @@ def t1_cross_section_experiment(
     for n in n_grid:
         rng = np.random.default_rng(
             np.random.SeedSequence([int(seed), int(n), 84]))
-        omega = fam.build(n)
-        evals, evecs = np.linalg.eigh(omega)
-        root = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
+        root = build_omega(fam, n).sqrt()
         x = x_mean + rng.standard_normal((n, reps))
         if centered:
             x = x - x.mean(axis=0, keepdims=True)

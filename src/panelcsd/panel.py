@@ -169,9 +169,9 @@ def load_csv(
     Raises
     ------
     ParseError
-        Missing columns, a regressor listed twice or naming the id, time or
-        y column (line 1), or a value that does not parse, with the file
-        line.
+        A header naming a column twice, missing columns, a regressor listed
+        twice or naming the id, time or y column (line 1), or a value that
+        does not parse, with the file line.
     DuplicateCell
         The same (unit, period) appears twice.
     UnbalancedPanel
@@ -184,6 +184,9 @@ def load_csv(
         except StopIteration:
             raise ParseError("empty file", line=1) from None
         header = [h.strip() for h in header]
+        for j, col in enumerate(header):
+            if col in header[:j]:
+                raise ParseError(f"header names column {col!r} twice", line=1)
         for col in (id_col, time_col, y_col):
             if col not in header:
                 raise ParseError(f"missing required column {col!r}", line=1)

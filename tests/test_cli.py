@@ -132,6 +132,13 @@ def test_empty_csv_exits_one_with_line(tmp_path, capsys):
     assert code == 1
     assert "line 1" in err
 
+    # a header naming a column twice is bad input at line 1 too
+    path.write_text("id,time,y,y,x1\n1,1,1.0,2.0,0.1\n1,2,1.0,2.0,0.3\n")
+    code, out, err = run_cli(capsys, "estimate", "--data", str(path))
+    assert code == 1
+    assert out == ""
+    assert "line 1" in err and "'y' twice" in err
+
 
 @pytest.mark.parametrize("x_cols, problem", [("x1,x1", "listed twice"),
                                               ("x1,y", "id, time or y")])

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from panelcsd import TimeDependenceSpec
+from panelcsd import TimeDependenceSpec, dgp
 from panelcsd.dgp import (EXAMPLE_PRESETS, Band, Block, DgpSpec, Diagonal,
                           Equicorr, Factor, SpatialAR, build_omega,
                           family_from_string, gen_panel)
@@ -44,9 +45,13 @@ def test_spatial_ar_bounded():
 
 
 def test_not_psd_names_family():
+    family = Band(width="sqrt", b=0.9, taper="flat")
     with pytest.raises(NotPSD) as err:
-        build_omega(Band(width="sqrt", b=0.9, taper="flat"), 100)
+        build_omega(family, 100)
     assert "band" in str(err.value)
+    with pytest.raises(NotPSD) as err:
+        gen_panel(base_spec(family), n=100, t=5, seed=1)
+    assert "'band' at n=100" in str(err.value)
 
 
 def test_gen_panel_deterministic():
@@ -58,6 +63,43 @@ def test_gen_panel_deterministic():
     assert t1["mu"].tobytes() == t2["mu"].tobytes()
     p3, _ = gen_panel(spec, n=8, t=12, seed=322)
     assert p1.y.tobytes() != p3.y.tobytes()
+
+
+@pytest.mark.parametrize("n", [6, 200])
+def test_rank_one_family_draws_one_common_error(n):
+    # Equicorr(1, 1) is the all-ones matrix: every unit gets the same error
+    spec = base_spec(Equicorr(a=1.0, b=1.0))
+    panel, truth = gen_panel(spec, n=n, t=8, seed=11)
+    eps = errors_of(panel, truth, spec)
+    assert np.abs(eps - eps[0]).max() < 1e-12
+
+
+def test_truth_arrays_are_read_only():
+    # draws of one (family, n) share these arrays
+    for family in (Equicorr(a=1.0, b=0.5), Factor(n_factors=2)):
+        _, truth = gen_panel(base_spec(family), n=6, t=4, seed=1)
+        for key in ("omega", "loadings", "sigma"):
+            if truth[key] is not None:
+                with pytest.raises(ValueError):
+                    truth[key][0, 0] = 7.0
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(sorted(EXAMPLE_PRESETS)),
+                          st.integers(3, 40), st.integers(0, 2**32 - 1)),
+                min_size=1, max_size=6))
+def test_gen_panel_depends_only_on_seed(draws):
+    # a draw made after any sequence of other draws equals the same draw
+    # made from an empty cross-section cache
+    def draw(name, n, seed):
+        panel, truth = gen_panel(base_spec(EXAMPLE_PRESETS[name]), n, 5, seed)
+        return [a.tobytes() for a in (panel.y, panel.x, truth["mu"],
+                                      truth["omega"], truth["sigma"])]
+
+    got = [draw(*d) for d in draws]
+    for d, bytes_in_sequence in zip(draws, got):
+        dgp._cross_section.cache_clear()
+        assert draw(*d) == bytes_in_sequence
 
 
 def test_gen_panel_design_reuse():

@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -133,6 +134,20 @@ def test_fixed_design_reuses_x():
     assert cell["n_fail"] == 0
     # estimator varies across reps even though the design is shared
     assert cell["beta_sd"][0] > 0
+
+
+def test_fixed_design_true_variance_failure_is_not_fatal():
+    # the shared design's exact variance is singular (5 regressors, 2 x 2
+    # panel); the cell reports no target and tallies its replications as if
+    # no exact variance had been asked for
+    cfg = small_config(
+        dgp=DgpSpec(cross_section=Diagonal(), beta_true=(1.0,) * 5),
+        grid=((2, 2),), fixed_design=True, master_seed=0)
+    cell = run_mc(cfg, workers=1).cells[0]
+    assert cell["true_variance_diag"] is None
+    assert cell["failure_kinds"] == {"SingularGram": 200}
+    without = run_mc(replace(cfg, true_variance=False), workers=1).cells[0]
+    assert cell == without
 
 
 def test_true_variance_ratio_tracks_one():

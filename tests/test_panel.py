@@ -164,6 +164,14 @@ def test_load_csv_parse_error_lines(tmp_path):
         load_csv(str(g))
     assert err.value.line == 1
 
+    # a repeated header name would leave the column read ambiguous
+    h = tmp_path / "r.csv"
+    _write(h, [["id", "time", "y", "y", "x1"], ["1", "1", 1.0, 2.0, 0.1]])
+    with pytest.raises(ParseError) as err:
+        load_csv(str(h))
+    assert err.value.line == 1
+    assert "'y' twice" in str(err.value)
+
 
 def test_load_csv_field_count_mismatch(tmp_path):
     f = tmp_path / "p.csv"
