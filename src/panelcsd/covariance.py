@@ -17,8 +17,9 @@ Var(beta_hat) follow:
   dependence up to the truncation lag.
 
 Exact finite-sample variance targets for simulated designs are computed
-blockwise from the lag structure of the errors, never materializing the
-(n*t) x (n*t) covariance. When the lag-j error block is rho_j B, all lag
+from a demeaned design that :func:`~panelcsd.estimators.gram_inverse` has
+checked, blockwise from the lag structure of the errors, never materializing
+the (n*t) x (n*t) covariance. When the lag-j error block is rho_j B, all lag
 terms together are sum_t x_t' B z_t with the weighted leads
 z_t = sum_{j>=1} rho_j x_{t+j}: one sandwich whatever the memory length.
 Geometric memory, rho_j = d^j, builds z in one backward pass,
@@ -251,20 +252,44 @@ def _weighted_leads(x_dm: np.ndarray, spec: TimeDependenceSpec) -> np.ndarray:
     return z
 
 
-def _exact_variance(x_design: PanelData, kind: EstimatorKind,
-                    omega0: np.ndarray,
-                    spec: TimeDependenceSpec = TimeDependenceSpec(),
-                    lag_base: np.ndarray | None = None) -> np.ndarray:
-    # G^{-1} (sum_t x_t' Omega_0 x_t + C + C') G^{-1}: the lag-j error block
-    # is rho_j * B, so C = sum_j rho_j sum_t x_t' B x_{t+j} = sum_t x_t' B z_t
+def _exact_variance(x_dm: np.ndarray, gram_inv: np.ndarray,
+                    spec: TimeDependenceSpec, loadings: np.ndarray | None,
+                    sigma: CovMatrix | None) -> tuple[np.ndarray, str]:
+    # G^{-1} (sum_t x_t' Omega_0 x_t + C + C') G^{-1} for a demeaned design
+    # that gram_inverse has already checked. The lag-j error block is
+    # rho_j * B, so C = sum_j rho_j sum_t x_t' B x_{t+j} = sum_t x_t' B z_t
     # with z the weighted leads, one sandwich for all lags together.
-    x_dm = demean(x_design, kind)[1]
-    _, ginv = gram_inverse(x_dm)
-    meat = _sandwich(x_dm, omega0, x_dm)
+    n = x_dm.shape[0]
+    if loadings is not None:
+        loadings = np.asarray(loadings, dtype=float)
+        if loadings.ndim != 2 or loadings.shape[0] != n:
+            raise ValueError(f"loadings must be (n, m) with n={n}")
+    if sigma is not None and not isinstance(sigma, CovMatrix):
+        sigma = CovMatrix(sigma)
+    if sigma is not None and sigma.n != n:
+        raise ValueError("sigma size does not match the panel cross-section")
+    common = 0.0 if loadings is None else loadings @ loadings.T
+    idio = 0.0 if sigma is None else sigma.values
+    lag_base = common if spec.channel == "factor" else idio
+    if spec.channel == "none":
+        if loadings is None and sigma is None:
+            raise SpecMismatch("need loadings and/or sigma to define the errors")
+        structure = "cross_section_only"
+    elif spec.channel == "idio":
+        if sigma is None:
+            raise SpecMismatch("idio-channel memory needs sigma")
+        structure = ("banded_full_cov" if spec.form == "ma"
+                     else "toeplitz_full_cov")
+    else:  # factor channel
+        if loadings is None or loadings.shape[1] < 1:
+            raise SpecMismatch("factor-channel memory needs loadings")
+        structure = ("banded_factor_cov" if spec.form == "ma"
+                     else "toeplitz_factor_cov")
+    meat = _sandwich(x_dm, idio + common, x_dm)
     if spec.max_lag(x_dm.shape[1]) > 0:
         c = _sandwich(x_dm, lag_base, _weighted_leads(x_dm, spec))
         meat = meat + (c + c.T)
-    return ginv @ meat @ ginv
+    return gram_inv @ meat @ gram_inv, structure
 
 
 def cov_plugin(result: FitResult, omega: CovMatrix | None = None) -> RobustCov:
@@ -287,16 +312,13 @@ def true_variance_cs(x_design: PanelData, kind: EstimatorKind,
                      omega: CovMatrix) -> np.ndarray:
     """Exact conditional variance of the slope estimator for a known design
     and a known within-period error covariance (errors independent across
-    periods).
+    periods): :func:`true_variance_mixed` without serial dependence.
 
     Returns the finite-sample k x k matrix; multiply by
     n_units * n_periods / h_n for the normalized-limit scale.
     """
-    if not isinstance(omega, CovMatrix):
-        omega = CovMatrix(omega)
-    if omega.n != x_design.n_units:
-        raise ValueError("omega size does not match the panel cross-section")
-    return _exact_variance(x_design, kind, omega.values)
+    return true_variance_mixed(x_design, kind, TimeDependenceSpec(),
+                               sigma=omega)[0]
 
 
 def true_variance_mixed(
@@ -308,9 +330,11 @@ def true_variance_mixed(
 ) -> tuple[np.ndarray, str]:
     """Exact conditional slope variance under serially dependent errors.
 
-    The error lag structure is assembled blockwise from ``spec``: the lag-0
-    block enters one sandwich, and every lag-k block (autocorrelation times
-    the memory channel's base matrix) enters a second one through the
+    Like :func:`fit`, raises SingularGram on a rank-deficient design and
+    warns with ConditionWarning on an ill-conditioned one. The error lag
+    structure is assembled blockwise from ``spec``: the lag-0 block enters
+    one sandwich, and every lag-k block (autocorrelation times the memory
+    channel's base matrix) enters a second one through the
     autocorrelation-weighted leads of the design, so nothing larger than
     the panel itself is ever allocated. Summable memory sums all T-1 lags.
 
@@ -334,45 +358,10 @@ def true_variance_mixed(
 
     Notes
     -----
-    The factor channel's covariance target keeps only the common component
-    (its idiosyncratic part is serially independent and asymptotically
-    dominated); pass the idio channel to keep both.
+    Only the channel's base matrix carries lags; ``loadings`` and ``sigma``
+    both enter the lag-0 block. Under the factor channel, leaving ``sigma``
+    out keeps only the common component, which asymptotically dominates.
     """
-    n = x_design.n_units
-    if loadings is not None:
-        loadings = np.asarray(loadings, dtype=float)
-        if loadings.ndim != 2 or loadings.shape[0] != n:
-            raise ValueError(f"loadings must be (n, m) with n={n}")
-    if sigma is not None and not isinstance(sigma, CovMatrix):
-        sigma = CovMatrix(sigma)
-    if sigma is not None and sigma.n != n:
-        raise ValueError("sigma size does not match the panel cross-section")
-
-    if spec.channel == "none":
-        if loadings is None and sigma is None:
-            raise SpecMismatch("need loadings and/or sigma to define the errors")
-        omega0 = np.zeros((n, n))
-        if loadings is not None:
-            omega0 += loadings @ loadings.T
-        if sigma is not None:
-            omega0 += sigma.values
-        return _exact_variance(x_design, kind, omega0), "cross_section_only"
-
-    if spec.channel == "idio":
-        if sigma is None:
-            raise SpecMismatch("idio-channel memory needs sigma")
-        lag_base = sigma.values
-        omega0 = sigma.values.copy()
-        if loadings is not None:
-            omega0 = omega0 + loadings @ loadings.T
-        structure = ("banded_full_cov" if spec.form == "ma"
-                     else "toeplitz_full_cov")
-    else:  # factor channel
-        if loadings is None or loadings.shape[1] < 1:
-            raise SpecMismatch("factor-channel memory needs loadings")
-        lag_base = loadings @ loadings.T
-        omega0 = lag_base
-        structure = ("banded_factor_cov" if spec.form == "ma"
-                     else "toeplitz_factor_cov")
-
-    return _exact_variance(x_design, kind, omega0, spec, lag_base), structure
+    x_dm = demean(x_design, kind)[1]
+    _, gram_inv, _ = gram_inverse(x_dm, np.linalg.norm(x_design.x))
+    return _exact_variance(x_dm, gram_inv, spec, loadings, sigma)

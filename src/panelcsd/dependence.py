@@ -268,13 +268,12 @@ def classify(family, n_grid) -> DependenceProfile:
     )
 
 
-def select_n_factors(omega: CovMatrix, m_max: int = EIGEN_RATIO_M_MAX,
-                     ratio_min: float = EIGEN_RATIO_MIN) -> int:
+def select_n_factors(omega: CovMatrix, m_max: int = EIGEN_RATIO_M_MAX) -> int:
     """Pick the factor count by the largest adjacent eigenvalue ratio.
 
     Scans ratios of consecutive eigenvalues from the top; returns 0 when no
-    ratio reaches ``ratio_min`` (no factor structure), otherwise the position
-    of the largest ratio (ties resolve to the larger count).
+    ratio reaches ``EIGEN_RATIO_MIN`` (no factor structure), otherwise the
+    position of the largest ratio (ties resolve to the larger count).
     """
     evals = omega.eigenvalues
     n = len(evals)
@@ -293,7 +292,7 @@ def select_n_factors(omega: CovMatrix, m_max: int = EIGEN_RATIO_M_MAX,
         if ratio >= best_ratio:
             best_ratio = ratio
             best_m = j
-    if best_ratio < ratio_min:
+    if best_ratio < EIGEN_RATIO_MIN:
         return 0
     return best_m
 

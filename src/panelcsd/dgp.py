@@ -17,7 +17,7 @@ dataclasses).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 import functools
 
 import numpy as np
@@ -54,8 +54,16 @@ def _resolve_width(width, n: int) -> int:
     return w
 
 
+class _Family:
+    """Base of the covariance families: ``params()`` lists the constructor
+    fields in declaration order (``name`` is not one of them)."""
+
+    def params(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+
+
 @dataclass(frozen=True)
-class Diagonal:
+class Diagonal(_Family):
     """Independent errors with common variance ``scale``."""
 
     scale: float = 1.0
@@ -69,12 +77,9 @@ class Diagonal:
     def h_n(self, n: int) -> float:
         return 1.0
 
-    def params(self) -> dict:
-        return {"scale": self.scale}
-
 
 @dataclass(frozen=True)
-class Band:
+class Band(_Family):
     """Banded covariance: unit diagonal, off-diagonal b within ``width``.
 
     ``width`` may be an int (fixed band) or "sqrt" (grows like sqrt(n)).
@@ -106,12 +111,9 @@ class Band:
     def h_n(self, n: int) -> float:
         return float(np.sqrt(n)) if self.width == "sqrt" else 1.0
 
-    def params(self) -> dict:
-        return {"width": self.width, "b": self.b, "taper": self.taper}
-
 
 @dataclass(frozen=True)
-class Block:
+class Block(_Family):
     """Block-diagonal equicorrelation: within-block off-diagonal b.
 
     Give exactly one of ``size`` (int, or "sqrt" for blocks of size about
@@ -156,12 +158,9 @@ class Block:
     def h_n(self, n: int) -> float:
         return float(max(self._sizes(n)))
 
-    def params(self) -> dict:
-        return {"size": self.size, "n_blocks": self.n_blocks, "b": self.b}
-
 
 @dataclass(frozen=True)
-class DecayCorrelation:
+class DecayCorrelation(_Family):
     """Distance-decay covariance: entry b * (1 + |i - j|)^(-p), unit diagonal.
 
     p > 1 gives summable rows (weak), 0 < p < 1 gives norms growing like
@@ -191,12 +190,9 @@ class DecayCorrelation:
             return float(np.log(n))
         return float(n ** (1.0 - self.p))
 
-    def params(self) -> dict:
-        return {"p": self.p, "b": self.b}
-
 
 @dataclass(frozen=True)
-class SpatialAR:
+class SpatialAR(_Family):
     """Spatial autoregression on a ring: errors (I - rho W)^(-1) u.
 
     W is the row-normalized adjacency of a cycle (each unit's two ring
@@ -220,12 +216,9 @@ class SpatialAR:
     def h_n(self, n: int) -> float:
         return 1.0
 
-    def params(self) -> dict:
-        return {"rho": self.rho}
-
 
 @dataclass(frozen=True)
-class Equicorr:
+class Equicorr(_Family):
     """Constant covariance: diagonal a, every off-diagonal b (0 <= b <= a)."""
 
     a: float = 1.0
@@ -242,12 +235,9 @@ class Equicorr:
     def h_n(self, n: int) -> float:
         return float(n) if self.b > 0 else 1.0
 
-    def params(self) -> dict:
-        return {"a": self.a, "b": self.b}
-
 
 @dataclass(frozen=True)
-class Arrowhead:
+class Arrowhead(_Family):
     """One hub unit tied to all others: first row/column off-diagonals
     1/(c sqrt(n)), unit diagonal. Largest eigenvalue stays below 1 + 1/c
     while the hub's row sum grows like sqrt(n)/c."""
@@ -267,12 +257,9 @@ class Arrowhead:
     def h_n(self, n: int) -> float:
         return 1.0
 
-    def params(self) -> dict:
-        return {"c": self.c}
-
 
 @dataclass(frozen=True)
-class ScaledEquicorr:
+class ScaledEquicorr(_Family):
     """Equicorrelation with off-diagonals shrinking as a / sqrt(n):
     the largest eigenvalue grows like sqrt(n) while the entry norms stay
     bounded."""
@@ -293,12 +280,9 @@ class ScaledEquicorr:
     def h_n(self, n: int) -> float:
         return float(np.sqrt(n))
 
-    def params(self) -> dict:
-        return {"a": self.a}
-
 
 @dataclass(frozen=True)
-class Factor:
+class Factor(_Family):
     """Common-factor covariance: loadings @ loadings.T + idio_var * I.
 
     Loadings are drawn once per (loading_seed, n) from ``loading_law``
@@ -336,11 +320,6 @@ class Factor:
     def h_n(self, n: int) -> float:
         return float(n ** self.strength)
 
-    def params(self) -> dict:
-        return {"n_factors": self.n_factors, "strength": self.strength,
-                "loading_law": self.loading_law, "idio_var": self.idio_var,
-                "loading_seed": self.loading_seed}
-
 
 EXAMPLE_PRESETS: dict[str, object] = {
     "example1": Diagonal(),
@@ -360,15 +339,9 @@ EXAMPLE_PRESETS: dict[str, object] = {
 }
 
 _FAMILY_CLASSES: dict[str, type] = {
-    "diagonal": Diagonal,
-    "band": Band,
-    "block": Block,
-    "decay": DecayCorrelation,
-    "spatial_ar": SpatialAR,
-    "equicorr": Equicorr,
-    "arrowhead": Arrowhead,
-    "scaled_equicorr": ScaledEquicorr,
-    "factor": Factor,
+    cls.name: cls for cls in (Diagonal, Band, Block, DecayCorrelation,
+                              SpatialAR, Equicorr, Arrowhead, ScaledEquicorr,
+                              Factor)
 }
 
 # Parametrizable aliases used by the command line.
@@ -509,15 +482,6 @@ class TimeDependenceSpec:
         return cls(channel="factor", form="summable", decay=decay)
 
     # -- structure ---------------------------------------------------------
-    @property
-    def order(self) -> int | None:
-        """MA order q, 0 when serially independent, None for summable."""
-        if self.form == "none":
-            return 0
-        if self.form == "ma":
-            return len(self.psi) - 1
-        return None
-
     def autocorr(self, lag: int) -> float:
         """Autocorrelation at the given lag (1 at lag 0 by normalization)."""
         lag = abs(int(lag))

@@ -5,7 +5,8 @@ estimator removes each unit's time average; the pooled estimator removes the
 grand mean. Neither ever materializes the (n_units * n_periods)^2 projection
 matrix: demeaning is done by subtracting averages, which is algebraically the
 same projection. :func:`demean` and :func:`gram_inverse` are the one place
-both steps live; the fit and the exact variance targets share them.
+both steps live; the fit and the exact variance targets share them, rank and
+condition check included.
 
 The per-period weight blocks expose the estimator as a linear map of the
 errors: beta_hat - beta = sum_t blocks[t] @ eps[:, t]. They are the reference
@@ -73,18 +74,39 @@ def demean(panel: PanelData, kind: EstimatorKind) -> tuple[np.ndarray, np.ndarra
     raise ValueError(f"unknown estimator kind {kind!r}")
 
 
-def gram_inverse(x_dm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrix of a demeaned design (n, t, k) and its inverse.
+def gram_inverse(x_dm: np.ndarray,
+                 x_scale: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Check a demeaned design (n, t, k); return (gram, gram_inv, cond).
 
-    The inverse takes one Newton step past the direct inverse, which
-    tightens gram @ gram_inv toward the identity.
+    ``x_scale``, the design's Frobenius norm before demeaning (a projection),
+    bounds every singular value of the demeaned design: a Gram eigenvalue at
+    or below the squared roundoff floor of that scale is an annihilated
+    column, even at k = 1, and one within eigensolver roundoff of zero
+    (k * eps * lambda_max) is a collinear one. That, or a condition number
+    >= COND_FAIL, raises SingularGram; above COND_WARN it warns with
+    ConditionWarning. The inverse takes one Newton step past the direct
+    inverse.
     """
     n, t, k = x_dm.shape
     xf = x_dm.reshape(n * t, k)
     gram = xf.T @ xf
+    evals = np.linalg.eigvalsh(gram)
+    eps = np.finfo(float).eps
+    floor = max((eps * max(n * t, k) * x_scale) ** 2, eps * k * evals[-1])
+    if evals[0] <= floor:
+        raise SingularGram(
+            "demeaned design is rank deficient; "
+            "a regressor may be constant after demeaning")
+    cond = float(evals[-1] / evals[0])
+    if not np.isfinite(cond) or cond >= COND_FAIL:
+        raise SingularGram(f"demeaned design condition number {cond:.3e} >= {COND_FAIL:.0e}")
+    if cond > COND_WARN:
+        warnings.warn(
+            f"demeaned design condition number {cond:.3e} exceeds {COND_WARN:.0e}",
+            ConditionWarning, stacklevel=3)
     gram_inv = np.linalg.inv(gram)
     gram_inv = gram_inv @ (2.0 * np.eye(k) - gram @ gram_inv)
-    return gram, gram_inv
+    return gram, gram_inv, cond
 
 
 @dataclass(frozen=True)
@@ -139,9 +161,9 @@ class FitResult:
 def fit(panel: PanelData, kind: EstimatorKind = EstimatorKind.FIXED_EFFECT) -> FitResult:
     """Estimate slope coefficients by least squares on demeaned data.
 
-    The solve goes through the SVD of the demeaned design (no normal
-    equations), and the gram inverse needed by covariance estimators is
-    computed afterwards with one Newton refinement step.
+    :func:`gram_inverse` checks the demeaned design and returns the gram
+    inverse needed by covariance estimators; the solve itself goes through
+    the SVD of the demeaned design (no normal equations).
 
     Raises
     ------
@@ -151,29 +173,11 @@ def fit(panel: PanelData, kind: EstimatorKind = EstimatorKind.FIXED_EFFECT) -> F
         estimator) lands here.
     """
     y_dm, x_dm = demean(panel, kind)
+    gram, gram_inv, cond = gram_inverse(x_dm, np.linalg.norm(panel.x))
     n, t, k = x_dm.shape
     xf = x_dm.reshape(n * t, k)
     yf = y_dm.reshape(n * t)
-
-    beta, _, rank, svals = np.linalg.lstsq(xf, yf, rcond=None)
-    # Demeaning is a projection, so any real singular value of the demeaned
-    # design is bounded by the raw design's Frobenius norm; values below the
-    # roundoff floor of that scale mean a column was annihilated.
-    floor = np.finfo(float).eps * max(n * t, k) * np.linalg.norm(panel.x)
-    if rank < k or svals[-1] <= floor:
-        raise SingularGram(
-            "demeaned design is rank deficient "
-            f"(rank {rank} < {k}); a regressor may be constant after demeaning")
-    cond = float((svals[0] / svals[-1]) ** 2)
-    if not np.isfinite(cond) or cond >= COND_FAIL:
-        raise SingularGram(f"demeaned design condition number {cond:.3e} >= {COND_FAIL:.0e}")
-    cond_warn = cond > COND_WARN
-    if cond_warn:
-        warnings.warn(
-            f"demeaned design condition number {cond:.3e} exceeds {COND_WARN:.0e}",
-            ConditionWarning, stacklevel=2)
-
-    gram, gram_inv = gram_inverse(x_dm)
+    beta = np.linalg.lstsq(xf, yf, rcond=None)[0]
     residuals = (yf - xf @ beta).reshape(n, t)
     if kind is EstimatorKind.FIXED_EFFECT:
         intercepts = panel.y.mean(axis=1) - panel.x.mean(axis=1) @ beta
@@ -191,7 +195,7 @@ def fit(panel: PanelData, kind: EstimatorKind = EstimatorKind.FIXED_EFFECT) -> F
         demeaned_x=x_dm,
         intercepts=intercepts,
         condition_number=cond,
-        condition_warning=bool(cond_warn),
+        condition_warning=cond > COND_WARN,
     )
 
 

@@ -28,16 +28,15 @@ import numpy as np
 
 from .config import default_workers
 from .covariance import (
+    _exact_variance,
     cov_cross_section,
     cov_kernel,
     cov_plugin,
-    true_variance_cs,
-    true_variance_mixed,
 )
 from .dependence import CovMatrix, _loglog_slope
 from .dgp import DgpSpec, Equicorr, build_omega, gen_panel
 from .errors import ConditionWarning, PanelError, UsageError
-from .estimators import EstimatorKind, fit
+from .estimators import EstimatorKind, FitResult, fit
 from .inference import LinearRestriction, wald
 
 __all__ = [
@@ -162,21 +161,11 @@ def _compute_cov(result, cov_cfg: CovConfig):
                       declared=cov_cfg.declared)
 
 
-def _true_variance_for(panel, kind: EstimatorKind, truth: dict) -> np.ndarray:
-    """Exact conditional slope variance implied by a draw's truth record."""
-    tm = truth["time_memory"]
-    if tm.channel == "none":
-        return true_variance_cs(panel, kind, CovMatrix(truth["omega"]))
-    if tm.channel == "idio":
-        v, _ = true_variance_mixed(panel, kind, tm,
-                                   loadings=truth["loadings"],
-                                   sigma=CovMatrix(truth["sigma"]))
-        return v
-    # factor channel: common part carries the lags, idio part is lag-free
-    v_common, _ = true_variance_mixed(panel, kind, tm,
-                                      loadings=truth["loadings"], sigma=None)
-    v_idio = true_variance_cs(panel, kind, CovMatrix(truth["sigma"]))
-    return v_common + v_idio
+def _true_variance_for(res: FitResult, truth: dict) -> np.ndarray:
+    """Exact conditional slope variance implied by a draw's truth record,
+    read off the design and gram inverse its fit has already checked."""
+    return _exact_variance(res.demeaned_x, res.gram_inv, truth["time_memory"],
+                           truth["loadings"], CovMatrix(truth["sigma"]))[0]
 
 
 def _worker_block(cfg_dict: dict, n: int, t: int, lo: int, hi: int,
@@ -204,7 +193,7 @@ def _worker_block(cfg_dict: dict, n: int, t: int, lo: int, hi: int,
                 rc = _compute_cov(res, cfg.cov)
                 tr = wald(res.beta_hat, rc, restr)
                 if want_tv:
-                    tvar[i] = _true_variance_for(panel, cfg.estimator, truth)
+                    tvar[i] = _true_variance_for(res, truth)
             except (PanelError, np.linalg.LinAlgError) as exc:
                 failed[i] = 1
                 fail_kinds.append(type(exc).__name__)
@@ -357,8 +346,10 @@ def run_mc(config: McConfig, workers: int | None = None) -> McReport:
                     design = (dpanel.x, dtruth["mu"])
                     if config.true_variance:
                         try:
-                            tv_fixed = _true_variance_for(
-                                dpanel, config.estimator, dtruth)
+                            with warnings.catch_warnings():
+                                warnings.simplefilter("ignore", ConditionWarning)
+                                tv_fixed = _true_variance_for(
+                                    fit(dpanel, config.estimator), dtruth)
                         except (PanelError, np.linalg.LinAlgError):
                             # The cell then reports no exact variance; its
                             # replications tally their own failures.

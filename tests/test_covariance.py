@@ -304,6 +304,12 @@ def test_true_variance_mixed_factor_ma_dense_oracle():
     oracle_full = dense_sandwich(panel, EstimatorKind.FIXED_EFFECT,
                                  gamma_full)
     assert_allclose(v_factor + v_idio, oracle_full, atol=1e-12)
+    # passing sigma adds the idiosyncratic part at lag 0 in one call
+    v_full, structure = true_variance_mixed(
+        panel, EstimatorKind.FIXED_EFFECT, spec, loadings=lam,
+        sigma=CovMatrix(sig))
+    assert structure == "banded_factor_cov"
+    assert_allclose(v_full, oracle_full, atol=1e-12)
 
 
 def test_true_variance_mixed_idio_ma_dense_oracle():

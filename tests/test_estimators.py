@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from panelcsd import (EstimatorKind, PanelData, fit, grand_demean,
-                      weight_blocks, within_demean)
+from panelcsd import (CovMatrix, DgpSpec, EstimatorKind, PanelData,
+                      TimeDependenceSpec, fit, gen_panel, grand_demean,
+                      true_variance_cs, true_variance_mixed, weight_blocks,
+                      within_demean)
+from panelcsd.dgp import Diagonal
 from panelcsd.errors import ConditionWarning, SingularGram
 
 
@@ -99,8 +102,41 @@ def test_time_invariant_regressor_rejected():
     n, t = 4, 5
     x = np.repeat(rng.standard_normal((n, 1, 1)), t, axis=1)
     y = rng.standard_normal((n, t))
+    panel = PanelData(y=y, x=x)
+    fe = EstimatorKind.FIXED_EFFECT
     with pytest.raises(SingularGram):
-        fit(PanelData(y=y, x=x), EstimatorKind.FIXED_EFFECT)
+        fit(panel, fe)
+    # the exact variance targets run the same check on the same design
+    with pytest.raises(SingularGram):
+        true_variance_cs(panel, fe, CovMatrix(np.eye(n)))
+    with pytest.raises(SingularGram):
+        true_variance_mixed(panel, fe, TimeDependenceSpec.idio_ma((1.0, 0.5)),
+                            sigma=CovMatrix(np.eye(n)))
+
+
+def test_collinear_regressors_reported_rank_deficient():
+    # an exactly collinear pair leaves a Gram eigenvalue at roundoff level,
+    # which is named as rank deficiency, not as a huge condition number
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((5, 6, 1))
+        panel = PanelData(y=rng.standard_normal((5, 6)),
+                          x=np.concatenate([a, 3.0 * a], axis=2))
+        with pytest.raises(SingularGram, match="rank deficient"):
+            fit(panel, EstimatorKind.FIXED_EFFECT)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_true_variance_rejects_more_regressors_than_within_rows(seed):
+    # five regressors on a 2 x 2 panel leave two within-unit rows: the
+    # exact variance raises like the fit instead of returning garbage
+    panel, truth = gen_panel(DgpSpec(Diagonal(), beta_true=(1.0,) * 5),
+                             2, 2, seed)
+    with pytest.raises(SingularGram):
+        fit(panel, EstimatorKind.FIXED_EFFECT)
+    with pytest.raises(SingularGram):
+        true_variance_cs(panel, EstimatorKind.FIXED_EFFECT,
+                         CovMatrix(truth["omega"]))
 
 
 def test_residual_sum_invariants():

@@ -1,12 +1,16 @@
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from panelcsd import TimeDependenceSpec, montecarlo
-from panelcsd.dgp import DgpSpec, Diagonal, Equicorr, Factor, gen_panel
-from panelcsd.errors import UsageError
+from panelcsd import (CovMatrix, EstimatorKind, TimeDependenceSpec, fit,
+                      montecarlo, true_variance_mixed)
+from panelcsd.dgp import (EXAMPLE_PRESETS, DgpSpec, Diagonal, Equicorr,
+                          Factor, gen_panel)
+from panelcsd.errors import ConditionWarning, SingularGram, UsageError
 from panelcsd.montecarlo import (CovConfig, McConfig, McReport, _derive_seed,
                                  aligned_x_coverage, regime_size_ordering,
                                  run_mc, t1_cross_section_experiment)
@@ -106,11 +110,11 @@ def test_worker_block_tallies_linalg_and_true_variance_failures(monkeypatch):
             raise np.linalg.LinAlgError("fit failed")
         return real_fit(panel, kind)
 
-    def flaky_tv(panel, kind, truth):
+    def flaky_tv(res, truth):
         calls["tv"] += 1
         if calls["tv"] == 3:
             raise np.linalg.LinAlgError("true variance failed")
-        return real_tv(panel, kind, truth)
+        return real_tv(res, truth)
 
     monkeypatch.setattr(montecarlo, "fit", flaky_fit)
     monkeypatch.setattr(montecarlo, "_true_variance_for", flaky_tv)
@@ -124,6 +128,48 @@ def test_worker_block_tallies_linalg_and_true_variance_failures(monkeypatch):
     for got, want in zip((beta, vbar, pval, tvar), clean[2:6]):
         assert np.isnan(got[~ok]).all()
         assert np.array_equal(got[ok], want[ok])
+
+
+_PRESET_CHANNELS = [(name, channel)
+                    for name, fam in sorted(EXAMPLE_PRESETS.items())
+                    for channel in ("none", "idio", "factor")
+                    if channel != "factor" or isinstance(fam, Factor)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.sampled_from(["ma", "summable"]), st.sampled_from(list(EstimatorKind)),
+       st.integers(3, 12), st.integers(2, 16), st.integers(1, 3),
+       st.integers(0, 2**32 - 1))
+def test_worker_true_variance_matches_public_path(form, kind, n, t, k, seed):
+    # the worker reads the exact variance off its fit; the public function
+    # demeans and checks the panel itself: same numbers, same failures, for
+    # every preset under every memory channel it admits
+    for name, channel in _PRESET_CHANNELS:
+        if channel == "none":
+            tm = TimeDependenceSpec.none()
+        elif form == "ma":
+            tm = TimeDependenceSpec(channel=channel, form="ma",
+                                    psi=(1.0, 0.6, 0.3))
+        else:
+            tm = TimeDependenceSpec(channel=channel, form="summable", decay=0.7)
+        spec = DgpSpec(cross_section=EXAMPLE_PRESETS[name],
+                       beta_true=(1.0,) * k, time_memory=tm)
+        panel, truth = gen_panel(spec, n, t, seed)
+        sigma = CovMatrix(truth["sigma"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditionWarning)
+            try:
+                res = fit(panel, kind)
+            except SingularGram:
+                with pytest.raises(SingularGram):
+                    true_variance_mixed(panel, kind, tm, truth["loadings"],
+                                        sigma)
+                continue
+            got = montecarlo._true_variance_for(res, truth)
+            want, _ = true_variance_mixed(panel, kind, tm, truth["loadings"],
+                                          sigma)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), \
+            (name, channel)
 
 
 def test_fixed_design_reuses_x():
