@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -56,6 +57,12 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _json_dumps(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _emit(args, payload: dict, table: str) -> None:
+    """Write ``payload`` as JSON, or ``table`` under --format table."""
+    _write_text(args.out,
+                table if args.format == "table" else _json_dumps(payload))
 
 
 def _table(rows: list[list[str]], header: list[str]) -> str:
@@ -184,13 +191,10 @@ def _cmd_estimate(args) -> None:
             for s, p in enumerate(panel.time_ids):
                 writer.writerow([u, p, repr(float(result.residuals[i, s]))])
         _write_text(args.residuals, buf.getvalue())
-    if args.format == "table":
-        rows = [[c, _fmt(payload["beta"][c]), _fmt(payload["se"][c]),
-                 _fmt(payload["t_stats"][c]), _fmt(payload["p_values"][c])]
-                for c in panel.x_names]
-        _write_text(args.out, _table(rows, ["coef", "estimate", "se", "t", "p"]))
-    else:
-        _write_text(args.out, _json_dumps(payload))
+    rows = [[c, _fmt(payload["beta"][c]), _fmt(payload["se"][c]),
+             _fmt(payload["t_stats"][c]), _fmt(payload["p_values"][c])]
+            for c in panel.x_names]
+    _emit(args, payload, _table(rows, ["coef", "estimate", "se", "t", "p"]))
 
 
 def _cmd_test(args) -> None:
@@ -204,19 +208,14 @@ def _cmd_test(args) -> None:
         "dof": tr.dof,
         "p_value": tr.p_value,
     }
-    if args.format == "table":
-        rows = [[args.restr, _fmt(tr.statistic), str(tr.dof), _fmt(tr.p_value)]]
-        _write_text(args.out, _table(rows, ["restriction", "wald", "dof", "p"]))
-    else:
-        _write_text(args.out, _json_dumps(payload))
+    rows = [[args.restr, _fmt(tr.statistic), str(tr.dof), _fmt(tr.p_value)]]
+    _emit(args, payload, _table(rows, ["restriction", "wald", "dof", "p"]))
 
 
 def _load_matrix_csv(path: str) -> np.ndarray:
     try:
         m = np.loadtxt(path, delimiter=",", ndmin=2)
-    except (ValueError, OSError) as exc:
-        if isinstance(exc, OSError):
-            raise
+    except ValueError as exc:
         raise UsageError(f"{path}: not a numeric CSV matrix ({exc})") from None
     if m.shape[0] != m.shape[1]:
         raise UsageError(f"{path}: matrix is {m.shape[0]}x{m.shape[1]}, not square")
@@ -277,20 +276,16 @@ def _cmd_diagnose(args) -> None:
     if sum(sources) != 1:
         raise UsageError(
             "give exactly one of --family, --matrix-dir, --data, --residuals-file")
-    if args.family:
-        fam = family_from_string(args.family)
-        grid = _parse_n_grid(args.n_grid) if args.n_grid else [25, 50, 100, 200]
-        profile = classify(lambda n: build_omega(fam, n), grid)
-        text = (_profile_table(profile) if args.format == "table"
-                else _json_dumps(_profile_payload(profile)))
-        _write_text(args.out, text)
-        return
-    if args.matrix_dir:
-        family, grid = _matrix_dir_family(args.matrix_dir)
+    if args.family or args.matrix_dir:
+        if args.family:
+            fam = family_from_string(args.family)
+            grid = (_parse_n_grid(args.n_grid) if args.n_grid
+                    else [25, 50, 100, 200])
+            family = functools.partial(build_omega, fam)
+        else:
+            family, grid = _matrix_dir_family(args.matrix_dir)
         profile = classify(family, grid)
-        text = (_profile_table(profile) if args.format == "table"
-                else _json_dumps(_profile_payload(profile)))
-        _write_text(args.out, text)
+        _emit(args, _profile_payload(profile), _profile_table(profile))
         return
     # single-matrix diagnostics from residuals: norms only, no growth exponent
     if args.data:
@@ -308,11 +303,8 @@ def _cmd_diagnose(args) -> None:
         "note": ("growth exponents need a family over an n-grid; "
                  "use --family or --matrix-dir"),
     }
-    if args.format == "table":
-        rows = [[k, _fmt(v)] for k, v in payload["norms"].items()]
-        _write_text(args.out, _table(rows, ["norm", "value"]))
-    else:
-        _write_text(args.out, _json_dumps(payload))
+    rows = [[k, _fmt(v)] for k, v in payload["norms"].items()]
+    _emit(args, payload, _table(rows, ["norm", "value"]))
 
 
 def _cmd_decompose(args) -> None:
@@ -333,14 +325,10 @@ def _cmd_decompose(args) -> None:
         "idio_cov": [[float(v) for v in row] for row in split.idio_cov.values],
         "reconstruction_rel_error": rel_err,
     }
-    if args.format == "table":
-        rows = [[str(i + 1), _fmt(s)]
-                for i, s in enumerate(payload["factor_strengths"])]
-        text = _table(rows, ["factor", "strength"]) + \
-            f"\nn_factors: {split.n_factors}\n"
-        _write_text(args.out, text)
-    else:
-        _write_text(args.out, _json_dumps(payload))
+    rows = [[str(i + 1), _fmt(s)]
+            for i, s in enumerate(payload["factor_strengths"])]
+    _emit(args, payload, _table(rows, ["factor", "strength"])
+          + f"\nn_factors: {split.n_factors}\n")
 
 
 def _cmd_mc_run(args) -> None:
@@ -392,22 +380,17 @@ def _cmd_explore_conjecture(args) -> None:
     fam = family_from_string(args.family)
     grid = _parse_n_grid(args.n_grid) if args.n_grid else [25, 50, 100, 200, 400]
     rows = []
-    series: dict[str, list[float]] = {"max_eig": [], "taxicab_scaled": [],
-                                      "euclid": [], "euclid_over_sqrt_n": []}
     for n in grid:
         om = build_omega(fam, n)
         norms = all_norms(om)
         eu = norm_euclid(om)
-        series["max_eig"].append(norms["max_eig"])
-        series["taxicab_scaled"].append(norms["taxicab_scaled"])
-        series["euclid"].append(eu)
-        series["euclid_over_sqrt_n"].append(eu / np.sqrt(n))
         rows.append({"n": n, "max_eig": norms["max_eig"],
                      "taxicab_scaled": norms["taxicab_scaled"],
                      "euclid": eu, "euclid_over_sqrt_n": eu / np.sqrt(n)})
+    series = ["max_eig", "taxicab_scaled", "euclid", "euclid_over_sqrt_n"]
     ns = np.array(grid, dtype=float)
-    slopes = {key: _loglog_slope(ns, np.array(vals))[0]
-              for key, vals in series.items()}
+    slopes = {key: _loglog_slope(ns, np.array([r[key] for r in rows]))[0]
+              for key in series}
     payload = {
         "schema_version": SCHEMA_VERSION,
         "family": args.family,
@@ -417,15 +400,11 @@ def _cmd_explore_conjecture(args) -> None:
                  "sqrt(n)-growth of euclid travel together on every family "
                  "tried; explored, not asserted"),
     }
-    if args.format == "table":
-        cols = ["n", "max_eig", "taxicab_scaled", "euclid", "euclid_over_sqrt_n"]
-        body = [[_fmt(r[c]) for c in cols] for r in rows]
-        text = _table(body, cols)
-        text += "\n" + _table(
-            [[k, _fmt(v)] for k, v in slopes.items()], ["series", "slope"])
-        _write_text(args.out, text)
-    else:
-        _write_text(args.out, _json_dumps(payload))
+    cols = ["n", *series]
+    _emit(args, payload,
+          _table([[_fmt(r[c]) for c in cols] for r in rows], cols) + "\n"
+          + _table([[k, _fmt(v)] for k, v in slopes.items()],
+                   ["series", "slope"]))
 
 
 def build_parser() -> _Parser:
@@ -507,10 +486,7 @@ def dispatch(argv: list[str]) -> int:
     except SystemExit as exc:  # --help
         code = exc.code
         return int(code) if isinstance(code, int) else 0
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

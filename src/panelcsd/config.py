@@ -1,4 +1,4 @@
-"""Package-wide numerical thresholds and defaults.
+"""Package-wide numerical thresholds, defaults and config parsing.
 
 Every tolerance that shapes behaviour lives here so it is documented in one
 place and tests can reference the same constants the code uses.
@@ -6,7 +6,10 @@ place and tests can reference the same constants the code uses.
 
 from __future__ import annotations
 
+import dataclasses
 import os
+
+from .errors import UsageError
 
 # Regime classification: fitted growth exponent alpha of the largest-eigenvalue
 # norm against the cross-section size. alpha <= WEAK_ALPHA_MAX is weak,
@@ -41,23 +44,44 @@ PSD_REPAIR_REL = 1e-10
 # Fourth-moment diagnostics refuse cross-sections larger than this.
 FOURTH_MOMENT_N_MAX = 40
 
+
+def declared_lag(declared: str) -> int | None:
+    """Parse a statement about the errors' serial dependence.
+
+    The grammar is "pure-cs" (no serial dependence, lag 0), "ma:<q>" with an
+    integer q >= 0 (lag q), "summable" or "unknown" (no finite lag, None).
+    Anything else is a UsageError.
+    """
+    if declared == "pure-cs":
+        return 0
+    if declared in ("summable", "unknown"):
+        return None
+    if (isinstance(declared, str) and declared.startswith("ma:")
+            and declared[3:].isascii() and declared[3:].isdigit()):
+        return int(declared[3:])
+    raise UsageError(f"declared dependence must be pure-cs, ma:<q> with "
+                     f"q >= 0, summable or unknown; got {declared!r}")
+
+
 # Default automatic lag truncation for the kernel covariance when the time
 # dependence is of unknown order: floor(4 * (T/100)^(2/9)).
 def auto_truncation(t: int, declared: str = "unknown") -> int:
     """Resolve the automatic lag truncation for ``t`` periods.
 
-    ``declared`` is the caller's statement about error time dependence:
-    "pure-cs" (no serial dependence) gives 0, "ma:<q>" gives q, anything
-    else ("summable", "unknown") gives the plug-in rate above.
+    ``declared`` (see :func:`declared_lag`) gives its own lag when it has
+    one: 0 for "pure-cs", q for "ma:<q>"; "summable" and "unknown" give the
+    plug-in rate above.
     """
-    if declared == "pure-cs":
-        return 0
-    if declared.startswith("ma:"):
-        q = int(declared.split(":", 1)[1])
-        if q < 0:
-            raise ValueError("ma order must be nonnegative")
-        return q
-    return int(4.0 * (t / 100.0) ** (2.0 / 9.0))
+    q = declared_lag(declared)
+    return int(4.0 * (t / 100.0) ** (2.0 / 9.0)) if q is None else q
+
+
+def check_keys(d: dict, cls, what: str) -> None:
+    """Raise UsageError naming every key of ``d`` that is not a field of
+    the dataclass ``cls``."""
+    unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise UsageError(f"unknown {what} key(s): {', '.join(unknown)}")
 
 
 # Worker count for the simulation engine: --threads flag beats this env var,

@@ -120,6 +120,15 @@ def omega_hat(residuals) -> CovMatrix:
     return CovMatrix(e @ e.T / t, meta=meta)
 
 
+def _check_periods(result: FitResult) -> None:
+    # With two periods the within scores satisfy u_1 = u_2 and u_1 + u_2 = 0,
+    # so every covariance built from them is exactly zero.
+    if result.kind is EstimatorKind.FIXED_EFFECT and result.n_periods < 3:
+        raise SingularCov(
+            f"a fixed-effect panel with {result.n_periods} periods has "
+            "identically zero scores; robust covariances need at least 3")
+
+
 def _scores(result: FitResult) -> np.ndarray:
     # u_t = G^{-1} x_t' e_t stacked as (T, k).
     return (np.einsum("ntk,nt->tk", result.demeaned_x, result.residuals)
@@ -166,10 +175,14 @@ def cov_cross_section(result: FitResult,
 _KERNELS = ("bartlett", "uniform", "parzen")
 
 
-def kernel_weight(name: str, lag: int, trunc: int) -> float:
-    """Lag weight K(lag) for the given kernel and truncation."""
+def _check_kernel(name: str) -> None:
     if name not in _KERNELS:
         raise ValueError(f"unknown kernel {name!r}; choose from {_KERNELS}")
+
+
+def kernel_weight(name: str, lag: int, trunc: int) -> float:
+    """Lag weight K(lag) for the given kernel and truncation."""
+    _check_kernel(name)
     if lag == 0:
         return 1.0
     if trunc <= 0 or lag > trunc:
@@ -203,8 +216,11 @@ def cov_kernel(result: FitResult, kernel: str = "bartlett",
 
     With truncation 0 this coincides exactly with the zero-lag estimator.
     Negative eigenvalues (possible for the uniform kernel) are clipped and
-    flagged on the result.
+    flagged on the result. A fixed-effect panel with fewer than 3 periods
+    raises SingularCov: its scores are identically zero.
     """
+    _check_kernel(kernel)
+    _check_periods(result)
     t = result.n_periods
     if trunc == "auto":
         c = auto_truncation(t, declared)
@@ -254,22 +270,20 @@ def _weighted_leads(x_dm: np.ndarray, spec: TimeDependenceSpec) -> np.ndarray:
 
 def _exact_variance(x_dm: np.ndarray, gram_inv: np.ndarray,
                     spec: TimeDependenceSpec, loadings: np.ndarray | None,
-                    sigma: CovMatrix | None) -> tuple[np.ndarray, str]:
+                    sigma: np.ndarray | None) -> tuple[np.ndarray, str]:
     # G^{-1} (sum_t x_t' Omega_0 x_t + C + C') G^{-1} for a demeaned design
-    # that gram_inverse has already checked. The lag-j error block is
-    # rho_j * B, so C = sum_j rho_j sum_t x_t' B x_{t+j} = sum_t x_t' B z_t
-    # with z the weighted leads, one sandwich for all lags together.
+    # that gram_inverse has already checked and a symmetric sigma. The lag-j
+    # error block is rho_j * B, so C = sum_j rho_j sum_t x_t' B x_{t+j} =
+    # sum_t x_t' B z_t with z the weighted leads, one sandwich for all lags.
     n = x_dm.shape[0]
     if loadings is not None:
         loadings = np.asarray(loadings, dtype=float)
         if loadings.ndim != 2 or loadings.shape[0] != n:
             raise ValueError(f"loadings must be (n, m) with n={n}")
-    if sigma is not None and not isinstance(sigma, CovMatrix):
-        sigma = CovMatrix(sigma)
-    if sigma is not None and sigma.n != n:
+    if sigma is not None and sigma.shape != (n, n):
         raise ValueError("sigma size does not match the panel cross-section")
     common = 0.0 if loadings is None else loadings @ loadings.T
-    idio = 0.0 if sigma is None else sigma.values
+    idio = 0.0 if sigma is None else sigma
     lag_base = common if spec.channel == "factor" else idio
     if spec.channel == "none":
         if loadings is None and sigma is None:
@@ -297,9 +311,12 @@ def cov_plugin(result: FitResult, omega: CovMatrix | None = None) -> RobustCov:
 
     Uses the residual outer-product average when ``omega`` is omitted. This
     is the naive plug-in; it is not consistent under fixed n asymptotics and
-    exists for comparison.
+    exists for comparison. That average is exactly zero in the sandwich of
+    a fixed-effect panel with fewer than 3 periods, which raises
+    SingularCov.
     """
     if omega is None:
+        _check_periods(result)
         omega = omega_hat(result.residuals)
     meat = _sandwich(result.demeaned_x, omega.values, result.demeaned_x)
     v = result.gram_inv @ meat @ result.gram_inv
@@ -362,6 +379,9 @@ def true_variance_mixed(
     both enter the lag-0 block. Under the factor channel, leaving ``sigma``
     out keeps only the common component, which asymptotically dominates.
     """
+    if sigma is not None and not isinstance(sigma, CovMatrix):
+        sigma = CovMatrix(sigma)
     x_dm = demean(x_design, kind)[1]
     _, gram_inv, _ = gram_inverse(x_dm, np.linalg.norm(x_design.x))
-    return _exact_variance(x_dm, gram_inv, spec, loadings, sigma)
+    return _exact_variance(x_dm, gram_inv, spec, loadings,
+                           None if sigma is None else sigma.values)

@@ -22,6 +22,7 @@ import functools
 
 import numpy as np
 
+from .config import check_keys
 from .dependence import CovMatrix
 from .errors import NotPSD, SpecMismatch, UsageError
 from .panel import PanelData
@@ -577,6 +578,7 @@ class DgpSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DgpSpec":
+        check_keys(d, cls, "dgp")
         raw = d["cross_section"]
         if isinstance(raw, str):
             family = family_from_string(raw)
@@ -589,6 +591,7 @@ class DgpSpec:
             cs = {k: v for k, v in cs.items() if v is not None}
             family = fam_cls(**cs)
         tm = d.get("time_memory") or {"channel": "none", "form": "none"}
+        check_keys(tm, TimeDependenceSpec, "time_memory")
         spec = TimeDependenceSpec(
             channel=tm.get("channel", "none"), form=tm.get("form", "none"),
             psi=tuple(tm["psi"]) if tm.get("psi") else None,

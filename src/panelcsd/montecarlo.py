@@ -3,14 +3,17 @@
 Replication r of cell (n, t) derives its seed from a splittable hash of
 (master_seed, n, t, r), so every replication is independent of scheduling.
 All replications execute in spawned worker processes whose numerical
-libraries are pinned to one thread, results are gathered into per-replication
-arrays, and aggregation happens in fixed replication order in the parent:
-repeated runs of the same config are byte-identical regardless of the worker
-count, and the report never records how many workers produced it.
+libraries are pinned to one thread. Each worker block returns one record per
+replication: its slope, covariance estimate, p-value and exact variance, or
+the type name of the error that stopped it. The parent joins the blocks in
+replication order and aggregates each cell once: repeated runs of the same
+config are byte-identical regardless of the worker count, and the report
+never records how many workers produced it.
 
 Failed replications (singular designs, invalid covariances) are tallied by
 error type, never silently dropped; a cell is flagged as failed when more
-than 1% of its replications error.
+than 1% of its replications error. A malformed config is rejected when it
+is built or loaded, before any worker starts.
 """
 
 from __future__ import annotations
@@ -26,14 +29,15 @@ import warnings
 
 import numpy as np
 
-from .config import default_workers
+from .config import check_keys, declared_lag, default_workers
 from .covariance import (
+    _KERNELS,
     _exact_variance,
     cov_cross_section,
     cov_kernel,
     cov_plugin,
 )
-from .dependence import CovMatrix, _loglog_slope
+from .dependence import _loglog_slope
 from .dgp import DgpSpec, Equicorr, build_omega, gen_panel
 from .errors import ConditionWarning, PanelError, UsageError
 from .estimators import EstimatorKind, FitResult, fit
@@ -51,6 +55,10 @@ __all__ = [
 
 _REP_TAG = 1
 _DESIGN_TAG = 0
+
+# The errors a replication tallies under its type name; anything else is a
+# bug and aborts the run.
+_REP_ERRORS = (PanelError, np.linalg.LinAlgError)
 
 
 def _derive_seed(master_seed: int, n: int, t: int, tag: int, rep: int) -> int:
@@ -85,6 +93,14 @@ class CovConfig:
     def __post_init__(self):
         if self.method not in ("plugin", "cs", "kernel"):
             raise UsageError(f"unknown covariance method {self.method!r}")
+        if self.kernel not in _KERNELS:
+            raise UsageError(f"unknown kernel {self.kernel!r}; "
+                             f"choose from {_KERNELS}")
+        if self.trunc != "auto" and (type(self.trunc) is not int
+                                     or self.trunc < 0):
+            raise UsageError(f"trunc must be 'auto' or an integer >= 0, "
+                             f"got {self.trunc!r}")
+        declared_lag(self.declared)
 
     def to_dict(self) -> dict:
         return {"method": self.method, "kernel": self.kernel,
@@ -92,10 +108,8 @@ class CovConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CovConfig":
-        return cls(method=d.get("method", "cs"),
-                   kernel=d.get("kernel", "bartlett"),
-                   trunc=d.get("trunc", 0),
-                   declared=d.get("declared", "unknown"))
+        check_keys(d, cls, "cov")
+        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -139,6 +153,7 @@ class McConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "McConfig":
+        check_keys(d, cls, "config")
         return cls(
             dgp=DgpSpec.from_dict(d["dgp"]),
             grid=tuple(tuple(cell) for cell in d["grid"]),
@@ -165,23 +180,40 @@ def _true_variance_for(res: FitResult, truth: dict) -> np.ndarray:
     """Exact conditional slope variance implied by a draw's truth record,
     read off the design and gram inverse its fit has already checked."""
     return _exact_variance(res.demeaned_x, res.gram_inv, truth["time_memory"],
-                           truth["loadings"], CovMatrix(truth["sigma"]))[0]
+                           truth["loadings"], truth["sigma"])[0]
 
 
-def _worker_block(cfg_dict: dict, n: int, t: int, lo: int, hi: int,
+def _fixed_design(cfg: McConfig, n: int, t: int):
+    """The design every replication of a fixed-design cell shares (tag 0),
+    and its exact variance, None when that fails; the replications then
+    tally their own failures."""
+    seed = _derive_seed(cfg.master_seed, n, t, _DESIGN_TAG, 0)
+    panel, truth = gen_panel(cfg.dgp, n, t, seed)
+    tv = None
+    if cfg.true_variance:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConditionWarning)
+                tv = _true_variance_for(fit(panel, cfg.estimator), truth)
+        except _REP_ERRORS:
+            pass
+    return (panel.x, truth["mu"]), tv
+
+
+def _worker_block(cfg: McConfig, n: int, t: int, lo: int, hi: int,
                   design: tuple[np.ndarray, np.ndarray] | None):
-    """Run replications [lo, hi) of one cell; returns per-rep arrays."""
-    cfg = McConfig.from_dict(cfg_dict)
+    """Run replications [lo, hi) of one cell. Returns per-replication
+    slopes, covariance estimates, p-values and exact variances (NaN where a
+    replication has none), and one failure kind per replication, None on
+    success."""
     k = len(cfg.dgp.beta_true)
     count = hi - lo
     beta = np.full((count, k), np.nan)
     vbar = np.full((count, k, k), np.nan)
     pval = np.full(count, np.nan)
+    tvar = np.full((count, k, k), np.nan)
+    kinds: list[str | None] = [None] * count
     want_tv = cfg.true_variance and not cfg.fixed_design
-    tvar = np.full((count, k, k), np.nan) if want_tv else None
-    failed = np.zeros(count, dtype=np.uint8)
-    fail_kinds: list[str] = []
-
     restr = LinearRestriction(np.eye(k), np.asarray(cfg.dgp.beta_true))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConditionWarning)
@@ -192,16 +224,13 @@ def _worker_block(cfg_dict: dict, n: int, t: int, lo: int, hi: int,
                 res = fit(panel, cfg.estimator)
                 rc = _compute_cov(res, cfg.cov)
                 tr = wald(res.beta_hat, rc, restr)
-                if want_tv:
-                    tvar[i] = _true_variance_for(res, truth)
-            except (PanelError, np.linalg.LinAlgError) as exc:
-                failed[i] = 1
-                fail_kinds.append(type(exc).__name__)
+                tv = _true_variance_for(res, truth) if want_tv else np.nan
+            except _REP_ERRORS as exc:
+                kinds[i] = type(exc).__name__
                 continue
-            beta[i] = res.beta_hat
-            vbar[i] = rc.matrix
-            pval[i] = tr.p_value
-    return lo, hi, beta, vbar, pval, tvar, failed, fail_kinds
+            beta[i], vbar[i], pval[i], tvar[i] = \
+                res.beta_hat, rc.matrix, tr.p_value, tv
+    return beta, vbar, pval, tvar, kinds
 
 
 @contextmanager
@@ -226,27 +255,29 @@ def _chunk_ranges(total: int, workers: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
 
+# Every per-cell statistic; a cell with no successful replication reports
+# each as None.
+_STAT_KEYS = ("beta_mean", "beta_sd", "rmse", "rmse_scalar", "size_05",
+              "coverage_95", "vbar_mean_diag", "true_variance_diag",
+              "vbar_true_ratio")
+
+
 def _aggregate_cell(n: int, t: int, cfg: McConfig, beta, vbar, pval, tvar,
-                    failed, fail_kinds, tv_fixed) -> dict:
+                    kinds, tv_fixed) -> dict:
     reps = cfg.reps
-    k = len(cfg.dgp.beta_true)
-    beta_true = np.asarray(cfg.dgp.beta_true)
-    ok = failed == 0
-    n_fail = int(failed.sum())
+    failures = [kind for kind in kinds if kind is not None]
     cell: dict = {
-        "n": n, "t": t, "reps": reps, "n_fail": n_fail,
-        "failed": bool(n_fail > 0.01 * reps),
-        "failure_kinds": {name: fail_kinds.count(name)
-                          for name in sorted(set(fail_kinds))},
+        "n": n, "t": t, "reps": reps, "n_fail": len(failures),
+        "failed": bool(len(failures) > 0.01 * reps),
+        "failure_kinds": {name: failures.count(name)
+                          for name in sorted(set(failures))},
+        **dict.fromkeys(_STAT_KEYS),
     }
+    ok = np.array([kind is None for kind in kinds])
     if not ok.any():
-        cell.update({"beta_mean": None, "beta_sd": None, "rmse": None,
-                     "rmse_scalar": None, "size_05": None, "coverage_95": None,
-                     "vbar_mean_diag": None, "true_variance_diag": None,
-                     "vbar_true_ratio": None})
         return cell
     b = beta[ok]
-    err = b - beta_true[np.newaxis, :]
+    err = b - np.asarray(cfg.dgp.beta_true)[np.newaxis, :]
     cell["beta_mean"] = [float(v) for v in b.mean(axis=0)]
     cell["beta_sd"] = ([float(v) for v in b.std(axis=0, ddof=1)]
                        if ok.sum() >= 2 else None)
@@ -257,17 +288,12 @@ def _aggregate_cell(n: int, t: int, cfg: McConfig, beta, vbar, pval, tvar,
     cell["coverage_95"] = float((p > 0.05).mean())
     vd = np.diagonal(vbar[ok], axis1=1, axis2=2).mean(axis=0)
     cell["vbar_mean_diag"] = [float(v) for v in vd]
-    tv_diag = None
-    if tv_fixed is not None:
-        tv_diag = np.diagonal(tv_fixed)
-    elif tvar is not None:
-        tv_diag = np.diagonal(tvar[ok], axis1=1, axis2=2).mean(axis=0)
-    if tv_diag is not None:
+    tv = (tv_fixed if cfg.fixed_design
+          else tvar[ok].mean(axis=0) if cfg.true_variance else None)
+    if tv is not None:
+        tv_diag = np.diagonal(tv)
         cell["true_variance_diag"] = [float(v) for v in tv_diag]
         cell["vbar_true_ratio"] = [float(a / b) for a, b in zip(vd, tv_diag)]
-    else:
-        cell["true_variance_diag"] = None
-        cell["vbar_true_ratio"] = None
     return cell
 
 
@@ -331,54 +357,25 @@ def run_mc(config: McConfig, workers: int | None = None) -> McReport:
     environment variable, then the CPU count. Output is identical for any
     worker count."""
     workers = int(workers) if workers else default_workers()
-    cfg_dict = config.to_dict()
-    k = len(config.dgp.beta_true)
     cells: list[dict] = []
     ctx = multiprocessing.get_context("spawn")
-    with _single_thread_env():
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            for n, t in config.grid:
-                design = None
-                tv_fixed = None
-                if config.fixed_design:
-                    dseed = _derive_seed(config.master_seed, n, t, _DESIGN_TAG, 0)
-                    dpanel, dtruth = gen_panel(config.dgp, n, t, dseed)
-                    design = (dpanel.x, dtruth["mu"])
-                    if config.true_variance:
-                        try:
-                            with warnings.catch_warnings():
-                                warnings.simplefilter("ignore", ConditionWarning)
-                                tv_fixed = _true_variance_for(
-                                    fit(dpanel, config.estimator), dtruth)
-                        except (PanelError, np.linalg.LinAlgError):
-                            # The cell then reports no exact variance; its
-                            # replications tally their own failures.
-                            pass
-                beta = np.full((config.reps, k), np.nan)
-                vbar = np.full((config.reps, k, k), np.nan)
-                pval = np.full(config.reps, np.nan)
-                want_tv = config.true_variance and not config.fixed_design
-                tvar = np.full((config.reps, k, k), np.nan) if want_tv else None
-                failed = np.zeros(config.reps, dtype=np.uint8)
-                fail_kinds: list[str] = []
-                futures = [
-                    pool.submit(_worker_block, cfg_dict, n, t, lo, hi, design)
-                    for lo, hi in _chunk_ranges(config.reps, workers)
-                ]
-                for fut in futures:
-                    lo, hi, b_blk, v_blk, p_blk, tv_blk, f_blk, kinds = \
-                        fut.result()
-                    beta[lo:hi] = b_blk
-                    vbar[lo:hi] = v_blk
-                    pval[lo:hi] = p_blk
-                    if want_tv and tv_blk is not None:
-                        tvar[lo:hi] = tv_blk
-                    failed[lo:hi] = f_blk
-                    fail_kinds.extend(kinds)
-                cells.append(_aggregate_cell(n, t, config, beta, vbar, pval,
-                                             tvar, failed, fail_kinds, tv_fixed))
-    rate = _fit_rate(cells, config.rate_axis)
-    return McReport(config=cfg_dict, cells=cells, rate=rate)
+    with _single_thread_env(), \
+            ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+        for n, t in config.grid:
+            design, tv_fixed = (_fixed_design(config, n, t)
+                                if config.fixed_design else (None, None))
+            futures = [
+                pool.submit(_worker_block, config, n, t, lo, hi, design)
+                for lo, hi in _chunk_ranges(config.reps, workers)
+            ]
+            blocks = [fut.result() for fut in futures]
+            beta, vbar, pval, tvar = (np.concatenate(part) for part in
+                                      zip(*(blk[:4] for blk in blocks)))
+            kinds = [kind for blk in blocks for kind in blk[4]]
+            cells.append(_aggregate_cell(n, t, config, beta, vbar, pval,
+                                         tvar, kinds, tv_fixed))
+    return McReport(config=config.to_dict(), cells=cells,
+                    rate=_fit_rate(cells, config.rate_axis))
 
 
 # ---------------------------------------------------------------------------

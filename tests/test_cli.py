@@ -374,6 +374,72 @@ def test_mc_run_bad_json(tmp_path, capsys):
     assert "JSON" in err
 
 
+@pytest.mark.parametrize("edit, key", [
+    ({"master_sed": 7}, "master_sed"),
+    ({"cov": {"method": "kernel", "kernal": "parzen"}}, "kernal"),
+    ({"cov": {"method": "kernel", "kernel": "foo", "trunc": 2}}, "kernel"),
+    ({"cov": {"method": "kernel", "trunc": "abc"}}, "trunc"),
+    ({"cov": {"method": "kernel", "trunc": -1}}, "trunc"),
+    ({"cov": {"method": "kernel", "trunc": 2, "declared": "ma:x"}},
+     "declared"),
+])
+def test_mc_run_rejects_malformed_config(tmp_path, capsys, edit, key):
+    cfg = {
+        "dgp": {"cross_section": "example1", "beta_true": [1.0]},
+        "grid": [[6, 10]],
+        "reps": 200,
+        "cov": {"method": "cs"},
+        **edit,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "mc", "run", str(cfg_path))
+    assert code == 1
+    assert key in err and out == ""
+
+
+def test_estimate_misspelled_declared_dependence_exits_one(panel_csv, capsys):
+    code, out, err = run_cli(capsys, "estimate", "--data", panel_csv,
+                             "--cov", "kernel", "--trunc", "auto",
+                             "--declare-dependence", "purecs")
+    assert code == 1
+    assert "purecs" in err and out == ""
+
+
+@pytest.fixture
+def two_period_csv(tmp_path):
+    path = tmp_path / "two.csv"
+    rng = np.random.default_rng(5)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["id", "time", "y", "x1"])
+        for i in range(3):
+            for s in range(2):
+                w.writerow([i, s, rng.standard_normal(), rng.standard_normal()])
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate"],
+    ["estimate", "--cov", "kernel"],
+    ["estimate", "--cov", "plugin"],
+    ["test", "--restr", "b1=0"],
+])
+def test_two_period_fixed_effect_panel_exits_two(two_period_csv, capsys,
+                                                  argv):
+    # the within scores of a two-period panel are identically zero
+    code, out, err = run_cli(capsys, *argv, "--data", two_period_csv)
+    assert code == 2
+    assert "SingularCov" in err and out == ""
+
+
+def test_two_period_pooled_panel_still_estimates(two_period_csv, capsys):
+    code, out, err = run_cli(capsys, "estimate", "--data", two_period_csv,
+                             "--model", "pooled")
+    assert code == 0, err
+    assert json.loads(out)["se"]["x1"] > 0
+
+
 def test_explore_conjecture(capsys):
     code, out, _ = run_cli(capsys, "explore-conjecture", "--family",
                            "example13", "--n-grid", "25,50,100,200")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from panelcsd import (CovMatrix, CovMethod, EstimatorKind, FitResult,
@@ -7,8 +8,9 @@ from panelcsd import (CovMatrix, CovMethod, EstimatorKind, FitResult,
                       cov_kernel, cov_plugin, fit, kernel_weight,
                       ma1_coefficient, omega_hat, true_variance_cs,
                       true_variance_mixed, weight_blocks)
-from panelcsd.config import auto_truncation
-from panelcsd.errors import SingularCov, SpecMismatch, TruncTooLarge
+from panelcsd.config import auto_truncation, declared_lag
+from panelcsd.errors import (SingularCov, SpecMismatch, TruncTooLarge,
+                             UsageError)
 from panelcsd.dgp import DgpSpec, Factor, gen_panel
 
 
@@ -150,6 +152,52 @@ def test_cov_kernel_trunc_validation():
         cov_kernel(res, trunc=5)
     rc = cov_kernel(res, trunc=4)
     assert rc.trunc_lag == 4
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.sampled_from(list(EstimatorKind)),
+       st.sampled_from(["bartlett", "uniform", "parzen"]),
+       st.integers(2, 8), st.integers(3, 12), st.integers(1, 3),
+       st.integers(0, 2**32 - 1))
+def test_kernel_at_truncation_zero_is_the_zero_lag_covariance(
+        kind, kernel, n, t, k, seed):
+    res = fit(random_panel(n, t, k, seed), kind)
+    assert np.array_equal(cov_kernel(res, kernel=kernel, trunc=0).matrix,
+                          cov_cross_section(res).matrix)
+
+
+@pytest.mark.parametrize("trunc", [0, 2, "auto"])
+def test_cov_kernel_rejects_unknown_kernel_at_every_truncation(trunc):
+    res = fit(random_panel(3, 8, 1, seed=2))
+    with pytest.raises(ValueError, match="unknown kernel"):
+        cov_kernel(res, kernel="gauss", trunc=trunc)
+
+
+def test_declared_dependence_grammar():
+    assert declared_lag("pure-cs") == 0
+    assert declared_lag("ma:0") == 0
+    assert declared_lag("ma:3") == 3
+    assert declared_lag("summable") is None
+    assert declared_lag("unknown") is None
+    for bad in ("purecs", "ma:", "ma:-1", "ma:x", "ma:1.5", "MA:1", "", None):
+        with pytest.raises(UsageError):
+            declared_lag(bad)
+    with pytest.raises(UsageError, match="purecs"):
+        auto_truncation(100, "purecs")
+
+
+def test_two_period_fixed_effect_scores_give_no_covariance():
+    # u_1 = u_2 and u_1 + u_2 = 0: every score covariance is exactly zero
+    panel = random_panel(3, 2, 1, seed=4)
+    res = fit(panel)
+    for estimate in (cov_cross_section, cov_plugin,
+                     lambda r: cov_kernel(r, trunc=1)):
+        with pytest.raises(SingularCov, match="3"):
+            estimate(res)
+    # a known error covariance and the pooled estimator still give one
+    assert cov_plugin(res, omega=CovMatrix(np.eye(3))).matrix[0, 0] > 0
+    pooled = fit(panel, EstimatorKind.POOLED)
+    assert cov_cross_section(pooled).matrix[0, 0] > 0
 
 
 def test_cov_kernel_auto_truncation():

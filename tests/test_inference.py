@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
 
@@ -26,6 +27,26 @@ def test_wald_scalar_is_t_squared():
     t_stat = (1.7 - 1.0) / np.sqrt(0.25)
     assert res.statistic == pytest.approx(t_stat ** 2)
     assert res.dof == 1
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1),
+       st.lists(st.floats(1e-3, 1e3), min_size=5, max_size=5),
+       st.lists(st.booleans(), min_size=5, max_size=5))
+def test_wald_unchanged_by_rescaled_restriction_rows(k, seed, scales, flips):
+    rng = np.random.default_rng(seed)
+    q = int(rng.integers(1, k + 1))
+    beta = rng.standard_normal(k)
+    a = rng.standard_normal((k, k))
+    v = a @ a.T + np.eye(k)
+    r = rng.standard_normal((q, k))
+    val = rng.standard_normal(q)
+    d = np.array([-s if f else s for s, f in zip(scales, flips)])[:q]
+    base = wald(beta, v, LinearRestriction(matrix=r, value=val))
+    scaled = wald(beta, v, LinearRestriction(matrix=d[:, None] * r,
+                                             value=d * val))
+    assert scaled.dof == base.dof
+    assert scaled.statistic == pytest.approx(base.statistic, rel=1e-8)
 
 
 def test_wald_invariance_under_row_transform():

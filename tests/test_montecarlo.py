@@ -95,10 +95,19 @@ def test_failure_tally_deterministic():
     assert r1.to_json() == r2.to_json()
 
 
+def test_all_failed_cell_has_the_keys_of_a_successful_cell():
+    failed = run_mc(small_config(cov=CovConfig(method="kernel", trunc=50)),
+                    workers=1).cells[0]
+    ok = run_mc(small_config(), workers=1).cells[0]
+    assert failed["n_fail"] == failed["reps"] and ok["n_fail"] == 0
+    assert set(failed) == set(ok)
+    assert failed["beta_mean"] is None and failed["vbar_true_ratio"] is None
+
+
 def test_worker_block_tallies_linalg_and_true_variance_failures(monkeypatch):
     # a numpy linear-algebra failure inside a replication, in the fit or in
     # the exact variance, is tallied under its type name, not raised
-    cfg = small_config().to_dict()
+    cfg = small_config()
     clean = montecarlo._worker_block(cfg, 8, 12, 0, 5, None)
     real_fit = montecarlo.fit
     real_tv = montecarlo._true_variance_for
@@ -118,14 +127,14 @@ def test_worker_block_tallies_linalg_and_true_variance_failures(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "fit", flaky_fit)
     monkeypatch.setattr(montecarlo, "_true_variance_for", flaky_tv)
-    lo, hi, beta, vbar, pval, tvar, failed, kinds = \
+    beta, vbar, pval, tvar, kinds = \
         montecarlo._worker_block(cfg, 8, 12, 0, 5, None)
-    assert (lo, hi) == (0, 5)
+    assert len(kinds) == 5
     # rep 1 fails in fit; rep 3 is the third true variance (reps 0, 2, 3)
-    assert failed.tolist() == [0, 1, 0, 1, 0]
-    assert kinds == ["LinAlgError", "LinAlgError"]
-    ok = failed == 0
-    for got, want in zip((beta, vbar, pval, tvar), clean[2:6]):
+    assert kinds == [None, "LinAlgError", None, "LinAlgError", None]
+    assert [kind for kind in kinds if kind] == ["LinAlgError", "LinAlgError"]
+    ok = np.array([kind is None for kind in kinds])
+    for got, want in zip((beta, vbar, pval, tvar), clean[:4]):
         assert np.isnan(got[~ok]).all()
         assert np.array_equal(got[ok], want[ok])
 
@@ -280,3 +289,39 @@ def test_aligned_x_coverage_reported_side_by_side():
         assert 0.90 <= cov <= 0.99
     # the generic design satisfies the clt conditions: tighter band
     assert 0.925 <= out["generic"]["coverage_95"] <= 0.975
+
+
+@pytest.mark.parametrize("cov, what", [
+    (dict(method="kernel", kernel="foo", trunc=0), "kernel"),
+    (dict(method="kernel", kernel="foo", trunc=2), "kernel"),
+    (dict(method="kernel", trunc="abc"), "trunc"),
+    (dict(method="kernel", trunc=-1), "trunc"),
+    (dict(method="kernel", trunc=True), "trunc"),
+    (dict(method="kernel", trunc=2, declared="ma:x"), "declared"),
+    (dict(method="kernel", trunc="auto", declared="purecs"), "declared"),
+])
+def test_cov_config_rejects_malformed_fields(cov, what):
+    # caught when the config is built, before any worker starts
+    with pytest.raises(UsageError, match=what):
+        CovConfig(**cov)
+    with pytest.raises(UsageError, match=what):
+        CovConfig.from_dict(cov)
+
+
+@pytest.mark.parametrize("path, key", [
+    ((), "master_sed"),
+    (("cov",), "kernal"),
+    (("dgp",), "beta"),
+    (("dgp", "time_memory"), "decay_rate"),
+])
+def test_config_from_dict_names_unknown_keys(path, key):
+    d = McConfig(
+        dgp=DgpSpec(cross_section=Diagonal(), beta_true=(1.0,),
+                    time_memory=TimeDependenceSpec.idio_summable(0.5)),
+        grid=((8, 12),), reps=200).to_dict()
+    node = d
+    for name in path:
+        node = node[name]
+    node[key] = 1
+    with pytest.raises(UsageError, match=key):
+        McConfig.from_dict(d)
