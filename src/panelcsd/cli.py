@@ -37,7 +37,7 @@ from .dgp import build_omega, family_from_string
 from .errors import NumericalError, UsageError
 from .estimators import EstimatorKind, fit
 from .inference import chi2_sf, parse_restrictions, wald
-from .montecarlo import McConfig, McReport, run_mc, write_atomic
+from .montecarlo import CovConfig, McConfig, McReport, run_mc, write_atomic
 from .panel import load_csv
 
 SCHEMA_VERSION = 1
@@ -145,19 +145,23 @@ def _load_panel(args):
                     y_col=args.y_col, x_cols=_parse_x_cols(args.x_cols))
 
 
-def _compute_cov_cli(result, args):
-    if args.cov == "plugin":
+def _compute_cov_cli(result, cov: CovConfig):
+    if cov.method == "plugin":
         return cov_plugin(result)
-    if args.cov == "cs":
+    if cov.method == "cs":
         return cov_cross_section(result)
-    return cov_kernel(result, kernel=args.kernel,
-                      trunc=_parse_trunc(args.trunc), declared=args.declared)
+    return cov_kernel(result, kernel=cov.kernel, trunc=cov.trunc,
+                      declared=cov.declared)
 
 
-def _estimate_payload(panel, args):
+def _estimate_payload(args):
+    # The covariance flags are checked before any data is read.
+    cov = CovConfig(method=args.cov, kernel=args.kernel,
+                    trunc=_parse_trunc(args.trunc), declared=args.declared)
+    panel = _load_panel(args)
     x_cols = panel.x_names
     result = fit(panel, EstimatorKind(args.model))
-    rc = _compute_cov_cli(result, args)
+    rc = _compute_cov_cli(result, cov)
     se = np.sqrt(np.clip(np.diag(rc.matrix), 0.0, None))
     with np.errstate(divide="ignore", invalid="ignore"):
         tstats = np.where(se > 0, result.beta_hat / se, np.inf)
@@ -177,12 +181,11 @@ def _estimate_payload(panel, args):
         "condition_number": result.condition_number,
         "condition_warning": result.condition_warning,
     }
-    return payload, result, rc
+    return payload, panel, result, rc
 
 
 def _cmd_estimate(args) -> None:
-    panel = _load_panel(args)
-    payload, result, _ = _estimate_payload(panel, args)
+    payload, panel, result, _ = _estimate_payload(args)
     if args.residuals:
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -198,8 +201,7 @@ def _cmd_estimate(args) -> None:
 
 
 def _cmd_test(args) -> None:
-    panel = _load_panel(args)
-    payload, result, rc = _estimate_payload(panel, args)
+    payload, panel, result, rc = _estimate_payload(args)
     restriction = parse_restrictions(args.restr, panel.n_regressors)
     tr = wald(result.beta_hat, rc, restriction)
     payload["test"] = {

@@ -7,6 +7,7 @@ place and tests can reference the same constants the code uses.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 import os
 
 from .errors import UsageError
@@ -41,9 +42,6 @@ COND_FAIL = 1e12
 # are clipped to zero and the clipped mass is recorded on the result.
 PSD_REPAIR_REL = 1e-10
 
-# Fourth-moment diagnostics refuse cross-sections larger than this.
-FOURTH_MOMENT_N_MAX = 40
-
 
 def declared_lag(declared: str) -> int | None:
     """Parse a statement about the errors' serial dependence.
@@ -76,12 +74,35 @@ def auto_truncation(t: int, declared: str = "unknown") -> int:
     return int(4.0 * (t / 100.0) ** (2.0 / 9.0)) if q is None else q
 
 
-def check_keys(d: dict, cls, what: str) -> None:
-    """Raise UsageError naming every key of ``d`` that is not a field of
-    the dataclass ``cls``."""
+def from_fields(cls, d: dict, what: str, **convert):
+    """Build the dataclass ``cls`` from the dict ``d``: name every unknown
+    key, pass each key named in ``convert`` through its converter, and
+    leave every default and check to the constructor."""
+    if not isinstance(d, dict):
+        raise UsageError(f"{what} must be an object, got {d!r}")
     unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise UsageError(f"unknown {what} key(s): {', '.join(unknown)}")
+    try:
+        return cls(**{key: convert[key](value) if key in convert else value
+                      for key, value in d.items()})
+    except TypeError as exc:
+        raise UsageError(f"bad {what}: {exc}") from None
+
+
+def field_dict(obj, **overrides) -> dict:
+    """The constructor fields of the dataclass ``obj`` in declaration
+    order, with ``overrides`` replacing the nested ones."""
+    return {f.name: getattr(obj, f.name)
+            for f in dataclasses.fields(obj) if f.init} | overrides
+
+
+def check_int(value, what: str) -> int:
+    """``value`` as an int; UsageError naming ``what`` when it is a bool or
+    not an integer."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise UsageError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 # Worker count for the simulation engine: --threads flag beats this env var,

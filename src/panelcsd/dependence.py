@@ -30,7 +30,6 @@ from .config import (
     EIG_CLIP_REL,
     EIGEN_RATIO_M_MAX,
     EIGEN_RATIO_MIN,
-    FOURTH_MOMENT_N_MAX,
     PSD_RTOL,
     STRONG_ALPHA_MIN,
     SYMMETRY_RTOL,
@@ -38,7 +37,6 @@ from .config import (
 )
 from .errors import (
     DegenerateFamily,
-    DimensionGuard,
     EigenFailure,
     NegativeDelta,
     NotPSD,
@@ -411,17 +409,13 @@ def fourth_moment_lower_bound(errors) -> FourthMomentBounds:
     Parameters
     ----------
     errors : array-like, shape (T, n)
-        One error vector per row. n is capped at 40 to keep the implied
-        fourth-moment objects small.
+        One error vector per row. The cost is O(T n^2): no n^2 x n^2
+        fourth-moment object is formed, so n is not capped.
     """
     e = np.asarray(errors, dtype=float)
     if e.ndim != 2:
         raise ValueError("errors must be 2-d (T, n)")
     t, n = e.shape
-    if n > FOURTH_MOMENT_N_MAX:
-        raise DimensionGuard(
-            f"cross-section size {n} exceeds the fourth-moment cap "
-            f"{FOURTH_MOMENT_N_MAX}")
     if t < 1:
         raise ValueError("need at least one error vector")
     sq = (e * e).sum(axis=1)

@@ -17,12 +17,13 @@ dataclasses).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 import functools
+import numbers
 
 import numpy as np
 
-from .config import check_keys
+from .config import check_int, field_dict, from_fields
 from .dependence import CovMatrix
 from .errors import NotPSD, SpecMismatch, UsageError
 from .panel import PanelData
@@ -46,21 +47,23 @@ __all__ = [
 ]
 
 
+def _check_width(width, what: str) -> None:
+    if width != "sqrt" and check_int(width, what) < 1:
+        raise UsageError(f"{what} must be >= 1 or 'sqrt', got {width!r}")
+
+
 def _resolve_width(width, n: int) -> int:
-    if width == "sqrt":
-        return int(np.ceil(np.sqrt(n)))
-    w = int(width)
-    if w < 1:
-        raise UsageError("band width must be >= 1 or 'sqrt'")
-    return w
+    return int(np.ceil(np.sqrt(n))) if width == "sqrt" else width
 
 
 class _Family:
-    """Base of the covariance families: ``params()`` lists the constructor
-    fields in declaration order (``name`` is not one of them)."""
+    """Base of the covariance families: each checks its parameters when it
+    is constructed; ``build(n)`` keeps only the checks that need n.
+    ``params()`` lists the constructor fields in declaration order
+    (``name`` is not one of them)."""
 
     def params(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+        return field_dict(self)
 
 
 @dataclass(frozen=True)
@@ -70,9 +73,11 @@ class Diagonal(_Family):
     scale: float = 1.0
     name: str = field(default="diagonal", init=False)
 
-    def build(self, n: int) -> np.ndarray:
-        if self.scale <= 0:
+    def __post_init__(self):
+        if not self.scale > 0:
             raise UsageError("scale must be positive")
+
+    def build(self, n: int) -> np.ndarray:
         return self.scale * np.eye(n)
 
     def h_n(self, n: int) -> float:
@@ -95,11 +100,14 @@ class Band(_Family):
     taper: str = "flat"
     name: str = field(default="band", init=False)
 
-    def build(self, n: int) -> np.ndarray:
+    def __post_init__(self):
+        _check_width(self.width, "band width")
         if not (0.0 <= self.b < 1.0):
             raise UsageError("band b must be in [0, 1)")
         if self.taper not in ("flat", "bartlett"):
             raise UsageError("taper must be 'flat' or 'bartlett'")
+
+    def build(self, n: int) -> np.ndarray:
         w = _resolve_width(self.width, n)
         a = np.eye(n)
         for d in range(1, min(w, n - 1) + 1):
@@ -130,13 +138,17 @@ class Block(_Family):
     def __post_init__(self):
         if (self.size is None) == (self.n_blocks is None):
             raise UsageError("give exactly one of size or n_blocks")
+        if self.size is not None:
+            _check_width(self.size, "block size")
+        elif check_int(self.n_blocks, "n_blocks") < 1:
+            raise UsageError("n_blocks must be >= 1")
         if not (0.0 <= self.b <= 1.0):
             raise UsageError("block b must be in [0, 1]")
 
     def _sizes(self, n: int) -> list[int]:
         if self.n_blocks is not None:
-            nb = int(self.n_blocks)
-            if nb < 1 or nb > n:
+            nb = self.n_blocks
+            if nb > n:
                 raise UsageError("n_blocks must be in [1, n]")
             base, extra = divmod(n, nb)
             return [base + (1 if i < extra else 0) for i in range(nb)]
@@ -174,11 +186,13 @@ class DecayCorrelation(_Family):
     b: float = 0.5
     name: str = field(default="decay", init=False)
 
-    def build(self, n: int) -> np.ndarray:
+    def __post_init__(self):
         if not (0.0 <= self.b <= 1.0):
             raise UsageError("decay b must be in [0, 1]")
-        if self.p < 0:
+        if not self.p >= 0:
             raise UsageError("decay exponent p must be >= 0")
+
+    def build(self, n: int) -> np.ndarray:
         d = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
         a = self.b * (1.0 + d.astype(float)) ** (-self.p)
         np.fill_diagonal(a, 1.0)
@@ -204,9 +218,11 @@ class SpatialAR(_Family):
     rho: float = 0.4
     name: str = field(default="spatial_ar", init=False)
 
-    def build(self, n: int) -> np.ndarray:
+    def __post_init__(self):
         if not (-1.0 < self.rho < 1.0):
             raise UsageError("spatial rho must be in (-1, 1)")
+
+    def build(self, n: int) -> np.ndarray:
         w = np.zeros((n, n))
         idx = np.arange(n)
         w[idx, (idx + 1) % n] = 0.5
@@ -226,9 +242,11 @@ class Equicorr(_Family):
     b: float = 0.5
     name: str = field(default="equicorr", init=False)
 
-    def build(self, n: int) -> np.ndarray:
-        if not (0.0 <= self.b <= self.a) or self.a <= 0:
+    def __post_init__(self):
+        if not (0.0 <= self.b <= self.a and self.a > 0):
             raise UsageError("equicorr needs a > 0 and 0 <= b <= a")
+
+    def build(self, n: int) -> np.ndarray:
         m = np.full((n, n), self.b)
         np.fill_diagonal(m, self.a)
         return m
@@ -246,9 +264,11 @@ class Arrowhead(_Family):
     c: float = 2.0
     name: str = field(default="arrowhead", init=False)
 
-    def build(self, n: int) -> np.ndarray:
-        if self.c <= 1.0:
+    def __post_init__(self):
+        if not self.c > 1.0:
             raise UsageError("arrowhead c must be > 1 for positive definiteness")
+
+    def build(self, n: int) -> np.ndarray:
         a = np.eye(n)
         v = 1.0 / (self.c * np.sqrt(n))
         a[0, 1:] = v
@@ -268,9 +288,11 @@ class ScaledEquicorr(_Family):
     a: float = 1.0
     name: str = field(default="scaled_equicorr", init=False)
 
-    def build(self, n: int) -> np.ndarray:
-        if self.a <= 0:
+    def __post_init__(self):
+        if not self.a > 0:
             raise UsageError("scaled_equicorr a must be positive")
+
+    def build(self, n: int) -> np.ndarray:
         b = self.a / np.sqrt(n)
         if b > 1.0:
             raise UsageError("a / sqrt(n) must be <= 1")
@@ -298,23 +320,29 @@ class Factor(_Family):
     loading_seed: int = 0
     name: str = field(default="factor", init=False)
 
-    def loadings(self, n: int) -> np.ndarray:
-        if self.n_factors < 1 or self.n_factors >= n:
-            raise UsageError("factor count must be in [1, n)")
+    def __post_init__(self):
+        if check_int(self.n_factors, "n_factors") < 1:
+            raise UsageError("n_factors must be >= 1")
         if not (0.0 < self.strength <= 1.0):
             raise UsageError("factor strength exponent must be in (0, 1]")
+        if self.loading_law not in ("rademacher", "gaussian"):
+            raise UsageError("loading_law must be 'rademacher' or 'gaussian'")
+        if not self.idio_var >= 0:
+            raise UsageError("idio_var must be nonnegative")
+        if check_int(self.loading_seed, "loading_seed") < 0:
+            raise UsageError("loading_seed must be >= 0")
+
+    def loadings(self, n: int) -> np.ndarray:
+        if self.n_factors >= n:
+            raise UsageError("factor count must be in [1, n)")
         rng = np.random.default_rng(np.random.SeedSequence([self.loading_seed, n]))
         if self.loading_law == "rademacher":
             raw = rng.integers(0, 2, size=(n, self.n_factors)) * 2.0 - 1.0
-        elif self.loading_law == "gaussian":
-            raw = rng.standard_normal((n, self.n_factors))
         else:
-            raise UsageError("loading_law must be 'rademacher' or 'gaussian'")
+            raw = rng.standard_normal((n, self.n_factors))
         return raw * n ** ((self.strength - 1.0) / 2.0)
 
     def build(self, n: int) -> np.ndarray:
-        if self.idio_var < 0:
-            raise UsageError("idio_var must be nonnegative")
         lam = self.loadings(n)
         return lam @ lam.T + self.idio_var * np.eye(n)
 
@@ -345,15 +373,51 @@ _FAMILY_CLASSES: dict[str, type] = {
                               Factor)
 }
 
-# Parametrizable aliases used by the command line.
-_FAMILY_ALIASES: dict[str, type] = {
-    "example12": Arrowhead,
-    "example13": Equicorr,
-    "example14": ScaledEquicorr,
-}
+# Presets that also take parameters, as their class.
+_FAMILY_ALIASES = ("example12", "example13", "example14")
 
-_INT_PARAMS = {"width", "size", "n_blocks", "n_factors", "loading_seed"}
-_STR_PARAMS = {"taper", "loading_law"}
+# The value types a family field may declare, with a string's parser.
+_FIELD_TYPES = {"int": (numbers.Integral, int), "float": (numbers.Real, float),
+                "str": (str, str), "None": (type(None), None)}
+
+
+def _typed(cls, key: str, value):
+    """``value`` as the first type that field ``key`` of ``cls`` declares
+    and accepts: a string is parsed ("sqrt" stays a string), any other value
+    must already have a declared type (a bool is not a number)."""
+    declared = cls.__dataclass_fields__.get(key)
+    if declared is None:
+        return value  # the constructor names the unknown key
+    for kind in declared.type.split(" | "):
+        typ, parse = _FIELD_TYPES[kind]
+        if isinstance(value, str) and parse is not None:
+            try:
+                return parse(value)
+            except ValueError:
+                continue
+        if isinstance(value, typ) and not isinstance(value, bool):
+            return value
+    raise UsageError(f"bad value for {cls.name} parameter {key!r}: {value!r}")
+
+
+def _family(name: str, params: dict):
+    """The family ``name`` (a class name, a preset, or a preset alias that
+    takes parameters) built from ``params``."""
+    cls = _FAMILY_CLASSES.get(name)
+    if cls is None and name in EXAMPLE_PRESETS:
+        if not params:
+            return EXAMPLE_PRESETS[name]
+        if name not in _FAMILY_ALIASES:
+            raise UsageError(
+                f"{name} preset takes no parameters; use example12/13/14 "
+                "or a class name to parametrize")
+        cls = type(EXAMPLE_PRESETS[name])
+    if cls is None:
+        raise UsageError(f"unknown family {name!r}")
+    try:
+        return cls(**{key: _typed(cls, key, v) for key, v in params.items()})
+    except TypeError as exc:
+        raise UsageError(f"bad parameters for family {name!r}: {exc}") from None
 
 
 def family_from_string(text: str):
@@ -363,41 +427,14 @@ def family_from_string(text: str):
     equicorr, arrowhead, scaled_equicorr, factor), the canonical presets
     example1..example14, and parametrized forms of example12/13/14.
     """
-    text = text.strip()
-    name, _, rest = text.partition(":")
-    name = name.strip().lower()
-    kwargs: dict = {}
-    if rest.strip():
-        for piece in rest.split(","):
-            key, eq, val = piece.partition("=")
-            key, val = key.strip(), val.strip()
-            if not eq or not key or not val:
-                raise UsageError(f"bad family parameter {piece!r}")
-            if key in _INT_PARAMS and val != "sqrt":
-                kwargs[key] = int(val)
-            elif key in _STR_PARAMS or val == "sqrt":
-                kwargs[key] = val
-            else:
-                try:
-                    kwargs[key] = float(val)
-                except ValueError:
-                    raise UsageError(f"bad numeric value for {key!r}: {val!r}") from None
-    cls = _FAMILY_CLASSES.get(name)
-    if cls is None and name in _FAMILY_ALIASES and kwargs:
-        cls = _FAMILY_ALIASES[name]
-    if cls is None:
-        preset = EXAMPLE_PRESETS.get(name)
-        if preset is not None:
-            if kwargs:
-                raise UsageError(
-                    f"{name} preset takes no parameters; use example12/13/14 "
-                    "or a class name to parametrize")
-            return preset
-        raise UsageError(f"unknown family {name!r}")
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise UsageError(f"bad parameters for family {name!r}: {exc}") from None
+    name, _, rest = text.strip().partition(":")
+    params: dict = {}
+    for piece in rest.split(",") if rest.strip() else ():
+        key, eq, val = (part.strip() for part in piece.partition("="))
+        if not eq or not key or not val:
+            raise UsageError(f"bad family parameter {piece!r}")
+        params[key] = val
+    return _family(name.strip().lower(), params)
 
 
 def build_omega(family, n: int) -> CovMatrix:
@@ -563,48 +600,27 @@ class DgpSpec:
 
     def to_dict(self) -> dict:
         tm = self.time_memory
-        return {
-            "cross_section": {"family": self.cross_section.name,
-                              **self.cross_section.params()},
-            "beta_true": list(self.beta_true),
-            "time_memory": {"channel": tm.channel, "form": tm.form,
-                            "psi": list(tm.psi) if tm.psi else None,
-                            "decay": tm.decay},
-            "x_law": self.x_law,
-            "mu_law": self.mu_law,
-            "error_dist": self.error_dist,
-            "t_df": self.t_df,
-        }
+        return field_dict(
+            self,
+            cross_section={"family": self.cross_section.name,
+                           **self.cross_section.params()},
+            beta_true=list(self.beta_true),
+            time_memory=field_dict(tm, psi=list(tm.psi) if tm.psi else None))
 
     @classmethod
     def from_dict(cls, d: dict) -> "DgpSpec":
-        check_keys(d, cls, "dgp")
-        raw = d["cross_section"]
-        if isinstance(raw, str):
-            family = family_from_string(raw)
-        else:
-            cs = dict(raw)
-            fam_name = cs.pop("family")
-            fam_cls = _FAMILY_CLASSES.get(fam_name)
-            if fam_cls is None:
-                raise UsageError(f"unknown cross-section family {fam_name!r}")
-            cs = {k: v for k, v in cs.items() if v is not None}
-            family = fam_cls(**cs)
-        tm = d.get("time_memory") or {"channel": "none", "form": "none"}
-        check_keys(tm, TimeDependenceSpec, "time_memory")
-        spec = TimeDependenceSpec(
-            channel=tm.get("channel", "none"), form=tm.get("form", "none"),
-            psi=tuple(tm["psi"]) if tm.get("psi") else None,
-            decay=tm.get("decay"))
-        return cls(
-            cross_section=family,
-            beta_true=tuple(d["beta_true"]),
-            time_memory=spec,
-            x_law=d.get("x_law", "iid_normal"),
-            mu_law=d.get("mu_law", "uniform"),
-            error_dist=d.get("error_dist", "gaussian"),
-            t_df=d.get("t_df", 8.0),
-        )
+        return from_fields(cls, d, "dgp", cross_section=_cross_section_from,
+                           time_memory=lambda tm: from_fields(
+                               TimeDependenceSpec, tm, "time_memory"))
+
+
+def _cross_section_from(raw):
+    """A family from its string form or its dict form {"family": name,
+    **params}."""
+    if isinstance(raw, str):
+        return family_from_string(raw)
+    params = dict(raw)
+    return _family(params.pop("family", None), params)
 
 
 # run_mc finishes one cell before it submits the next, so one entry serves
@@ -661,12 +677,6 @@ def _filter_series(z: np.ndarray, tm: TimeDependenceSpec, t: int) -> np.ndarray:
     return out
 
 
-def _memory_cols(tm: TimeDependenceSpec, t: int) -> int:
-    if tm.form == "ma":
-        return t + len(tm.psi) - 1
-    return t
-
-
 def gen_panel(
     spec: DgpSpec,
     n: int,
@@ -686,10 +696,11 @@ def gen_panel(
     Returns
     -------
     (panel, truth)
-        ``truth`` records everything the draw used: beta, mu, the realized
-        covariance pieces (omega, loadings, sigma values), h_n, the family
-        and its parameters, and the law names. The covariance pieces and
-        the errors' square root are computed once per (family, n) per
+        ``truth`` holds what the exact variance and the checks of a draw
+        need: the unit effects ``mu``, the covariance pieces ``omega``,
+        ``loadings`` (None unless the family is a factor model) and
+        ``sigma``, and the spec's ``time_memory``. The covariance pieces
+        and the errors' square root are computed once per (family, n) per
         process and shared by every draw, so ``omega``, ``loadings`` and
         ``sigma`` are read-only.
     """
@@ -719,36 +730,22 @@ def gen_panel(
               else np.zeros(n))
 
     tm = spec.time_memory
+
+    def draw(rows: int, carries_memory: bool) -> np.ndarray:
+        if not carries_memory:
+            return _innovations(rng, (rows, t), spec)
+        q = len(tm.psi) - 1 if tm.form == "ma" else 0
+        return _filter_series(_innovations(rng, (rows, t + q), spec), tm, t)
+
     if isinstance(family, Factor):
-        m = loadings.shape[1]
-        f_cols = _memory_cols(tm, t) if tm.channel == "factor" else t
-        u_cols = _memory_cols(tm, t) if tm.channel == "idio" else t
-        f = _innovations(rng, (m, f_cols), spec)
-        u = _innovations(rng, (n, u_cols), spec)
-        if tm.channel == "factor":
-            f = _filter_series(f, tm, t)
-        elif tm.channel == "idio":
-            u = _filter_series(u, tm, t)
-        eps = loadings @ f + np.sqrt(family.idio_var) * u
+        f = draw(loadings.shape[1], tm.channel == "factor")
+        eps = loadings @ f + np.sqrt(family.idio_var) * draw(
+            n, tm.channel == "idio")
     else:
-        z = _innovations(rng, (n, _memory_cols(tm, t)), spec)
-        if tm.channel != "none":
-            z = _filter_series(z, tm, t)
-        eps = root @ z
+        eps = root @ draw(n, tm.channel != "none")
 
     y = mu[:, np.newaxis] + np.einsum("itk,k->it", x, np.asarray(spec.beta_true)) + eps
     panel = PanelData(y=y, x=x)
-    truth = {
-        "beta": np.asarray(spec.beta_true),
-        "mu": mu,
-        "omega": omega,
-        "loadings": loadings,
-        "sigma": sigma,
-        "h_n": family.h_n(n),
-        "family": family.name,
-        "family_params": family.params(),
-        "time_memory": tm,
-        "x_law": spec.x_law,
-        "error_dist": spec.error_dist,
-    }
+    truth = {"mu": mu, "omega": omega, "loadings": loadings, "sigma": sigma,
+             "time_memory": tm}
     return panel, truth

@@ -21,7 +21,6 @@ __all__ = [
     "DegenerateFamily",
     "NegativeDelta",
     "RankDeficient",
-    "DimensionGuard",
     "SingularCov",
     "TruncTooLarge",
     "SpecMismatch",
@@ -80,10 +79,6 @@ class NegativeDelta(NumericalError):
 
 class RankDeficient(NumericalError):
     """Matrix eigenvalues are negative beyond the positive-semidefinite tolerance."""
-
-
-class DimensionGuard(UsageError):
-    """Request exceeds a hard size limit meant to keep memory bounded."""
 
 
 class SingularCov(NumericalError):

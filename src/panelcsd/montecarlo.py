@@ -29,7 +29,8 @@ import warnings
 
 import numpy as np
 
-from .config import check_keys, declared_lag, default_workers
+from .config import (check_int, declared_lag, default_workers, field_dict,
+                     from_fields)
 from .covariance import (
     _KERNELS,
     _exact_variance,
@@ -103,13 +104,11 @@ class CovConfig:
         declared_lag(self.declared)
 
     def to_dict(self) -> dict:
-        return {"method": self.method, "kernel": self.kernel,
-                "trunc": self.trunc, "declared": self.declared}
+        return field_dict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "CovConfig":
-        check_keys(d, cls, "cov")
-        return cls(**d)
+        return from_fields(cls, d, "cov")
 
 
 @dataclass(frozen=True)
@@ -129,42 +128,32 @@ class McConfig:
     true_variance: bool = True
 
     def __post_init__(self):
-        grid = tuple((int(n), int(t)) for n, t in self.grid)
+        grid = tuple((check_int(n, "grid entry"), check_int(t, "grid entry"))
+                     for n, t in self.grid)
         if not grid:
             raise UsageError("grid must have at least one (n, t) cell")
         object.__setattr__(self, "grid", grid)
+        for key in ("reps", "master_seed"):
+            object.__setattr__(self, key, check_int(getattr(self, key), key))
+        for key in ("fixed_design", "true_variance"):
+            if not isinstance(getattr(self, key), bool):
+                raise UsageError(f"{key} must be true or false, "
+                                 f"got {getattr(self, key)!r}")
         if self.reps < 200:
             raise UsageError("reps must be >= 200 for meaningful aggregates")
         if self.rate_axis not in (None, "T", "NT"):
             raise UsageError("rate_axis must be 'T', 'NT', or omitted")
 
     def to_dict(self) -> dict:
-        return {
-            "dgp": self.dgp.to_dict(),
-            "grid": [list(cell) for cell in self.grid],
-            "reps": self.reps,
-            "estimator": self.estimator.value,
-            "cov": self.cov.to_dict(),
-            "master_seed": self.master_seed,
-            "fixed_design": self.fixed_design,
-            "rate_axis": self.rate_axis,
-            "true_variance": self.true_variance,
-        }
+        return field_dict(self, dgp=self.dgp.to_dict(),
+                          grid=[list(cell) for cell in self.grid],
+                          estimator=self.estimator.value,
+                          cov=self.cov.to_dict())
 
     @classmethod
     def from_dict(cls, d: dict) -> "McConfig":
-        check_keys(d, cls, "config")
-        return cls(
-            dgp=DgpSpec.from_dict(d["dgp"]),
-            grid=tuple(tuple(cell) for cell in d["grid"]),
-            reps=int(d["reps"]),
-            estimator=EstimatorKind(d.get("estimator", "fe")),
-            cov=CovConfig.from_dict(d.get("cov", {})),
-            master_seed=int(d.get("master_seed", 0)),
-            fixed_design=bool(d.get("fixed_design", False)),
-            rate_axis=d.get("rate_axis"),
-            true_variance=bool(d.get("true_variance", True)),
-        )
+        return from_fields(cls, d, "config", dgp=DgpSpec.from_dict,
+                           estimator=EstimatorKind, cov=CovConfig.from_dict)
 
 
 def _compute_cov(result, cov_cfg: CovConfig):

@@ -382,6 +382,12 @@ def test_mc_run_bad_json(tmp_path, capsys):
     ({"cov": {"method": "kernel", "trunc": -1}}, "trunc"),
     ({"cov": {"method": "kernel", "trunc": 2, "declared": "ma:x"}},
      "declared"),
+    ({"dgp": {"cross_section": {"family": "equicorr", "a": 1, "b": 2},
+              "beta_true": [1.0]}}, "equicorr"),
+    ({"dgp": {"cross_section": "band:width=abc", "beta_true": [1.0]}},
+     "width"),
+    ({"fixed_design": "false"}, "fixed_design"),
+    ({"master_seed": 7.9}, "master_seed"),
 ])
 def test_mc_run_rejects_malformed_config(tmp_path, capsys, edit, key):
     cfg = {
@@ -393,9 +399,12 @@ def test_mc_run_rejects_malformed_config(tmp_path, capsys, edit, key):
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
-    code, out, err = run_cli(capsys, "mc", "run", str(cfg_path))
+    report_path = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "mc", "run", str(cfg_path),
+                             "--out", str(report_path))
     assert code == 1
     assert key in err and out == ""
+    assert not report_path.exists()
 
 
 def test_estimate_misspelled_declared_dependence_exits_one(panel_csv, capsys):
@@ -404,6 +413,23 @@ def test_estimate_misspelled_declared_dependence_exits_one(panel_csv, capsys):
                              "--declare-dependence", "purecs")
     assert code == 1
     assert "purecs" in err and out == ""
+
+
+@pytest.mark.parametrize("command", ["estimate", "test"])
+@pytest.mark.parametrize("flags, named", [
+    (["--cov", "kernel", "--trunc", "2", "--declare-dependence", "purecs"],
+     "purecs"),
+    (["--cov", "cs", "--declare-dependence", "bogus"], "bogus"),
+])
+def test_covariance_flags_checked_before_data(panel_csv, tmp_path, capsys,
+                                              command, flags, named):
+    restr = ["--restr", "b1=0"] if command == "test" else []
+    # the flags fail the same way whether or not the data file exists
+    for data in (panel_csv, str(tmp_path / "missing.csv")):
+        code, out, err = run_cli(capsys, command, "--data", data, *flags,
+                                 *restr)
+        assert code == 1
+        assert named in err and out == ""
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ from panelcsd import (CovMatrix, Regime, all_norms, classify, factor_decompose,
                       norm_euclid_scaled, norm_max_eig, norm_max_row_sum,
                       norm_taxicab_scaled, select_n_factors)
 from panelcsd.dgp import build_omega, family_from_string
-from panelcsd.errors import DegenerateFamily, DimensionGuard, NotPSD
+from panelcsd.errors import DegenerateFamily, NotPSD
 
 
 def equicorr(n, a=1.0, b=0.5):
@@ -287,8 +287,10 @@ def test_fourth_moment_common_factor():
     assert abs(b.lambda_sq - 9.0) < 0.5
 
 
-def test_fourth_moment_dimension_guard():
-    with pytest.raises(DimensionGuard):
-        fourth_moment_lower_bound(np.zeros((10, 41)))
-    # boundary value passes
-    fourth_moment_lower_bound(np.ones((3, 40)))
+def test_fourth_moment_large_cross_section():
+    # O(T n^2) work and no n^2 x n^2 object, so wide cross-sections compute
+    rng = np.random.default_rng(43)
+    for n in (41, 200):
+        b = fourth_moment_lower_bound(rng.standard_normal((30, n)))
+        assert b.n == n
+        assert b.trace_vf >= b.sum_sq >= b.lambda_sq > 0

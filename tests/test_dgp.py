@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -268,6 +270,60 @@ def test_family_from_string_errors():
         family_from_string("equicorr:a=one")
     with pytest.raises(UsageError):
         family_from_string("equicorr:nope=1")
+    # values take the type their field declares and are checked on parsing
+    for text in ("band:width=abc", "band:width=2.5", "factor:n_factors=1.5",
+                 "equicorr:a=1,b=2", "example13:b=2", "decay:p=-1",
+                 "factor:loading_law=uniform", "block:n_blocks=0"):
+        with pytest.raises(UsageError):
+            family_from_string(text)
+
+
+MEMORY_SPECS = (
+    TimeDependenceSpec.none(),
+    TimeDependenceSpec.idio_ma((1.0, 0.5)),
+    TimeDependenceSpec.idio_summable(0.7),
+    TimeDependenceSpec.factor_ma((1.0, 0.5, 0.25)),
+    TimeDependenceSpec.factor_summable(0.6),
+)
+
+
+@pytest.mark.parametrize("raw", [
+    {"family": "equicorr", "a": 1, "b": 2},
+    "equicorr:a=1,b=2",
+    {"family": "band", "width": "abc"},
+    "band:width=0",
+    {"family": "band", "width": 2.5},
+    {"family": "decay", "b": True},
+    {"family": "equicorr", "b": None},
+    {"family": "spatial_ar", "rho": "near one"},
+    "spatial_ar:rho=1",
+    {"family": "factor", "n_factors": 0},
+    "factor:strength=1.5",
+    {"family": "factor", "idio_var": -1.0},
+    {"family": "factor", "loading_seed": 0.5},
+    {"family": "arrowhead", "c": 1},
+    "scaled_equicorr:a=0",
+    {"family": "diagonal", "scale": 0},
+    {"b": 0.5},
+])
+def test_bad_family_parameter_fails_on_load(raw):
+    # caught when the spec is built, before any panel of any size is drawn
+    with pytest.raises(UsageError):
+        DgpSpec.from_dict({"cross_section": raw, "beta_true": [1.0]})
+
+
+def test_family_checks_need_no_size():
+    # n-independent checks run at construction; build keeps the rest
+    for cls, kw in ((Diagonal, {"scale": -1.0}), (Band, {"taper": "cosine"}),
+                    (Band, {"width": 0}), (Block, {"size": "cube"}),
+                    (Equicorr, {"a": 0.0, "b": 0.0}), (SpatialAR, {"rho": -1}),
+                    (Factor, {"n_factors": 0}), (Factor, {"strength": 0.0})):
+        with pytest.raises(UsageError):
+            cls(**kw)
+    with pytest.raises(UsageError):
+        build_omega(Factor(n_factors=3), 3)
+    with pytest.raises(UsageError):
+        build_omega(Block(n_blocks=4), 3)
 
 
 def test_spec_round_trip():
@@ -281,6 +337,14 @@ def test_spec_round_trip():
     p1, _ = gen_panel(spec, n=4, t=6, seed=2)
     p2, _ = gen_panel(back, n=4, t=6, seed=2)
     assert p1.y.tobytes() == p2.y.tobytes()
+    # every preset, memory channel and form survives a trip through JSON
+    specs = [base_spec(family) for family in EXAMPLE_PRESETS.values()]
+    specs += [base_spec(Factor(n_factors=1), time_memory=tm)
+              for tm in MEMORY_SPECS]
+    for spec in specs:
+        back = DgpSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert back == spec
+        assert back.to_dict() == spec.to_dict()
 
 
 def test_spec_from_dict_string_family():

@@ -1,3 +1,4 @@
+import json
 import os
 import warnings
 from dataclasses import replace
@@ -261,6 +262,22 @@ def test_config_round_trip():
     )
     back = McConfig.from_dict(cfg.to_dict())
     assert back.to_dict() == cfg.to_dict()
+    # every memory channel and form, and every covariance, through JSON
+    memory = (TimeDependenceSpec.none(), TimeDependenceSpec.idio_ma((1.0, 0.4)),
+              TimeDependenceSpec.idio_summable(0.7),
+              TimeDependenceSpec.factor_ma((1.0, 0.5, 0.25)),
+              TimeDependenceSpec.factor_summable(0.6))
+    covs = (CovConfig(method="plugin"), CovConfig(),
+            CovConfig(method="kernel", trunc="auto", declared="summable"))
+    for tm, cov in zip(memory, covs * 2):
+        cfg = McConfig(
+            dgp=DgpSpec(cross_section=Factor(n_factors=1, strength=0.5),
+                        beta_true=(1.0, -0.5), time_memory=tm),
+            grid=((9, 8),), reps=200, estimator=EstimatorKind.POOLED,
+            cov=cov, master_seed=3, fixed_design=True, true_variance=False)
+        back = McConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+        assert back == cfg
+        assert back.to_dict() == cfg.to_dict()
 
 
 def test_fixed_design_shared_across_workers():
@@ -313,6 +330,7 @@ def test_cov_config_rejects_malformed_fields(cov, what):
     (("cov",), "kernal"),
     (("dgp",), "beta"),
     (("dgp", "time_memory"), "decay_rate"),
+    (("dgp", "cross_section"), "bogus"),
 ])
 def test_config_from_dict_names_unknown_keys(path, key):
     d = McConfig(
@@ -325,3 +343,24 @@ def test_config_from_dict_names_unknown_keys(path, key):
     node[key] = 1
     with pytest.raises(UsageError, match=key):
         McConfig.from_dict(d)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("fixed_design", "false"),
+    ("true_variance", "false"),
+    ("fixed_design", 0),
+    ("master_seed", 7.9),
+    ("reps", 200.5),
+    ("reps", True),
+    ("grid", [[8.5, 12]]),
+    ("grid", [[8, True]]),
+])
+def test_config_from_dict_checks_value_types(key, value):
+    # a value is checked, never coerced into a different experiment
+    d = small_config().to_dict()
+    d[key] = value
+    named = rf"{key}.*(integer|true or false)"
+    with pytest.raises(UsageError, match=named):
+        McConfig.from_dict(d)
+    with pytest.raises(UsageError, match=named):
+        small_config(**{key: value})
