@@ -29,7 +29,7 @@ def main():
     design = (design_panel.x, truth["mu"])
     v_true = true_variance_mixed(
         design_panel, EstimatorKind.FIXED_EFFECT, spec.time_memory,
-        loadings=truth["loadings"], sigma=CovMatrix(truth["sigma"]))[0][0, 0]
+        loadings=truth["loadings"], sigma=CovMatrix(truth["sigma"]))[0, 0]
     print(f"factor errors with MA(1) idiosyncratic memory, "
           f"n={n}, t={t}, {reps} replications")
     print(f"exact slope variance for this design: {v_true:.3e}")

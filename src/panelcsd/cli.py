@@ -20,6 +20,9 @@ import sys
 import numpy as np
 
 from .covariance import (
+    KERNELS,
+    CovConfig,
+    CovMethod,
     cov_cross_section,
     cov_kernel,
     cov_plugin,
@@ -37,10 +40,11 @@ from .dgp import build_omega, family_from_string
 from .errors import NumericalError, UsageError
 from .estimators import EstimatorKind, fit
 from .inference import chi2_sf, parse_restrictions, wald
-from .montecarlo import CovConfig, McConfig, McReport, run_mc, write_atomic
+from .montecarlo import McConfig, McReport, run_mc, write_atomic
 from .panel import load_csv
 
 SCHEMA_VERSION = 1
+_MODELS = [kind.value for kind in EstimatorKind]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -97,10 +101,9 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", choices=["fe", "pooled"], default="fe")
-    p.add_argument("--cov", choices=["plugin", "cs", "kernel"], default="cs")
-    p.add_argument("--kernel", choices=["bartlett", "uniform", "parzen"],
-                   default="bartlett")
+    p.add_argument("--model", choices=_MODELS, default="fe")
+    p.add_argument("--cov", choices=[m.value for m in CovMethod], default="cs")
+    p.add_argument("--kernel", choices=KERNELS, default="bartlett")
     p.add_argument("--trunc", default="auto",
                    help="kernel lag truncation: integer or 'auto'")
     p.add_argument("--declare-dependence", dest="declared", default="unknown",
@@ -339,11 +342,7 @@ def _cmd_mc_run(args) -> None:
             cfg_dict = json.load(fh)
         except json.JSONDecodeError as exc:
             raise UsageError(f"{args.config}: invalid JSON ({exc})") from None
-    try:
-        cfg = McConfig.from_dict(cfg_dict)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"{args.config}: bad config ({exc})") from None
-    report = run_mc(cfg, workers=args.threads)
+    report = run_mc(McConfig.from_dict(cfg_dict), workers=args.threads)
     _write_text(args.out, report.to_json())
 
 
@@ -444,7 +443,7 @@ def build_parser() -> _Parser:
     p.add_argument("--time-col", default="time")
     p.add_argument("--y-col", default="y")
     p.add_argument("--x-cols", default=None)
-    p.add_argument("--model", choices=["fe", "pooled"], default="fe")
+    p.add_argument("--model", choices=_MODELS, default="fe")
     _add_out_flags(p)
     p.set_defaults(handler=_cmd_diagnose)
 

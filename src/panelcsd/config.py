@@ -6,6 +6,7 @@ place and tests can reference the same constants the code uses.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 import dataclasses
 import numbers
 import os
@@ -103,6 +104,21 @@ def check_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise UsageError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def check_real(value, what: str) -> float:
+    """``value`` as a float; UsageError naming ``what`` when it is a bool or
+    not a real number (a string is never parsed)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise UsageError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def check_reals(values, what: str) -> tuple[float, ...]:
+    """``values`` as a tuple of floats, each checked by :func:`check_real`."""
+    if isinstance(values, str) or not isinstance(values, Iterable):
+        raise UsageError(f"{what} must be a list of numbers, got {values!r}")
+    return tuple(check_real(v, f"{what} entry") for v in values)
 
 
 # Worker count for the simulation engine: --threads flag beats this env var,

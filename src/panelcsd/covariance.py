@@ -1,4 +1,4 @@
-"""Covariance estimators for demeaned-panel slope estimators.
+"""Covariance requests and estimators for demeaned-panel slope estimators.
 
 Write the estimation error as a sum of per-period contributions,
 beta_hat - beta = sum_t G^{-1} x_t' eps_t, with G the gram matrix of the
@@ -15,6 +15,9 @@ Var(beta_hat) follow:
 * kernel: adds lag-weighted cross-period score products
   sum_j K(j) (A_j + A_j'), A_j = sum_t u_t u_{t-j}', robust to serial
   dependence up to the truncation lag.
+
+:class:`CovConfig` is the checked request for one of them; the Monte Carlo
+engine and the command line both build it and nothing else states its rules.
 
 Exact finite-sample variance targets for simulated designs are computed
 from a demeaned design that :func:`~panelcsd.estimators.gram_inverse` has
@@ -34,13 +37,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import PSD_REPAIR_REL, auto_truncation
-from .errors import (
-    NotPSD,
-    SingularCov,
-    SpecMismatch,
-    TruncTooLarge,
-)
+from .config import (PSD_REPAIR_REL, auto_truncation, declared_lag,
+                     field_dict, from_fields)
+from .errors import SingularCov, SpecMismatch, TruncTooLarge, UsageError
 from .dependence import CovMatrix
 from .dgp import TimeDependenceSpec
 from .estimators import EstimatorKind, FitResult, demean, gram_inverse
@@ -48,6 +47,7 @@ from .panel import PanelData
 
 __all__ = [
     "CovMethod",
+    "CovConfig",
     "RobustCov",
     "ma1_coefficient",
     "omega_hat",
@@ -63,6 +63,40 @@ class CovMethod(enum.Enum):
     PLUG_IN = "plugin"
     CROSS_SECTION = "cs"
     KERNEL = "kernel"
+
+
+KERNELS = ("bartlett", "uniform", "parzen")
+
+
+@dataclass(frozen=True)
+class CovConfig:
+    """A checked covariance request: a :class:`CovMethod` value, and for the
+    kernel estimator its kernel, truncation (a lag count or "auto") and the
+    declared serial dependence that "auto" resolves from."""
+
+    method: str = "cs"
+    kernel: str = "bartlett"
+    trunc: int | str = 0
+    declared: str = "unknown"  # pure-cs | ma:<q> | summable | unknown
+
+    def __post_init__(self):
+        if self.method not in [m.value for m in CovMethod]:
+            raise UsageError(f"unknown covariance method {self.method!r}")
+        if self.kernel not in KERNELS:
+            raise UsageError(f"unknown kernel {self.kernel!r}; "
+                             f"choose from {KERNELS}")
+        if self.trunc != "auto" and (type(self.trunc) is not int
+                                     or self.trunc < 0):
+            raise UsageError(f"trunc must be 'auto' or an integer >= 0, "
+                             f"got {self.trunc!r}")
+        declared_lag(self.declared)
+
+    def to_dict(self) -> dict:
+        return field_dict(self)
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "CovConfig":
+        return from_fields(cls, d, "cov")
 
 
 @dataclass(frozen=True)
@@ -138,9 +172,7 @@ def _scores(result: FitResult) -> np.ndarray:
 def _repair_psd(v: np.ndarray) -> tuple[np.ndarray, bool, float]:
     v = 0.5 * (v + v.T)
     evals, evecs = np.linalg.eigh(v)
-    top = float(evals[-1]) if evals.size else 0.0
-    floor = -PSD_REPAIR_REL * max(top, 0.0)
-    if evals[0] >= floor:
+    if evals[0] >= -PSD_REPAIR_REL * max(float(evals[-1]), 0.0):
         return v, False, 0.0
     clipped = float(-evals[evals < 0.0].sum())
     evals = np.clip(evals, 0.0, None)
@@ -148,36 +180,23 @@ def _repair_psd(v: np.ndarray) -> tuple[np.ndarray, bool, float]:
     return 0.5 * (repaired + repaired.T), True, clipped
 
 
-def _check_invertible(v: np.ndarray) -> None:
-    evals = np.linalg.eigvalsh(v)
-    if evals[-1] <= 0.0 or evals[0] <= 1e-12 * evals[-1]:
-        raise SingularCov(
-            f"covariance is numerically singular (eig range [{evals[0]:.3e}, "
-            f"{evals[-1]:.3e}])")
-
-
-def cov_cross_section(result: FitResult,
-                      check_invertible: bool = False) -> RobustCov:
+def cov_cross_section(result: FitResult) -> RobustCov:
     """Zero-lag score sandwich, robust to within-period dependence.
 
     This is :func:`cov_kernel` at truncation 0, reported as the
     cross-section estimator (no kernel, no truncation lag).
 
-    With zero residuals the result is the zero matrix; by default singularity
-    is not an error here (pass ``check_invertible=True`` to raise
-    SingularCov), it surfaces when the matrix is inverted downstream.
+    Zero residuals give the zero matrix: singularity is not an error here,
+    :func:`~panelcsd.inference.wald` refuses it when it inverts R V R'.
     """
-    rc = cov_kernel(result, trunc=0, check_invertible=check_invertible)
+    rc = cov_kernel(result, trunc=0)
     return replace(rc, method=CovMethod.CROSS_SECTION, kernel_name=None,
                    trunc_lag=None)
 
 
-_KERNELS = ("bartlett", "uniform", "parzen")
-
-
 def _check_kernel(name: str) -> None:
-    if name not in _KERNELS:
-        raise ValueError(f"unknown kernel {name!r}; choose from {_KERNELS}")
+    if name not in KERNELS:
+        raise ValueError(f"unknown kernel {name!r}; choose from {KERNELS}")
 
 
 def kernel_weight(name: str, lag: int, trunc: int) -> float:
@@ -199,8 +218,7 @@ def kernel_weight(name: str, lag: int, trunc: int) -> float:
 
 
 def cov_kernel(result: FitResult, kernel: str = "bartlett",
-               trunc: int | str = "auto", declared: str = "unknown",
-               check_invertible: bool = False) -> RobustCov:
+               trunc: int | str = "auto", declared: str = "unknown") -> RobustCov:
     """Lag-window score sandwich, robust to serial dependence.
 
     Parameters
@@ -222,10 +240,7 @@ def cov_kernel(result: FitResult, kernel: str = "bartlett",
     _check_kernel(kernel)
     _check_periods(result)
     t = result.n_periods
-    if trunc == "auto":
-        c = auto_truncation(t, declared)
-    else:
-        c = int(trunc)
+    c = auto_truncation(t, declared) if trunc == "auto" else int(trunc)
     if c < 0:
         raise ValueError("truncation must be nonnegative")
     if c >= t:
@@ -233,15 +248,10 @@ def cov_kernel(result: FitResult, kernel: str = "bartlett",
 
     u = _scores(result)
     v = u.T @ u
-    for j in range(1, c + 1):
-        w = kernel_weight(kernel, j, c)
-        if w == 0.0:
-            continue
+    for j in range(1, c + 1):  # every weight at lags 1..c is positive
         a = u[j:].T @ u[:-j]
-        v = v + w * (a + a.T)
+        v = v + kernel_weight(kernel, j, c) * (a + a.T)
     v, repaired, clipped = _repair_psd(v)
-    if check_invertible:
-        _check_invertible(v)
     return RobustCov(matrix=v, method=CovMethod.KERNEL, kernel_name=kernel,
                      trunc_lag=c, psd_repaired=repaired, clipped_mass=clipped)
 
@@ -270,7 +280,7 @@ def _weighted_leads(x_dm: np.ndarray, spec: TimeDependenceSpec) -> np.ndarray:
 
 def _exact_variance(x_dm: np.ndarray, gram_inv: np.ndarray,
                     spec: TimeDependenceSpec, loadings: np.ndarray | None,
-                    sigma: np.ndarray | None) -> tuple[np.ndarray, str]:
+                    sigma: np.ndarray | None) -> np.ndarray:
     # G^{-1} (sum_t x_t' Omega_0 x_t + C + C') G^{-1} for a demeaned design
     # that gram_inverse has already checked and a symmetric sigma. The lag-j
     # error block is rho_j * B, so C = sum_j rho_j sum_t x_t' B x_{t+j} =
@@ -285,29 +295,23 @@ def _exact_variance(x_dm: np.ndarray, gram_inv: np.ndarray,
     common = 0.0 if loadings is None else loadings @ loadings.T
     idio = 0.0 if sigma is None else sigma
     lag_base = common if spec.channel == "factor" else idio
-    if spec.channel == "none":
-        if loadings is None and sigma is None:
-            raise SpecMismatch("need loadings and/or sigma to define the errors")
-        structure = "cross_section_only"
-    elif spec.channel == "idio":
-        if sigma is None:
-            raise SpecMismatch("idio-channel memory needs sigma")
-        structure = ("banded_full_cov" if spec.form == "ma"
-                     else "toeplitz_full_cov")
-    else:  # factor channel
-        if loadings is None or loadings.shape[1] < 1:
-            raise SpecMismatch("factor-channel memory needs loadings")
-        structure = ("banded_factor_cov" if spec.form == "ma"
-                     else "toeplitz_factor_cov")
+    if spec.channel == "none" and loadings is None and sigma is None:
+        raise SpecMismatch("need loadings and/or sigma to define the errors")
+    if spec.channel == "idio" and sigma is None:
+        raise SpecMismatch("idio-channel memory needs sigma")
+    if spec.channel == "factor" and (loadings is None
+                                     or loadings.shape[1] < 1):
+        raise SpecMismatch("factor-channel memory needs loadings")
     meat = _sandwich(x_dm, idio + common, x_dm)
     if spec.max_lag(x_dm.shape[1]) > 0:
         c = _sandwich(x_dm, lag_base, _weighted_leads(x_dm, spec))
         meat = meat + (c + c.T)
-    return gram_inv @ meat @ gram_inv, structure
+    return gram_inv @ meat @ gram_inv
 
 
 def cov_plugin(result: FitResult, omega: CovMatrix | None = None) -> RobustCov:
-    """Sandwich with an explicit (or residual-estimated) error covariance.
+    """The known-omega exact variance for an explicit (or residual-estimated)
+    error covariance, PSD-repaired.
 
     Uses the residual outer-product average when ``omega`` is omitted. This
     is the naive plug-in; it is not consistent under fixed n asymptotics and
@@ -318,9 +322,9 @@ def cov_plugin(result: FitResult, omega: CovMatrix | None = None) -> RobustCov:
     if omega is None:
         _check_periods(result)
         omega = omega_hat(result.residuals)
-    meat = _sandwich(result.demeaned_x, omega.values, result.demeaned_x)
-    v = result.gram_inv @ meat @ result.gram_inv
-    v, repaired, clipped = _repair_psd(v)
+    v, repaired, clipped = _repair_psd(_exact_variance(
+        result.demeaned_x, result.gram_inv, TimeDependenceSpec(), None,
+        omega.values))
     return RobustCov(matrix=v, method=CovMethod.PLUG_IN,
                      psd_repaired=repaired, clipped_mass=clipped)
 
@@ -335,7 +339,7 @@ def true_variance_cs(x_design: PanelData, kind: EstimatorKind,
     n_units * n_periods / h_n for the normalized-limit scale.
     """
     return true_variance_mixed(x_design, kind, TimeDependenceSpec(),
-                               sigma=omega)[0]
+                               sigma=omega)
 
 
 def true_variance_mixed(
@@ -344,8 +348,9 @@ def true_variance_mixed(
     spec: TimeDependenceSpec,
     loadings: np.ndarray | None = None,
     sigma: CovMatrix | None = None,
-) -> tuple[np.ndarray, str]:
-    """Exact conditional slope variance under serially dependent errors.
+) -> np.ndarray:
+    """Exact conditional k x k slope variance under serially dependent
+    errors.
 
     Like :func:`fit`, raises SingularGram on a rank-deficient design and
     warns with ConditionWarning on an ill-conditioned one. The error lag
@@ -365,13 +370,6 @@ def true_variance_mixed(
     sigma : CovMatrix, optional
         Idiosyncratic covariance; required for the idio channel and for a
         serially independent spec without loadings.
-
-    Returns
-    -------
-    (variance, structure) : (ndarray (k, k), str)
-        ``structure`` names the implied stacked-covariance layout:
-        "cross_section_only", "banded_full_cov", "toeplitz_full_cov",
-        "banded_factor_cov", or "toeplitz_factor_cov".
 
     Notes
     -----

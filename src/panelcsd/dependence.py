@@ -76,8 +76,9 @@ class CovMatrix:
     Construction validates symmetry to relative tolerance and stores the
     exactly symmetrized matrix. The eigensystem is computed lazily on first
     access; eigenvalues within ``EIG_CLIP_REL * lambda_max`` of zero are
-    clamped to zero, and anything below ``-PSD_RTOL * lambda_max`` raises
-    :class:`NotPSD`.
+    clamped to zero, and anything below ``-PSD_RTOL * max(lambda_max, 0)``
+    raises :class:`NotPSD`, so a matrix with no positive eigenvalue is PSD
+    only when it is zero.
     """
 
     def __init__(self, values: np.ndarray, meta: dict | None = None):
@@ -107,11 +108,11 @@ class CovMatrix:
             except np.linalg.LinAlgError as exc:
                 raise EigenFailure(f"symmetric eigensolve failed: {exc}") from exc
             top = float(evals[-1])
+            if evals[0] < -PSD_RTOL * max(top, 0.0):
+                raise NotPSD(
+                    f"minimum eigenvalue {evals[0]:.3e} below "
+                    f"-{PSD_RTOL:.0e} * lambda_max")
             if top > 0:
-                if evals[0] < -PSD_RTOL * top:
-                    raise NotPSD(
-                        f"minimum eigenvalue {evals[0]:.3e} below "
-                        f"-{PSD_RTOL:.0e} * lambda_max")
                 evals = np.where(np.abs(evals) <= EIG_CLIP_REL * top, 0.0, evals)
             self._eig = (evals, evecs)
         return self._eig
@@ -339,8 +340,6 @@ def factor_decompose(omega: CovMatrix, n_factors: int | str = "auto",
     evecs = omega.eigenvectors
     n = omega.n
     top = float(evals[-1])
-    if evals[0] < -PSD_RTOL * max(top, 0.0):
-        raise RankDeficient(f"eigenvalue {evals[0]:.3e} below PSD tolerance")
 
     if n_factors == "auto":
         m = select_n_factors(omega)

@@ -23,7 +23,7 @@ import numbers
 
 import numpy as np
 
-from .config import check_int, field_dict, from_fields
+from .config import check_int, check_real, check_reals, field_dict, from_fields
 from .dependence import CovMatrix
 from .errors import NotPSD, SpecMismatch, UsageError
 from .panel import PanelData
@@ -486,17 +486,19 @@ class TimeDependenceSpec:
             raise SpecMismatch(f"unknown form {self.form!r}")
         if (self.channel == "none") != (self.form == "none"):
             raise SpecMismatch("channel and form must both be 'none' or neither")
+        if self.psi is not None:
+            object.__setattr__(self, "psi", check_reals(self.psi, "psi"))
+        if self.decay is not None:
+            object.__setattr__(self, "decay", check_real(self.decay, "decay"))
         if self.form == "ma":
-            if not self.psi or len(self.psi) < 1:
+            if not self.psi:
                 raise SpecMismatch("ma form needs at least psi_0")
-            psi = tuple(float(p) for p in self.psi)
-            if not all(np.isfinite(psi)) or sum(p * p for p in psi) <= 0:
+            if (not all(np.isfinite(self.psi))
+                    or sum(p * p for p in self.psi) <= 0):
                 raise SpecMismatch("ma coefficients must be finite and not all zero")
-            object.__setattr__(self, "psi", psi)
-        if self.form == "summable":
-            if self.decay is None or not (0.0 < float(self.decay) < 1.0):
-                raise SpecMismatch("summable form needs decay in (0, 1)")
-            object.__setattr__(self, "decay", float(self.decay))
+        if self.form == "summable" and (self.decay is None
+                                        or not 0.0 < self.decay < 1.0):
+            raise SpecMismatch("summable form needs decay in (0, 1)")
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -579,7 +581,8 @@ class DgpSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "beta_true",
-                           tuple(float(b) for b in self.beta_true))
+                           check_reals(self.beta_true, "beta_true"))
+        check_real(self.t_df, "t_df")
         if len(self.beta_true) < 1:
             raise SpecMismatch("beta_true must have at least one entry")
         if self.x_law not in ("iid_normal", "cs_centered", "factor_aligned"):
@@ -619,6 +622,9 @@ def _cross_section_from(raw):
     **params}."""
     if isinstance(raw, str):
         return family_from_string(raw)
+    if not isinstance(raw, dict):
+        raise UsageError(f"cross_section must be a family string or object, "
+                         f"got {raw!r}")
     params = dict(raw)
     return _family(params.pop("family", None), params)
 

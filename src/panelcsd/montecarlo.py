@@ -13,7 +13,8 @@ never records how many workers produced it.
 Failed replications (singular designs, invalid covariances) are tallied by
 error type, never silently dropped; a cell is flagged as failed when more
 than 1% of its replications error. A malformed config is rejected when it
-is built or loaded, before any worker starts.
+is built or loaded, before any worker starts. The covariance request,
+:class:`~panelcsd.covariance.CovConfig`, is re-exported here.
 """
 
 from __future__ import annotations
@@ -29,10 +30,9 @@ import warnings
 
 import numpy as np
 
-from .config import (check_int, declared_lag, default_workers, field_dict,
-                     from_fields)
+from .config import check_int, default_workers, field_dict, from_fields
 from .covariance import (
-    _KERNELS,
+    CovConfig,
     _exact_variance,
     cov_cross_section,
     cov_kernel,
@@ -83,35 +83,6 @@ def write_atomic(path: str, text: str) -> None:
 
 
 @dataclass(frozen=True)
-class CovConfig:
-    """Which covariance estimator each replication uses."""
-
-    method: str = "cs"  # plugin | cs | kernel
-    kernel: str = "bartlett"
-    trunc: int | str = 0  # lag count or "auto"
-    declared: str = "unknown"  # pure-cs | ma:<q> | summable | unknown
-
-    def __post_init__(self):
-        if self.method not in ("plugin", "cs", "kernel"):
-            raise UsageError(f"unknown covariance method {self.method!r}")
-        if self.kernel not in _KERNELS:
-            raise UsageError(f"unknown kernel {self.kernel!r}; "
-                             f"choose from {_KERNELS}")
-        if self.trunc != "auto" and (type(self.trunc) is not int
-                                     or self.trunc < 0):
-            raise UsageError(f"trunc must be 'auto' or an integer >= 0, "
-                             f"got {self.trunc!r}")
-        declared_lag(self.declared)
-
-    def to_dict(self) -> dict:
-        return field_dict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CovConfig":
-        return from_fields(cls, d, "cov")
-
-
-@dataclass(frozen=True)
 class McConfig:
     """One experiment: a design, a grid of panel sizes, and a replication
     count. ``rate_axis`` "T" or "NT" asks for a fitted log-log slope of the
@@ -128,11 +99,14 @@ class McConfig:
     true_variance: bool = True
 
     def __post_init__(self):
-        grid = tuple((check_int(n, "grid entry"), check_int(t, "grid entry"))
-                     for n, t in self.grid)
-        if not grid:
-            raise UsageError("grid must have at least one (n, t) cell")
-        object.__setattr__(self, "grid", grid)
+        if not (isinstance(self.grid, (list, tuple)) and self.grid and all(
+                isinstance(cell, (list, tuple)) and len(cell) == 2
+                for cell in self.grid)):
+            raise UsageError(f"grid must be a non-empty list of (n, t) "
+                             f"pairs, got {self.grid!r}")
+        object.__setattr__(self, "grid", tuple(
+            (check_int(n, "grid entry"), check_int(t, "grid entry"))
+            for n, t in self.grid))
         for key in ("reps", "master_seed"):
             object.__setattr__(self, key, check_int(getattr(self, key), key))
         for key in ("fixed_design", "true_variance"):
@@ -153,7 +127,14 @@ class McConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "McConfig":
         return from_fields(cls, d, "config", dgp=DgpSpec.from_dict,
-                           estimator=EstimatorKind, cov=CovConfig.from_dict)
+                           estimator=_estimator_kind, cov=CovConfig.from_dict)
+
+
+def _estimator_kind(value) -> EstimatorKind:
+    names = [kind.value for kind in EstimatorKind]
+    if value not in names:
+        raise UsageError(f"estimator must be one of {names}, got {value!r}")
+    return EstimatorKind(value)
 
 
 def _compute_cov(result, cov_cfg: CovConfig):
@@ -169,7 +150,7 @@ def _true_variance_for(res: FitResult, truth: dict) -> np.ndarray:
     """Exact conditional slope variance implied by a draw's truth record,
     read off the design and gram inverse its fit has already checked."""
     return _exact_variance(res.demeaned_x, res.gram_inv, truth["time_memory"],
-                           truth["loadings"], truth["sigma"])[0]
+                           truth["loadings"], truth["sigma"])
 
 
 def _fixed_design(cfg: McConfig, n: int, t: int):

@@ -230,7 +230,7 @@ def test_criterion_7_kernel_bias_on_short_memory():
     design = (design_panel.x, truth["mu"])
     v_true = true_variance_mixed(
         design_panel, EstimatorKind.FIXED_EFFECT, spec.time_memory,
-        loadings=truth["loadings"], sigma=CovMatrix(truth["sigma"]))[0][0, 0]
+        loadings=truth["loadings"], sigma=CovMatrix(truth["sigma"]))[0, 0]
     vk = np.empty(reps)
     vc = np.empty(reps)
     trunc_used = None

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 
 from conftest import child_env
 from panelcsd import EstimatorKind, chi2_sf, fit, load_csv
-from panelcsd.cli import dispatch
+from panelcsd.cli import build_parser, dispatch
 from panelcsd.dgp import DgpSpec, Equicorr, gen_panel
 
 
@@ -388,6 +388,10 @@ def test_mc_run_bad_json(tmp_path, capsys):
      "width"),
     ({"fixed_design": "false"}, "fixed_design"),
     ({"master_seed": 7.9}, "master_seed"),
+    ({"grid": [[6]]}, "grid"),
+    ({"grid": None}, "grid"),
+    ({"estimator": "bogus"}, "estimator"),
+    ({"dgp": {"cross_section": "example1", "beta_true": "12"}}, "beta_true"),
 ])
 def test_mc_run_rejects_malformed_config(tmp_path, capsys, edit, key):
     cfg = {
@@ -405,6 +409,25 @@ def test_mc_run_rejects_malformed_config(tmp_path, capsys, edit, key):
     assert code == 1
     assert key in err and out == ""
     assert not report_path.exists()
+
+
+def test_cli_choices_are_the_library_vocabularies():
+    from panelcsd.covariance import KERNELS, CovMethod
+    sub = next(a for a in build_parser()._actions
+               if a.dest == "command").choices
+
+    def choices(command, flag):
+        return [a for a in sub[command]._actions
+                if flag in a.option_strings][0].choices
+
+    models = [kind.value for kind in EstimatorKind]
+    for command in ("estimate", "test"):
+        assert list(choices(command, "--cov")) == \
+            [m.value for m in CovMethod] == ["plugin", "cs", "kernel"]
+        assert list(choices(command, "--kernel")) == list(KERNELS) == \
+            ["bartlett", "uniform", "parzen"]
+    for command in ("estimate", "test", "diagnose"):
+        assert list(choices(command, "--model")) == models == ["fe", "pooled"]
 
 
 def test_estimate_misspelled_declared_dependence_exits_one(panel_csv, capsys):

@@ -4,13 +4,14 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from panelcsd import (CovMatrix, CovMethod, EstimatorKind, FitResult,
-                      PanelData, TimeDependenceSpec, cov_cross_section,
-                      cov_kernel, cov_plugin, fit, kernel_weight,
-                      ma1_coefficient, omega_hat, true_variance_cs,
-                      true_variance_mixed, weight_blocks)
+                      LinearRestriction, PanelData, TimeDependenceSpec,
+                      cov_cross_section, cov_kernel, cov_plugin, fit,
+                      kernel_weight, ma1_coefficient, omega_hat,
+                      true_variance_cs, true_variance_mixed, wald,
+                      weight_blocks)
 from panelcsd.config import auto_truncation, declared_lag
-from panelcsd.errors import (SingularCov, SpecMismatch, TruncTooLarge,
-                             UsageError)
+from panelcsd.errors import (SingularCov, SingularRestrictedCov,
+                             SpecMismatch, TruncTooLarge, UsageError)
 from panelcsd.dgp import DgpSpec, Factor, gen_panel
 
 
@@ -66,8 +67,9 @@ def test_cov_cross_section_zero_residuals():
     rc = cov_cross_section(res)
     assert rc.method is CovMethod.CROSS_SECTION
     assert_allclose(rc.matrix, 0.0, atol=1e-15)
-    with pytest.raises(SingularCov):
-        cov_cross_section(res, check_invertible=True)
+    # the singular estimate is refused where it is inverted
+    with pytest.raises(SingularRestrictedCov):
+        wald(res.beta_hat, rc, LinearRestriction(np.eye(1), np.zeros(1)))
 
 
 def test_cov_cross_section_scalar_collapse():
@@ -248,6 +250,11 @@ def test_cov_plugin_formula():
         meat += xs.T @ om @ xs
     assert_allclose(rc.matrix, res.gram_inv @ meat @ res.gram_inv, atol=1e-12)
     assert rc.method is CovMethod.PLUG_IN
+    # an explicit omega is the known-omega exact variance, PSD-repaired
+    explicit = cov_plugin(res, CovMatrix(om))
+    assert explicit.matrix.tobytes() == rc.matrix.tobytes()
+    with pytest.raises(ValueError, match="sigma size"):
+        cov_plugin(res, CovMatrix(np.eye(5)))
 
 
 def test_true_variance_cs_classical_formula():
@@ -303,10 +310,9 @@ def test_true_variance_mixed_reduces_to_cs():
     rng = np.random.default_rng(25)
     lam = rng.standard_normal((n, 2))
     sig = np.diag(rng.uniform(0.5, 1.5, n))
-    v, structure = true_variance_mixed(panel, EstimatorKind.FIXED_EFFECT,
-                                       TimeDependenceSpec.none(),
-                                       loadings=lam, sigma=CovMatrix(sig))
-    assert structure == "cross_section_only"
+    v = true_variance_mixed(panel, EstimatorKind.FIXED_EFFECT,
+                            TimeDependenceSpec.none(),
+                            loadings=lam, sigma=CovMatrix(sig))
     oracle = true_variance_cs(panel, EstimatorKind.FIXED_EFFECT,
                               CovMatrix(lam @ lam.T + sig))
     assert_allclose(v, oracle, atol=1e-12)
@@ -335,9 +341,8 @@ def test_true_variance_mixed_factor_ma_dense_oracle():
     spec = TimeDependenceSpec.factor_ma((1.0, 1.0))
     assert spec.autocorr(1) == pytest.approx(0.5)
 
-    v_factor, structure = true_variance_mixed(
+    v_factor = true_variance_mixed(
         panel, EstimatorKind.FIXED_EFFECT, spec, loadings=lam)
-    assert structure == "banded_factor_cov"
     # dense block-Toeplitz oracle: common component with lag-1 correlation
     lag1 = np.eye(t, k=1) + np.eye(t, k=-1)
     gamma_common = np.kron(np.eye(t), lam @ lam.T) \
@@ -353,10 +358,9 @@ def test_true_variance_mixed_factor_ma_dense_oracle():
                                  gamma_full)
     assert_allclose(v_factor + v_idio, oracle_full, atol=1e-12)
     # passing sigma adds the idiosyncratic part at lag 0 in one call
-    v_full, structure = true_variance_mixed(
+    v_full = true_variance_mixed(
         panel, EstimatorKind.FIXED_EFFECT, spec, loadings=lam,
         sigma=CovMatrix(sig))
-    assert structure == "banded_factor_cov"
     assert_allclose(v_full, oracle_full, atol=1e-12)
 
 
@@ -369,9 +373,8 @@ def test_true_variance_mixed_idio_ma_dense_oracle():
     psi = (1.0, 0.6)
     spec = TimeDependenceSpec.idio_ma(psi)
     rho1 = 0.6 / (1 + 0.36)
-    v, structure = true_variance_mixed(panel, EstimatorKind.FIXED_EFFECT,
-                                       spec, sigma=CovMatrix(sig))
-    assert structure == "banded_full_cov"
+    v = true_variance_mixed(panel, EstimatorKind.FIXED_EFFECT,
+                            spec, sigma=CovMatrix(sig))
     lag1 = np.eye(t, k=1) + np.eye(t, k=-1)
     gamma = np.kron(np.eye(t), sig) + rho1 * np.kron(lag1, sig)
     oracle = dense_sandwich(panel, EstimatorKind.FIXED_EFFECT, gamma)
@@ -395,14 +398,12 @@ def test_true_variance_mixed_summable_dense_oracle(channel, kind, decay, t):
     toeplitz = decay ** lags
     if channel == "idio":
         spec = TimeDependenceSpec.idio_summable(decay)
-        v, structure = true_variance_mixed(panel, kind, spec, loadings=lam,
-                                           sigma=CovMatrix(sig))
-        assert structure == "toeplitz_full_cov"
+        v = true_variance_mixed(panel, kind, spec, loadings=lam,
+                                sigma=CovMatrix(sig))
         gamma = np.kron(toeplitz, sig) + np.kron(np.eye(t), lam @ lam.T)
     else:
         spec = TimeDependenceSpec.factor_summable(decay)
-        v, structure = true_variance_mixed(panel, kind, spec, loadings=lam)
-        assert structure == "toeplitz_factor_cov"
+        v = true_variance_mixed(panel, kind, spec, loadings=lam)
         gamma = np.kron(toeplitz, lam @ lam.T)
     assert spec.max_lag(t) == t - 1
     assert_allclose(v, dense_sandwich(panel, kind, gamma), atol=1e-12)
@@ -440,11 +441,11 @@ def test_dominant_factor_term_in_normalized_limit():
     panel, truth = gen_panel(spec, n=200, t=200, seed=99)
     lam = truth["loadings"]
     sig = truth["sigma"]
-    full, _ = true_variance_mixed(panel, EstimatorKind.FIXED_EFFECT,
-                                  spec.time_memory, loadings=lam,
-                                  sigma=CovMatrix(sig))
-    factor_only, _ = true_variance_mixed(panel, EstimatorKind.FIXED_EFFECT,
-                                         TimeDependenceSpec.none(),
-                                         loadings=lam)
+    full = true_variance_mixed(panel, EstimatorKind.FIXED_EFFECT,
+                               spec.time_memory, loadings=lam,
+                               sigma=CovMatrix(sig))
+    factor_only = true_variance_mixed(panel, EstimatorKind.FIXED_EFFECT,
+                                      TimeDependenceSpec.none(),
+                                      loadings=lam)
     rel = abs(full[0, 0] - factor_only[0, 0]) / full[0, 0]
     assert rel < 0.10

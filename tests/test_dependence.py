@@ -45,6 +45,16 @@ def test_cov_matrix_validation():
         CovMatrix(np.ones((2, 3)))
 
 
+def test_cov_matrix_without_positive_eigenvalue_is_psd_only_at_zero():
+    # no positive eigenvalue is no excuse to skip the PSD check
+    for values in (-np.eye(3), np.diag([0.0, 0.0, -1.0])):
+        with pytest.raises(NotPSD):
+            CovMatrix(values).eigenvalues
+        with pytest.raises(NotPSD):
+            CovMatrix(values).sqrt()
+    assert_allclose(CovMatrix(np.zeros((3, 3))).eigenvalues, 0.0)
+
+
 def test_cov_matrix_eigensystem():
     omega = equicorr(4)
     assert_allclose(np.sort(omega.eigenvalues), omega.eigenvalues)

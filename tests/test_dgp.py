@@ -347,6 +347,29 @@ def test_spec_round_trip():
         assert back.to_dict() == spec.to_dict()
 
 
+@pytest.mark.parametrize("edit, key", [
+    ({"beta_true": "12"}, "beta_true"),
+    ({"beta_true": ["1", True]}, "beta_true"),
+    ({"beta_true": [1.0, None]}, "beta_true"),
+    ({"beta_true": 1.0}, "beta_true"),
+    ({"t_df": "x"}, "t_df"),
+    ({"error_dist": "student_t", "t_df": "9"}, "t_df"),
+    ({"time_memory": {"channel": "idio", "form": "summable",
+                      "decay": "0.5"}}, "decay"),
+    ({"time_memory": {"channel": "idio", "form": "summable",
+                      "decay": True}}, "decay"),
+    ({"time_memory": {"channel": "idio", "form": "ma",
+                      "psi": ["1", "0.5"]}}, "psi"),
+    ({"time_memory": {"channel": "idio", "form": "ma", "psi": "15"}}, "psi"),
+    ({"cross_section": ["example1"]}, "cross_section"),
+])
+def test_spec_from_dict_checks_values_instead_of_coercing(edit, key):
+    # "12" must not load as beta (1.0, 2.0), nor "0.5" as a decay
+    d = {"cross_section": "example1", "beta_true": [1.0], **edit}
+    with pytest.raises(UsageError, match=key):
+        DgpSpec.from_dict(d)
+
+
 def test_spec_from_dict_string_family():
     spec = DgpSpec.from_dict({"cross_section": "example13",
                               "beta_true": [1.0]})

@@ -176,8 +176,8 @@ def test_worker_true_variance_matches_public_path(form, kind, n, t, k, seed):
                                         sigma)
                 continue
             got = montecarlo._true_variance_for(res, truth)
-            want, _ = true_variance_mixed(panel, kind, tm, truth["loadings"],
-                                          sigma)
+            want = true_variance_mixed(panel, kind, tm, truth["loadings"],
+                                       sigma)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), \
             (name, channel)
 
@@ -341,6 +341,27 @@ def test_config_from_dict_names_unknown_keys(path, key):
     for name in path:
         node = node[name]
     node[key] = 1
+    with pytest.raises(UsageError, match=key):
+        McConfig.from_dict(d)
+
+
+def test_cov_config_has_one_home():
+    import panelcsd
+    from panelcsd import covariance
+    assert panelcsd.CovConfig is montecarlo.CovConfig is covariance.CovConfig
+
+
+@pytest.mark.parametrize("key, value", [
+    ("grid", [[8]]),
+    ("grid", [[8, 9, 10]]),
+    ("grid", None),
+    ("grid", 8),
+    ("estimator", "bogus"),
+    ("estimator", None),
+])
+def test_config_from_dict_names_bad_grid_and_estimator(key, value):
+    d = small_config().to_dict()
+    d[key] = value
     with pytest.raises(UsageError, match=key):
         McConfig.from_dict(d)
 
