@@ -19,6 +19,7 @@ import sys
 
 import numpy as np
 
+from .config import resolve_workers
 from .covariance import (
     KERNELS,
     CovConfig,
@@ -37,7 +38,7 @@ from .dependence import (
     _loglog_slope,
 )
 from .dgp import build_omega, family_from_string
-from .errors import NumericalError, UsageError
+from .errors import NumericalError, UsageError, WorkerPoolError
 from .estimators import EstimatorKind, fit
 from .inference import chi2_sf, parse_restrictions, wald
 from .montecarlo import McConfig, McReport, run_mc, write_atomic
@@ -337,12 +338,13 @@ def _cmd_decompose(args) -> None:
 
 
 def _cmd_mc_run(args) -> None:
+    workers = resolve_workers(args.threads, "--threads")
     with open(args.config) as fh:
         try:
             cfg_dict = json.load(fh)
         except json.JSONDecodeError as exc:
             raise UsageError(f"{args.config}: invalid JSON ({exc})") from None
-    report = run_mc(McConfig.from_dict(cfg_dict), workers=args.threads)
+    report = run_mc(McConfig.from_dict(cfg_dict), workers=workers)
     _write_text(args.out, report.to_json())
 
 
@@ -487,7 +489,7 @@ def dispatch(argv: list[str]) -> int:
     except SystemExit as exc:  # --help
         code = exc.code
         return int(code) if isinstance(code, int) else 0
-    except (UsageError, OSError, ValueError) as exc:
+    except (UsageError, WorkerPoolError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

@@ -126,13 +126,21 @@ def check_reals(values, what: str) -> tuple[float, ...]:
 THREADS_ENV_VAR = "PANELCSD_THREADS"
 
 
-def default_workers() -> int:
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
+def resolve_workers(workers=None, what: str = "workers") -> int:
+    """The Monte Carlo worker count: ``workers`` when given, else
+    PANELCSD_THREADS when it is set and not empty, else the CPU count.
+    A value that is not an integer >= 1 is a UsageError naming ``what``
+    (or the environment variable it came from)."""
+    if workers is None:
+        env = os.environ.get(THREADS_ENV_VAR, "")
+        if not env:
+            return max(1, os.cpu_count() or 1)
+        workers, what = env, THREADS_ENV_VAR
         try:
-            w = int(env)
-            if w >= 1:
-                return w
+            workers = int(env)
         except ValueError:
             pass
-    return max(1, os.cpu_count() or 1)
+    if (isinstance(workers, bool) or not isinstance(workers, numbers.Integral)
+            or workers < 1):
+        raise UsageError(f"{what} must be an integer >= 1, got {workers!r}")
+    return int(workers)

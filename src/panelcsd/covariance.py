@@ -322,6 +322,9 @@ def cov_plugin(result: FitResult, omega: CovMatrix | None = None) -> RobustCov:
     if omega is None:
         _check_periods(result)
         omega = omega_hat(result.residuals)
+    elif omega.n != result.n_units:
+        raise ValueError(f"omega is {omega.n} x {omega.n}, but the panel "
+                         f"has {result.n_units} units")
     v, repaired, clipped = _repair_psd(_exact_variance(
         result.demeaned_x, result.gram_inv, TimeDependenceSpec(), None,
         omega.values))

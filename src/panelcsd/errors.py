@@ -4,7 +4,8 @@ Two branches matter for exit-code mapping in the command line tool:
 ``UsageError`` subclasses signal bad input (data files, flags, malformed
 requests) and map to exit code 1; ``NumericalError`` subclasses signal a
 computation that could not be completed (singular matrices, failed
-eigensolves, invalid covariance targets) and map to exit code 2.
+eigensolves, invalid covariance targets) and map to exit code 2. A
+``WorkerPoolError`` (the Monte Carlo worker pool broke) also maps to 1.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "NotPSD",
     "SingularRestrictedCov",
     "DomainError",
+    "WorkerPoolError",
     "ConditionWarning",
 ]
 
@@ -103,6 +105,11 @@ class SingularRestrictedCov(NumericalError):
 
 class DomainError(UsageError):
     """Argument outside the mathematical domain of a function."""
+
+
+class WorkerPoolError(PanelError):
+    """The Monte Carlo worker pool broke: a worker could not start or was
+    killed. The message names the cell that was running."""
 
 
 class ConditionWarning(UserWarning):

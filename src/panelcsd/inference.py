@@ -7,15 +7,19 @@ The statistic for restrictions R beta = r is
 with b the estimated slopes and V their covariance estimate; its reference
 distribution is chi-square with q = rank(R) degrees of freedom. p-values are
 asymptotic only; no finite-sample degrees-of-freedom correction is applied.
+
+The chi-square tail is a finite sum at integer degrees of freedom, computed
+with the standard library's ``math`` alone, so the package needs numpy and
+nothing else; every spawned Monte Carlo worker imports only that.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .covariance import RobustCov
 from .errors import DomainError, SingularRestrictedCov, UsageError
@@ -124,10 +128,52 @@ def parse_restrictions(text: str, k: int) -> LinearRestriction:
     return LinearRestriction(matrix=np.vstack(rows), value=np.array(vals))
 
 
+# Stirling series coefficients B_2k / (2k (2k - 1)) of log Gamma, k = 1..8.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,
+             1 / 156, -3617 / 122400)
+
+
+def _log1pmx(u: float) -> float:
+    """log(1 + u) - u for |u| < 1/2, without the cancellation of the direct
+    difference: with w = u / (2 + u), it is -u w + 2 (w^3/3 + w^5/5 + ...)."""
+    w = u / (2.0 + u)
+    w2 = w * w
+    total, power, k = -u * w, w * w2, 3
+    while abs(power) > 1e-17 * abs(total):
+        total += 2.0 * power / k
+        power *= w2
+        k += 2
+    return total
+
+
+def _log_poisson_term(a: float, h: float) -> float:
+    """log(h^a e^-h / Gamma(a + 1)) for a >= 0 and h > 0.
+
+    The direct form errs by a few ulps of its largest part. Above a = 10,
+    a log h and log Gamma(a + 1) are both near a log a and mostly cancel,
+    so Stirling's series rewrites their difference as a (log(1 + u) - u)
+    with u = (h - a) / a, whose error stays near one ulp of the result.
+    """
+    if a < 10.0:
+        return a * math.log(h) - h - math.lgamma(a + 1.0)
+    u = (h - a) / a
+    core = (a * _log1pmx(u) if abs(u) < 0.5
+            else a * math.log(h / a) - (h - a))
+    inv2 = 1.0 / (a * a)
+    series = 0.0
+    for c in reversed(_STIRLING):
+        series = series * inv2 + c
+    return core - 0.5 * math.log(2.0 * math.pi * a) - series / a
+
+
 def chi2_sf(x: float, dof: int) -> float:
     """Chi-square survival function P(X > x) for dof degrees of freedom.
 
-    Computed as the regularized upper incomplete gamma at (dof/2, x/2).
+    With h = x/2, an even dof gives e^-h sum_{j < dof/2} h^j / j! and an odd
+    dof gives erfc(sqrt h) + e^-h sum_{j=1}^{(dof-1)/2} h^(j-1/2) /
+    Gamma(j + 1/2). Each term is exponentiated from its logarithm, so the sum
+    does not underflow where e^-h alone does (x = dof = 3000). Relative
+    error is within 1e-12 wherever the value is above 1e-300.
     Raises DomainError for x < 0 or a non-positive integer dof.
     """
     if not float(x) >= 0.0 or not np.isfinite(x):
@@ -135,7 +181,13 @@ def chi2_sf(x: float, dof: int) -> float:
     dof_int = int(dof)
     if dof_int != dof or dof_int < 1:
         raise DomainError(f"dof must be a positive integer, got {dof!r}")
-    return float(special.gammaincc(dof_int / 2.0, float(x) / 2.0))
+    h = float(x) / 2.0
+    if h == 0.0:
+        return 1.0
+    odd = dof_int % 2
+    head = math.erfc(math.sqrt(h)) if odd else 0.0
+    return math.fsum([head, *(math.exp(_log_poisson_term(j + 0.5 * odd, h))
+                              for j in range(dof_int // 2))])
 
 
 def wald(beta_hat: np.ndarray, cov, restriction: LinearRestriction) -> TestResult:

@@ -3,7 +3,14 @@
 Replication r of cell (n, t) derives its seed from a splittable hash of
 (master_seed, n, t, r), so every replication is independent of scheduling.
 All replications execute in spawned worker processes whose numerical
-libraries are pinned to one thread. Each worker block returns one record per
+libraries are pinned to one thread. An experiment starts one pool and every
+``run_mc`` call inside it reuses that pool, so workers are spawned and
+import the package once per experiment, not once per call; a standalone
+``run_mc`` call starts and stops its own pool. If the pool breaks,
+``run_mc`` raises :class:`~panelcsd.errors.WorkerPoolError` naming the
+cell. The worker count is an integer >= 1 from the ``workers`` argument,
+else the ``PANELCSD_THREADS`` environment variable, else the CPU count;
+anything else is a ``UsageError``. Each worker block returns one record per
 replication: its slope, covariance estimate, p-value and exact variance, or
 the type name of the error that stopped it. The parent joins the blocks in
 replication order and aggregates each cell once: repeated runs of the same
@@ -23,14 +30,16 @@ import json
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 import multiprocessing
 import warnings
 
 import numpy as np
 
-from .config import check_int, default_workers, field_dict, from_fields
+from .config import check_int, field_dict, from_fields, resolve_workers
 from .covariance import (
     CovConfig,
     _exact_variance,
@@ -40,7 +49,7 @@ from .covariance import (
 )
 from .dependence import _loglog_slope
 from .dgp import DgpSpec, Equicorr, build_omega, gen_panel
-from .errors import ConditionWarning, PanelError, UsageError
+from .errors import ConditionWarning, PanelError, UsageError, WorkerPoolError
 from .estimators import EstimatorKind, FitResult, fit
 from .inference import LinearRestriction, wald
 
@@ -117,6 +126,9 @@ class McConfig:
             raise UsageError("reps must be >= 200 for meaningful aggregates")
         if self.rate_axis not in (None, "T", "NT"):
             raise UsageError("rate_axis must be 'T', 'NT', or omitted")
+        if not isinstance(self.estimator, EstimatorKind):
+            raise UsageError(f"estimator must be an EstimatorKind, "
+                             f"got {self.estimator!r}")
 
     def to_dict(self) -> dict:
         return field_dict(self, dgp=self.dgp.to_dict(),
@@ -218,6 +230,36 @@ def _single_thread_env():
                 os.environ.pop(key, None)
             else:
                 os.environ[key] = val
+
+
+# The pool of the innermost open _pool scope and its worker count, or None.
+_ACTIVE_POOL: ContextVar[tuple[int, ProcessPoolExecutor] | None] = \
+    ContextVar("_ACTIVE_POOL", default=None)
+
+
+@contextmanager
+def _pool(workers: int):
+    """A spawn pool of ``workers`` processes: the enclosing scope's when it
+    has one of that size, else a new one, shut down on exit.
+
+    A spawn pool starts a worker at each ``submit`` until it has
+    ``workers``, so every submit must run inside the scope that created the
+    pool: that keeps the single-thread BLAS pin in the environment each
+    worker inherits. BLAS reads it at import, so an initializer would be
+    too late.
+    """
+    active = _ACTIVE_POOL.get()
+    if active is not None and active[0] == workers:
+        yield active[1]
+        return
+    ctx = multiprocessing.get_context("spawn")
+    with _single_thread_env(), \
+            ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+        token = _ACTIVE_POOL.set((workers, pool))
+        try:
+            yield pool
+        finally:
+            _ACTIVE_POOL.reset(token)
 
 
 def _chunk_ranges(total: int, workers: int) -> list[tuple[int, int]]:
@@ -325,20 +367,27 @@ class McReport:
 def run_mc(config: McConfig, workers: int | None = None) -> McReport:
     """Run the experiment. ``workers`` defaults to the PANELCSD_THREADS
     environment variable, then the CPU count. Output is identical for any
-    worker count."""
-    workers = int(workers) if workers else default_workers()
+    worker count. Raises WorkerPoolError when the worker pool breaks."""
+    workers = resolve_workers(workers)
     cells: list[dict] = []
-    ctx = multiprocessing.get_context("spawn")
-    with _single_thread_env(), \
-            ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+    with _pool(workers) as pool:
         for n, t in config.grid:
             design, tv_fixed = (_fixed_design(config, n, t)
                                 if config.fixed_design else (None, None))
-            futures = [
-                pool.submit(_worker_block, config, n, t, lo, hi, design)
-                for lo, hi in _chunk_ranges(config.reps, workers)
-            ]
-            blocks = [fut.result() for fut in futures]
+            try:
+                futures = [
+                    pool.submit(_worker_block, config, n, t, lo, hi, design)
+                    for lo, hi in _chunk_ranges(config.reps, workers)
+                ]
+                blocks = [fut.result() for fut in futures]
+            except BrokenProcessPool as exc:
+                raise WorkerPoolError(
+                    f"the worker pool broke while running cell (n={n}, "
+                    f"t={t}). Spawned workers re-import the main module: "
+                    f"call run_mc from an importable script under "
+                    f"'if __name__ == \"__main__\":', not from stdin or an "
+                    f"interactive session. Otherwise a worker was killed, "
+                    f"for example by running out of memory.") from exc
             beta, vbar, pval, tvar = (np.concatenate(part) for part in
                                       zip(*(blk[:4] for blk in blocks)))
             kinds = [kind for blk in blocks for kind in blk[4]]
@@ -416,21 +465,24 @@ def regime_size_ordering(
     }
     out: dict = {"n": n, "t_grid": list(t_grid), "reps": reps, "regimes": {}}
     min_t: dict[str, int | None] = {}
-    for idx, (name, fam) in enumerate(dgps.items()):
-        cfg = McConfig(
-            dgp=DgpSpec(cross_section=fam, beta_true=(1.0,)),
-            grid=tuple((n, t) for t in t_grid),
-            reps=reps,
-            cov=CovConfig(method="cs"),
-            master_seed=seed + idx,
-            true_variance=False,
-        )
-        report = run_mc(cfg, workers=workers)
-        sizes = {c["t"]: c["size_05"] for c in report.cells}
-        hits = [t for t in t_grid if sizes[t] is not None
-                and 0.035 <= sizes[t] <= 0.065]
-        min_t[name] = min(hits) if hits else None
-        out["regimes"][name] = {"size_by_t": sizes, "min_t_in_band": min_t[name]}
+    workers = resolve_workers(workers)
+    with _pool(workers):
+        for idx, (name, fam) in enumerate(dgps.items()):
+            cfg = McConfig(
+                dgp=DgpSpec(cross_section=fam, beta_true=(1.0,)),
+                grid=tuple((n, t) for t in t_grid),
+                reps=reps,
+                cov=CovConfig(method="cs"),
+                master_seed=seed + idx,
+                true_variance=False,
+            )
+            report = run_mc(cfg, workers=workers)
+            sizes = {c["t"]: c["size_05"] for c in report.cells}
+            hits = [t for t in t_grid if sizes[t] is not None
+                    and 0.035 <= sizes[t] <= 0.065]
+            min_t[name] = min(hits) if hits else None
+            out["regimes"][name] = {"size_by_t": sizes,
+                                    "min_t_in_band": min_t[name]}
     weak_t = min_t["weak"] if min_t["weak"] is not None else np.inf
     strong_t = min_t["strong"] if min_t["strong"] is not None else np.inf
     out["ordered_ok"] = bool(weak_t <= strong_t)
@@ -450,17 +502,20 @@ def aligned_x_coverage(
     from .dgp import Factor
 
     out: dict = {"n": n, "t": t, "reps": reps}
-    for key, x_law in (("aligned", "factor_aligned"), ("generic", "iid_normal")):
-        cfg = McConfig(
-            dgp=DgpSpec(cross_section=Factor(n_factors=1, strength=1.0),
-                        beta_true=(1.0,), x_law=x_law),
-            grid=((n, t),),
-            reps=reps,
-            cov=CovConfig(method="cs"),
-            master_seed=seed,
-            true_variance=False,
-        )
-        report = run_mc(cfg, workers=workers)
-        out[key] = {"coverage_95": report.cells[0]["coverage_95"],
-                    "size_05": report.cells[0]["size_05"]}
+    workers = resolve_workers(workers)
+    with _pool(workers):
+        for key, x_law in (("aligned", "factor_aligned"),
+                           ("generic", "iid_normal")):
+            cfg = McConfig(
+                dgp=DgpSpec(cross_section=Factor(n_factors=1, strength=1.0),
+                            beta_true=(1.0,), x_law=x_law),
+                grid=((n, t),),
+                reps=reps,
+                cov=CovConfig(method="cs"),
+                master_seed=seed,
+                true_variance=False,
+            )
+            report = run_mc(cfg, workers=workers)
+            out[key] = {"coverage_95": report.cells[0]["coverage_95"],
+                        "size_05": report.cells[0]["size_05"]}
     return out

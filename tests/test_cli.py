@@ -411,6 +411,47 @@ def test_mc_run_rejects_malformed_config(tmp_path, capsys, edit, key):
     assert not report_path.exists()
 
 
+@pytest.mark.parametrize("threads, env, named", [
+    ("0", None, "--threads"),
+    ("-1", None, "--threads"),
+    (None, "abc", "PANELCSD_THREADS"),
+    (None, "0", "PANELCSD_THREADS"),
+])
+def test_mc_run_rejects_bad_worker_count(tmp_path, capsys, monkeypatch,
+                                         threads, env, named):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "dgp": {"cross_section": "example1", "beta_true": [1.0]},
+        "grid": [[6, 10]], "reps": 200, "cov": {"method": "cs"}}))
+    if env is not None:
+        monkeypatch.setenv("PANELCSD_THREADS", env)
+    argv = ["mc", "run", str(cfg_path), "--out", str(tmp_path / "r.json")]
+    code, out, err = run_cli(capsys, *argv,
+                             *(["--threads", threads] if threads else []))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {named} must be an integer >= 1")
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_mc_run_worker_pool_error_exits_one(tmp_path, capsys, monkeypatch):
+    from panelcsd import cli
+    from panelcsd.errors import WorkerPoolError
+
+    def broken(config, workers=None):
+        raise WorkerPoolError("the worker pool broke while running cell "
+                              "(n=6, t=10)")
+
+    monkeypatch.setattr(cli, "run_mc", broken)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "dgp": {"cross_section": "example1", "beta_true": [1.0]},
+        "grid": [[6, 10]], "reps": 200, "cov": {"method": "cs"}}))
+    code, out, err = run_cli(capsys, "mc", "run", str(cfg_path),
+                             "--threads", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: the worker pool broke")
+
+
 def test_cli_choices_are_the_library_vocabularies():
     from panelcsd.covariance import KERNELS, CovMethod
     sub = next(a for a in build_parser()._actions

@@ -253,7 +253,7 @@ def test_cov_plugin_formula():
     # an explicit omega is the known-omega exact variance, PSD-repaired
     explicit = cov_plugin(res, CovMatrix(om))
     assert explicit.matrix.tobytes() == rc.matrix.tobytes()
-    with pytest.raises(ValueError, match="sigma size"):
+    with pytest.raises(ValueError, match=r"omega is 5 x 5.*4 units"):
         cov_plugin(res, CovMatrix(np.eye(5)))
 
 

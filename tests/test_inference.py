@@ -1,9 +1,14 @@
+import math
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
 
+from conftest import child_env
 from panelcsd import (LinearRestriction, chi2_sf, parse_restrictions, wald)
 from panelcsd.errors import (DomainError, SingularRestrictedCov, UsageError)
 
@@ -156,6 +161,45 @@ def test_chi2_sf_high_precision_grid():
         dof = int(rng.integers(1, 201))
         x = float(rng.uniform(0.0, 1000.0))
         assert abs(chi2_sf(x, dof) - oracle(x, dof)) <= 1e-10
+
+
+def test_chi2_sf_matches_mpmath_to_1e12_relative():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+
+    def oracle(x, dof):
+        return mp.gammainc(mp.mpf(dof) / 2, mp.mpf(x) / 2, mp.inf,
+                           regularized=True)
+
+    # where e^{-x/2} alone underflows but the tail does not
+    points = [(3000.0, 3000), (1600.0, 1500), (5000.0, 2000), (1378.0, 2),
+              (1370.0, 1), (1e-300, 1), (1e-12, 3), (3.841459, 1)]
+    rng = np.random.default_rng(91)
+    for _ in range(150):
+        dof = int(rng.integers(1, 2001))
+        points.append((float(rng.uniform(0.0, 5000.0)), dof))
+        # and across the body and both tails of the distribution
+        near = dof + rng.normal() * 6.0 * math.sqrt(2.0 * dof)
+        points.append((float(np.clip(near, 0.0, 5000.0)), dof))
+    for dof in (1, 2, 3, 4, 19, 20, 21):
+        points += [(x, dof) for x in (0.01, 1.0, 3.84, 21.0, 40.0, 200.0)]
+    checked = 0
+    for x, dof in points:
+        want = oracle(x, dof)
+        if want < mp.mpf("1e-300"):
+            continue
+        got = chi2_sf(x, dof)
+        assert abs(mp.mpf(got) - want) <= 1e-12 * want, (x, dof, got)
+        checked += 1
+    assert checked >= 200
+
+
+def test_import_loads_no_scipy():
+    probe = ("import sys, panelcsd; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, env=child_env(), timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_chi2_sf_domain_errors():

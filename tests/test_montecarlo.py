@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
@@ -11,7 +13,10 @@ from panelcsd import (CovMatrix, EstimatorKind, TimeDependenceSpec, fit,
                       montecarlo, true_variance_mixed)
 from panelcsd.dgp import (EXAMPLE_PRESETS, DgpSpec, Diagonal, Equicorr,
                           Factor, gen_panel)
-from panelcsd.errors import ConditionWarning, SingularGram, UsageError
+from conftest import child_env
+from panelcsd.config import THREADS_ENV_VAR, resolve_workers
+from panelcsd.errors import (ConditionWarning, SingularGram, UsageError,
+                             WorkerPoolError)
 from panelcsd.montecarlo import (CovConfig, McConfig, McReport, _derive_seed,
                                  aligned_x_coverage, regime_size_ordering,
                                  run_mc, t1_cross_section_experiment)
@@ -385,3 +390,115 @@ def test_config_from_dict_checks_value_types(key, value):
         McConfig.from_dict(d)
     with pytest.raises(UsageError, match=named):
         small_config(**{key: value})
+
+
+def _count_pools(monkeypatch) -> list:
+    """Swap montecarlo's executor for a subclass that records each pool it
+    builds; returns the record."""
+    built = []
+
+    class CountingPool(montecarlo.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+    return built
+
+
+@pytest.mark.parametrize("experiment, kwargs", [
+    (regime_size_ordering, dict(n=6, t_grid=(5, 8), reps=200, seed=3)),
+    (aligned_x_coverage, dict(n=6, t=8, reps=200, seed=4)),
+])
+def test_experiment_shares_one_pool_with_unchanged_reports(
+        monkeypatch, experiment, kwargs):
+    built = _count_pools(monkeypatch)
+    calls = []
+
+    def recording_run_mc(config, workers=None):
+        report = run_mc(config, workers=workers)
+        calls.append((config, report))
+        return report
+
+    # the experiments call run_mc through the module name, as the
+    # benchmark's recorder relies on
+    monkeypatch.setattr(montecarlo, "run_mc", recording_run_mc)
+    experiment(workers=2, **kwargs)
+    assert built == [2]
+    assert len(calls) >= 2
+    for config, report in calls:
+        assert run_mc(config, workers=2).to_json() == report.to_json()
+    assert built == [2] * (1 + len(calls))
+
+
+def test_nested_pool_scopes_share_only_a_pool_of_the_same_size(monkeypatch):
+    built = _count_pools(monkeypatch)
+    with montecarlo._pool(2) as outer:
+        with montecarlo._pool(2) as inner:
+            assert inner is outer
+        with montecarlo._pool(1) as other:
+            assert other is not outer
+        with montecarlo._pool(2) as again:
+            assert again is outer
+    assert built == [2, 1]
+    with montecarlo._pool(2) as fresh:
+        assert fresh is not outer
+    assert built == [2, 1, 2]
+
+
+def test_worker_pool_error_names_cell_and_cause():
+    # spawned workers cannot re-import a main module read from stdin
+    script = (
+        "from panelcsd import CovConfig, DgpSpec, Diagonal, McConfig, run_mc\n"
+        "run_mc(McConfig(dgp=DgpSpec(cross_section=Diagonal(), "
+        "beta_true=(1.0,)), grid=((6, 5),), reps=200, "
+        "cov=CovConfig(method='cs')), workers=2)\n")
+    proc = subprocess.run([sys.executable, "-"], input=script, text=True,
+                          capture_output=True, env=child_env(), timeout=120)
+    assert proc.returncode != 0
+    assert "WorkerPoolError" in proc.stderr
+    assert "cell (n=6, t=5)" in proc.stderr
+    assert "__main__" in proc.stderr
+    assert "killed" in proc.stderr
+
+
+@pytest.mark.parametrize("workers", [0, -1, 1.5, True, "2"])
+def test_worker_count_must_be_a_positive_integer(monkeypatch, workers):
+    built = _count_pools(monkeypatch)
+    with pytest.raises(UsageError, match="workers must be an integer >= 1"):
+        run_mc(small_config(), workers=workers)
+    with pytest.raises(UsageError, match="workers"):
+        regime_size_ordering(workers=workers)
+    with pytest.raises(UsageError, match="workers"):
+        aligned_x_coverage(workers=workers)
+    assert built == []
+
+
+@pytest.mark.parametrize("env", ["abc", "0", "-2", "1.5"])
+def test_worker_count_env_var_must_be_a_positive_integer(monkeypatch, env):
+    built = _count_pools(monkeypatch)
+    monkeypatch.setenv(THREADS_ENV_VAR, env)
+    with pytest.raises(UsageError, match=THREADS_ENV_VAR):
+        run_mc(small_config())
+    with pytest.raises(UsageError, match=THREADS_ENV_VAR):
+        regime_size_ordering()
+    assert built == []
+
+
+def test_worker_count_sources_in_order(monkeypatch):
+    monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+    assert resolve_workers() == max(1, os.cpu_count() or 1)
+    monkeypatch.setenv(THREADS_ENV_VAR, "")
+    assert resolve_workers() == max(1, os.cpu_count() or 1)
+    monkeypatch.setenv(THREADS_ENV_VAR, "3")
+    assert resolve_workers() == 3
+    assert resolve_workers(np.int64(2)) == 2
+    with pytest.raises(UsageError, match="--threads"):
+        resolve_workers(0, "--threads")
+
+
+def test_config_estimator_must_be_an_estimator_kind():
+    with pytest.raises(UsageError, match="estimator"):
+        small_config(estimator="fe")
+    cfg = small_config(estimator=EstimatorKind.POOLED)
+    assert McConfig.from_dict(cfg.to_dict()) == cfg
