@@ -71,14 +71,18 @@ class Regime(enum.Enum):
 
 
 class CovMatrix:
-    """Symmetric covariance matrix with a cached eigensystem.
+    """Symmetric covariance matrix with cached spectral data.
 
     Construction validates symmetry to relative tolerance and stores the
-    exactly symmetrized matrix. The eigensystem is computed lazily on first
-    access; eigenvalues within ``EIG_CLIP_REL * lambda_max`` of zero are
-    clamped to zero, and anything below ``-PSD_RTOL * max(lambda_max, 0)``
-    raises :class:`NotPSD`, so a matrix with no positive eigenvalue is PSD
-    only when it is zero.
+    exactly symmetrized matrix. Two caches fill lazily and separately:
+    :attr:`eigenvalues` from an eigenvalues-only solve, which is all the
+    norms and the PSD check need, and the eigensystem (values and vectors
+    from one full solve) behind :attr:`eigenvectors`, :meth:`sqrt` and
+    :func:`factor_decompose`, so that every use of the vectors pairs them
+    with their own eigenvalues. Both pass the same check: eigenvalues within
+    ``EIG_CLIP_REL * lambda_max`` of zero are clamped to zero, and anything
+    below ``-PSD_RTOL * max(lambda_max, 0)`` raises :class:`NotPSD`, so a
+    matrix with no positive eigenvalue is PSD only when it is zero.
     """
 
     def __init__(self, values: np.ndarray, meta: dict | None = None):
@@ -95,11 +99,23 @@ class CovMatrix:
                 f"exceeds {SYMMETRY_RTOL:.0e} * max|A|")
         self.values = 0.5 * (a + a.T)
         self.meta = dict(meta or {})
+        self._evals: np.ndarray | None = None
         self._eig: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def n(self) -> int:
         return self.values.shape[0]
+
+    @staticmethod
+    def _checked(evals: np.ndarray) -> np.ndarray:
+        top = float(evals[-1])
+        if evals[0] < -PSD_RTOL * max(top, 0.0):
+            raise NotPSD(
+                f"minimum eigenvalue {evals[0]:.3e} below "
+                f"-{PSD_RTOL:.0e} * lambda_max")
+        if top > 0:
+            evals = np.where(np.abs(evals) <= EIG_CLIP_REL * top, 0.0, evals)
+        return evals
 
     def _eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         if self._eig is None:
@@ -107,20 +123,19 @@ class CovMatrix:
                 evals, evecs = np.linalg.eigh(self.values)
             except np.linalg.LinAlgError as exc:
                 raise EigenFailure(f"symmetric eigensolve failed: {exc}") from exc
-            top = float(evals[-1])
-            if evals[0] < -PSD_RTOL * max(top, 0.0):
-                raise NotPSD(
-                    f"minimum eigenvalue {evals[0]:.3e} below "
-                    f"-{PSD_RTOL:.0e} * lambda_max")
-            if top > 0:
-                evals = np.where(np.abs(evals) <= EIG_CLIP_REL * top, 0.0, evals)
-            self._eig = (evals, evecs)
+            self._eig = (self._checked(evals), evecs)
         return self._eig
 
     @property
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues in ascending order (small ones clamped to zero)."""
-        return self._eigensystem()[0]
+        if self._evals is None:
+            try:
+                evals = np.linalg.eigvalsh(self.values)
+            except np.linalg.LinAlgError as exc:
+                raise EigenFailure(f"symmetric eigensolve failed: {exc}") from exc
+            self._evals = self._checked(evals)
+        return self._evals
 
     @property
     def eigenvectors(self) -> np.ndarray:
@@ -130,8 +145,8 @@ class CovMatrix:
     def sqrt(self) -> np.ndarray:
         """Symmetric square root P diag(sqrt(l)) P' from the cached
         eigensystem, eigenvalues clipped at zero: a rank-deficient matrix,
-        whose small eigenvalues :attr:`eigenvalues` clamps to zero, gets a
-        root of the same rank."""
+        whose small eigenvalues the check clamps to zero, gets a root of the
+        same rank."""
         evals, evecs = self._eigensystem()
         return (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
 
@@ -274,7 +289,7 @@ def select_n_factors(omega: CovMatrix, m_max: int = EIGEN_RATIO_M_MAX) -> int:
     ratio reaches ``EIGEN_RATIO_MIN`` (no factor structure), otherwise the
     position of the largest ratio (ties resolve to the larger count).
     """
-    evals = omega.eigenvalues
+    evals = omega._eigensystem()[0]  # the eigenvalues factor_decompose uses
     n = len(evals)
     m_max = min(m_max, n - 1)
     if m_max < 1:
@@ -334,10 +349,9 @@ def factor_decompose(omega: CovMatrix, n_factors: int | str = "auto",
     if not isinstance(omega, CovMatrix):
         omega = CovMatrix(omega)
     try:
-        evals = omega.eigenvalues
+        evals, evecs = omega._eigensystem()
     except NotPSD as exc:
         raise RankDeficient(str(exc)) from exc
-    evecs = omega.eigenvectors
     n = omega.n
     top = float(evals[-1])
 

@@ -9,8 +9,11 @@ views with explicit index maps so downstream code never guesses.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import enum
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,12 +145,78 @@ def stack(panel: PanelData, ordering: Ordering) -> StackedView:
                        n_units=panel.n_units, n_periods=panel.n_periods)
 
 
-def _sort_labels(labels: set[str]) -> list[str]:
-    # Numeric sort when every label parses as a number, lexicographic otherwise.
+def _sort_labels(labels) -> list[str]:
+    # Numeric sort when every label parses as a finite number, lexicographic
+    # otherwise. A NaN key compares false both ways, so one NaN label would
+    # leave the order to set iteration, which follows the hash seed.
     try:
-        return sorted(labels, key=lambda s: (float(s), s))
+        keys = {s: float(s) for s in labels}
     except ValueError:
         return sorted(labels)
+    if not all(map(math.isfinite, keys.values())):
+        return sorted(labels)
+    return sorted(labels, key=lambda s: (keys[s], s))
+
+
+# Rows per block of the columnar parse. Large enough that the per-block numpy
+# calls cost little; small because a block's strings are what the parse
+# holds at once. On a 200k-row, six-column file the process peaked at 65 to
+# 75 MB with blocks, 185 MB parsing all rows at once, and 140 MB with the
+# row parser.
+_CHUNK_ROWS = 8192
+
+
+@contextlib.contextmanager
+def _csv_reader(path: str):
+    """csv.reader over a UTF-8 file. A leading byte-order mark is dropped; a
+    byte that does not decode is a ParseError on its line."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            yield csv.reader(fh)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"text is not UTF-8 ({exc.reason})",
+                         line=_undecodable_line(path)) from None
+
+
+def _undecodable_line(path: str) -> int | None:
+    # The decoder's offset counts from its read buffer, not the file start.
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return data.count(b"\n", 0, exc.start) + 1
+    return None
+
+
+def _read_header(reader, id_col: str, time_col: str, y_col: str,
+                 x_cols: list[str] | None) -> tuple[list[str], list[str]]:
+    """The stripped header and the regressor columns, checked."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("empty file", line=1) from None
+    header = [h.strip() for h in header]
+    for j, col in enumerate(header):
+        if col in header[:j]:
+            raise ParseError(f"header names column {col!r} twice", line=1)
+    for col in (id_col, time_col, y_col):
+        if col not in header:
+            raise ParseError(f"missing required column {col!r}", line=1)
+    if x_cols is None:
+        x_cols = [h for h in header if h not in (id_col, time_col, y_col)]
+    if not x_cols:
+        raise ParseError("no regressor columns found", line=1)
+    for j, col in enumerate(x_cols):
+        if col not in header:
+            raise ParseError(f"missing regressor column {col!r}", line=1)
+        if col in x_cols[:j]:
+            raise ParseError(f"regressor column {col!r} listed twice", line=1)
+        if col in (id_col, time_col, y_col):
+            raise ParseError(
+                f"regressor column {col!r} is the id, time or y column",
+                line=1)
+    return header, x_cols
 
 
 def load_csv(
@@ -159,51 +228,101 @@ def load_csv(
 ) -> PanelData:
     """Read a balanced panel from a long-format CSV file.
 
-    The file must have a header naming ``id_col``, ``time_col``, ``y_col``,
-    and the regressor columns. When ``x_cols`` is None every remaining column
-    is treated as a regressor, in header order; the panel's ``x_names`` record
-    the regressor columns used. Row order in the file is
-    irrelevant: cells are placed by their labels, units sorted by label and
-    periods sorted ascending (numerically when all period labels are numeric).
+    The file must be UTF-8 (a leading byte-order mark is allowed) and have a
+    header naming ``id_col``, ``time_col``, ``y_col``, and the regressor
+    columns. When ``x_cols`` is None every remaining column is treated as a
+    regressor, in header order; the panel's ``x_names`` record the regressor
+    columns used. Labels are stripped of surrounding whitespace and values
+    parse as ``float()`` parses them. Row order in the file is irrelevant:
+    cells are placed by their labels, units and periods each sorted
+    numerically when every label of the kind is a finite number, and
+    lexicographically otherwise. Blank lines are skipped.
+
+    The file is parsed column-wise in blocks of rows. Any irregularity (a
+    ragged or blank row, an empty label, a value that does not parse or is
+    not finite, a repeated or missing cell, no data rows) makes it read the
+    file again row by row, and that pass raises the error below or, for a
+    blank row, returns the panel; so errors and their lines do not depend
+    on the block boundaries.
 
     Raises
     ------
     ParseError
         A header naming a column twice, missing columns, a regressor listed
-        twice or naming the id, time or y column (line 1), or a value that
-        does not parse, with the file line.
+        twice or naming the id, time or y column (line 1), a value that
+        does not parse, or a byte that is not UTF-8, with the file line.
     DuplicateCell
         The same (unit, period) appears twice.
     UnbalancedPanel
         The (unit, period) grid has holes; the message lists up to five.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", line=1) from None
-        header = [h.strip() for h in header]
-        for j, col in enumerate(header):
-            if col in header[:j]:
-                raise ParseError(f"header names column {col!r} twice", line=1)
-        for col in (id_col, time_col, y_col):
-            if col not in header:
-                raise ParseError(f"missing required column {col!r}", line=1)
-        if x_cols is None:
-            x_cols = [h for h in header if h not in (id_col, time_col, y_col)]
-        if not x_cols:
-            raise ParseError("no regressor columns found", line=1)
-        for j, col in enumerate(x_cols):
-            if col not in header:
-                raise ParseError(f"missing regressor column {col!r}", line=1)
-            if col in x_cols[:j]:
-                raise ParseError(f"regressor column {col!r} listed twice",
-                                 line=1)
-            if col in (id_col, time_col, y_col):
-                raise ParseError(
-                    f"regressor column {col!r} is the id, time or y column",
-                    line=1)
+    with _csv_reader(path) as reader:
+        header, x_cols = _read_header(reader, id_col, time_col, y_col, x_cols)
+        pos = {h: j for j, h in enumerate(header)}
+        panel = _load_columns(reader, len(header), pos[id_col],
+                              pos[time_col], [pos[c] for c in (y_col, *x_cols)])
+    if panel is None:
+        return _load_csv_rows(path, id_col, time_col, y_col, x_cols)
+    y, x, units, periods = panel
+    return PanelData(y=y, x=x, unit_ids=tuple(units), time_ids=tuple(periods),
+                     x_names=tuple(x_cols))
+
+
+def _load_columns(reader, width: int, unit_col: int, period_col: int,
+                  value_cols: list[int]):
+    """(y, x, unit labels, period labels) of a file without irregular rows,
+    else None."""
+    seen = ({}, {})  # raw label -> first-seen code, for units and periods
+    coded = ([], [])
+    values = []
+    try:
+        while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
+            if any(len(rec) != width for rec in chunk):
+                return None
+            cols = list(zip(*chunk))
+            for j, codes, out in zip((unit_col, period_col), seen, coded):
+                for s in dict.fromkeys(cols[j]):
+                    codes.setdefault(s, len(codes))
+                out.append(np.fromiter(map(codes.__getitem__, cols[j]),
+                                       dtype=np.intp, count=len(chunk)))
+            values.append(np.array([np.fromiter(map(float, cols[j]),
+                                                dtype=float, count=len(chunk))
+                                    for j in value_cols]))
+    except (ValueError, csv.Error):  # incl. a byte that is not UTF-8
+        return None
+    if not values:
+        return None
+    values = np.concatenate(values, axis=1)
+    if not np.isfinite(values).all():
+        return None
+    axes = []
+    for codes, out in zip(seen, coded):
+        stripped = [s.strip() for s in codes]  # indexed by code
+        if not all(stripped):
+            return None
+        labels = _sort_labels(set(stripped))
+        rank = {s: i for i, s in enumerate(labels)}
+        ranks = np.array([rank[s] for s in stripped], dtype=np.intp)
+        axes.append((labels, ranks[np.concatenate(out)]))
+    (units, unit_rank), (periods, period_rank) = axes
+    n, t = len(units), len(periods)
+    cell = unit_rank * t + period_rank
+    # every cell exactly once: no duplicate and no hole
+    if not (np.bincount(cell, minlength=n * t) == 1).all():
+        return None
+    block = np.empty_like(values)
+    block[:, cell] = values
+    y = block[0].reshape(n, t)
+    x = np.ascontiguousarray(block[1:].T).reshape(n, t, len(value_cols) - 1)
+    return y, x, units, periods
+
+
+def _load_csv_rows(path: str, id_col: str, time_col: str, y_col: str,
+                   x_cols: list[str] | None) -> PanelData:
+    """Row-by-row parse of the same file: the one place that raises a data
+    error, so its message and line come from the first bad row."""
+    with _csv_reader(path) as reader:
+        header, x_cols = _read_header(reader, id_col, time_col, y_col, x_cols)
         pos = {h: j for j, h in enumerate(header)}
         rows: dict[tuple[str, str], tuple[float, list[float]]] = {}
         for lineno, rec in enumerate(reader, start=2):

@@ -125,6 +125,30 @@ def test_unbalanced_csv_exits_one(tmp_path, capsys):
     assert "2" in err
 
 
+def _cafe_csv(path, encoding):
+    text = ("id,time,y,x1\nbar,1,1.0,0.3\nbar,2,2.5,0.1\nbar,3,0.5,0.9\n"
+            "café,1,1.5,0.2\ncafé,2,3.0,0.7\ncafé,3,2.0,0.4\n")
+    path.write_bytes(text.encode(encoding))
+    return str(path)
+
+
+def test_utf8_labels_load_under_an_ascii_locale(tmp_path):
+    path = _cafe_csv(tmp_path / "cafe.csv", "utf-8")
+    env = {**child_env(), "LC_ALL": "C", "PYTHONUTF8": "0"}
+    proc = subprocess.run([sys.executable, "-m", "panelcsd", "estimate",
+                           "--data", path], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["n_units"] == 2
+
+
+def test_undecodable_csv_exits_one_with_line(tmp_path, capsys):
+    path = _cafe_csv(tmp_path / "cafe.csv", "latin-1")
+    code, out, err = run_cli(capsys, "estimate", "--data", path)
+    assert code == 1 and out == ""
+    assert err.startswith("error: line 5: text is not UTF-8")
+
+
 def test_empty_csv_exits_one_with_line(tmp_path, capsys):
     path = tmp_path / "empty.csv"
     path.write_text("")
@@ -257,6 +281,17 @@ def test_diagnose_matrix_dir_empty(tmp_path, capsys):
     code, _, err = run_cli(capsys, "diagnose", "--matrix-dir", str(d))
     assert code == 1
     assert "omega_" in err
+
+
+def test_diagnose_family_needs_no_eigenvectors(capsys, monkeypatch):
+    # build_omega's PSD check, norm_max_eig and classify read eigenvalues only
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    code, out, err = run_cli(capsys, "diagnose", "--family", "example11")
+    assert code == 0, err
+    assert json.loads(out)["regime"] == "strong"
 
 
 def test_diagnose_data_norms_only(panel_csv, capsys):

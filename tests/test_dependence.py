@@ -6,7 +6,8 @@ from panelcsd import (CovMatrix, Regime, all_norms, classify, factor_decompose,
                       fourth_moment_lower_bound, norm_euclid,
                       norm_euclid_scaled, norm_max_eig, norm_max_row_sum,
                       norm_taxicab_scaled, select_n_factors)
-from panelcsd.dgp import build_omega, family_from_string
+from panelcsd.config import EIG_CLIP_REL
+from panelcsd.dgp import EXAMPLE_PRESETS, Band, build_omega, family_from_string
 from panelcsd.errors import DegenerateFamily, NotPSD
 
 
@@ -63,6 +64,35 @@ def test_cov_matrix_eigensystem():
     assert_allclose(p.T @ p, np.eye(4), atol=1e-8)
     recon = p @ np.diag(omega.eigenvalues) @ p.T
     assert_allclose(recon, omega.values, atol=1e-8)
+
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_eigenvalues_only_solve_matches_the_eigensystem(n):
+    assert len(EXAMPLE_PRESETS) == 14
+    for name, family in EXAMPLE_PRESETS.items():
+        cov = build_omega(family, n)
+        full = cov._eigensystem()[0]
+        gap = np.abs(cov.eigenvalues - full).max()
+        assert gap <= 1e-12 * full[-1], (name, gap)
+
+
+def test_sqrt_is_the_symmetric_root_of_the_full_eigensolve():
+    for values in (build_omega(family_from_string("example7"), 60).values,
+                   np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])):
+        cov = CovMatrix(values)
+        cov.eigenvalues  # fills the eigenvalue cache first
+        w, v = np.linalg.eigh(cov.values)
+        w = np.where(np.abs(w) <= EIG_CLIP_REL * w[-1], 0.0, w)
+        want = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+        assert cov.sqrt().tobytes() == want.tobytes()
+
+
+def test_not_psd_message_of_a_wide_flat_band():
+    with pytest.raises(NotPSD) as err:
+        build_omega(Band(width=40, b=0.5), 100)
+    assert str(err.value) == (
+        "family 'band' at n=100 is not positive semidefinite: minimum "
+        "eigenvalue -4.833e+00 below -1e-08 * lambda_max")
 
 
 def test_cov_matrix_eigenvalue_clamp():

@@ -1,9 +1,17 @@
+import subprocess
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from conftest import child_env
 from panelcsd import Ordering, PanelData, load_csv, stack
-from panelcsd.errors import DuplicateCell, ParseError, UnbalancedPanel
+from panelcsd import panel as panel_module
+from panelcsd.errors import (DuplicateCell, PanelError, ParseError,
+                             UnbalancedPanel)
 
 
 def small_panel():
@@ -207,3 +215,192 @@ def test_load_csv_non_finite(tmp_path):
     with pytest.raises(ParseError) as err:
         load_csv(str(f))
     assert err.value.line == 2
+
+
+def test_load_csv_label_order_does_not_follow_the_hash_seed(tmp_path):
+    # 'nan' parses as a float but compares false with everything, so a
+    # numeric sort of these labels would follow set iteration order.
+    f = tmp_path / "p.csv"
+    periods = ["2002", "nan", "1999", "2001", "2000"]
+    _write(f, [["id", "time", "y", "x1"]]
+           + [[u, p, 1.0, float(j)] for u in "ab"
+              for j, p in enumerate(periods)])
+    script = ("import sys; from panelcsd import load_csv; "
+              "print(','.join(load_csv(sys.argv[1]).time_ids))")
+    orders = set()
+    for seed in ("3", "5"):
+        env = {**child_env(), "PYTHONHASHSEED": seed}
+        proc = subprocess.run([sys.executable, "-c", script, str(f)],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        orders.add(proc.stdout.strip())
+    assert orders == {"1999,2000,2001,2002,nan"}
+
+
+def test_load_csv_reads_utf8_with_byte_order_mark(tmp_path):
+    f = tmp_path / "p.csv"
+    f.write_bytes("\ufeffid,time,y,x1\ncafé,1,1.0,0.1\ncafé,2,2.0,0.2\n"
+                  "bar,1,3.0,0.3\nbar,2,4.0,0.4\n".encode("utf-8"))
+    panel = load_csv(str(f))
+    assert panel.unit_ids == ("bar", "café")
+    assert_allclose(panel.y, [[3.0, 4.0], [1.0, 2.0]])
+
+
+def test_load_csv_undecodable_byte_is_a_parse_error_on_its_line(tmp_path):
+    f = tmp_path / "p.csv"
+    f.write_bytes("id,time,y,x1\nbar,1,1.0,0.1\ncafé,1,2.0,0.2\n"
+                  "bar,2,3.0,0.3\ncafé,2,4.0,0.4\n".encode("latin-1"))
+    with pytest.raises(ParseError) as err:
+        load_csv(str(f))
+    assert err.value.line == 3
+    assert str(err.value).startswith("line 3: text is not UTF-8")
+
+
+# --- the columnar parse against the row-by-row parse ----------------------
+
+LABEL_CHARS = "abcxyz0123456789._-"
+SPECIAL_LABELS = ("nan", "inf", "-0", "1e3", "1_0", "01")
+CORRUPTIONS = ("duplicate", "hole", "bad_number", "non_finite", "short_row",
+               "empty_label", "empty_unit")
+
+
+def _outcome(load, path):
+    """The panel's bytes and labels, or the error's class and message."""
+    try:
+        p = load(path)
+    except PanelError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return (p.y.tobytes(), p.x.tobytes(), p.x.shape, p.x.flags.c_contiguous,
+            p.unit_ids, p.time_ids, p.x_names)
+
+
+def _rows_load(path):
+    return panel_module._load_csv_rows(path, "id", "time", "y", None)
+
+
+@st.composite
+def _labels(draw, size):
+    if draw(st.booleans()):
+        ints = draw(st.lists(st.integers(-20, 3000), min_size=size,
+                             max_size=size, unique=True))
+        return [str(v) for v in ints]
+    text = st.one_of(st.text(LABEL_CHARS, min_size=1, max_size=4),
+                     st.sampled_from(SPECIAL_LABELS))
+    return draw(st.lists(text, min_size=size, max_size=size, unique=True))
+
+
+@st.composite
+def _panel_lines(draw):
+    """A valid long-format file as a header and rows of fields, each row
+    once per cell in any order, with any column order and padding."""
+    n, t, k = (draw(st.integers(2, 5)), draw(st.integers(2, 5)),
+               draw(st.integers(1, 3)))
+    units, periods = draw(_labels(n)), draw(_labels(t))
+    header = draw(st.permutations(["id", "time", "y"]
+                                  + [f"x{j + 1}" for j in range(k)]))
+    pad = st.sampled_from(["", " ", "  "])
+    value = st.floats(allow_nan=False, allow_infinity=False)
+    rows = []
+    for u in units:
+        for p in periods:
+            cells = {"id": draw(pad) + u + draw(pad),
+                     "time": draw(pad) + p + draw(pad)}
+            for col in header:
+                if col not in cells:
+                    cells[col] = draw(pad) + repr(draw(value)) + draw(pad)
+            rows.append([cells[col] for col in header])
+    return header, draw(st.permutations(rows))
+
+
+def _write_lines(path, header, rows, blanks=()):
+    lines = [",".join(header)] + [",".join(r) for r in rows]
+    for at, blank in sorted(blanks, reverse=True):
+        lines.insert(min(at, len(lines)), blank)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_panel_lines(), st.integers(1, 8),
+       st.lists(st.tuples(st.integers(1, 40), st.sampled_from(["", "  "])),
+                max_size=3))
+def test_columnar_load_equals_row_parse(tmp_path_factory, lines, chunk,
+                                        blanks):
+    header, rows = lines
+    f = tmp_path_factory.mktemp("prop") / "p.csv"
+    _write_lines(f, header, rows, blanks)
+    reference = _outcome(_rows_load, str(f))
+    assert not isinstance(reference[0], type)  # a valid file
+    with mock.patch.object(panel_module, "_CHUNK_ROWS", chunk), \
+            mock.patch.object(panel_module, "_load_csv_rows",
+                              wraps=panel_module._load_csv_rows) as replay:
+        assert _outcome(load_csv, str(f)) == reference
+    # a blank line is the one irregularity of a valid file
+    assert replay.called == bool(blanks)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_panel_lines(), st.integers(1, 8), st.sampled_from(CORRUPTIONS),
+       st.data())
+def test_columnar_load_replays_errors_of_row_parse(tmp_path_factory, lines,
+                                                   chunk, corruption, data):
+    header, rows = lines
+    rows = [list(r) for r in rows]
+    at = data.draw(st.integers(0, len(rows) - 1))
+    value_col = data.draw(st.sampled_from(range(len(header)))
+                          .filter(lambda j: header[j] not in ("id", "time")))
+    if corruption == "duplicate":  # lands in a later chunk than the original
+        rows.append(rows[at][:])
+    elif corruption == "hole":
+        del rows[at]
+    elif corruption == "bad_number":
+        rows[at][value_col] = data.draw(st.sampled_from(["oops", "1.2.3", ""]))
+    elif corruption == "non_finite":
+        rows[at][value_col] = data.draw(st.sampled_from(["inf", "-inf", "nan"]))
+    elif corruption == "short_row":
+        rows[at].pop()
+    elif corruption == "empty_label":
+        label_col = header.index(data.draw(st.sampled_from(["id", "time"])))
+        rows[at][label_col] = data.draw(st.sampled_from(["", "  "]))
+    else:  # a whole unit unlabelled: the grid itself stays balanced
+        unit_col = header.index("id")
+        unit = rows[at][unit_col].strip()
+        for row in rows:
+            if row[unit_col].strip() == unit:
+                row[unit_col] = ""
+    f = tmp_path_factory.mktemp("prop") / "p.csv"
+    _write_lines(f, header, rows)
+    reference = _outcome(_rows_load, str(f))
+    assert isinstance(reference[0], type)  # every corruption is an error
+    with mock.patch.object(panel_module, "_CHUNK_ROWS", chunk):
+        assert _outcome(load_csv, str(f)) == reference
+
+
+def test_columnar_load_across_chunks_at_the_real_block_size(tmp_path):
+    n, t = 90, 100  # 9,000 rows: more than one block
+    assert n * t > panel_module._CHUNK_ROWS
+    rng = np.random.default_rng(5)
+    y, x = rng.standard_normal((n, t)), rng.standard_normal((n, t, 2))
+    yl, xl = y.tolist(), x.tolist()
+    rows = [[f"u{i}", str(1900 + s), *map(repr, [yl[i][s], *xl[i][s]])]
+            for i in range(n) for s in range(t)]
+    order = rng.permutation(len(rows))
+    f = tmp_path / "p.csv"
+    _write_lines(f, ["id", "time", "y", "x1", "x2"], [rows[j] for j in order])
+    with mock.patch.object(panel_module, "_load_csv_rows",
+                           wraps=panel_module._load_csv_rows) as replay:
+        panel = load_csv(str(f))
+    assert not replay.called
+    assert _outcome(lambda _: panel, None) == _outcome(_rows_load, str(f))
+    units = sorted(f"u{i}" for i in range(n))
+    rank = [int(u[1:]) for u in units]
+    assert panel.y.tobytes() == y[rank].tobytes()
+    assert panel.x.tobytes() == x[rank].tobytes()
+
+    # a duplicate of a first-block row, in the last block
+    _write_lines(f, ["id", "time", "y", "x1", "x2"],
+                 [rows[j] for j in order] + [rows[order[0]]])
+    with pytest.raises(DuplicateCell) as err:
+        load_csv(str(f))
+    u, p = rows[order[0]][:2]
+    assert str(err.value) == f"duplicate cell (id={u!r}, time={p!r})"
