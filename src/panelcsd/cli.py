@@ -40,7 +40,7 @@ from .dependence import (
 from .dgp import build_omega, family_from_string
 from .errors import NumericalError, UsageError, WorkerPoolError
 from .estimators import EstimatorKind, fit
-from .inference import chi2_sf, parse_restrictions, wald
+from .inference import _negligible, chi2_sf, parse_restrictions, wald
 from .montecarlo import McConfig, McReport, run_mc, write_atomic
 from .panel import load_csv
 
@@ -166,11 +166,13 @@ def _estimate_payload(args):
     x_cols = panel.x_names
     result = fit(panel, EstimatorKind(args.model))
     rc = _compute_cov_cli(result, cov)
-    se = np.sqrt(np.clip(np.diag(rc.matrix), 0.0, None))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tstats = np.where(se > 0, result.beta_hat / se, np.inf)
-    pvals = [chi2_sf(float(ts * ts), 1) if np.isfinite(ts) else 0.0
-             for ts in tstats]
+    var = np.clip(np.diag(rc.matrix), 0.0, None)
+    se = np.sqrt(var)
+    # no t-statistic (null) where the variance is numerically zero
+    zero = _negligible(var, np.linalg.eigvalsh(rc.matrix)[-1])
+    tstats = [None if z else float(b / s)
+              for b, s, z in zip(result.beta_hat, se, zero)]
+    pvals = [None if ts is None else chi2_sf(ts * ts, 1) for ts in tstats]
     payload = {
         "schema_version": SCHEMA_VERSION,
         "model": args.model,
@@ -179,8 +181,8 @@ def _estimate_payload(args):
         "regressors": list(x_cols),
         "beta": {c: float(b) for c, b in zip(x_cols, result.beta_hat)},
         "se": {c: float(s) for c, s in zip(x_cols, se)},
-        "t_stats": {c: float(t) for c, t in zip(x_cols, tstats)},
-        "p_values": {c: float(p) for c, p in zip(x_cols, pvals)},
+        "t_stats": dict(zip(x_cols, tstats)),
+        "p_values": dict(zip(x_cols, pvals)),
         "cov": rc.metadata(),
         "condition_number": result.condition_number,
         "condition_warning": result.condition_warning,

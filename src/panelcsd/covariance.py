@@ -25,9 +25,10 @@ checked, blockwise from the lag structure of the errors, never materializing
 the (n*t) x (n*t) covariance. When the lag-j error block is rho_j B, all lag
 terms together are sum_t x_t' B z_t with the weighted leads
 z_t = sum_{j>=1} rho_j x_{t+j}: one sandwich whatever the memory length.
-Geometric memory, rho_j = d^j, builds z in one backward pass,
-z_{T-1} = 0 and z_s = d (x_{s+1} + z_{s+1}), so every lag up to T-1 is
-summed exactly.
+Geometric memory, rho_j = d^j, builds z from one backward first-order
+recursion, z_{T-1} = 0 and z_s = d (x_{s+1} + z_{s+1}), so every lag up to
+T-1 is summed exactly. The recursion runs in blocks of periods as matrix
+products (``dgp._ar1``), not as a loop over periods.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .config import (PSD_REPAIR_REL, auto_truncation, declared_lag,
                      field_dict, from_fields)
 from .errors import SingularCov, SpecMismatch, TruncTooLarge, UsageError
 from .dependence import CovMatrix
-from .dgp import TimeDependenceSpec
+from .dgp import TimeDependenceSpec, _ar1
 from .estimators import EstimatorKind, FitResult, demean, gram_inverse
 from .panel import PanelData
 
@@ -164,9 +165,9 @@ def _check_periods(result: FitResult) -> None:
 
 
 def _scores(result: FitResult) -> np.ndarray:
-    # u_t = G^{-1} x_t' e_t stacked as (T, k).
-    return (np.einsum("ntk,nt->tk", result.demeaned_x, result.residuals)
-            @ result.gram_inv.T)
+    # u_t = G^{-1} x_t' e_t stacked as (T, k), read off the k-major design.
+    xk = result.demeaned_x.transpose(2, 0, 1)
+    return np.einsum("knt,nt->tk", xk, result.residuals) @ result.gram_inv.T
 
 
 def _repair_psd(v: np.ndarray) -> tuple[np.ndarray, bool, float]:
@@ -257,25 +258,31 @@ def cov_kernel(result: FitResult, kernel: str = "bartlett",
 
 
 def _sandwich(a: np.ndarray, base: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # sum_t a_t' B b_t over (n, t, k) arrays as two matrix products, with
-    # nothing bigger than (n, t, k) formed.
-    n, t, k = b.shape
-    bb = base @ b.reshape(n, t * k)
-    return a.reshape(n * t, k).T @ bb.reshape(n * t, k)
+    # sum_t a_t' B b_t for (n, t, k) arrays read k-major, as k products
+    # B b^(l) and one (k, n*t) x (n*t, k) product: free reshapes for the
+    # k-major views fit returns, nothing bigger than the design formed.
+    ak = a.transpose(2, 0, 1)
+    k = ak.shape[0]
+    bb = base @ b.transpose(2, 0, 1)
+    return ak.reshape(k, -1) @ bb.reshape(k, -1).T
 
 
 def _weighted_leads(x_dm: np.ndarray, spec: TimeDependenceSpec) -> np.ndarray:
-    # z_t = sum_{j>=1} rho_j x_{t+j}: MA(q) adds q shifted copies, the
-    # summable form runs the backward pass z_s = d (x_{s+1} + z_{s+1}).
-    t = x_dm.shape[1]
-    z = np.zeros_like(x_dm)
+    # z_t = sum_{j>=1} rho_j x_{t+j}, built k-major and returned as an
+    # (n, t, k) view. MA(q) adds q shifted copies; the summable form is
+    # z_s = d w_{s+1} with w_s = x_s + d w_{s+1}, the first-order
+    # recursion run backward in time.
+    xk = x_dm.transpose(2, 0, 1)
+    t = xk.shape[2]
+    z = np.zeros(xk.shape)
     if spec.form == "ma":
         for j in range(1, spec.max_lag(t) + 1):
-            z[:, :t - j] += spec.autocorr(j) * x_dm[:, j:]
+            z[..., :t - j] += spec.autocorr(j) * xk[..., j:]
     elif spec.form == "summable":
-        for s in range(t - 2, -1, -1):
-            z[:, s] = spec.decay * (x_dm[:, s + 1] + z[:, s + 1])
-    return z
+        d = spec.decay
+        w = _ar1(np.ascontiguousarray(xk[..., ::-1]), d)[..., ::-1]
+        z[..., :-1] = d * w[..., 1:]
+    return z.transpose(1, 2, 0)
 
 
 def _exact_variance(x_dm: np.ndarray, gram_inv: np.ndarray,

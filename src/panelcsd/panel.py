@@ -30,6 +30,32 @@ class Ordering(enum.Enum):
     BY_TIME = "by_time"  # row = period * n_units + unit
 
 
+class _Labels:
+    """A label field of :class:`PanelData`. Labels passed in are kept as a
+    tuple; the default, ``<prefix>0001, <prefix>0002, ...`` along ``axis``
+    of y, is formatted when first read, since simulated panels seldom read
+    theirs."""
+
+    def __init__(self, prefix: str, axis: int):
+        self.prefix, self.axis = prefix, axis
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:  # the dataclass field default
+            return ()
+        labels = obj.__dict__[self.slot]
+        if labels is None:
+            labels = tuple(f"{self.prefix}{i + 1:04d}"
+                           for i in range(obj.y.shape[self.axis]))
+            obj.__dict__[self.slot] = labels
+        return labels
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.slot] = tuple(value) or None
+
+
 def _check_ids(labels: tuple[str, ...], what: str) -> None:
     if len(set(labels)) != len(labels):
         raise ValueError(f"{what} labels are not unique")
@@ -47,15 +73,15 @@ class PanelData:
         Regressors, finite everywhere.
     unit_ids, time_ids : tuple of str
         Row/column labels. Generated as ``u0001, ...`` / ``t0001, ...``
-        when omitted.
+        when omitted, on first read.
     x_names : tuple of str
         Regressor labels. Generated as ``x1, ..., xk`` when omitted.
     """
 
     y: np.ndarray
     x: np.ndarray
-    unit_ids: tuple[str, ...] = field(default=())
-    time_ids: tuple[str, ...] = field(default=())
+    unit_ids: tuple[str, ...] = _Labels("u", 0)
+    time_ids: tuple[str, ...] = _Labels("t", 1)
     x_names: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
@@ -74,14 +100,14 @@ class PanelData:
             raise ValueError("panel contains non-finite values")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x", x)
-        unit_ids = self.unit_ids or tuple(f"u{i + 1:04d}" for i in range(n))
-        time_ids = self.time_ids or tuple(f"t{s + 1:04d}" for s in range(t))
-        if len(unit_ids) != n or len(time_ids) != t:
+        # labels passed in; None where the default is formatted on first read
+        units, times = self.__dict__["_unit_ids"], self.__dict__["_time_ids"]
+        if ((units is not None and len(units) != n)
+                or (times is not None and len(times) != t)):
             raise ValueError("id label counts do not match panel shape")
-        _check_ids(unit_ids, "unit")
-        _check_ids(time_ids, "time")
-        object.__setattr__(self, "unit_ids", tuple(unit_ids))
-        object.__setattr__(self, "time_ids", tuple(time_ids))
+        for labels, what in ((units, "unit"), (times, "time")):
+            if labels is not None:
+                _check_ids(labels, what)
         x_names = self.x_names or tuple(f"x{j + 1}" for j in range(x.shape[2]))
         if len(x_names) != x.shape[2]:
             raise ValueError("regressor name count does not match panel shape")
@@ -169,13 +195,18 @@ _CHUNK_ROWS = 8192
 @contextlib.contextmanager
 def _csv_reader(path: str):
     """csv.reader over a UTF-8 file. A leading byte-order mark is dropped; a
-    byte that does not decode is a ParseError on its line."""
+    byte that does not decode, or a record the csv module refuses (such as
+    a field over its size limit), is a ParseError on its line."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            yield csv.reader(fh)
+            reader = csv.reader(fh)
+            yield reader
     except UnicodeDecodeError as exc:
         raise ParseError(f"text is not UTF-8 ({exc.reason})",
                          line=_undecodable_line(path)) from None
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV record ({exc})",
+                         line=reader.line_num) from None
 
 
 def _undecodable_line(path: str) -> int | None:
@@ -250,7 +281,8 @@ def load_csv(
     ParseError
         A header naming a column twice, missing columns, a regressor listed
         twice or naming the id, time or y column (line 1), a value that
-        does not parse, or a byte that is not UTF-8, with the file line.
+        does not parse, a record the csv module refuses, or a byte that is
+        not UTF-8, with the file line.
     DuplicateCell
         The same (unit, period) appears twice.
     UnbalancedPanel

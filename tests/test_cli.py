@@ -177,6 +177,57 @@ def test_bad_regressor_list_exits_one_with_line(panel_csv, capsys, x_cols,
     assert "line 1" in err and problem in err
 
 
+def test_overlong_csv_field_exits_one_with_line(tmp_path, capsys):
+    path = tmp_path / "long.csv"
+    path.write_text("id,time,y,x1\na,1," + "1" * 200_000 + ",0.1\n")
+    code, out, err = run_cli(capsys, "estimate", "--data", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: line 2: malformed CSV record")
+    assert "Traceback" not in err
+
+
+def _flat_csv(path):
+    # y constant within each unit: every fixed-effect residual is zero
+    path.write_text("id,time,y,x1\na,1,1.0,0.1\na,2,1.0,0.5\na,3,1.0,0.2\n"
+                    "b,1,2.0,0.3\nb,2,2.0,0.9\nb,3,2.0,0.4\n")
+    return str(path)
+
+
+def test_zero_standard_error_gives_null_t_statistic(tmp_path, capsys):
+    path = _flat_csv(tmp_path / "flat.csv")
+    code, out, err = run_cli(capsys, "estimate", "--data", path)
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["se"] == {"x1": 0.0}
+    assert payload["t_stats"] == {"x1": None}
+    assert payload["p_values"] == {"x1": None}
+    code, out, err = run_cli(capsys, "estimate", "--data", path,
+                             "--format", "table")
+    assert code == 0, err
+    assert out.splitlines()[-1].split() == ["x1", "0", "0", "-", "-"]
+
+
+def test_standard_error_floor_is_relative_to_the_covariance(panel_csv,
+                                                            tmp_path,
+                                                            capsys):
+    # rescaling y rescales every se: the t-statistics do not move, however
+    # small the numbers get
+    code, out, _ = run_cli(capsys, "estimate", "--data", panel_csv)
+    base = json.loads(out)["t_stats"]
+    with open(panel_csv) as fh:
+        rows = list(csv.reader(fh))
+    scaled = tmp_path / "scaled.csv"
+    with open(scaled, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(rows[0])
+        for r in rows[1:]:
+            w.writerow(r[:2] + [repr(float(r[2]) * 1e-150)] + r[3:])
+    code, out, _ = run_cli(capsys, "estimate", "--data", str(scaled))
+    assert code == 0
+    for c, t in json.loads(out)["t_stats"].items():
+        assert t == pytest.approx(base[c], rel=1e-9)
+
+
 def test_missing_file_exits_one(capsys):
     code, _, err = run_cli(capsys, "estimate", "--data", "/nonexistent.csv")
     assert code == 1

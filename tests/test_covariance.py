@@ -12,7 +12,8 @@ from panelcsd import (CovMatrix, CovMethod, EstimatorKind, FitResult,
 from panelcsd.config import auto_truncation, declared_lag
 from panelcsd.errors import (SingularCov, SingularRestrictedCov,
                              SpecMismatch, TruncTooLarge, UsageError)
-from panelcsd.dgp import DgpSpec, Factor, gen_panel
+from panelcsd.covariance import _weighted_leads
+from panelcsd.dgp import _AR_BLOCK, DgpSpec, Factor, gen_panel
 
 
 def random_panel(n, t, k, seed, noise=1.0):
@@ -449,3 +450,29 @@ def test_dominant_factor_term_in_normalized_limit():
                                       loadings=lam)
     rel = abs(full[0, 0] - factor_only[0, 0]) / full[0, 0]
     assert rel < 0.10
+
+
+# --- the blocked backward pass of the weighted leads -----------------------
+
+def weighted_leads_loop(x_dm, decay):
+    # z_{T-1} = 0, z_s = d (x_{s+1} + z_{s+1}) as a loop over periods
+    t = x_dm.shape[1]
+    z = np.zeros_like(x_dm)
+    for s in range(t - 2, -1, -1):
+        z[:, s] = decay * (x_dm[:, s + 1] + z[:, s + 1])
+    return z
+
+
+@pytest.mark.parametrize("t", [_AR_BLOCK // 2 + 3, _AR_BLOCK, 2 * _AR_BLOCK,
+                               2 * _AR_BLOCK + 1])
+def test_blocked_weighted_leads_match_the_period_loop(t):
+    spec = TimeDependenceSpec.idio_summable(0.99)
+    panel = random_panel(6, t, 2, seed=t)
+    res = fit(panel)
+    want = weighted_leads_loop(np.ascontiguousarray(res.demeaned_x), 0.99)
+    scale = np.abs(want).max()
+    # the k-major view fit returns, and a plain (n, t, k) array
+    for x_dm in (res.demeaned_x, np.ascontiguousarray(res.demeaned_x)):
+        got = _weighted_leads(x_dm, spec)
+        assert got.shape == x_dm.shape
+        assert_allclose(got, want, rtol=0, atol=1e-12 * scale)

@@ -392,3 +392,33 @@ def test_block_family_validation():
         Block(size=4, n_blocks=2, b=0.5)
     with pytest.raises(UsageError):
         Block(b=0.5)
+
+
+# --- the blocked first-order recursion against the period loop ------------
+
+BLOCK = dgp._AR_BLOCK
+# shorter than one block, exact multiples of it, and one past a multiple
+AR_LENGTHS = [BLOCK // 2 + 3, BLOCK, 2 * BLOCK, 2 * BLOCK + 1]
+
+
+def filter_series_loop(z, phi):
+    # the summable form as a loop over periods
+    out = np.empty_like(z)
+    out[..., 0] = z[..., 0]
+    scale = np.sqrt(1.0 - phi * phi)
+    for s in range(1, z.shape[-1]):
+        out[..., s] = phi * out[..., s - 1] + scale * z[..., s]
+    return out
+
+
+@pytest.mark.parametrize("t", AR_LENGTHS)
+def test_blocked_filter_series_matches_the_period_loop(t):
+    z = np.random.default_rng(t).standard_normal((7, t))
+    spec = TimeDependenceSpec.idio_summable(0.99)
+    got = dgp._filter_series(z, spec, t)
+    want = filter_series_loop(z, 0.99)
+    assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    # a 3-d block of innovation rows filters row by row
+    z3 = z.reshape(7, 1, t)
+    assert_allclose(dgp._filter_series(z3, spec, t)[:, 0], got, rtol=0,
+                    atol=1e-15 * np.abs(want).max())

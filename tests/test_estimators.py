@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -227,3 +229,114 @@ def test_gauss_markov_match():
     target_sd = sigma * np.sqrt(res.gram_inv[0, 0])
     mc_sd = dev.std(ddof=1)
     assert abs(mc_sd - target_sd) / target_sd < 0.05
+
+
+# --- the checked-Gram solve against an SVD least-squares reference ---------
+
+def near_collinear_panel(n, t, k, seed, gap):
+    # k random regressors; with k >= 2 and a gap, the last is the first plus
+    # gap-scaled noise, which sets the Gram condition number near 4 / gap^2
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, t, k))
+    if k >= 2 and gap is not None:
+        x[:, :, -1] = x[:, :, 0] + gap * rng.standard_normal((n, t))
+    y = rng.standard_normal(n)[:, None] + x @ np.linspace(1.0, -1.0, k) \
+        + rng.standard_normal((n, t))
+    return PanelData(y=y, x=x)
+
+
+def lstsq_reference(panel, kind):
+    axes = 1 if kind is EstimatorKind.FIXED_EFFECT else (0, 1)
+    x_dm = panel.x - panel.x.mean(axis=axes, keepdims=True)
+    y_dm = panel.y - panel.y.mean(axis=axes, keepdims=True)
+    n, t, k = x_dm.shape
+    beta = np.linalg.lstsq(x_dm.reshape(n * t, k), y_dm.ravel(),
+                           rcond=None)[0]
+    return beta, x_dm, y_dm - x_dm @ beta
+
+
+@pytest.mark.parametrize("kind", list(EstimatorKind))
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_fit_matches_lstsq_reference(kind, k):
+    # below COND_WARN, fit solves with the checked Gram inverse and two
+    # residual corrections; it must agree with an SVD solve to 1e-12
+    for seed in range(5):
+        panel = near_collinear_panel(7, 9, k, seed, None)
+        res = fit(panel, kind)
+        beta, x_dm, resid = lstsq_reference(panel, kind)
+        assert_allclose(res.beta_hat, beta, rtol=1e-12,
+                        atol=1e-12 * np.abs(beta).max())
+        assert_allclose(res.residuals, resid, rtol=0,
+                        atol=1e-12 * np.abs(resid).max())
+        assert res.demeaned_x.shape == panel.x.shape
+        assert_allclose(res.demeaned_x, x_dm, rtol=0, atol=1e-14)
+        recon = sum(b @ res.demeaned_y[:, s]
+                    for s, b in enumerate(weight_blocks(res).blocks))
+        assert_allclose(recon, res.beta_hat, rtol=1e-12)
+
+
+@pytest.mark.parametrize("kind", list(EstimatorKind))
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("gap", [1e-2, 3e-4])
+def test_fit_near_collinear_matches_lstsq_to_its_conditioning(kind, k, gap):
+    # cond(G) from about 5e4 to 6e7, still under COND_WARN: on the same
+    # demeaned data both solves sit within about eps * cond(G) of the exact
+    # solution (checked against 60-digit arithmetic), so that is the bound
+    for seed in range(5):
+        panel = near_collinear_panel(7, 9, k, seed, gap)
+        res = fit(panel, kind)
+        assert not res.condition_warning
+        xf = np.ascontiguousarray(res.demeaned_x).reshape(-1, k)
+        beta = np.linalg.lstsq(xf, res.demeaned_y.ravel(), rcond=None)[0]
+        tol = np.finfo(float).eps * res.condition_number
+        assert_allclose(res.beta_hat, beta, rtol=0,
+                        atol=tol * np.abs(beta).max())
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_fit_leaves_the_panel_unchanged(k):
+    # the k-major working copy is a copy even where the transpose of a
+    # k = 1 design is already contiguous
+    panel = near_collinear_panel(4, 5, k, 2, None)
+    x0, y0 = panel.x.copy(), panel.y.copy()
+    for kind in EstimatorKind:
+        fit(panel, kind)
+        within_demean(panel)
+        grand_demean(panel)
+    assert np.array_equal(panel.x, x0) and np.array_equal(panel.y, y0)
+
+
+def test_ill_conditioned_design_warns_and_takes_lstsq(monkeypatch):
+    # cond(G) between COND_WARN and COND_FAIL: a warning, and the SVD solve
+    calls = []
+    real = np.linalg.lstsq
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    panel = near_collinear_panel(6, 8, 2, 4, 1e-5)
+    with pytest.warns(ConditionWarning, match="exceeds 1e\\+08"):
+        res = fit(panel, EstimatorKind.FIXED_EFFECT)
+    assert 1e8 < res.condition_number < 1e12 and res.condition_warning
+    assert len(calls) == 1
+    xf = np.ascontiguousarray(res.demeaned_x).reshape(-1, 2)
+    beta = real(xf, res.demeaned_y.ravel(), rcond=None)[0]
+    assert_allclose(res.beta_hat, beta, rtol=1e-12)
+    # a well-conditioned design does not call it
+    fit(near_collinear_panel(6, 8, 2, 4, None), EstimatorKind.FIXED_EFFECT)
+    assert len(calls) == 1
+
+
+def test_singular_designs_raise_the_same_messages():
+    rng = np.random.default_rng(9)
+    x = np.repeat(rng.standard_normal((4, 1, 1)), 5, axis=1)
+    with pytest.raises(SingularGram) as err:
+        fit(PanelData(y=rng.standard_normal((4, 5)), x=x))
+    assert str(err.value) == ("demeaned design is rank deficient; "
+                              "a regressor may be constant after demeaning")
+    with pytest.raises(SingularGram) as err:
+        fit(near_collinear_panel(6, 8, 2, 4, 1e-6))
+    assert re.fullmatch(r"demeaned design condition number \d\.\d{3}e\+12 "
+                        r">= 1e\+12", str(err.value))

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import subprocess
 import sys
 from unittest import mock
@@ -88,6 +90,37 @@ def test_default_labels():
     assert panel.unit_ids == ("u0001", "u0002")
     assert panel.time_ids == ("t0001", "t0002")
     assert panel.x_names == ("x1", "x2")
+
+
+def test_default_labels_are_formatted_on_first_read():
+    y, x = np.zeros((3, 12)), np.ones((3, 12, 1))
+    panel = PanelData(y=y, x=x)
+    assert vars(panel)["_unit_ids"] is None  # nothing formatted yet
+    assert panel.unit_ids == ("u0001", "u0002", "u0003")
+    assert panel.time_ids == tuple(f"t{s:04d}" for s in range(1, 13))
+    assert panel.unit_ids is panel.unit_ids  # formatted once
+    # equal to, and printed like, the same labels passed in
+    explicit = PanelData(y=y, x=x, unit_ids=panel.unit_ids,
+                         time_ids=panel.time_ids)
+    assert PanelData(y=y, x=x) == explicit
+    assert repr(PanelData(y=y, x=x)) == repr(explicit)
+    assert PanelData(y=y, x=x) != PanelData(y=y, x=x,
+                                            unit_ids=("a", "b", "c"))
+    assert pickle.loads(pickle.dumps(PanelData(y=y, x=x))).time_ids[-1] \
+        == "t0012"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        panel.unit_ids = ("a", "b", "c")
+
+
+def test_passed_labels_are_checked_at_construction():
+    y, x = np.zeros((2, 3)), np.zeros((2, 3, 1))
+    with pytest.raises(ValueError, match="time labels are not unique"):
+        PanelData(y=y, x=x, time_ids=("1", "2", "1"))
+    with pytest.raises(ValueError, match="unit labels are not unique"):
+        PanelData(y=y, x=x, unit_ids=("a", "a"))
+    with pytest.raises(ValueError, match="id label counts"):
+        PanelData(y=y, x=x, time_ids=("1", "2"))
+    assert PanelData(y=y, x=x, unit_ids=["a", "b"]).unit_ids == ("a", "b")
 
 
 def _write(path, rows):
@@ -255,6 +288,17 @@ def test_load_csv_undecodable_byte_is_a_parse_error_on_its_line(tmp_path):
         load_csv(str(f))
     assert err.value.line == 3
     assert str(err.value).startswith("line 3: text is not UTF-8")
+
+
+def test_load_csv_field_over_the_csv_limit_is_a_parse_error(tmp_path):
+    f = tmp_path / "p.csv"
+    f.write_text("id,time,y,x1\na,1,1.0,0.1\na,2," + "1" * 200_000
+                 + ",0.2\n")
+    with pytest.raises(ParseError) as err:
+        load_csv(str(f))
+    assert err.value.line == 3
+    assert str(err.value).startswith("line 3: malformed CSV record (field "
+                                     "larger than field limit")
 
 
 # --- the columnar parse against the row-by-row parse ----------------------
