@@ -40,7 +40,7 @@ from .dependence import (
 from .dgp import build_omega, family_from_string
 from .errors import NumericalError, UsageError, WorkerPoolError
 from .estimators import EstimatorKind, fit
-from .inference import _negligible, chi2_sf, parse_restrictions, wald
+from .inference import chi2_sf, parse_restrictions, wald
 from .montecarlo import McConfig, McReport, run_mc, write_atomic
 from .panel import load_csv
 
@@ -166,12 +166,12 @@ def _estimate_payload(args):
     x_cols = panel.x_names
     result = fit(panel, EstimatorKind(args.model))
     rc = _compute_cov_cli(result, cov)
-    var = np.clip(np.diag(rc.matrix), 0.0, None)
-    se = np.sqrt(var)
-    # no t-statistic (null) where the variance is numerically zero
-    zero = _negligible(var, np.linalg.eigvalsh(rc.matrix)[-1])
-    tstats = [None if z else float(b / s)
-              for b, s, z in zip(result.beta_hat, se, zero)]
+    var = np.diag(rc.matrix)
+    se = np.sqrt(np.clip(var, 0.0, None))
+    # wald's rule for R = e_j: the 1 x 1 R V R' is singular where the
+    # coefficient's own variance is not positive; no t-statistic (null) there
+    tstats = [float(b / s) if v > 0 else None
+              for b, s, v in zip(result.beta_hat, se, var)]
     pvals = [None if ts is None else chi2_sf(ts * ts, 1) for ts in tstats]
     payload = {
         "schema_version": SCHEMA_VERSION,

@@ -681,8 +681,11 @@ def _filter_series(z: np.ndarray, tm: TimeDependenceSpec, t: int) -> np.ndarray:
     return _ar1(c, phi)
 
 
-# Periods per block of :func:`_ar1`: one (rows, L) x (L, L) product per block.
-_AR_BLOCK = 64
+# Periods per block of :func:`_ar1`: one (rows, L) x (L, L) product per block,
+# so O(L) multiplies per element against one Python step per block. Timed on
+# a 2-vCPU x86_64 host (one BLAS thread) over rows 50..400 and t 100..400,
+# L = 16 and 32 were fastest (at (50, 100): 0.05 ms, against 0.09 ms at 64).
+_AR_BLOCK = 32
 
 
 def _ar1(c: np.ndarray, phi: float) -> np.ndarray:

@@ -190,15 +190,6 @@ def chi2_sf(x: float, dof: int) -> float:
                               for j in range(dof_int // 2))])
 
 
-def _negligible(variance, top):
-    """True where a variance is numerically zero on the scale ``top``, the
-    largest eigenvalue of its covariance: top <= 0 or variance <= 1e-12 top.
-    Scale-free, so rescaling the data does not change the answer; the one
-    singularity rule of :func:`wald` and of the command line's
-    t-statistics."""
-    return (top <= 0.0) | (np.asarray(variance) <= 1e-12 * top)
-
-
 def wald(beta_hat: np.ndarray, cov, restriction: LinearRestriction) -> TestResult:
     """Wald test of R beta = r.
 
@@ -233,7 +224,7 @@ def wald(beta_hat: np.ndarray, cov, restriction: LinearRestriction) -> TestResul
     s = r_mat @ v @ r_mat.T
     s = 0.5 * (s + s.T)
     evals = np.linalg.eigvalsh(s)
-    if _negligible(evals[0], evals[-1]):
+    if evals[-1] <= 0.0 or evals[0] <= 1e-12 * evals[-1]:
         raise SingularRestrictedCov(
             f"restricted covariance is numerically singular "
             f"(eig range [{evals[0]:.3e}, {evals[-1]:.3e}])")

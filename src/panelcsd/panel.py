@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -30,35 +31,23 @@ class Ordering(enum.Enum):
     BY_TIME = "by_time"  # row = period * n_units + unit
 
 
-class _Labels:
-    """A label field of :class:`PanelData`. Labels passed in are kept as a
-    tuple; the default, ``<prefix>0001, <prefix>0002, ...`` along ``axis``
-    of y, is formatted when first read, since simulated panels seldom read
-    theirs."""
-
-    def __init__(self, prefix: str, axis: int):
-        self.prefix, self.axis = prefix, axis
-
-    def __set_name__(self, owner, name):
-        self.slot = "_" + name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:  # the dataclass field default
-            return ()
-        labels = obj.__dict__[self.slot]
-        if labels is None:
-            labels = tuple(f"{self.prefix}{i + 1:04d}"
-                           for i in range(obj.y.shape[self.axis]))
-            obj.__dict__[self.slot] = labels
-        return labels
-
-    def __set__(self, obj, value):
-        obj.__dict__[self.slot] = tuple(value) or None
+@functools.lru_cache(maxsize=32)
+def _default_labels(prefix: str, count: int) -> tuple[str, ...]:
+    """``<prefix>0001, <prefix>0002, ...``; cached, since Monte Carlo draws
+    build panels of one size over and over."""
+    return tuple(f"{prefix}{i + 1:04d}" for i in range(count))
 
 
-def _check_ids(labels: tuple[str, ...], what: str) -> None:
+def _labels(given, prefix: str, count: int, what: str) -> tuple[str, ...]:
+    """Labels passed in, checked for count and uniqueness, or the default."""
+    if not given:
+        return _default_labels(prefix, count)
+    labels = tuple(given)
+    if len(labels) != count:
+        raise ValueError("id label counts do not match panel shape")
     if len(set(labels)) != len(labels):
         raise ValueError(f"{what} labels are not unique")
+    return labels
 
 
 @dataclass(frozen=True)
@@ -73,15 +62,15 @@ class PanelData:
         Regressors, finite everywhere.
     unit_ids, time_ids : tuple of str
         Row/column labels. Generated as ``u0001, ...`` / ``t0001, ...``
-        when omitted, on first read.
+        when omitted.
     x_names : tuple of str
         Regressor labels. Generated as ``x1, ..., xk`` when omitted.
     """
 
     y: np.ndarray
     x: np.ndarray
-    unit_ids: tuple[str, ...] = _Labels("u", 0)
-    time_ids: tuple[str, ...] = _Labels("t", 1)
+    unit_ids: tuple[str, ...] = field(default=())
+    time_ids: tuple[str, ...] = field(default=())
     x_names: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
@@ -100,14 +89,8 @@ class PanelData:
             raise ValueError("panel contains non-finite values")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x", x)
-        # labels passed in; None where the default is formatted on first read
-        units, times = self.__dict__["_unit_ids"], self.__dict__["_time_ids"]
-        if ((units is not None and len(units) != n)
-                or (times is not None and len(times) != t)):
-            raise ValueError("id label counts do not match panel shape")
-        for labels, what in ((units, "unit"), (times, "time")):
-            if labels is not None:
-                _check_ids(labels, what)
+        object.__setattr__(self, "unit_ids", _labels(self.unit_ids, "u", n, "unit"))
+        object.__setattr__(self, "time_ids", _labels(self.time_ids, "t", t, "time"))
         x_names = self.x_names or tuple(f"x{j + 1}" for j in range(x.shape[2]))
         if len(x_names) != x.shape[2]:
             raise ValueError("regressor name count does not match panel shape")

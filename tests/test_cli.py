@@ -207,9 +207,8 @@ def test_zero_standard_error_gives_null_t_statistic(tmp_path, capsys):
     assert out.splitlines()[-1].split() == ["x1", "0", "0", "-", "-"]
 
 
-def test_standard_error_floor_is_relative_to_the_covariance(panel_csv,
-                                                            tmp_path,
-                                                            capsys):
+def test_t_statistics_do_not_move_when_y_is_rescaled(panel_csv, tmp_path,
+                                                    capsys):
     # rescaling y rescales every se: the t-statistics do not move, however
     # small the numbers get
     code, out, _ = run_cli(capsys, "estimate", "--data", panel_csv)
@@ -226,6 +225,49 @@ def test_standard_error_floor_is_relative_to_the_covariance(panel_csv,
     assert code == 0
     for c, t in json.loads(out)["t_stats"].items():
         assert t == pytest.approx(base[c], rel=1e-9)
+
+
+def _split_design_csv(path, x2_scale):
+    # x1 lives on units 0-2, x2 on units 3-5, whose errors are 1000x
+    # smaller: x2's variance is far below the covariance's top eigenvalue
+    rng = np.random.default_rng(7)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["id", "time", "y", "x1", "x2"])
+        for i in range(6):
+            for s in range(12):
+                x1 = rng.normal() if i < 3 else 0.0
+                x2 = rng.normal() if i >= 3 else 0.0
+                e = rng.normal() * (1.0 if i < 3 else 1e-3)
+                w.writerow([f"u{i}", s, repr(x1 - 0.5 * x2 + e), repr(x1),
+                            repr(x2 * x2_scale)])
+    return str(path)
+
+
+def test_t_statistic_of_a_rescaled_regressor_is_unchanged(tmp_path, capsys):
+    # x2 in units 1e4 times smaller: beta_2 and se_2 shrink by 1e-4 and its
+    # t-statistic stays, although var_2 is then about 1e-14 of the
+    # covariance's top eigenvalue (the design is still well conditioned)
+    base = json.loads(run_cli(capsys, "estimate", "--data",
+                              _split_design_csv(tmp_path / "a.csv", 1.0))[1])
+    code, out, err = run_cli(capsys, "estimate", "--data",
+                             _split_design_csv(tmp_path / "b.csv", 1e4))
+    assert code == 0, err
+    scaled = json.loads(out)
+    assert not scaled["condition_warning"]
+    assert scaled["se"]["x2"] == pytest.approx(base["se"]["x2"] * 1e-4,
+                                               rel=1e-9)
+    for c in ("x1", "x2"):
+        assert scaled["t_stats"][c] == pytest.approx(base["t_stats"][c],
+                                                     rel=1e-9)
+        assert scaled["p_values"][c] == pytest.approx(base["p_values"][c],
+                                                      rel=1e-9, abs=1e-300)
+    # the same rule as the Wald test of b2 = 0, whose statistic is t_2^2
+    code, out, err = run_cli(capsys, "test", "--data",
+                             str(tmp_path / "b.csv"), "--restr", "b2=0")
+    assert code == 0, err
+    assert json.loads(out)["test"]["statistic"] == pytest.approx(
+        scaled["t_stats"]["x2"] ** 2, rel=1e-9)
 
 
 def test_missing_file_exits_one(capsys):

@@ -92,15 +92,16 @@ def test_default_labels():
     assert panel.x_names == ("x1", "x2")
 
 
-def test_default_labels_are_formatted_on_first_read():
+def test_default_labels_are_shared_by_panels_of_one_size():
     y, x = np.zeros((3, 12)), np.ones((3, 12, 1))
     panel = PanelData(y=y, x=x)
-    assert vars(panel)["_unit_ids"] is None  # nothing formatted yet
     assert panel.unit_ids == ("u0001", "u0002", "u0003")
     assert panel.time_ids == tuple(f"t{s:04d}" for s in range(1, 13))
-    assert panel.unit_ids is panel.unit_ids  # formatted once
+    other = PanelData(y=y + 1.0, x=x)
+    assert other.unit_ids is panel.unit_ids  # formatted once per size
+    assert other.time_ids is panel.time_ids
     # equal to, and printed like, the same labels passed in
-    explicit = PanelData(y=y, x=x, unit_ids=panel.unit_ids,
+    explicit = PanelData(y=y, x=x, unit_ids=list(panel.unit_ids),
                          time_ids=panel.time_ids)
     assert PanelData(y=y, x=x) == explicit
     assert repr(PanelData(y=y, x=x)) == repr(explicit)
