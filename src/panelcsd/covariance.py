@@ -29,6 +29,11 @@ Geometric memory, rho_j = d^j, builds z from one backward first-order
 recursion, z_{T-1} = 0 and z_s = d (x_{s+1} + z_{s+1}), so every lag up to
 T-1 is summed exactly. The recursion runs in blocks of periods as matrix
 products (``dgp._ar1``), not as a loop over periods.
+
+The scores, lag windows, PSD repair and exact variances work on stacks of
+fits (a leading axis of B), one product or eigensolve per fit; the public
+estimators are those on a stack of one, and the Monte Carlo workers call
+:func:`_robust_stack` on blocks of replications.
 """
 
 from __future__ import annotations
@@ -155,30 +160,95 @@ def omega_hat(residuals) -> CovMatrix:
     return CovMatrix(e @ e.T / t, meta=meta)
 
 
-def _check_periods(result: FitResult) -> None:
+def _check_periods(kind: EstimatorKind, n_periods: int) -> None:
     # With two periods the within scores satisfy u_1 = u_2 and u_1 + u_2 = 0,
     # so every covariance built from them is exactly zero.
-    if result.kind is EstimatorKind.FIXED_EFFECT and result.n_periods < 3:
+    if kind is EstimatorKind.FIXED_EFFECT and n_periods < 3:
         raise SingularCov(
-            f"a fixed-effect panel with {result.n_periods} periods has "
+            f"a fixed-effect panel with {n_periods} periods has "
             "identically zero scores; robust covariances need at least 3")
 
 
-def _scores(result: FitResult) -> np.ndarray:
-    # u_t = G^{-1} x_t' e_t stacked as (T, k), read off the k-major design.
-    xk = result.demeaned_x.transpose(2, 0, 1)
-    return np.einsum("knt,nt->tk", xk, result.residuals) @ result.gram_inv.T
+def _k_major(x_dm: np.ndarray) -> np.ndarray:
+    # (..., n, t, k) -> (..., k, n, t); two swaps cost a tenth of moveaxis
+    return x_dm.swapaxes(-1, -2).swapaxes(-2, -3)
 
 
-def _repair_psd(v: np.ndarray) -> tuple[np.ndarray, bool, float]:
-    v = 0.5 * (v + v.T)
+def _scores(x_dm: np.ndarray, residuals: np.ndarray,
+            gram_inv: np.ndarray) -> np.ndarray:
+    # u_t = G^{-1} x_t' e_t stacked as (B, T, k) for a stack of fits, read
+    # off the k-major designs (B, n, t, k views).
+    xk = _k_major(x_dm)
+    return np.einsum("bknt,bnt->btk", xk, residuals) @ gram_inv.mT
+
+
+def _repair_psd(v: np.ndarray):
+    # A stack (B, k, k) symmetrized, with negative eigenvalues clipped where
+    # the smallest is below -PSD_REPAIR_REL * the largest; also returns which
+    # were repaired and the eigenvalue mass each lost.
+    v = 0.5 * (v + v.mT)
     evals, evecs = np.linalg.eigh(v)
-    if evals[0] >= -PSD_REPAIR_REL * max(float(evals[-1]), 0.0):
-        return v, False, 0.0
-    clipped = float(-evals[evals < 0.0].sum())
-    evals = np.clip(evals, 0.0, None)
-    repaired = (evecs * evals[np.newaxis, :]) @ evecs.T
-    return 0.5 * (repaired + repaired.T), True, clipped
+    repaired = ~(evals[:, 0] >= -PSD_REPAIR_REL * np.maximum(evals[:, -1], 0.0))
+    clipped = np.zeros(len(v))
+    if repaired.any():
+        w, q = evals[repaired], evecs[repaired]
+        fixed = (q * np.clip(w, 0.0, None)[:, np.newaxis, :]) @ q.mT
+        v[repaired] = 0.5 * (fixed + fixed.mT)
+        clipped[repaired] = [-ev[ev < 0.0].sum() for ev in w]
+    return v, repaired, clipped
+
+
+def _kernel_stack(kind: EstimatorKind, x_dm: np.ndarray,
+                  residuals: np.ndarray, gram_inv: np.ndarray, kernel: str,
+                  trunc: int | str, declared: str):
+    # cov_kernel for a stack of fits: (matrices, repaired, clipped, lag).
+    _check_kernel(kernel)
+    t = residuals.shape[-1]
+    _check_periods(kind, t)
+    c = auto_truncation(t, declared) if trunc == "auto" else int(trunc)
+    if c < 0:
+        raise ValueError("truncation must be nonnegative")
+    if c >= t:
+        raise TruncTooLarge(f"truncation {c} must be < n_periods {t}")
+    u = _scores(x_dm, residuals, gram_inv)
+    v = u.mT @ u
+    for j in range(1, c + 1):  # every weight at lags 1..c is positive
+        a = u[:, j:].mT @ u[:, :-j]
+        v = v + kernel_weight(kernel, j, c) * (a + a.mT)
+    return (*_repair_psd(v), c)
+
+
+def _plugin_stack(kind: EstimatorKind, x_dm: np.ndarray,
+                  residuals: np.ndarray, gram_inv: np.ndarray,
+                  omega: np.ndarray | None = None):
+    # cov_plugin for a stack of fits: (matrices, repaired, clipped). Without
+    # omega each fit uses its own residual outer-product average.
+    if omega is None:
+        t = residuals.shape[-1]
+        _check_periods(kind, t)
+        omega = residuals @ residuals.mT / t
+    return _repair_psd(_exact_variance(x_dm, gram_inv, TimeDependenceSpec(),
+                                       None, omega))
+
+
+def _robust_stack(kind: EstimatorKind, x_dm: np.ndarray,
+                  residuals: np.ndarray, gram_inv: np.ndarray,
+                  cov: CovConfig) -> np.ndarray:
+    """The covariance matrices (B, k, k) that ``cov`` asks for, for a stack
+    of fits: demeaned designs (B, n, t, k) as k-major views, residuals
+    (B, n, t) and Gram inverses (B, k, k). Raises what the public estimator
+    raises, for the whole stack. Every product is per fit, so a fit gets the
+    same bits alone or in a stack."""
+    if cov.method == "plugin":
+        return _plugin_stack(kind, x_dm, residuals, gram_inv)[0]
+    trunc = 0 if cov.method == "cs" else cov.trunc
+    return _kernel_stack(kind, x_dm, residuals, gram_inv, cov.kernel, trunc,
+                         cov.declared)[0]
+
+
+def _stack_of_one(result: FitResult):
+    return (result.demeaned_x[np.newaxis], result.residuals[np.newaxis],
+            result.gram_inv[np.newaxis])
 
 
 def cov_cross_section(result: FitResult) -> RobustCov:
@@ -238,51 +308,43 @@ def cov_kernel(result: FitResult, kernel: str = "bartlett",
     flagged on the result. A fixed-effect panel with fewer than 3 periods
     raises SingularCov: its scores are identically zero.
     """
-    _check_kernel(kernel)
-    _check_periods(result)
-    t = result.n_periods
-    c = auto_truncation(t, declared) if trunc == "auto" else int(trunc)
-    if c < 0:
-        raise ValueError("truncation must be nonnegative")
-    if c >= t:
-        raise TruncTooLarge(f"truncation {c} must be < n_periods {t}")
-
-    u = _scores(result)
-    v = u.T @ u
-    for j in range(1, c + 1):  # every weight at lags 1..c is positive
-        a = u[j:].T @ u[:-j]
-        v = v + kernel_weight(kernel, j, c) * (a + a.T)
-    v, repaired, clipped = _repair_psd(v)
-    return RobustCov(matrix=v, method=CovMethod.KERNEL, kernel_name=kernel,
-                     trunc_lag=c, psd_repaired=repaired, clipped_mass=clipped)
+    v, repaired, clipped, c = _kernel_stack(
+        result.kind, *_stack_of_one(result), kernel, trunc, declared)
+    return RobustCov(matrix=v[0], method=CovMethod.KERNEL, kernel_name=kernel,
+                     trunc_lag=c, psd_repaired=bool(repaired[0]),
+                     clipped_mass=float(clipped[0]))
 
 
 def _sandwich(a: np.ndarray, base: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # sum_t a_t' B b_t for (n, t, k) arrays read k-major, as k products
-    # B b^(l) and one (k, n*t) x (n*t, k) product: free reshapes for the
-    # k-major views fit returns, nothing bigger than the design formed.
-    ak = a.transpose(2, 0, 1)
-    k = ak.shape[0]
-    bb = base @ b.transpose(2, 0, 1)
-    return ak.reshape(k, -1) @ bb.reshape(k, -1).T
+    # sum_t a_t' B b_t for (..., n, t, k) arrays read k-major, as k products
+    # B b^(l) and one (k, n*t) x (n*t, k) product per leading index: free
+    # reshapes for the k-major views fit returns, nothing bigger than the
+    # design formed. ``base`` is (n, n), or one per leading index.
+    ak = _k_major(a)
+    *lead, k, n, t = ak.shape
+    if base.ndim > 2:
+        base = base[..., np.newaxis, :, :]
+    bb = base @ _k_major(b)
+    return ak.reshape(*lead, k, n * t) @ bb.reshape(*lead, k, n * t).mT
 
 
 def _weighted_leads(x_dm: np.ndarray, spec: TimeDependenceSpec) -> np.ndarray:
     # z_t = sum_{j>=1} rho_j x_{t+j}, built k-major and returned as an
-    # (n, t, k) view. MA(q) adds q shifted copies; the summable form is
+    # (..., n, t, k) view. MA(q) adds q shifted copies; the summable form is
     # z_s = d w_{s+1} with w_s = x_s + d w_{s+1}, the first-order
-    # recursion run backward in time.
-    xk = x_dm.transpose(2, 0, 1)
-    t = xk.shape[2]
+    # recursion run backward in time, as one product per leading index.
+    xk = _k_major(x_dm)
+    *lead, k, n, t = xk.shape
     z = np.zeros(xk.shape)
     if spec.form == "ma":
         for j in range(1, spec.max_lag(t) + 1):
             z[..., :t - j] += spec.autocorr(j) * xk[..., j:]
     elif spec.form == "summable":
         d = spec.decay
-        w = _ar1(np.ascontiguousarray(xk[..., ::-1]), d)[..., ::-1]
+        rows = np.ascontiguousarray(xk[..., ::-1]).reshape(*lead, k * n, t)
+        w = _ar1(rows, d).reshape(xk.shape)[..., ::-1]
         z[..., :-1] = d * w[..., 1:]
-    return z.transpose(1, 2, 0)
+    return z.swapaxes(-3, -2).swapaxes(-2, -1)
 
 
 def _exact_variance(x_dm: np.ndarray, gram_inv: np.ndarray,
@@ -292,12 +354,14 @@ def _exact_variance(x_dm: np.ndarray, gram_inv: np.ndarray,
     # that gram_inverse has already checked and a symmetric sigma. The lag-j
     # error block is rho_j * B, so C = sum_j rho_j sum_t x_t' B x_{t+j} =
     # sum_t x_t' B z_t with z the weighted leads, one sandwich for all lags.
-    n = x_dm.shape[0]
+    # Also takes a stack: x_dm (B, n, t, k), gram_inv (B, k, k), and sigma
+    # (n, n) or one per design.
+    n = x_dm.shape[-3]
     if loadings is not None:
         loadings = np.asarray(loadings, dtype=float)
         if loadings.ndim != 2 or loadings.shape[0] != n:
             raise ValueError(f"loadings must be (n, m) with n={n}")
-    if sigma is not None and sigma.shape != (n, n):
+    if sigma is not None and sigma.shape[-2:] != (n, n):
         raise ValueError("sigma size does not match the panel cross-section")
     common = 0.0 if loadings is None else loadings @ loadings.T
     idio = 0.0 if sigma is None else sigma
@@ -310,9 +374,9 @@ def _exact_variance(x_dm: np.ndarray, gram_inv: np.ndarray,
                                      or loadings.shape[1] < 1):
         raise SpecMismatch("factor-channel memory needs loadings")
     meat = _sandwich(x_dm, idio + common, x_dm)
-    if spec.max_lag(x_dm.shape[1]) > 0:
+    if spec.max_lag(x_dm.shape[-2]) > 0:
         c = _sandwich(x_dm, lag_base, _weighted_leads(x_dm, spec))
-        meat = meat + (c + c.T)
+        meat = meat + (c + c.mT)
     return gram_inv @ meat @ gram_inv
 
 
@@ -326,17 +390,15 @@ def cov_plugin(result: FitResult, omega: CovMatrix | None = None) -> RobustCov:
     a fixed-effect panel with fewer than 3 periods, which raises
     SingularCov.
     """
-    if omega is None:
-        _check_periods(result)
-        omega = omega_hat(result.residuals)
-    elif omega.n != result.n_units:
+    if omega is not None and omega.n != result.n_units:
         raise ValueError(f"omega is {omega.n} x {omega.n}, but the panel "
                          f"has {result.n_units} units")
-    v, repaired, clipped = _repair_psd(_exact_variance(
-        result.demeaned_x, result.gram_inv, TimeDependenceSpec(), None,
-        omega.values))
-    return RobustCov(matrix=v, method=CovMethod.PLUG_IN,
-                     psd_repaired=repaired, clipped_mass=clipped)
+    v, repaired, clipped = _plugin_stack(
+        result.kind, *_stack_of_one(result),
+        None if omega is None else omega.values)
+    return RobustCov(matrix=v[0], method=CovMethod.PLUG_IN,
+                     psd_repaired=bool(repaired[0]),
+                     clipped_mass=float(clipped[0]))
 
 
 def true_variance_cs(x_design: PanelData, kind: EstimatorKind,

@@ -690,26 +690,110 @@ _AR_BLOCK = 32
 
 def _ar1(c: np.ndarray, phi: float) -> np.ndarray:
     """out[..., s] = phi * out[..., s - 1] + c[..., s] along the last axis,
-    from out[..., -1] = 0. A C-contiguous ``c`` is read without a copy.
+    from out[..., -1] = 0, for ``c`` shaped (rows, t) or a stack (..., rows,
+    t).
 
     Blocked: within a block of _AR_BLOCK periods, out is c times the
     lower-triangular matrix of powers phi^(i - j), plus the last value of
-    the block before times phi^(i + 1); no loop over periods.
+    the block before times phi^(i + 1); no loop over periods. Each (rows, t)
+    slice of a stack is its own product, so a slice filters to the same bits
+    alone or stacked.
     """
     t = c.shape[-1]
-    rows = c.reshape(-1, t)
     size = min(_AR_BLOCK, t)
     lag = np.subtract.outer(np.arange(size), np.arange(size))
     power_t = np.where(lag >= 0, phi ** np.maximum(lag, 0), 0.0).T
     carry = phi ** np.arange(1, size + 1)
-    out = np.empty(rows.shape)
+    out = np.empty(c.shape)
     for lo in range(0, t, size):
         m = min(size, t - lo)
-        block = rows[:, lo:lo + m] @ power_t[:m, :m]
+        block = c[..., lo:lo + m] @ power_t[:m, :m]
         if lo:
-            block += out[:, lo - 1:lo] * carry[:m]
-        out[:, lo:lo + m] = block
-    return out.reshape(c.shape)
+            block += out[..., lo - 1:lo] * carry[:m]
+        out[..., lo:lo + m] = block
+    return out
+
+
+def _draw(spec: DgpSpec, n: int, t: int, seed,
+          design: tuple[np.ndarray, np.ndarray] | None = None):
+    """One replication's random draws, in the order the determinism contract
+    fixes: x, then mu, then the innovations.
+
+    Returns ``(x, mu, innovations)``. ``innovations`` is ``(f, e)`` for a
+    factor family, the common factors' rows before the idiosyncratic ones,
+    and ``(z,)`` for every other family; rows that carry MA(q) memory hold
+    t + q columns, all others t. :func:`_assemble` turns a stack of these
+    into outcomes.
+    """
+    k = len(spec.beta_true)
+    family = spec.cross_section
+    rng = np.random.default_rng(seed)
+    loadings = _cross_section(family, n)[1]
+    if design is not None:
+        x, mu = design
+        x = np.asarray(x, dtype=float)
+        mu = np.asarray(mu, dtype=float)
+        if x.shape != (n, t, k) or mu.shape != (n,):
+            raise ValueError("design shapes do not match (n, t, k)")
+    else:
+        if spec.x_law == "factor_aligned":
+            m = loadings.shape[1]
+            g = rng.standard_normal((k, m, t))
+            eta = rng.standard_normal((n, t, k))
+            x = np.einsum("im,kmt->itk", loadings, g) / np.sqrt(m) + eta
+        else:
+            x = rng.standard_normal((n, t, k))
+            if spec.x_law == "cs_centered":
+                x = x - x.mean(axis=0, keepdims=True)
+        mu = (rng.uniform(-1.0, 1.0, size=n) if spec.mu_law == "uniform"
+              else np.zeros(n))
+
+    tm = spec.time_memory
+
+    def draw(rows: int, carries_memory: bool) -> np.ndarray:
+        q = len(tm.psi) - 1 if carries_memory and tm.form == "ma" else 0
+        return _innovations(rng, (rows, t + q), spec)
+
+    if isinstance(family, Factor):
+        innovations = (draw(loadings.shape[1], tm.channel == "factor"),
+                       draw(n, tm.channel == "idio"))
+    else:
+        innovations = (draw(n, tm.channel != "none"),)
+    return x, mu, innovations
+
+
+def _assemble(spec: DgpSpec, n: int, t: int, x: np.ndarray, mu: np.ndarray,
+              innovations) -> np.ndarray:
+    """Outcomes (B, n, t) for a stack of draws: x (B, n, t, k), mu (B, n) and
+    the :func:`_draw` innovations, each stacked on a leading axis of B.
+
+    Filters the rows that carry memory, forms the errors as ``root @ z`` or
+    ``loadings @ f`` plus the scaled idiosyncratic rows, and adds
+    ``x @ beta + mu``. Every product is per replication (a broadcast matmul),
+    so a replication gets the same bits in a stack of any size.
+    """
+    family = spec.cross_section
+    tm = spec.time_memory
+    _, loadings, _, root = _cross_section(family, n)
+
+    def series(z: np.ndarray, carries_memory: bool) -> np.ndarray:
+        return _filter_series(z, tm, t) if carries_memory else z
+
+    if isinstance(family, Factor):
+        f, e = innovations
+        eps = loadings @ series(f, tm.channel == "factor") + np.sqrt(
+            family.idio_var) * series(e, tm.channel == "idio")
+    else:
+        eps = root @ series(innovations[0], tm.channel != "none")
+    return mu[..., np.newaxis] + x @ np.asarray(spec.beta_true) + eps
+
+
+def _truth(spec: DgpSpec, n: int, mu) -> dict:
+    """What the exact variance and the checks of a draw need (see
+    :func:`gen_panel`)."""
+    omega, loadings, sigma, _ = _cross_section(spec.cross_section, n)
+    return {"mu": mu, "omega": omega, "loadings": loadings, "sigma": sigma,
+            "time_memory": spec.time_memory}
 
 
 def gen_panel(
@@ -738,49 +822,12 @@ def gen_panel(
         and the errors' square root are computed once per (family, n) per
         process and shared by every draw, so ``omega``, ``loadings`` and
         ``sigma`` are read-only.
+
+    The draw (:func:`_draw`) and the assembly (:func:`_assemble`) are the
+    two steps the Monte Carlo workers run on stacks of replications; here
+    they run on one.
     """
-    k = len(spec.beta_true)
-    family = spec.cross_section
-    rng = np.random.default_rng(seed)
-    omega, loadings, sigma, root = _cross_section(family, n)
-
-    # Draw order is part of the determinism contract: x, then mu, then errors.
-    if design is not None:
-        x, mu = design
-        x = np.asarray(x, dtype=float)
-        mu = np.asarray(mu, dtype=float)
-        if x.shape != (n, t, k) or mu.shape != (n,):
-            raise ValueError("design shapes do not match (n, t, k)")
-    else:
-        if spec.x_law == "factor_aligned":
-            m = loadings.shape[1]
-            g = rng.standard_normal((k, m, t))
-            eta = rng.standard_normal((n, t, k))
-            x = np.einsum("im,kmt->itk", loadings, g) / np.sqrt(m) + eta
-        else:
-            x = rng.standard_normal((n, t, k))
-            if spec.x_law == "cs_centered":
-                x = x - x.mean(axis=0, keepdims=True)
-        mu = (rng.uniform(-1.0, 1.0, size=n) if spec.mu_law == "uniform"
-              else np.zeros(n))
-
-    tm = spec.time_memory
-
-    def draw(rows: int, carries_memory: bool) -> np.ndarray:
-        if not carries_memory:
-            return _innovations(rng, (rows, t), spec)
-        q = len(tm.psi) - 1 if tm.form == "ma" else 0
-        return _filter_series(_innovations(rng, (rows, t + q), spec), tm, t)
-
-    if isinstance(family, Factor):
-        f = draw(loadings.shape[1], tm.channel == "factor")
-        eps = loadings @ f + np.sqrt(family.idio_var) * draw(
-            n, tm.channel == "idio")
-    else:
-        eps = root @ draw(n, tm.channel != "none")
-
-    y = mu[:, np.newaxis] + x @ np.asarray(spec.beta_true) + eps
-    panel = PanelData(y=y, x=x)
-    truth = {"mu": mu, "omega": omega, "loadings": loadings, "sigma": sigma,
-             "time_memory": tm}
-    return panel, truth
+    x, mu, innovations = _draw(spec, n, t, seed, design)
+    y = _assemble(spec, n, t, x[np.newaxis], mu[np.newaxis],
+                  [z[np.newaxis] for z in innovations])[0]
+    return PanelData(y=y, x=x), _truth(spec, n, mu)

@@ -10,6 +10,12 @@ condition check included. The demeaned design is kept k-major, as a
 contiguous (k, n, t) array, which is the layout unit means, the Gram and the
 covariance sandwiches all read fastest; ``demeaned_x`` shows it as (n, t, k).
 
+The demean, the Gram check and the solve work on stacks of panels (a
+leading axis of B): the Monte Carlo workers run them on blocks of
+replications, and :func:`fit` is the same kernel on a stack of one. Every
+stacked step is a per-panel product or solve, so a panel gets the same bits
+alone or in a stack of any size.
+
 The per-period weight blocks expose the estimator as a linear map of the
 errors: beta_hat - beta = sum_t blocks[t] @ eps[:, t]. They are the reference
 the tests check the covariance estimators against; the covariance code itself
@@ -26,7 +32,7 @@ import numpy as np
 
 from .config import COND_FAIL, COND_WARN
 from .errors import ConditionWarning, SingularGram
-from .panel import PanelData
+from .panel import PanelData, _fields_equal
 
 __all__ = [
     "EstimatorKind",
@@ -46,26 +52,27 @@ class EstimatorKind(enum.Enum):
     POOLED = "pooled"
 
 
-def _demean(panel: PanelData, kind: EstimatorKind):
-    """The one demean: ``(y_dm, xk, y_bar, x_bar)``.
+def _demean_stack(y: np.ndarray, x: np.ndarray, kind: EstimatorKind):
+    """The one demean, for a stack of panels y (B, n, t) and x (B, n, t, k):
+    ``(y_dm, xk, y_bar, x_bar)``.
 
-    ``xk`` is the demeaned design as a contiguous k-major (k, n, t) copy, so
-    each unit mean runs over contiguous memory and the design flattens to
-    (k, n*t) for free. ``y_bar`` and ``x_bar`` are the means removed (per
+    ``xk`` is the demeaned design as a contiguous k-major (B, k, n, t) copy,
+    so each unit mean runs over contiguous memory and each design flattens
+    to (k, n*t) for free. ``y_bar`` and ``x_bar`` are the means removed (per
     unit under the within estimator, overall under the pooled one), kept
     for the intercepts.
     """
-    xk = panel.x.transpose(2, 0, 1).copy()  # always a copy, even at k = 1
+    xk = x.transpose(0, 3, 1, 2).copy()  # always a copy, even at k = 1
     if kind is EstimatorKind.FIXED_EFFECT:
-        x_bar = xk.mean(axis=2, keepdims=True)
-        y_bar = panel.y.mean(axis=1, keepdims=True)
+        x_bar = xk.mean(axis=3, keepdims=True)
+        y_bar = y.mean(axis=2, keepdims=True)
     elif kind is EstimatorKind.POOLED:
-        x_bar = xk.mean(axis=(1, 2), keepdims=True)
-        y_bar = panel.y.mean()
+        x_bar = xk.mean(axis=(2, 3), keepdims=True)
+        y_bar = y.mean(axis=(1, 2), keepdims=True)
     else:
         raise ValueError(f"unknown estimator kind {kind!r}")
     xk -= x_bar
-    return panel.y - y_bar, xk, y_bar, x_bar
+    return y - y_bar, xk, y_bar, x_bar
 
 
 def demean(panel: PanelData, kind: EstimatorKind) -> tuple[np.ndarray, np.ndarray]:
@@ -78,8 +85,9 @@ def demean(panel: PanelData, kind: EstimatorKind) -> tuple[np.ndarray, np.ndarra
     x_dm : ndarray, shape (n_units, n_periods, n_regressors)
         A transposed view of a k-major array.
     """
-    y_dm, xk, _, _ = _demean(panel, kind)
-    return y_dm, xk.transpose(1, 2, 0)
+    y_dm, xk, _, _ = _demean_stack(panel.y[np.newaxis], panel.x[np.newaxis],
+                                   kind)
+    return y_dm[0], xk[0].transpose(1, 2, 0)
 
 
 def within_demean(panel: PanelData) -> tuple[np.ndarray, np.ndarray]:
@@ -90,6 +98,45 @@ def within_demean(panel: PanelData) -> tuple[np.ndarray, np.ndarray]:
 def grand_demean(panel: PanelData) -> tuple[np.ndarray, np.ndarray]:
     """Remove the overall mean from y and each regressor."""
     return demean(panel, EstimatorKind.POOLED)
+
+
+# Verdicts of :func:`_gram_stack` on each design of a stack.
+_GRAM_OK, _GRAM_RANK, _GRAM_COND = 0, 1, 2
+
+
+def _gram_stack(xk: np.ndarray, x_scale: np.ndarray):
+    """Gram matrices (B, k, k) of a stack of k-major demeaned designs
+    (B, k, n, t), their condition numbers (B,), and a verdict per design:
+    _GRAM_OK, _GRAM_RANK (rank deficient) or _GRAM_COND (condition number
+    >= COND_FAIL or not finite). :func:`gram_inverse` states the rule.
+
+    Each Gram is its own einsum (2-3x a BLAS product at k << n*t; one
+    einsum over the stack would split long sums by stack size) and the
+    eigenvalues are one stacked solve, so a design gets the same bits alone
+    or in a stack.
+    """
+    b, k, n, t = xk.shape
+    gram = np.empty((b, k, k))
+    for i, xf in enumerate(xk.reshape(b, k, n * t)):
+        gram[i] = np.einsum("in,jn->ij", xf, xf)
+    evals = np.linalg.eigvalsh(gram)
+    eps = np.finfo(float).eps
+    floor = np.maximum((eps * max(n * t, k) * x_scale) ** 2,
+                       eps * k * evals[:, -1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = evals[:, -1] / evals[:, 0]
+    # past the rank check both eigenvalues are positive, so a cond that is
+    # not below COND_FAIL is too large, infinite or NaN
+    verdict = np.where(evals[:, 0] <= floor, _GRAM_RANK,
+                       np.where(cond < COND_FAIL, _GRAM_OK, _GRAM_COND))
+    return gram, cond, verdict
+
+
+def _refined_inverse(gram: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of checked Grams, one Newton step past the
+    direct inverse."""
+    gram_inv = np.linalg.inv(gram)
+    return gram_inv @ (2.0 * np.eye(gram.shape[-1]) - gram @ gram_inv)
 
 
 def gram_inverse(x_dm: np.ndarray,
@@ -104,28 +151,70 @@ def gram_inverse(x_dm: np.ndarray,
     >= COND_FAIL, raises SingularGram; above COND_WARN it warns with
     ConditionWarning. The inverse takes one Newton step past the direct
     inverse. The Gram is formed from the k-major (k, n*t) layout, which is
-    free for the designs :func:`demean` and :func:`fit` return.
+    free for the designs :func:`demean` and :func:`fit` return. This is the
+    stacked check the Monte Carlo workers run, on a stack of one.
     """
-    n, t, k = x_dm.shape
-    xf = x_dm.transpose(2, 0, 1).reshape(k, n * t)
-    gram = np.einsum("in,jn->ij", xf, xf)  # 2-3x a BLAS product at k << n*t
-    evals = np.linalg.eigvalsh(gram)
-    eps = np.finfo(float).eps
-    floor = max((eps * max(n * t, k) * x_scale) ** 2, eps * k * evals[-1])
-    if evals[0] <= floor:
+    gram, cond, verdict = _gram_stack(
+        x_dm.transpose(2, 0, 1)[np.newaxis], np.array([x_scale]))
+    cond = float(cond[0])
+    if verdict[0] == _GRAM_RANK:
         raise SingularGram(
             "demeaned design is rank deficient; "
             "a regressor may be constant after demeaning")
-    cond = float(evals[-1] / evals[0])
-    if not np.isfinite(cond) or cond >= COND_FAIL:
+    if verdict[0] == _GRAM_COND:
         raise SingularGram(f"demeaned design condition number {cond:.3e} >= {COND_FAIL:.0e}")
     if cond > COND_WARN:
         warnings.warn(
             f"demeaned design condition number {cond:.3e} exceeds {COND_WARN:.0e}",
             ConditionWarning, stacklevel=3)
-    gram_inv = np.linalg.inv(gram)
-    gram_inv = gram_inv @ (2.0 * np.eye(k) - gram @ gram_inv)
-    return gram, gram_inv, cond
+    return gram[0], _refined_inverse(gram)[0], cond
+
+
+def _solve_stack(xk: np.ndarray, y_dm: np.ndarray, gram_inv: np.ndarray):
+    """Slopes (B, k) and residuals (B, n, t) of a stack of demeaned panels
+    from their checked Gram inverses: the normal-equation solution, then
+    two corrections on its residual, each ``beta += gram_inv @ X'r``."""
+    b, k, n, t = xk.shape
+    xf = xk.reshape(b, k, n * t)
+    yf = y_dm.reshape(b, n * t)
+
+    def step(r):  # gram_inv @ X'r for residual rows r (B, n*t)
+        return (gram_inv @ (xf @ r[..., np.newaxis]))[..., 0]
+
+    def residuals(beta):  # y - X beta: a BLAS product per panel, but at
+        # k = 1, where matmul would not call BLAS, the product itself
+        if k == 1:
+            return yf - xf[:, 0] * beta
+        return yf - (beta[:, np.newaxis, :] @ xf)[:, 0]
+
+    beta = step(yf)
+    for _ in range(2):
+        beta = beta + step(residuals(beta))
+    return beta, residuals(beta).reshape(b, n, t)
+
+
+def _fit_stack(y: np.ndarray, x: np.ndarray, kind: EstimatorKind):
+    """Fit a stack of panels y (B, n, t), x (B, n, t, k) as :func:`fit` fits
+    each one, keeping the panels that are finite (PanelData rejects the
+    others) and whose design passes the check with a condition number up to
+    COND_WARN (the others need fit's exception, warning or ``lstsq``).
+    Returns the kept indices and their demeaned designs ((b, n, t, k) views
+    of k-major arrays), residuals, Gram inverses and slopes."""
+    kept = np.flatnonzero(np.isfinite(y).all(axis=(1, 2))
+                          & np.isfinite(x).all(axis=(1, 2, 3)))
+    if len(kept) < len(x):
+        y, x = y[kept], x[kept]
+    xr = x.reshape(len(x), 1, int(np.prod(x.shape[1:])))
+    x_scale = np.sqrt(xr @ xr.mT)[:, 0, 0]  # np.linalg.norm's dot product
+    y_dm, xk, _, _ = _demean_stack(y, x, kind)
+    gram, cond, verdict = _gram_stack(xk, x_scale)
+    usable = (verdict == _GRAM_OK) & (cond <= COND_WARN)
+    if not usable.all():
+        kept, xk, y_dm = kept[usable], xk[usable], y_dm[usable]
+        gram = gram[usable]
+    gram_inv = _refined_inverse(gram)
+    beta, residuals = _solve_stack(xk, y_dm, gram_inv)
+    return kept, xk.transpose(0, 2, 3, 1), residuals, gram_inv, beta
 
 
 @dataclass(frozen=True)
@@ -166,6 +255,8 @@ class FitResult:
     condition_number: float
     condition_warning: bool
 
+    __eq__ = _fields_equal
+
     @property
     def n_units(self) -> int:
         return self.residuals.shape[0]
@@ -199,23 +290,24 @@ def fit(panel: PanelData, kind: EstimatorKind = EstimatorKind.FIXED_EFFECT) -> F
         regressor that is constant within every unit (under the within
         estimator) lands here.
     """
-    y_dm, xk, y_bar, x_bar = _demean(panel, kind)
-    x_dm = xk.transpose(1, 2, 0)
+    y_dm, xk, y_bar, x_bar = _demean_stack(panel.y[np.newaxis],
+                                           panel.x[np.newaxis], kind)
+    x_dm = xk[0].transpose(1, 2, 0)
     gram, gram_inv, cond = gram_inverse(x_dm, np.linalg.norm(panel.x))
-    k, n, t = xk.shape
-    xf = xk.reshape(k, n * t)
-    yf = y_dm.reshape(n * t)
     if cond <= COND_WARN:
-        beta = gram_inv @ (xf @ yf)
-        for _ in range(2):
-            beta = beta + gram_inv @ (xf @ (yf - beta @ xf))
+        beta, residuals = _solve_stack(xk, y_dm, gram_inv[np.newaxis])
+        beta, residuals = beta[0], residuals[0]
     else:
+        k, n, t = xk.shape[1:]
+        xf = xk[0].reshape(k, n * t)
+        yf = y_dm[0].reshape(n * t)
         beta = np.linalg.lstsq(xf.T, yf, rcond=None)[0]
-    residuals = (yf - beta @ xf).reshape(n, t)
+        residuals = (yf - beta @ xf).reshape(n, t)
     if kind is EstimatorKind.FIXED_EFFECT:
-        intercepts = y_bar[:, 0] - beta @ x_bar[:, :, 0]
+        intercepts = y_bar[0, :, 0] - beta @ x_bar[0, :, :, 0]
     else:
-        intercepts = np.full(n, float(y_bar - beta @ x_bar.ravel()))
+        intercepts = np.full(x_dm.shape[0],
+                             float(y_bar[0, 0, 0] - beta @ x_bar[0, :, 0, 0]))
 
     return FitResult(
         kind=kind,
@@ -223,7 +315,7 @@ def fit(panel: PanelData, kind: EstimatorKind = EstimatorKind.FIXED_EFFECT) -> F
         gram=gram,
         gram_inv=gram_inv,
         residuals=residuals,
-        demeaned_y=y_dm,
+        demeaned_y=y_dm[0],
         demeaned_x=x_dm,
         intercepts=intercepts,
         condition_number=cond,

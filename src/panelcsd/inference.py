@@ -219,20 +219,35 @@ def wald(beta_hat: np.ndarray, cov, restriction: LinearRestriction) -> TestResul
         raise UsageError(
             f"restriction has {restriction.matrix.shape[1]} columns, need {k}")
 
-    r_mat, r_val = restriction.matrix, restriction.value
-    gap = r_mat @ beta_hat - r_val
-    s = r_mat @ v @ r_mat.T
-    s = 0.5 * (s + s.T)
-    evals = np.linalg.eigvalsh(s)
-    if evals[-1] <= 0.0 or evals[0] <= 1e-12 * evals[-1]:
+    stat, singular, evals = _wald_stack(beta_hat[np.newaxis], v[np.newaxis],
+                                        restriction)
+    if singular[0]:
         raise SingularRestrictedCov(
             f"restricted covariance is numerically singular "
-            f"(eig range [{evals[0]:.3e}, {evals[-1]:.3e}])")
-    stat = float(gap @ np.linalg.solve(s, gap))
-    stat = max(stat, 0.0)
+            f"(eig range [{evals[0, 0]:.3e}, {evals[0, -1]:.3e}])")
+    stat = max(float(stat[0]), 0.0)
     q = restriction.q
     return TestResult(statistic=stat, dof=q, p_value=chi2_sf(stat, q),
                       method=method)
+
+
+def _wald_stack(beta: np.ndarray, v: np.ndarray,
+                restriction: LinearRestriction):
+    """Wald statistics for a stack of estimates beta (B, k) and covariances
+    v (B, k, k), unclamped; which R V R' are numerically singular (their
+    statistics are meaningless); and the eigenvalues (B, q) that decide it.
+    Every product and solve is per estimate, so an estimate gets the same
+    bits alone or in a stack."""
+    r_mat, r_val = restriction.matrix, restriction.value
+    gap = (r_mat @ beta[..., np.newaxis])[..., 0] - r_val
+    s = r_mat @ v @ r_mat.T
+    s = 0.5 * (s + s.mT)
+    evals = np.linalg.eigvalsh(s)
+    singular = (evals[:, -1] <= 0.0) | (evals[:, 0] <= 1e-12 * evals[:, -1])
+    if singular.any():
+        s[singular] = np.eye(restriction.q)  # an invertible stand-in
+    sol = np.linalg.solve(s, gap[..., np.newaxis])
+    return (gap[:, np.newaxis, :] @ sol)[:, 0, 0], singular, evals
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,17 @@ All replications execute in spawned worker processes whose numerical
 libraries are pinned to one thread. An experiment starts one pool and every
 ``run_mc`` call inside it reuses that pool, so workers are spawned and
 import the package once per experiment, not once per call; a standalone
-``run_mc`` call starts and stops its own pool. If the pool breaks,
+``run_mc`` call starts and stops its own pool, and :func:`worker_pool`
+keeps one open across the calls inside it. If the pool breaks,
 ``run_mc`` raises :class:`~panelcsd.errors.WorkerPoolError` naming the
 cell. The worker count is an integer >= 1 from the ``workers`` argument,
 else the ``PANELCSD_THREADS`` environment variable, else the CPU count;
-anything else is a ``UsageError``. Each worker block returns one record per
+anything else is a ``UsageError``. A worker runs its replications in
+stacked blocks: each replication is drawn on its own, then the fit,
+covariance, exact variance and Wald statistic run once per block on stacked
+arrays, with the same bits as one replication at a time. A replication the
+block cannot settle (a failure, or an ill-conditioned design) reruns alone
+through the public functions. Each worker block returns one record per
 replication: its slope, covariance estimate, p-value and exact variance, or
 the type name of the error that stopped it. The parent joins the blocks in
 replication order and aggregates each cell once: repeated runs of the same
@@ -40,24 +46,21 @@ import warnings
 import numpy as np
 
 from .config import check_int, field_dict, from_fields, resolve_workers
-from .covariance import (
-    CovConfig,
-    _exact_variance,
-    cov_cross_section,
-    cov_kernel,
-    cov_plugin,
-)
+from .covariance import (CovConfig, _exact_variance, _robust_stack,
+                         _stack_of_one)
 from .dependence import _loglog_slope
-from .dgp import DgpSpec, Equicorr, build_omega, gen_panel
+from .dgp import (DgpSpec, Equicorr, _assemble, _draw, _truth, build_omega,
+                  gen_panel)
 from .errors import ConditionWarning, PanelError, UsageError, WorkerPoolError
-from .estimators import EstimatorKind, FitResult, fit
-from .inference import LinearRestriction, wald
+from .estimators import EstimatorKind, _fit_stack, fit
+from .inference import LinearRestriction, _wald_stack, chi2_sf, wald
 
 __all__ = [
     "CovConfig",
     "McConfig",
     "McReport",
     "run_mc",
+    "worker_pool",
     "t1_cross_section_experiment",
     "regime_size_ordering",
     "aligned_x_coverage",
@@ -149,19 +152,12 @@ def _estimator_kind(value) -> EstimatorKind:
     return EstimatorKind(value)
 
 
-def _compute_cov(result, cov_cfg: CovConfig):
-    if cov_cfg.method == "plugin":
-        return cov_plugin(result)
-    if cov_cfg.method == "cs":
-        return cov_cross_section(result)
-    return cov_kernel(result, kernel=cov_cfg.kernel, trunc=cov_cfg.trunc,
-                      declared=cov_cfg.declared)
-
-
-def _true_variance_for(res: FitResult, truth: dict) -> np.ndarray:
+def _true_variance_for(x_dm: np.ndarray, gram_inv: np.ndarray,
+                       truth: dict) -> np.ndarray:
     """Exact conditional slope variance implied by a draw's truth record,
-    read off the design and gram inverse its fit has already checked."""
-    return _exact_variance(res.demeaned_x, res.gram_inv, truth["time_memory"],
+    read off the design and Gram inverse its fit has already checked (one
+    fit, or a stack of them)."""
+    return _exact_variance(x_dm, gram_inv, truth["time_memory"],
                            truth["loadings"], truth["sigma"])
 
 
@@ -176,52 +172,148 @@ def _fixed_design(cfg: McConfig, n: int, t: int):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", ConditionWarning)
-                tv = _true_variance_for(fit(panel, cfg.estimator), truth)
+                res = fit(panel, cfg.estimator)
+                tv = _true_variance_for(res.demeaned_x, res.gram_inv, truth)
         except _REP_ERRORS:
             pass
     return (panel.x, truth["mu"]), tv
 
 
+# Replications per stacked block: the largest count whose designs and
+# outcomes, n*t*(k+1) values each, fit in _BATCH_ELEMENTS doubles (512 KiB),
+# at most _MAX_BATCH, so that the block's arrays stay cache-sized and its
+# memory peak small. A cell at or above the budget runs blocks of one.
+_BATCH_ELEMENTS = 1 << 16
+_MAX_BATCH = 32
+
+
+def _batch_size(n: int, t: int, k: int) -> int:
+    return max(1, min(_MAX_BATCH, _BATCH_ELEMENTS // (n * t * (k + 1))))
+
+
+def _replicate(cfg: McConfig, n: int, t: int, rep: int, design, restr,
+               want_tv: bool):
+    """Replication ``rep`` alone, through the public functions: the path of
+    every replication a stacked block cannot settle. Raises what stopped
+    it."""
+    seed = _derive_seed(cfg.master_seed, n, t, _REP_TAG, rep)
+    panel, truth = gen_panel(cfg.dgp, n, t, seed, design=design)
+    res = fit(panel, cfg.estimator)
+    v = _robust_stack(cfg.estimator, *_stack_of_one(res), cfg.cov)[0]
+    p_value = wald(res.beta_hat, v, restr).p_value
+    tv = (_true_variance_for(res.demeaned_x, res.gram_inv, truth)
+          if want_tv else np.nan)
+    return res.beta_hat, v, p_value, tv
+
+
+def _stacked_block(cfg: McConfig, n: int, t: int, reps: range, design,
+                   restr, want_tv: bool, out) -> np.ndarray:
+    """Replications ``reps`` of one cell as one stack: each is drawn on its
+    own from its seed, then the demean, Gram check, solve, covariance,
+    exact variance and Wald statistic run once on (B, ...) arrays.
+
+    Writes the slopes, covariance estimates, p-values and exact variances
+    of the replications it settles into ``out``, four arrays with a row per
+    replication, and returns a mask of the ones it could not settle:
+    non-finite data, a rank or condition failure, a condition number above
+    COND_WARN (whose solve is ``lstsq``), a singular R V R', or a non-finite
+    result. An error raised for the whole stack propagates, and then
+    nothing has been written.
+    """
+    spec = cfg.dgp
+    draws = [_draw(spec, n, t,
+                   _derive_seed(cfg.master_seed, n, t, _REP_TAG, rep), design)
+             for rep in reps]
+
+    def stack(arrays):  # a block of one is a view, not a copy
+        return (arrays[0][np.newaxis] if len(arrays) == 1
+                else np.stack(arrays))
+
+    x = stack([d[0] for d in draws])
+    mu = stack([d[1] for d in draws])
+    innovations = [stack(z) for z in zip(*(d[2] for d in draws))]
+    del draws
+    y = _assemble(spec, n, t, x, mu, innovations)
+
+    live, x_dm, resid, gram_inv, b = _fit_stack(y, x, cfg.estimator)
+    v = _robust_stack(cfg.estimator, x_dm, resid, gram_inv, cfg.cov)
+    stat, singular, _ = _wald_stack(b, v, restr)
+    ok = (~singular & np.isfinite(stat) & np.isfinite(b).all(axis=1)
+          & np.isfinite(v).all(axis=(1, 2)))
+    if want_tv:
+        tv = _true_variance_for(x_dm, gram_inv, _truth(spec, n, None))
+        ok &= np.isfinite(tv).all(axis=(1, 2))
+    p_values = [chi2_sf(max(float(st), 0.0), restr.q) for st in stat[ok]]
+    rows = live[ok]
+    beta, vbar, pval, tvar = out
+    beta[rows], vbar[rows], pval[rows] = b[ok], v[ok], p_values
+    if want_tv:
+        tvar[rows] = tv[ok]
+    redo = np.ones(len(reps), dtype=bool)
+    redo[rows] = False
+    return redo
+
+
 def _worker_block(cfg: McConfig, n: int, t: int, lo: int, hi: int,
                   design: tuple[np.ndarray, np.ndarray] | None):
-    """Run replications [lo, hi) of one cell. Returns per-replication
-    slopes, covariance estimates, p-values and exact variances (NaN where a
-    replication has none), and one failure kind per replication, None on
-    success."""
+    """Run replications [lo, hi) of one cell, in stacked blocks of
+    ``_batch_size`` replications. Returns per-replication slopes, covariance
+    estimates, p-values and exact variances (NaN where a replication has
+    none), and one failure kind per replication, None on success.
+
+    A replication the stack cannot settle, or every replication of a block
+    whose stacked algebra raises, reruns alone (:func:`_replicate`), so its
+    failure kind is the exact exception its own run raises.
+    """
     k = len(cfg.dgp.beta_true)
-    count = hi - lo
-    beta = np.full((count, k), np.nan)
-    vbar = np.full((count, k, k), np.nan)
-    pval = np.full(count, np.nan)
-    tvar = np.full((count, k, k), np.nan)
-    kinds: list[str | None] = [None] * count
+    out = (np.full((hi - lo, k), np.nan), np.full((hi - lo, k, k), np.nan),
+           np.full(hi - lo, np.nan), np.full((hi - lo, k, k), np.nan))
+    kinds: list[str | None] = [None] * (hi - lo)
     want_tv = cfg.true_variance and not cfg.fixed_design
     restr = LinearRestriction(np.eye(k), np.asarray(cfg.dgp.beta_true))
+    size = _batch_size(n, t, k)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConditionWarning)
-        for i, rep in enumerate(range(lo, hi)):
-            seed = _derive_seed(cfg.master_seed, n, t, _REP_TAG, rep)
+        for start in range(lo, hi, size):
+            reps = range(start, min(start + size, hi))
+            rows = slice(start - lo, reps.stop - lo)
             try:
-                panel, truth = gen_panel(cfg.dgp, n, t, seed, design=design)
-                res = fit(panel, cfg.estimator)
-                rc = _compute_cov(res, cfg.cov)
-                tr = wald(res.beta_hat, rc, restr)
-                tv = _true_variance_for(res, truth) if want_tv else np.nan
-            except _REP_ERRORS as exc:
-                kinds[i] = type(exc).__name__
-                continue
-            beta[i], vbar[i], pval[i], tvar[i] = \
-                res.beta_hat, rc.matrix, tr.p_value, tv
-    return beta, vbar, pval, tvar, kinds
+                redo = _stacked_block(cfg, n, t, reps, design, restr,
+                                      want_tv, [a[rows] for a in out])
+            except _REP_ERRORS:
+                redo = np.ones(len(reps), dtype=bool)
+            for j in np.flatnonzero(redo):
+                i = start - lo + j
+                try:
+                    got = _replicate(cfg, n, t, reps[j], design, restr,
+                                     want_tv)
+                except _REP_ERRORS as exc:
+                    kinds[i] = type(exc).__name__
+                    continue
+                for dest, value in zip(out, got):
+                    dest[i] = value
+    return (*out, kinds)
+
+
+# The environment each spawned worker starts with. BLAS reads its thread
+# count once, at import. glibc's allocator reads its thresholds once, at
+# start: a stacked block frees a few MB of arrays at once, which by default
+# goes back to the kernel and is faulted in again, page by page, by the next
+# block (about 220 page faults per replication at (50, 200)); with these the
+# worker's heap keeps it. Other allocators ignore the two names.
+_WORKER_ENV = {
+    **dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                     "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
+                     "VECLIB_MAXIMUM_THREADS"), "1"),
+    "MALLOC_MMAP_THRESHOLD_": str(16 << 20),
+    "MALLOC_TRIM_THRESHOLD_": str(32 << 20),
+}
 
 
 @contextmanager
-def _single_thread_env():
-    keys = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-            "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
-    old = {key: os.environ.get(key) for key in keys}
-    for key in keys:
-        os.environ[key] = "1"
+def _worker_env():
+    old = {key: os.environ.get(key) for key in _WORKER_ENV}
+    os.environ.update(_WORKER_ENV)
     try:
         yield
     finally:
@@ -240,30 +332,55 @@ _ACTIVE_POOL: ContextVar[tuple[int, ProcessPoolExecutor] | None] = \
 @contextmanager
 def _pool(workers: int):
     """A spawn pool of ``workers`` processes: the enclosing scope's when it
-    has one of that size, else a new one, shut down on exit.
+    has one of that size, else a new one, shut down on exit. An exception
+    leaving the scope that created the pool (KeyboardInterrupt included)
+    cancels the work still queued before it waits for the workers.
 
     A spawn pool starts a worker at each ``submit`` until it has
     ``workers``, so every submit must run inside the scope that created the
-    pool: that keeps the single-thread BLAS pin in the environment each
-    worker inherits. BLAS reads it at import, so an initializer would be
-    too late.
+    pool: that keeps the worker environment (single-thread BLAS) in what
+    each worker inherits. BLAS reads it at import, so an initializer would
+    be too late.
     """
     active = _ACTIVE_POOL.get()
     if active is not None and active[0] == workers:
         yield active[1]
         return
     ctx = multiprocessing.get_context("spawn")
-    with _single_thread_env(), \
-            ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+    with _worker_env():
+        pool = ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
         token = _ACTIVE_POOL.set((workers, pool))
         try:
             yield pool
+        except BaseException:
+            pool.shutdown(wait=True, cancel_futures=True)
+            raise
+        else:
+            pool.shutdown(wait=True)
         finally:
             _ACTIVE_POOL.reset(token)
 
 
-def _chunk_ranges(total: int, workers: int) -> list[tuple[int, int]]:
-    size = max(1, -(-total // (workers * 4)))
+@contextmanager
+def worker_pool(workers: int | None = None):
+    """Keep one worker pool open across consecutive calls.
+
+    Every :func:`run_mc` call and experiment inside the scope whose worker
+    count resolves to the same number reuses this pool instead of spawning
+    its own, so workers start and import the package once. ``workers``
+    resolves as in :func:`run_mc`. Reports are the same inside or outside
+    the scope.
+    """
+    with _pool(resolve_workers(workers)) as pool:
+        yield pool
+
+
+def _chunk_ranges(total: int, workers: int,
+                  batch: int) -> list[tuple[int, int]]:
+    """About four chunks per worker, each a whole number of stacked blocks
+    of ``batch`` replications, so that a block holds the same replications
+    whatever the worker count."""
+    size = -(-max(1, -(-total // (workers * 4))) // batch) * batch
     return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
 
@@ -377,7 +494,9 @@ def run_mc(config: McConfig, workers: int | None = None) -> McReport:
             try:
                 futures = [
                     pool.submit(_worker_block, config, n, t, lo, hi, design)
-                    for lo, hi in _chunk_ranges(config.reps, workers)
+                    for lo, hi in _chunk_ranges(
+                        config.reps, workers,
+                        _batch_size(n, t, len(config.dgp.beta_true)))
                 ]
                 blocks = [fut.result() for fut in futures]
             except BrokenProcessPool as exc:

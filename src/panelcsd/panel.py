@@ -15,7 +15,7 @@ import enum
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -36,6 +36,23 @@ def _default_labels(prefix: str, count: int) -> tuple[str, ...]:
     """``<prefix>0001, <prefix>0002, ...``; cached, since Monte Carlo draws
     build panels of one size over and over."""
     return tuple(f"{prefix}{i + 1:04d}" for i in range(count))
+
+
+def _fields_equal(a, b):
+    """``==`` for a dataclass that holds arrays: same type, arrays equal in
+    shape and values (``np.array_equal``), every other field equal. The
+    generated ``__eq__`` compares arrays element-wise and raises instead of
+    returning a bool."""
+    if type(a) is not type(b):
+        return NotImplemented
+    for f in fields(a):
+        mine, theirs = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(mine, np.ndarray) or isinstance(theirs, np.ndarray):
+            if not np.array_equal(mine, theirs):
+                return False
+        elif mine != theirs:
+            return False
+    return True
 
 
 def _labels(given, prefix: str, count: int, what: str) -> tuple[str, ...]:
@@ -95,6 +112,8 @@ class PanelData:
         if len(x_names) != x.shape[2]:
             raise ValueError("regressor name count does not match panel shape")
         object.__setattr__(self, "x_names", tuple(x_names))
+
+    __eq__ = _fields_equal
 
     @property
     def n_units(self) -> int:

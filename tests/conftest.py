@@ -1,6 +1,8 @@
 import os
 from pathlib import Path
 
+import pytest
+
 import panelcsd
 
 criteria_lines: list[str] = []
@@ -21,3 +23,12 @@ def child_env():
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     return env
+
+
+@pytest.fixture
+def mc_pool():
+    """One two-worker pool for every run_mc call of a test that asks for it,
+    so its workers spawn and import the package once. Not autouse: some
+    tests count the pools they build."""
+    with panelcsd.worker_pool(2) as pool:
+        yield pool

@@ -171,7 +171,7 @@ def test_criterion_4_family_classification():
                else "wrong: " + ", ".join(mistakes)), budget=120.0)
 
 
-def test_criterion_5_rate_reproduction():
+def test_criterion_5_rate_reproduction(mc_pool):
     start = time.monotonic()
     strong = run_mc(McConfig(
         dgp=DgpSpec(cross_section=Equicorr(a=1.0, b=0.5), beta_true=(1.0,)),
@@ -197,7 +197,7 @@ def test_criterion_5_rate_reproduction():
             "(< 0.5)", budget=600.0)
 
 
-def test_criterion_6_wald_size():
+def test_criterion_6_wald_size(mc_pool):
     start = time.monotonic()
     strong = run_mc(McConfig(
         dgp=DgpSpec(cross_section=Equicorr(a=1.0, b=0.5), beta_true=(1.0,)),

@@ -422,3 +422,38 @@ def test_blocked_filter_series_matches_the_period_loop(t):
     z3 = z.reshape(7, 1, t)
     assert_allclose(dgp._filter_series(z3, spec, t)[:, 0], got, rtol=0,
                     atol=1e-15 * np.abs(want).max())
+
+
+# --- draws assembled as a stack ---------------------------------------------
+
+_STACK_SPECS = [
+    base_spec(Equicorr(a=1.0, b=0.5)),
+    DgpSpec(cross_section=Equicorr(a=1.0, b=0.5), beta_true=(1.0, -0.5),
+            time_memory=TimeDependenceSpec.idio_ma((1.0, 0.6, 0.3)),
+            error_dist="student_t"),
+    DgpSpec(cross_section=Band(), beta_true=(2.0,), x_law="cs_centered",
+            time_memory=TimeDependenceSpec.idio_summable(0.9)),
+    DgpSpec(cross_section=Factor(n_factors=2, strength=0.7),
+            beta_true=(1.0, 0.5), x_law="factor_aligned",
+            time_memory=TimeDependenceSpec.factor_summable(0.6)),
+    DgpSpec(cross_section=Factor(n_factors=1), beta_true=(1.0,),
+            time_memory=TimeDependenceSpec.factor_ma((1.0, 0.4)),
+            mu_law="zero"),
+    DgpSpec(cross_section=Factor(n_factors=1), beta_true=(1.0,),
+            time_memory=TimeDependenceSpec.idio_summable(0.5)),
+]
+
+
+@pytest.mark.parametrize("spec", _STACK_SPECS)
+def test_stacked_assembly_gives_each_draw_its_gen_panel_bits(spec):
+    # the Monte Carlo workers assemble blocks of draws at once; every
+    # replication must come out as gen_panel draws it alone
+    n, t, seeds = 9, 2 * dgp._AR_BLOCK + 5, range(5)
+    draws = [dgp._draw(spec, n, t, seed) for seed in seeds]
+    y = dgp._assemble(spec, n, t, np.stack([d[0] for d in draws]),
+                      np.stack([d[1] for d in draws]),
+                      [np.stack(z) for z in zip(*(d[2] for d in draws))])
+    for seed, (x, _, _), got in zip(seeds, draws, y):
+        panel, _ = gen_panel(spec, n, t, seed)
+        assert got.tobytes() == panel.y.tobytes()
+        assert x.tobytes() == panel.x.tobytes()

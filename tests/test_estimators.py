@@ -340,3 +340,16 @@ def test_singular_designs_raise_the_same_messages():
         fit(near_collinear_panel(6, 8, 2, 4, 1e-6))
     assert re.fullmatch(r"demeaned design condition number \d\.\d{3}e\+12 "
                         r">= 1e\+12", str(err.value))
+
+
+def test_fit_results_compare_by_value_and_return_a_bool():
+    rng = np.random.default_rng(3)
+    panel = PanelData(y=rng.standard_normal((4, 5)),
+                      x=rng.standard_normal((4, 5, 2)))
+    res = fit(panel)
+    again = fit(PanelData(y=panel.y.copy(), x=panel.x.copy()))
+    assert (res == again) is True
+    assert (res == fit(panel, EstimatorKind.POOLED)) is False
+    assert (res == fit(PanelData(y=panel.y + 1.0, x=panel.x))) is False
+    shorter = fit(PanelData(y=panel.y[:, :4], x=panel.x[:, :4]))
+    assert (res == shorter) is False

@@ -1,7 +1,9 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import replace
 
@@ -9,10 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import panelcsd
 from panelcsd import (CovMatrix, EstimatorKind, TimeDependenceSpec, fit,
                       montecarlo, true_variance_mixed)
-from panelcsd.dgp import (EXAMPLE_PRESETS, DgpSpec, Diagonal, Equicorr,
-                          Factor, gen_panel)
+from panelcsd.dgp import (EXAMPLE_PRESETS, DecayCorrelation, DgpSpec,
+                          Diagonal, Equicorr, Factor, gen_panel)
 from conftest import child_env
 from panelcsd.config import THREADS_ENV_VAR, resolve_workers
 from panelcsd.errors import (ConditionWarning, SingularGram, UsageError,
@@ -112,12 +115,17 @@ def test_all_failed_cell_has_the_keys_of_a_successful_cell():
 
 def test_worker_block_tallies_linalg_and_true_variance_failures(monkeypatch):
     # a numpy linear-algebra failure inside a replication, in the fit or in
-    # the exact variance, is tallied under its type name, not raised
+    # the exact variance, is tallied under its type name, not raised. The
+    # stacked block fails as a whole first, so every replication reruns
+    # alone, where the fit and the exact variance are per replication.
     cfg = small_config()
     clean = montecarlo._worker_block(cfg, 8, 12, 0, 5, None)
     real_fit = montecarlo.fit
     real_tv = montecarlo._true_variance_for
     calls = {"fit": 0, "tv": 0}
+
+    def failing_stack(*args):
+        raise np.linalg.LinAlgError("stacked algebra failed")
 
     def flaky_fit(panel, kind):
         calls["fit"] += 1
@@ -125,12 +133,13 @@ def test_worker_block_tallies_linalg_and_true_variance_failures(monkeypatch):
             raise np.linalg.LinAlgError("fit failed")
         return real_fit(panel, kind)
 
-    def flaky_tv(res, truth):
+    def flaky_tv(x_dm, gram_inv, truth):
         calls["tv"] += 1
         if calls["tv"] == 3:
             raise np.linalg.LinAlgError("true variance failed")
-        return real_tv(res, truth)
+        return real_tv(x_dm, gram_inv, truth)
 
+    monkeypatch.setattr(montecarlo, "_stacked_block", failing_stack)
     monkeypatch.setattr(montecarlo, "fit", flaky_fit)
     monkeypatch.setattr(montecarlo, "_true_variance_for", flaky_tv)
     beta, vbar, pval, tvar, kinds = \
@@ -180,7 +189,8 @@ def test_worker_true_variance_matches_public_path(form, kind, n, t, k, seed):
                     true_variance_mixed(panel, kind, tm, truth["loadings"],
                                         sigma)
                 continue
-            got = montecarlo._true_variance_for(res, truth)
+            got = montecarlo._true_variance_for(res.demeaned_x, res.gram_inv,
+                                                truth)
             want = true_variance_mixed(panel, kind, tm, truth["loadings"],
                                        sigma)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), \
@@ -211,7 +221,7 @@ def test_fixed_design_true_variance_failure_is_not_fatal():
     assert cell == without
 
 
-def test_true_variance_ratio_tracks_one():
+def test_true_variance_ratio_tracks_one(mc_pool):
     # consistency of the cross-section variance estimator under a strong
     # factor with a fixed design and growing t
     cfg = McConfig(
@@ -292,7 +302,7 @@ def test_fixed_design_shared_across_workers():
     assert r1.to_json() == r2.to_json()
 
 
-def test_regime_size_ordering():
+def test_regime_size_ordering(mc_pool):
     # weaker dependence reaches nominal test size at a t no later than
     # stronger dependence
     out = regime_size_ordering(workers=2)
@@ -304,7 +314,7 @@ def test_regime_size_ordering():
         assert weak <= strong
 
 
-def test_aligned_x_coverage_reported_side_by_side():
+def test_aligned_x_coverage_reported_side_by_side(mc_pool):
     out = aligned_x_coverage(workers=2)
     for key in ("aligned", "generic"):
         cov = out[key]["coverage_95"]
@@ -502,3 +512,143 @@ def test_config_estimator_must_be_an_estimator_kind():
         small_config(estimator="fe")
     cfg = small_config(estimator=EstimatorKind.POOLED)
     assert McConfig.from_dict(cfg.to_dict()) == cfg
+
+
+# --- stacked replication blocks ---------------------------------------------
+
+def _stacking_config(grid, dgp=None, **kw):
+    kw.setdefault("cov", CovConfig(method="cs"))
+    return McConfig(dgp=dgp or DgpSpec(cross_section=Equicorr(a=1.0, b=0.5),
+                                       beta_true=(1.0,)),
+                    grid=(grid,), reps=200, master_seed=17, **kw)
+
+
+_STACKING_CASES = {
+    # the zero-lag covariance and the cross-section exact variance
+    "cs": _stacking_config((50, 25)),
+    # more than 8192 values per design, one stacked block of 3
+    "cs_long": _stacking_config((50, 200), true_variance=False),
+    "kernel_mixed_variance": _stacking_config(
+        (20, 30), DgpSpec(cross_section=Factor(n_factors=1),
+                          beta_true=(1.0, -0.5),
+                          time_memory=TimeDependenceSpec.idio_summable(0.8)),
+        cov=CovConfig(method="kernel", trunc="auto", declared="summable")),
+    "kernel_uniform_ma": _stacking_config(
+        (12, 20), DgpSpec(cross_section=Factor(n_factors=1),
+                          beta_true=(1.0, -0.5, 0.2),
+                          time_memory=TimeDependenceSpec.idio_ma((1.0, 0.6))),
+        cov=CovConfig(method="kernel", kernel="uniform", trunc=4)),
+    "plugin_pooled": _stacking_config(
+        (9, 15), DgpSpec(cross_section=DecayCorrelation(),
+                         beta_true=(1.0, 2.0)),
+        cov=CovConfig(method="plugin"), estimator=EstimatorKind.POOLED),
+    "fixed_design": _stacking_config((12, 20), fixed_design=True),
+    "factor_aligned": _stacking_config(
+        (30, 40), DgpSpec(cross_section=Factor(n_factors=1, strength=1.0),
+                          beta_true=(1.0,), x_law="factor_aligned")),
+    "student_t_ma": _stacking_config(
+        (15, 20), DgpSpec(cross_section=Diagonal(), beta_true=(1.0, 0.5),
+                          error_dist="student_t", t_df=6.0,
+                          time_memory=TimeDependenceSpec.idio_ma((1.0, 0.5))),
+        cov=CovConfig(method="kernel", trunc=2)),
+    "factor_summable": _stacking_config(
+        (14, 50), DgpSpec(cross_section=Factor(n_factors=2, strength=0.7),
+                          beta_true=(1.0, 0.5),
+                          time_memory=TimeDependenceSpec.factor_summable(0.6)),
+        cov=CovConfig(method="kernel", kernel="parzen", trunc=3)),
+    # the uniform kernel's PSD repair leaves some R V R' singular
+    "some_fail": _stacking_config(
+        (2, 3), DgpSpec(cross_section=Diagonal(), beta_true=(1.0, 1.0),
+                        x_law="cs_centered"),
+        cov=CovConfig(method="kernel", kernel="uniform", trunc=1)),
+    "all_singular_gram": _stacking_config(
+        (2, 2), DgpSpec(cross_section=Diagonal(), beta_true=(1.0,) * 5)),
+    # raised for the whole stack, then by every replication on its own
+    "fixed_effect_two_periods": _stacking_config((6, 2)),
+}
+
+
+def _cell_in_process(cfg):
+    n, t = cfg.grid[0]
+    design, tv_fixed = (montecarlo._fixed_design(cfg, n, t)
+                        if cfg.fixed_design else (None, None))
+    block = montecarlo._worker_block(cfg, n, t, 0, cfg.reps, design)
+    return block, montecarlo._aggregate_cell(n, t, cfg, *block, tv_fixed)
+
+
+@pytest.mark.parametrize("name", sorted(_STACKING_CASES))
+def test_stacked_blocks_match_one_replication_per_block(monkeypatch, name):
+    cfg = _STACKING_CASES[name]
+    n, t = cfg.grid[0]
+    assert montecarlo._batch_size(n, t, len(cfg.dgp.beta_true)) > 1
+    stacked, stacked_cell = _cell_in_process(cfg)
+    monkeypatch.setattr(montecarlo, "_batch_size", lambda n, t, k: 1)
+    single, single_cell = _cell_in_process(cfg)
+    for got, want in zip(stacked[:4], single[:4]):
+        assert got.tobytes() == want.tobytes()
+    assert stacked[4] == single[4]
+    assert json.dumps(stacked_cell) == json.dumps(single_cell)
+    # and the same bits as the public functions, one replication at a time
+    k = len(cfg.dgp.beta_true)
+    restr = montecarlo.LinearRestriction(np.eye(k), cfg.dgp.beta_true)
+    want_tv = cfg.true_variance and not cfg.fixed_design
+    design = (montecarlo._fixed_design(cfg, n, t)[0] if cfg.fixed_design
+              else None)
+    for rep in [r for r, kind in enumerate(stacked[4]) if kind is None][:8]:
+        alone = montecarlo._replicate(cfg, n, t, rep, design, restr, want_tv)
+        for got, want in zip(stacked[:4], alone):
+            want = np.broadcast_to(np.asarray(want, float), got[rep].shape)
+            assert got[rep].tobytes() == want.tobytes()
+
+
+def test_stacked_failures_keep_their_exception_names():
+    kinds = {name: _cell_in_process(_STACKING_CASES[name])[1]["failure_kinds"]
+             for name in ("some_fail", "all_singular_gram",
+                          "fixed_effect_two_periods")}
+    assert set(kinds["some_fail"]) == {"SingularRestrictedCov"}
+    assert 0 < kinds["some_fail"]["SingularRestrictedCov"] < 200
+    assert kinds["all_singular_gram"] == {"SingularGram": 200}
+    assert kinds["fixed_effect_two_periods"] == {"SingularCov": 200}
+
+
+def test_batch_size_keeps_a_block_within_its_budget():
+    assert montecarlo._batch_size(50, 25, 1) == 26
+    assert montecarlo._batch_size(50, 200, 1) == 3
+    assert montecarlo._batch_size(50, 100, 2) == 4
+    assert montecarlo._batch_size(200, 200, 2) == 1
+    assert montecarlo._batch_size(2, 2, 1) == 32
+
+
+@pytest.mark.parametrize("total, workers, batch", [
+    (200, 1, 26), (200, 2, 26), (200, 8, 3), (1500, 2, 32), (200, 3, 1),
+    (7, 4, 32), (250, 8, 32)])
+def test_chunks_are_whole_stacked_blocks(total, workers, batch):
+    chunks = montecarlo._chunk_ranges(total, workers, batch)
+    assert chunks[0][0] == 0 and chunks[-1][1] == total
+    assert all(hi == lo for (_, hi), (lo, _) in zip(chunks, chunks[1:]))
+    assert all(lo % batch == 0 and hi > lo for lo, hi in chunks)
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_pool_drops_queued_work_when_an_exception_leaves_it(error):
+    before = set(multiprocessing.active_children())
+    start = time.perf_counter()
+    with pytest.raises(error):
+        with montecarlo._pool(1) as pool:
+            for _ in range(20):
+                pool.submit(time.sleep, 0.5)
+            raise error("stop")
+    assert time.perf_counter() - start < 2.0
+    assert set(multiprocessing.active_children()) <= before
+
+
+def test_worker_pool_is_shared_by_the_calls_inside_it(monkeypatch):
+    built = _count_pools(monkeypatch)
+    cfg = small_config()
+    with panelcsd.worker_pool(2):
+        first = run_mc(cfg, workers=2)
+        second = run_mc(replace(cfg, master_seed=6), workers=2)
+    assert built == [2]
+    assert first.to_json() == run_mc(cfg, workers=2).to_json()
+    assert first.to_json() != second.to_json()
+    assert built == [2, 2]

@@ -449,3 +449,17 @@ def test_columnar_load_across_chunks_at_the_real_block_size(tmp_path):
         load_csv(str(f))
     u, p = rows[order[0]][:2]
     assert str(err.value) == f"duplicate cell (id={u!r}, time={p!r})"
+
+
+def test_panels_compare_by_value_and_return_a_bool():
+    y, x = np.arange(6.0).reshape(2, 3), np.ones((2, 3, 1))
+    panel = PanelData(y=y, x=x)
+    assert (panel == PanelData(y=y.copy(), x=x.copy())) is True
+    assert (panel != PanelData(y=y.copy(), x=x)) is False
+    assert (panel == PanelData(y=y + 1.0, x=x)) is False
+    assert (panel == PanelData(y=y, x=x, x_names=("z",))) is False
+    # unequal shapes compare unequal, they do not raise
+    wider = PanelData(y=np.zeros((2, 4)), x=np.ones((2, 4, 1)))
+    assert (panel == wider) is False
+    assert (panel == PanelData(y=y, x=np.ones((2, 3, 2)))) is False
+    assert panel != "panel"
