@@ -3,8 +3,8 @@
 Subcommands: estimate, test, diagnose, decompose, mc run, mc report,
 explore-conjecture. Exit codes: 0 success, 1 bad input (flags, files,
 malformed requests), 2 numerical failure (singular designs, invalid
-covariances). Machine output is JSON; --format table gives aligned text.
-Output files are written atomically (never left partial on failure).
+covariances), 143 when stopped by SIGTERM. Output is JSON (or an aligned
+--format table), written atomically: never left partial.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import functools
 import io
 import json
 import os
+import signal
 import sys
 
 import numpy as np
@@ -482,6 +483,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+class _Terminated(BaseException):
+    """SIGTERM, raised in the main thread: ``mc run`` shuts its worker pool
+    down on the path Ctrl-C takes, and every command exits 143."""
+
+
+def _terminate(signum, frame):
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)  # one shutdown only
+    raise _Terminated
+
+
 def dispatch(argv: list[str]) -> int:
     parser = build_parser()
     try:
@@ -497,7 +508,11 @@ def dispatch(argv: list[str]) -> int:
     except NumericalError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except _Terminated:
+        print("error: interrupted", file=sys.stderr)
+        return 128 + signal.SIGTERM
 
 
 def main() -> None:
+    signal.signal(signal.SIGTERM, _terminate)
     sys.exit(dispatch(sys.argv[1:]))

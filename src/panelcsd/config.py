@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 import dataclasses
+import math
 import numbers
 import os
 
@@ -107,10 +108,12 @@ def check_int(value, what: str) -> int:
 
 
 def check_real(value, what: str) -> float:
-    """``value`` as a float; UsageError naming ``what`` when it is a bool or
-    not a real number (a string is never parsed)."""
+    """``value`` as a float; UsageError naming ``what`` when it is a bool,
+    not a real number (a string is never parsed), infinite or NaN."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise UsageError(f"{what} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise UsageError(f"{what} must be finite, got {value!r}")
     return float(value)
 
 

@@ -31,15 +31,16 @@ T-1 is summed exactly. The recursion runs in blocks of periods as matrix
 products (``dgp._ar1``), not as a loop over periods.
 
 The scores, lag windows, PSD repair and exact variances work on stacks of
-fits (a leading axis of B), one product or eigensolve per fit; the public
-estimators are those on a stack of one, and the Monte Carlo workers call
-:func:`_robust_stack` on blocks of replications.
+fits (a leading axis of B), one product or eigensolve per fit. All three
+estimators have one entry point, :func:`_robust_stack`: the Monte Carlo
+workers call it on blocks of replications, and :func:`cov_cross_section`,
+:func:`cov_kernel` and :func:`cov_plugin` call it on a block of one.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +49,7 @@ from .config import (PSD_REPAIR_REL, auto_truncation, declared_lag,
 from .errors import SingularCov, SpecMismatch, TruncTooLarge, UsageError
 from .dependence import CovMatrix
 from .dgp import TimeDependenceSpec, _ar1
-from .estimators import EstimatorKind, FitResult, demean, gram_inverse
+from .estimators import EstimatorKind, FitResult, _demean_stack, gram_inverse
 from .panel import PanelData
 
 __all__ = [
@@ -60,6 +61,7 @@ __all__ = [
     "cov_cross_section",
     "cov_kernel",
     "cov_plugin",
+    "kernel_weight",
     "true_variance_cs",
     "true_variance_mixed",
 ]
@@ -198,14 +200,30 @@ def _repair_psd(v: np.ndarray):
     return v, repaired, clipped
 
 
-def _kernel_stack(kind: EstimatorKind, x_dm: np.ndarray,
-                  residuals: np.ndarray, gram_inv: np.ndarray, kernel: str,
-                  trunc: int | str, declared: str):
-    # cov_kernel for a stack of fits: (matrices, repaired, clipped, lag).
-    _check_kernel(kernel)
+def _robust_stack(kind: EstimatorKind, x_dm: np.ndarray,
+                  residuals: np.ndarray, gram_inv: np.ndarray, method: str,
+                  kernel: str = "bartlett", trunc: int | str = 0,
+                  declared: str = "unknown", omega: np.ndarray | None = None):
+    """The one robust covariance routine, for a stack of fits: demeaned
+    designs (B, n, t, k) as k-major views, residuals (B, n, t) and Gram
+    inverses (B, k, k). ``method`` is a :class:`CovMethod` value; the kernel
+    estimator reads ``kernel``, ``trunc`` and ``declared``, the plug-in one
+    ``omega`` (n, n; default each fit's residual outer-product average).
+    Returns the PSD-repaired matrices (B, k, k), which were repaired, the
+    eigenvalue mass each lost, and the kernel's truncation lag (else None).
+    Raises what the public estimator raises, for the whole stack; every
+    product is per fit, so a fit gets the same bits alone or stacked."""
     t = residuals.shape[-1]
+    if method == "plugin":
+        if omega is None:
+            _check_periods(kind, t)
+            omega = residuals @ residuals.mT / t
+        v = _exact_variance(x_dm, gram_inv, TimeDependenceSpec(), None, omega)
+        return (*_repair_psd(v), None)
+    _check_kernel(kernel)
     _check_periods(kind, t)
-    c = auto_truncation(t, declared) if trunc == "auto" else int(trunc)
+    c = (0 if method == "cs" else
+         auto_truncation(t, declared) if trunc == "auto" else int(trunc))
     if c < 0:
         raise ValueError("truncation must be nonnegative")
     if c >= t:
@@ -215,54 +233,32 @@ def _kernel_stack(kind: EstimatorKind, x_dm: np.ndarray,
     for j in range(1, c + 1):  # every weight at lags 1..c is positive
         a = u[:, j:].mT @ u[:, :-j]
         v = v + kernel_weight(kernel, j, c) * (a + a.mT)
-    return (*_repair_psd(v), c)
+    return (*_repair_psd(v), None if method == "cs" else c)
 
 
-def _plugin_stack(kind: EstimatorKind, x_dm: np.ndarray,
-                  residuals: np.ndarray, gram_inv: np.ndarray,
-                  omega: np.ndarray | None = None):
-    # cov_plugin for a stack of fits: (matrices, repaired, clipped). Without
-    # omega each fit uses its own residual outer-product average.
-    if omega is None:
-        t = residuals.shape[-1]
-        _check_periods(kind, t)
-        omega = residuals @ residuals.mT / t
-    return _repair_psd(_exact_variance(x_dm, gram_inv, TimeDependenceSpec(),
-                                       None, omega))
-
-
-def _robust_stack(kind: EstimatorKind, x_dm: np.ndarray,
-                  residuals: np.ndarray, gram_inv: np.ndarray,
-                  cov: CovConfig) -> np.ndarray:
-    """The covariance matrices (B, k, k) that ``cov`` asks for, for a stack
-    of fits: demeaned designs (B, n, t, k) as k-major views, residuals
-    (B, n, t) and Gram inverses (B, k, k). Raises what the public estimator
-    raises, for the whole stack. Every product is per fit, so a fit gets the
-    same bits alone or in a stack."""
-    if cov.method == "plugin":
-        return _plugin_stack(kind, x_dm, residuals, gram_inv)[0]
-    trunc = 0 if cov.method == "cs" else cov.trunc
-    return _kernel_stack(kind, x_dm, residuals, gram_inv, cov.kernel, trunc,
-                         cov.declared)[0]
-
-
-def _stack_of_one(result: FitResult):
-    return (result.demeaned_x[np.newaxis], result.residuals[np.newaxis],
-            result.gram_inv[np.newaxis])
+def _robust_cov(result: FitResult, method: str, **options) -> RobustCov:
+    # _robust_stack on a block of one fit, with the metadata of ``method``
+    v, repaired, clipped, lag = _robust_stack(
+        result.kind, result.demeaned_x[np.newaxis],
+        result.residuals[np.newaxis], result.gram_inv[np.newaxis],
+        method, **options)
+    kernel = options["kernel"] if method == "kernel" else None
+    return RobustCov(matrix=v[0], method=CovMethod(method), kernel_name=kernel,
+                     trunc_lag=lag, psd_repaired=bool(repaired[0]),
+                     clipped_mass=float(clipped[0]))
 
 
 def cov_cross_section(result: FitResult) -> RobustCov:
     """Zero-lag score sandwich, robust to within-period dependence.
 
-    This is :func:`cov_kernel` at truncation 0, reported as the
-    cross-section estimator (no kernel, no truncation lag).
+    The same matrix as :func:`cov_kernel` at truncation 0, reported as the
+    cross-section estimator (no kernel, no truncation lag). A fixed-effect
+    panel with fewer than 3 periods raises SingularCov.
 
     Zero residuals give the zero matrix: singularity is not an error here,
     :func:`~panelcsd.inference.wald` refuses it when it inverts R V R'.
     """
-    rc = cov_kernel(result, trunc=0)
-    return replace(rc, method=CovMethod.CROSS_SECTION, kernel_name=None,
-                   trunc_lag=None)
+    return _robust_cov(result, "cs")
 
 
 def _check_kernel(name: str) -> None:
@@ -308,11 +304,8 @@ def cov_kernel(result: FitResult, kernel: str = "bartlett",
     flagged on the result. A fixed-effect panel with fewer than 3 periods
     raises SingularCov: its scores are identically zero.
     """
-    v, repaired, clipped, c = _kernel_stack(
-        result.kind, *_stack_of_one(result), kernel, trunc, declared)
-    return RobustCov(matrix=v[0], method=CovMethod.KERNEL, kernel_name=kernel,
-                     trunc_lag=c, psd_repaired=bool(repaired[0]),
-                     clipped_mass=float(clipped[0]))
+    return _robust_cov(result, "kernel", kernel=kernel, trunc=trunc,
+                       declared=declared)
 
 
 def _sandwich(a: np.ndarray, base: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -393,12 +386,8 @@ def cov_plugin(result: FitResult, omega: CovMatrix | None = None) -> RobustCov:
     if omega is not None and omega.n != result.n_units:
         raise ValueError(f"omega is {omega.n} x {omega.n}, but the panel "
                          f"has {result.n_units} units")
-    v, repaired, clipped = _plugin_stack(
-        result.kind, *_stack_of_one(result),
-        None if omega is None else omega.values)
-    return RobustCov(matrix=v[0], method=CovMethod.PLUG_IN,
-                     psd_repaired=bool(repaired[0]),
-                     clipped_mass=float(clipped[0]))
+    return _robust_cov(result, "plugin",
+                       omega=None if omega is None else omega.values)
 
 
 def true_variance_cs(x_design: PanelData, kind: EstimatorKind,
@@ -451,7 +440,9 @@ def true_variance_mixed(
     """
     if sigma is not None and not isinstance(sigma, CovMatrix):
         sigma = CovMatrix(sigma)
-    x_dm = demean(x_design, kind)[1]
-    _, gram_inv, _ = gram_inverse(x_dm, np.linalg.norm(x_design.x))
+    _, xk, _, _, x_scale = _demean_stack(
+        x_design.y[np.newaxis], x_design.x[np.newaxis], kind)
+    x_dm = xk[0].transpose(1, 2, 0)
+    _, gram_inv, _ = gram_inverse(x_dm, x_scale[0])
     return _exact_variance(x_dm, gram_inv, spec, loadings,
                            None if sigma is None else sigma.values)

@@ -7,7 +7,9 @@ cross-section uses a symmetric eigenvalue square root, moving-average memory
 draws its pre-sample innovations (stationary from the first period), and
 geometric memory uses a first-order recursion initialized from its stationary
 law. Draw order (x, unit effects, error innovations) is fixed so equal seeds
-give byte-identical panels.
+give byte-identical panels. Every panel comes from one draw,
+:func:`_draw_block`, on a block of seeds: the Monte Carlo workers call it on
+blocks of replications and :func:`gen_panel` on a single seed.
 
 The cross-section covariance and its square root are built by
 :func:`build_omega` once per (family, n) per process and shared, read-only,
@@ -57,10 +59,16 @@ def _resolve_width(width, n: int) -> int:
 
 
 class _Family:
-    """Base of the covariance families: each checks its parameters when it
-    is constructed; ``build(n)`` keeps only the checks that need n.
-    ``params()`` lists the constructor fields in declaration order
-    (``name`` is not one of them)."""
+    """Base of the covariance families: each checks its parameters (floats
+    finite, then its own ``_check``) when it is constructed; ``build(n)``
+    keeps only the checks that need n. ``params()`` lists the constructor
+    fields in declaration order (``name`` is not one of them)."""
+
+    def __post_init__(self):
+        for key, value in self.params().items():
+            if isinstance(value, float):
+                check_real(value, f"{self.name} parameter {key!r}")
+        self._check()
 
     def params(self) -> dict:
         return field_dict(self)
@@ -73,7 +81,7 @@ class Diagonal(_Family):
     scale: float = 1.0
     name: str = field(default="diagonal", init=False)
 
-    def __post_init__(self):
+    def _check(self):
         if not self.scale > 0:
             raise UsageError("scale must be positive")
 
@@ -100,7 +108,7 @@ class Band(_Family):
     taper: str = "flat"
     name: str = field(default="band", init=False)
 
-    def __post_init__(self):
+    def _check(self):
         _check_width(self.width, "band width")
         if not (0.0 <= self.b < 1.0):
             raise UsageError("band b must be in [0, 1)")
@@ -135,7 +143,7 @@ class Block(_Family):
     b: float = 0.5
     name: str = field(default="block", init=False)
 
-    def __post_init__(self):
+    def _check(self):
         if (self.size is None) == (self.n_blocks is None):
             raise UsageError("give exactly one of size or n_blocks")
         if self.size is not None:
@@ -186,7 +194,7 @@ class DecayCorrelation(_Family):
     b: float = 0.5
     name: str = field(default="decay", init=False)
 
-    def __post_init__(self):
+    def _check(self):
         if not (0.0 <= self.b <= 1.0):
             raise UsageError("decay b must be in [0, 1]")
         if not self.p >= 0:
@@ -218,7 +226,7 @@ class SpatialAR(_Family):
     rho: float = 0.4
     name: str = field(default="spatial_ar", init=False)
 
-    def __post_init__(self):
+    def _check(self):
         if not (-1.0 < self.rho < 1.0):
             raise UsageError("spatial rho must be in (-1, 1)")
 
@@ -242,7 +250,7 @@ class Equicorr(_Family):
     b: float = 0.5
     name: str = field(default="equicorr", init=False)
 
-    def __post_init__(self):
+    def _check(self):
         if not (0.0 <= self.b <= self.a and self.a > 0):
             raise UsageError("equicorr needs a > 0 and 0 <= b <= a")
 
@@ -264,7 +272,7 @@ class Arrowhead(_Family):
     c: float = 2.0
     name: str = field(default="arrowhead", init=False)
 
-    def __post_init__(self):
+    def _check(self):
         if not self.c > 1.0:
             raise UsageError("arrowhead c must be > 1 for positive definiteness")
 
@@ -288,7 +296,7 @@ class ScaledEquicorr(_Family):
     a: float = 1.0
     name: str = field(default="scaled_equicorr", init=False)
 
-    def __post_init__(self):
+    def _check(self):
         if not self.a > 0:
             raise UsageError("scaled_equicorr a must be positive")
 
@@ -320,7 +328,7 @@ class Factor(_Family):
     loading_seed: int = 0
     name: str = field(default="factor", init=False)
 
-    def __post_init__(self):
+    def _check(self):
         if check_int(self.n_factors, "n_factors") < 1:
             raise UsageError("n_factors must be >= 1")
         if not (0.0 < self.strength <= 1.0):
@@ -493,9 +501,8 @@ class TimeDependenceSpec:
         if self.form == "ma":
             if not self.psi:
                 raise SpecMismatch("ma form needs at least psi_0")
-            if (not all(np.isfinite(self.psi))
-                    or sum(p * p for p in self.psi) <= 0):
-                raise SpecMismatch("ma coefficients must be finite and not all zero")
+            if sum(p * p for p in self.psi) <= 0:
+                raise SpecMismatch("ma coefficients must not all be zero")
         if self.form == "summable" and (self.decay is None
                                         or not 0.0 < self.decay < 1.0):
             raise SpecMismatch("summable form needs decay in (0, 1)")
@@ -647,23 +654,14 @@ def _cross_section(family, n: int):
     return out
 
 
-def _innovations(rng: np.random.Generator, shape, spec: DgpSpec) -> np.ndarray:
-    if spec.error_dist == "gaussian":
-        return rng.standard_normal(shape)
-    z = rng.standard_t(spec.t_df, size=shape)
-    return z * np.sqrt((spec.t_df - 2.0) / spec.t_df)
-
-
 def _filter_series(z: np.ndarray, tm: TimeDependenceSpec, t: int) -> np.ndarray:
     """Turn iid innovation columns into a serially dependent series of
-    length t with unit marginal variance and the autocorrelations ``tm``
-    asks for.
+    length t with unit marginal variance and the autocorrelations that
+    ``tm``, an MA or summable form, asks for.
 
     ``z`` must already hold the required number of columns: t + q for the
-    MA form (pre-sample draws give a stationary start), t for the others.
+    MA form (pre-sample draws give a stationary start), t for the other.
     """
-    if tm.form == "none":
-        return z
     if tm.form == "ma":
         psi = np.asarray(tm.psi, dtype=float)
         psi = psi / np.linalg.norm(psi)
@@ -722,17 +720,14 @@ def _draw(spec: DgpSpec, n: int, t: int, seed,
     Returns ``(x, mu, innovations)``. ``innovations`` is ``(f, e)`` for a
     factor family, the common factors' rows before the idiosyncratic ones,
     and ``(z,)`` for every other family; rows that carry MA(q) memory hold
-    t + q columns, all others t. :func:`_assemble` turns a stack of these
-    into outcomes.
+    t + q columns, all others t.
     """
     k = len(spec.beta_true)
     family = spec.cross_section
     rng = np.random.default_rng(seed)
     loadings = _cross_section(family, n)[1]
     if design is not None:
-        x, mu = design
-        x = np.asarray(x, dtype=float)
-        mu = np.asarray(mu, dtype=float)
+        x, mu = (np.asarray(a, dtype=float) for a in design)
         if x.shape != (n, t, k) or mu.shape != (n,):
             raise ValueError("design shapes do not match (n, t, k)")
     else:
@@ -752,7 +747,10 @@ def _draw(spec: DgpSpec, n: int, t: int, seed,
 
     def draw(rows: int, carries_memory: bool) -> np.ndarray:
         q = len(tm.psi) - 1 if carries_memory and tm.form == "ma" else 0
-        return _innovations(rng, (rows, t + q), spec)
+        if spec.error_dist == "gaussian":
+            return rng.standard_normal((rows, t + q))
+        z = rng.standard_t(spec.t_df, size=(rows, t + q))
+        return z * np.sqrt((spec.t_df - 2.0) / spec.t_df)
 
     if isinstance(family, Factor):
         innovations = (draw(loadings.shape[1], tm.channel == "factor"),
@@ -762,16 +760,23 @@ def _draw(spec: DgpSpec, n: int, t: int, seed,
     return x, mu, innovations
 
 
-def _assemble(spec: DgpSpec, n: int, t: int, x: np.ndarray, mu: np.ndarray,
-              innovations) -> np.ndarray:
-    """Outcomes (B, n, t) for a stack of draws: x (B, n, t, k), mu (B, n) and
-    the :func:`_draw` innovations, each stacked on a leading axis of B.
+def _draw_block(spec: DgpSpec, n: int, t: int, seeds,
+                design: tuple[np.ndarray, np.ndarray] | None = None):
+    """The one panel draw, for a block of replications: ``(y, x, mu)``
+    shaped (B, n, t), (B, n, t, k) and (B, n), one per seed.
 
-    Filters the rows that carry memory, forms the errors as ``root @ z`` or
+    Each seed is drawn on its own (:func:`_draw`). The block then filters
+    the rows that carry memory, forms the errors as ``root @ z`` or
     ``loadings @ f`` plus the scaled idiosyncratic rows, and adds
-    ``x @ beta + mu``. Every product is per replication (a broadcast matmul),
-    so a replication gets the same bits in a stack of any size.
+    ``x @ beta + mu``. Every product is per replication (a broadcast
+    matmul), so a replication gets the same bits in a block of any size.
     """
+    def stack(arrays):  # a block of one is a view, not a copy
+        return arrays[0][np.newaxis] if len(arrays) == 1 else np.stack(arrays)
+
+    xs, mus, zs = zip(*(_draw(spec, n, t, seed, design) for seed in seeds))
+    x, mu, innovations = stack(xs), stack(mus), [stack(z) for z in zip(*zs)]
+    del xs, mus, zs
     family = spec.cross_section
     tm = spec.time_memory
     _, loadings, _, root = _cross_section(family, n)
@@ -785,7 +790,7 @@ def _assemble(spec: DgpSpec, n: int, t: int, x: np.ndarray, mu: np.ndarray,
             family.idio_var) * series(e, tm.channel == "idio")
     else:
         eps = root @ series(innovations[0], tm.channel != "none")
-    return mu[..., np.newaxis] + x @ np.asarray(spec.beta_true) + eps
+    return mu[..., np.newaxis] + x @ np.asarray(spec.beta_true) + eps, x, mu
 
 
 def _truth(spec: DgpSpec, n: int, mu) -> dict:
@@ -823,11 +828,7 @@ def gen_panel(
         process and shared by every draw, so ``omega``, ``loadings`` and
         ``sigma`` are read-only.
 
-    The draw (:func:`_draw`) and the assembly (:func:`_assemble`) are the
-    two steps the Monte Carlo workers run on stacks of replications; here
-    they run on one.
+    This is the one panel draw, :func:`_draw_block`, on a single seed.
     """
-    x, mu, innovations = _draw(spec, n, t, seed, design)
-    y = _assemble(spec, n, t, x[np.newaxis], mu[np.newaxis],
-                  [z[np.newaxis] for z in innovations])[0]
-    return PanelData(y=y, x=x), _truth(spec, n, mu)
+    y, x, mu = _draw_block(spec, n, t, [seed], design)
+    return PanelData(y=y[0], x=x[0]), _truth(spec, n, mu[0])

@@ -54,14 +54,17 @@ class EstimatorKind(enum.Enum):
 
 def _demean_stack(y: np.ndarray, x: np.ndarray, kind: EstimatorKind):
     """The one demean, for a stack of panels y (B, n, t) and x (B, n, t, k):
-    ``(y_dm, xk, y_bar, x_bar)``.
+    ``(y_dm, xk, y_bar, x_bar, x_scale)``.
 
     ``xk`` is the demeaned design as a contiguous k-major (B, k, n, t) copy,
     so each unit mean runs over contiguous memory and each design flattens
     to (k, n*t) for free. ``y_bar`` and ``x_bar`` are the means removed (per
     unit under the within estimator, overall under the pooled one), kept
-    for the intercepts.
+    for the intercepts. ``x_scale`` (B,) is the one design scale of
+    :func:`gram_inverse`: ``np.linalg.norm`` of each C- or F-ordered design.
     """
+    xr = x.reshape(len(x), 1, -1, order="A")  # memory order, as norm reads
+    x_scale = np.sqrt(xr @ xr.mT)[:, 0, 0]
     xk = x.transpose(0, 3, 1, 2).copy()  # always a copy, even at k = 1
     if kind is EstimatorKind.FIXED_EFFECT:
         x_bar = xk.mean(axis=3, keepdims=True)
@@ -72,7 +75,7 @@ def _demean_stack(y: np.ndarray, x: np.ndarray, kind: EstimatorKind):
     else:
         raise ValueError(f"unknown estimator kind {kind!r}")
     xk -= x_bar
-    return y - y_bar, xk, y_bar, x_bar
+    return y - y_bar, xk, y_bar, x_bar, x_scale
 
 
 def demean(panel: PanelData, kind: EstimatorKind) -> tuple[np.ndarray, np.ndarray]:
@@ -85,8 +88,8 @@ def demean(panel: PanelData, kind: EstimatorKind) -> tuple[np.ndarray, np.ndarra
     x_dm : ndarray, shape (n_units, n_periods, n_regressors)
         A transposed view of a k-major array.
     """
-    y_dm, xk, _, _ = _demean_stack(panel.y[np.newaxis], panel.x[np.newaxis],
-                                   kind)
+    y_dm, xk, *_ = _demean_stack(panel.y[np.newaxis], panel.x[np.newaxis],
+                                 kind)
     return y_dm[0], xk[0].transpose(1, 2, 0)
 
 
@@ -204,9 +207,7 @@ def _fit_stack(y: np.ndarray, x: np.ndarray, kind: EstimatorKind):
                           & np.isfinite(x).all(axis=(1, 2, 3)))
     if len(kept) < len(x):
         y, x = y[kept], x[kept]
-    xr = x.reshape(len(x), 1, int(np.prod(x.shape[1:])))
-    x_scale = np.sqrt(xr @ xr.mT)[:, 0, 0]  # np.linalg.norm's dot product
-    y_dm, xk, _, _ = _demean_stack(y, x, kind)
+    y_dm, xk, _, _, x_scale = _demean_stack(y, x, kind)
     gram, cond, verdict = _gram_stack(xk, x_scale)
     usable = (verdict == _GRAM_OK) & (cond <= COND_WARN)
     if not usable.all():
@@ -290,10 +291,10 @@ def fit(panel: PanelData, kind: EstimatorKind = EstimatorKind.FIXED_EFFECT) -> F
         regressor that is constant within every unit (under the within
         estimator) lands here.
     """
-    y_dm, xk, y_bar, x_bar = _demean_stack(panel.y[np.newaxis],
-                                           panel.x[np.newaxis], kind)
+    y_dm, xk, y_bar, x_bar, x_scale = _demean_stack(
+        panel.y[np.newaxis], panel.x[np.newaxis], kind)
     x_dm = xk[0].transpose(1, 2, 0)
-    gram, gram_inv, cond = gram_inverse(x_dm, np.linalg.norm(panel.x))
+    gram, gram_inv, cond = gram_inverse(x_dm, x_scale[0])
     if cond <= COND_WARN:
         beta, residuals = _solve_stack(xk, y_dm, gram_inv[np.newaxis])
         beta, residuals = beta[0], residuals[0]

@@ -46,10 +46,10 @@ import warnings
 import numpy as np
 
 from .config import check_int, field_dict, from_fields, resolve_workers
-from .covariance import (CovConfig, _exact_variance, _robust_stack,
-                         _stack_of_one)
+from .covariance import (CovConfig, _exact_variance, _robust_cov,
+                         _robust_stack)
 from .dependence import _loglog_slope
-from .dgp import (DgpSpec, Equicorr, _assemble, _draw, _truth, build_omega,
+from .dgp import (DgpSpec, Equicorr, _draw_block, _truth, build_omega,
                   gen_panel)
 from .errors import ConditionWarning, PanelError, UsageError, WorkerPoolError
 from .estimators import EstimatorKind, _fit_stack, fit
@@ -193,13 +193,12 @@ def _batch_size(n: int, t: int, k: int) -> int:
 
 def _replicate(cfg: McConfig, n: int, t: int, rep: int, design, restr,
                want_tv: bool):
-    """Replication ``rep`` alone, through the public functions: the path of
-    every replication a stacked block cannot settle. Raises what stopped
-    it."""
+    """Replication ``rep`` alone, on blocks of one: the path of every
+    replication a stacked block cannot settle. Raises what stopped it."""
     seed = _derive_seed(cfg.master_seed, n, t, _REP_TAG, rep)
     panel, truth = gen_panel(cfg.dgp, n, t, seed, design=design)
     res = fit(panel, cfg.estimator)
-    v = _robust_stack(cfg.estimator, *_stack_of_one(res), cfg.cov)[0]
+    v = _robust_cov(res, **cfg.cov.to_dict()).matrix
     p_value = wald(res.beta_hat, v, restr).p_value
     tv = (_true_variance_for(res.demeaned_x, res.gram_inv, truth)
           if want_tv else np.nan)
@@ -220,28 +219,16 @@ def _stacked_block(cfg: McConfig, n: int, t: int, reps: range, design,
     result. An error raised for the whole stack propagates, and then
     nothing has been written.
     """
-    spec = cfg.dgp
-    draws = [_draw(spec, n, t,
-                   _derive_seed(cfg.master_seed, n, t, _REP_TAG, rep), design)
-             for rep in reps]
-
-    def stack(arrays):  # a block of one is a view, not a copy
-        return (arrays[0][np.newaxis] if len(arrays) == 1
-                else np.stack(arrays))
-
-    x = stack([d[0] for d in draws])
-    mu = stack([d[1] for d in draws])
-    innovations = [stack(z) for z in zip(*(d[2] for d in draws))]
-    del draws
-    y = _assemble(spec, n, t, x, mu, innovations)
-
+    seeds = [_derive_seed(cfg.master_seed, n, t, _REP_TAG, r) for r in reps]
+    y, x, _ = _draw_block(cfg.dgp, n, t, seeds, design)
     live, x_dm, resid, gram_inv, b = _fit_stack(y, x, cfg.estimator)
-    v = _robust_stack(cfg.estimator, x_dm, resid, gram_inv, cfg.cov)
+    v = _robust_stack(cfg.estimator, x_dm, resid, gram_inv,
+                      **cfg.cov.to_dict())[0]
     stat, singular, _ = _wald_stack(b, v, restr)
     ok = (~singular & np.isfinite(stat) & np.isfinite(b).all(axis=1)
           & np.isfinite(v).all(axis=(1, 2)))
     if want_tv:
-        tv = _true_variance_for(x_dm, gram_inv, _truth(spec, n, None))
+        tv = _true_variance_for(x_dm, gram_inv, _truth(cfg.dgp, n, None))
         ok &= np.isfinite(tv).all(axis=(1, 2))
     p_values = [chi2_sf(max(float(st), 0.0), restr.q) for st in stat[ok]]
     rows = live[ok]

@@ -1,8 +1,10 @@
 import csv
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -578,6 +580,88 @@ def test_mc_run_worker_pool_error_exits_one(tmp_path, capsys, monkeypatch):
                              "--threads", "1")
     assert code == 1 and out == ""
     assert err.startswith("error: the worker pool broke")
+
+
+@pytest.mark.parametrize("edit, key", [
+    ({"beta_true": [float("inf")]}, "beta_true"),
+    ({"error_dist": "student_t", "t_df": float("inf")}, "t_df"),
+    ({"cross_section": "equicorr:a=inf"}, "'a'"),
+    ({"cross_section": "diagonal:scale=inf"}, "'scale'"),
+    ({"cross_section": {"family": "band", "b": float("nan")}}, "'b'"),
+])
+def test_mc_run_rejects_non_finite_numbers_before_any_worker(
+        tmp_path, capsys, monkeypatch, edit, key):
+    # json.dumps writes Infinity and NaN, which json.load reads back
+    from panelcsd import montecarlo
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "dgp": {"cross_section": "example1", "beta_true": [1.0], **edit},
+        "grid": [[6, 10]], "reps": 200, "cov": {"method": "cs"}}))
+    report_path = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "mc", "run", str(cfg_path),
+                             "--out", str(report_path), "--threads", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "finite" in err and key in err
+    assert not report_path.exists()
+
+
+def _live_group_members(pgid: int) -> list[int]:
+    """The processes of group ``pgid`` that are not zombies, from /proc."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                state, _, group = fh.read().rsplit(")", 1)[1].split()[:3]
+        except OSError:
+            continue
+        if int(group) == pgid and state != "Z":
+            members.append(int(entry))
+    return members
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_mc_run_sigterm_stops_the_workers(tmp_path):
+    # many cells whose chunks take milliseconds: SIGTERM lands mid-run, and
+    # the run must stop its workers and exit 143 with one line
+    cfg_path = tmp_path / "long.json"
+    cfg_path.write_text(json.dumps({
+        "dgp": {"cross_section": "example1", "beta_true": [1.0]},
+        "grid": [[20, 20]] * 1000, "reps": 400, "cov": {"method": "cs"}}))
+    report_path = tmp_path / "report.json"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "panelcsd", "mc", "run", str(cfg_path),
+         "--threads", "2", "--out", str(report_path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=child_env(), start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60
+        while len(_live_group_members(proc.pid)) < 3:  # the run and workers
+            assert proc.poll() is None, proc.communicate()
+            assert time.monotonic() < deadline, "the workers never started"
+            time.sleep(0.05)
+        time.sleep(1.0)  # past the workers' start, into the cells
+        assert proc.poll() is None, proc.communicate()
+        proc.send_signal(signal.SIGTERM)
+        deadline = time.monotonic() + 5
+        out, err = proc.communicate(timeout=5)
+        while _live_group_members(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _live_group_members(proc.pid) == []
+        assert proc.returncode == 143
+        assert (out, err) == ("", "error: interrupted\n")
+        assert not report_path.exists()
+    finally:
+        for pid in _live_group_members(proc.pid):
+            os.kill(pid, signal.SIGKILL)
+        proc.kill()
+        proc.communicate()
 
 
 def test_cli_choices_are_the_library_vocabularies():

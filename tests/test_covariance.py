@@ -12,7 +12,7 @@ from panelcsd import (CovMatrix, CovMethod, EstimatorKind, FitResult,
 from panelcsd.config import auto_truncation, declared_lag
 from panelcsd.errors import (SingularCov, SingularRestrictedCov,
                              SpecMismatch, TruncTooLarge, UsageError)
-from panelcsd.covariance import _weighted_leads
+from panelcsd.covariance import _robust_stack, _weighted_leads
 from panelcsd.dgp import _AR_BLOCK, DgpSpec, Factor, gen_panel
 
 
@@ -174,6 +174,55 @@ def test_cov_kernel_rejects_unknown_kernel_at_every_truncation(trunc):
     res = fit(random_panel(3, 8, 1, seed=2))
     with pytest.raises(ValueError, match="unknown kernel"):
         cov_kernel(res, kernel="gauss", trunc=trunc)
+
+
+_OMEGA = CovMatrix(0.5 * np.eye(5) + 0.5)
+_PUBLIC_COVS = [
+    ("cs", {}, cov_cross_section),
+    *[("kernel", {"kernel": kernel, "trunc": trunc},
+       lambda res, kernel=kernel, trunc=trunc: cov_kernel(
+           res, kernel=kernel, trunc=trunc))
+      for kernel in ("bartlett", "uniform", "parzen")
+      for trunc in (0, 2, "auto")],
+    ("plugin", {}, cov_plugin),
+    ("plugin", {"omega": _OMEGA.values}, lambda res: cov_plugin(res, _OMEGA)),
+]
+
+
+@pytest.mark.parametrize("method, options, public", _PUBLIC_COVS)
+def test_public_covariances_are_the_stacked_routine_on_one_fit(
+        method, options, public):
+    # the same matrix bytes and metadata as _robust_stack on a block of one,
+    # and as that fit's slice of a block of several
+    results = [fit(random_panel(5, 9, 2, seed)) for seed in (21, 22, 23)]
+
+    def block(fits):  # k-major designs, as the Monte Carlo fit returns them
+        return (np.stack([r.demeaned_x.transpose(2, 0, 1)
+                          for r in fits]).transpose(0, 2, 3, 1),
+                np.stack([r.residuals for r in fits]),
+                np.stack([r.gram_inv for r in fits]))
+
+    stacked = _robust_stack(EstimatorKind.FIXED_EFFECT, *block(results),
+                            method, **options)
+    for i, res in enumerate(results):
+        v, repaired, clipped, lag = _robust_stack(
+            EstimatorKind.FIXED_EFFECT, *block([res]), method, **options)
+        rc = public(res)
+        assert rc.matrix.tobytes() == v[0].tobytes() == stacked[0][i].tobytes()
+        assert rc.metadata() == {
+            "method": method,
+            "kernel": options.get("kernel"),
+            "trunc_lag": lag,
+            "psd_repaired": bool(repaired[0]),
+            "clipped_mass": float(clipped[0]),
+        }
+        assert (lag, bool(repaired[0]), float(clipped[0])) == (
+            stacked[3], bool(stacked[1][i]), float(stacked[2][i]))
+        if method == "kernel":
+            assert lag == (2 if options["trunc"] == "auto"
+                           else options["trunc"])
+        else:
+            assert lag is None
 
 
 def test_declared_dependence_grammar():

@@ -305,6 +305,14 @@ MEMORY_SPECS = (
     "scaled_equicorr:a=0",
     {"family": "diagonal", "scale": 0},
     {"b": 0.5},
+    # non-finite numbers used to load and fail later, in build_omega
+    "equicorr:a=inf",
+    "diagonal:scale=inf",
+    "band:b=nan",
+    {"family": "factor", "idio_var": float("inf")},
+    {"family": "decay", "p": float("inf")},
+    {"family": "arrowhead", "c": float("inf")},
+    {"family": "scaled_equicorr", "a": float("nan")},
 ])
 def test_bad_family_parameter_fails_on_load(raw):
     # caught when the spec is built, before any panel of any size is drawn
@@ -362,6 +370,17 @@ def test_spec_round_trip():
                       "psi": ["1", "0.5"]}}, "psi"),
     ({"time_memory": {"channel": "idio", "form": "ma", "psi": "15"}}, "psi"),
     ({"cross_section": ["example1"]}, "cross_section"),
+    # inf and NaN used to load and fail later, in a worker
+    ({"beta_true": [float("inf")]}, "beta_true"),
+    ({"beta_true": [1.0, float("nan")]}, "beta_true"),
+    ({"error_dist": "student_t", "t_df": float("inf")}, "t_df"),
+    ({"t_df": float("nan")}, "t_df"),
+    ({"time_memory": {"channel": "idio", "form": "summable",
+                      "decay": float("nan")}}, "decay"),
+    ({"time_memory": {"channel": "idio", "form": "ma",
+                      "psi": [1.0, float("inf")]}}, "psi"),
+    ({"cross_section": "equicorr:a=inf"}, "'a' must be finite"),
+    ({"cross_section": "diagonal:scale=inf"}, "'scale' must be finite"),
 ])
 def test_spec_from_dict_checks_values_instead_of_coercing(edit, key):
     # "12" must not load as beta (1.0, 2.0), nor "0.5" as a decay
@@ -449,11 +468,9 @@ def test_stacked_assembly_gives_each_draw_its_gen_panel_bits(spec):
     # the Monte Carlo workers assemble blocks of draws at once; every
     # replication must come out as gen_panel draws it alone
     n, t, seeds = 9, 2 * dgp._AR_BLOCK + 5, range(5)
-    draws = [dgp._draw(spec, n, t, seed) for seed in seeds]
-    y = dgp._assemble(spec, n, t, np.stack([d[0] for d in draws]),
-                      np.stack([d[1] for d in draws]),
-                      [np.stack(z) for z in zip(*(d[2] for d in draws))])
-    for seed, (x, _, _), got in zip(seeds, draws, y):
-        panel, _ = gen_panel(spec, n, t, seed)
-        assert got.tobytes() == panel.y.tobytes()
-        assert x.tobytes() == panel.x.tobytes()
+    y, x, mu = dgp._draw_block(spec, n, t, seeds)
+    for seed, got_y, got_x, got_mu in zip(seeds, y, x, mu):
+        panel, truth = gen_panel(spec, n, t, seed)
+        assert got_y.tobytes() == panel.y.tobytes()
+        assert got_x.tobytes() == panel.x.tobytes()
+        assert got_mu.tobytes() == truth["mu"].tobytes()

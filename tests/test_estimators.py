@@ -10,6 +10,7 @@ from panelcsd import (CovMatrix, DgpSpec, EstimatorKind, PanelData,
                       within_demean)
 from panelcsd.dgp import Diagonal
 from panelcsd.errors import ConditionWarning, SingularGram
+from panelcsd.estimators import _demean_stack
 
 
 def random_panel(n, t, k, seed, beta=None, mu_scale=1.0, noise=1.0):
@@ -155,6 +156,25 @@ def test_gram_inverse_identity():
     for kind in EstimatorKind:
         res = fit(panel, kind)
         assert_allclose(res.gram @ res.gram_inv, np.eye(3), atol=1e-8)
+
+
+def test_the_one_design_scale_is_the_frobenius_norm():
+    # _demean_stack computes the scale the rank floor of every fit and exact
+    # variance uses; it must be np.linalg.norm's value to the bit, for
+    # C-ordered stacks and for a Fortran-ordered panel alike
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        b, n, t, k = (int(v) for v in rng.integers(1, (6, 40, 40, 4)))
+        x = rng.standard_normal((b, n, t, k)) * 10.0 ** rng.uniform(-6, 6)
+        y = rng.standard_normal((b, n, t))
+        for kind in EstimatorKind:
+            scale = _demean_stack(y, x, kind)[4]
+            assert [float(v) for v in scale] == \
+                [float(np.linalg.norm(xi)) for xi in x]
+        xf = np.asfortranarray(x[0])
+        scale = _demean_stack(y[:1], xf[np.newaxis],
+                              EstimatorKind.FIXED_EFFECT)[4]
+        assert float(scale[0]) == float(np.linalg.norm(xf))
 
 
 def test_condition_warning_flag():

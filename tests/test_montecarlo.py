@@ -366,6 +366,27 @@ def test_cov_config_has_one_home():
     assert panelcsd.CovConfig is montecarlo.CovConfig is covariance.CovConfig
 
 
+def test_every_package_export_is_exported_by_its_own_module():
+    # each name panelcsd exports comes from a `from .module import` line of
+    # the package, and that module's __all__ must list it too
+    import ast
+    import importlib
+    import panelcsd
+    with open(panelcsd.__file__) as fh:
+        tree = ast.parse(fh.read())
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                imported[alias.name] = node.module
+    assert set(panelcsd.__all__) <= set(imported)
+    missing = sorted(
+        f"{module}.{name}" for name, module in imported.items()
+        if name in panelcsd.__all__ and name not in importlib.import_module(
+            f"panelcsd.{module}").__all__)
+    assert missing == []
+
+
 @pytest.mark.parametrize("key, value", [
     ("grid", [[8]]),
     ("grid", [[8, 9, 10]]),
