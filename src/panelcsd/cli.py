@@ -39,7 +39,7 @@ from .dependence import (
     _loglog_slope,
 )
 from .dgp import build_omega, family_from_string
-from .errors import NumericalError, UsageError, WorkerPoolError
+from .errors import NotPSD, NumericalError, UsageError, WorkerPoolError
 from .estimators import EstimatorKind, fit
 from .inference import chi2_sf, parse_restrictions, wald
 from .montecarlo import McConfig, McReport, run_mc, write_atomic
@@ -244,10 +244,16 @@ def _matrix_dir_family(directory: str):
         raise UsageError(f"{directory}: no omega_<n>.csv files")
 
     def family(n: int) -> CovMatrix:
-        mat = _load_matrix_csv(found[n])
+        path = found[n]
+        mat = _load_matrix_csv(path)
         if mat.shape[0] != n:
-            raise UsageError(f"{found[n]}: expected size {n}, got {mat.shape[0]}")
-        return CovMatrix(mat)
+            raise UsageError(f"{path}: expected size {n}, got {mat.shape[0]}")
+        try:
+            cov = CovMatrix(mat)
+            cov.eigenvalues  # the PSD check, here; the norms reuse the values
+        except (ValueError, NotPSD) as exc:
+            raise type(exc)(f"{path}: {exc}") from None
+        return cov
 
     return family, sorted(found)
 

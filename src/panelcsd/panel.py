@@ -15,6 +15,7 @@ import enum
 import functools
 import itertools
 import math
+import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -187,22 +188,41 @@ def _sort_labels(labels) -> list[str]:
 
 
 # Rows per block of the columnar parse. Large enough that the per-block numpy
-# calls cost little; small because a block's strings are what the parse
-# holds at once. On a 200k-row, six-column file the process peaked at 65 to
-# 75 MB with blocks, 185 MB parsing all rows at once, and 140 MB with the
-# row parser.
+# calls cost little; small because a block's lines are what the parse holds
+# at once. On a 200k-row, six-column file (18 MB) the process peaked at
+# 70 MB with this size (65 MB at 1,024 rows and 79 MB at 65,536, parsing
+# within 7% of the time), 122 MB parsing all rows at once, and 140 MB with
+# the row parser.
 _CHUNK_ROWS = 8192
+
+
+# Characters that send a block to the row parser: the ASCII separators,
+# which numpy's number parser skips as white space around a value and
+# float() does not, and NUL, which the csv module of Python 3.10 refuses.
+_NOT_NUMERIC_SPACE = "\x00\x1c\x1d\x1e\x1f"
+
+
+def _quote_left_open(line: str) -> bool:
+    """Whether the csv module may carry the record of ``line`` on into the
+    next line: its strict mode refuses an unclosed quote (and a character
+    after a closing quote)."""
+    try:
+        list(csv.reader([line], strict=True))
+    except csv.Error:
+        return True
+    return False
 
 
 @contextlib.contextmanager
 def _csv_reader(path: str):
-    """csv.reader over a UTF-8 file. A leading byte-order mark is dropped; a
-    byte that does not decode, or a record the csv module refuses (such as
-    a field over its size limit), is a ParseError on its line."""
+    """The open UTF-8 file and a csv.reader over it. A leading byte-order
+    mark is dropped; a byte that does not decode, or a record the csv module
+    refuses (such as a field over its size limit), is a ParseError on its
+    line."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
-            yield reader
+            yield fh, reader
     except UnicodeDecodeError as exc:
         raise ParseError(f"text is not UTF-8 ({exc.reason})",
                          line=_undecodable_line(path)) from None
@@ -265,18 +285,24 @@ def load_csv(
     header naming ``id_col``, ``time_col``, ``y_col``, and the regressor
     columns. When ``x_cols`` is None every remaining column is treated as a
     regressor, in header order; the panel's ``x_names`` record the regressor
-    columns used. Labels are stripped of surrounding whitespace and values
-    parse as ``float()`` parses them. Row order in the file is irrelevant:
-    cells are placed by their labels, units and periods each sorted
-    numerically when every label of the kind is a finite number, and
+    columns used. Labels are stripped of surrounding whitespace. Each value
+    gets the bits ``float()`` gives its text. Row order in the file is
+    irrelevant: cells are placed by their labels, units and periods each
+    sorted numerically when every label of the kind is a finite number, and
     lexicographically otherwise. Blank lines are skipped.
 
-    The file is parsed column-wise in blocks of rows. Any irregularity (a
-    ragged or blank row, an empty label, a value that does not parse or is
-    not finite, a repeated or missing cell, no data rows) makes it read the
-    file again row by row, and that pass raises the error below or, for a
-    blank row, returns the panel; so errors and their lines do not depend
-    on the block boundaries.
+    The data lines are parsed in blocks of rows, one call to numpy's C text
+    reader per block. It converts numbers with the routine ``float()``
+    uses, so the bits are the same. The file is read again row by row, by
+    the csv module and ``float()``, when a block has a ragged or blank
+    row, a value numpy does not read (``1_0`` and non-ASCII digits, which
+    ``float()`` reads, among them), a newline inside quotes, a line longer
+    than ``csv.field_size_limit()``, or a NUL or an ASCII separator
+    character (``\x1c`` to ``\x1f``, white space to numpy's number parser
+    and not to ``float()``); and when the file has an empty label, a
+    non-finite value, a repeated or missing cell, or no data rows. That
+    pass raises the error below or, where there is none, returns the
+    panel; so errors and their lines do not depend on the block boundaries.
 
     Raises
     ------
@@ -290,10 +316,10 @@ def load_csv(
     UnbalancedPanel
         The (unit, period) grid has holes; the message lists up to five.
     """
-    with _csv_reader(path) as reader:
+    with _csv_reader(path) as (fh, reader):
         header, x_cols = _read_header(reader, id_col, time_col, y_col, x_cols)
         pos = {h: j for j, h in enumerate(header)}
-        panel = _load_columns(reader, len(header), pos[id_col],
+        panel = _load_columns(fh, len(header), pos[id_col],
                               pos[time_col], [pos[c] for c in (y_col, *x_cols)])
     if panel is None:
         return _load_csv_rows(path, id_col, time_col, y_col, x_cols)
@@ -302,27 +328,40 @@ def load_csv(
                      x_names=tuple(x_cols))
 
 
-def _load_columns(reader, width: int, unit_col: int, period_col: int,
+def _load_columns(lines, width: int, unit_col: int, period_col: int,
                   value_cols: list[int]):
     """(y, x, unit labels, period labels) of a file without irregular rows,
-    else None."""
+    else None. ``lines`` are the data lines, after the header."""
+    formats = ["U1"] * width  # columns the panel does not use
+    formats[unit_col] = formats[period_col] = "O"
+    for j in value_cols:
+        formats[j] = "f8"
+    dtype = np.dtype(",".join(formats))
+    limit = csv.field_size_limit()
     seen = ({}, {})  # raw label -> first-seen code, for units and periods
     coded = ([], [])
     values = []
     try:
-        while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
-            if any(len(rec) != width for rec in chunk):
+        while chunk := list(itertools.islice(lines, _CHUNK_ROWS)):
+            text = "".join(chunk)
+            if (max(map(len, chunk)) > limit
+                    or any(c in text for c in _NOT_NUMERIC_SPACE)
+                    or _quote_left_open(chunk[-1])):
                 return None
-            cols = list(zip(*chunk))
+            with warnings.catch_warnings():  # a chunk of blank lines
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(chunk, dtype=dtype, delimiter=",",
+                                  quotechar='"', comments=None, ndmin=1)
+            if len(rows) < len(chunk):  # a blank line or a quoted newline
+                return None
             for j, codes, out in zip((unit_col, period_col), seen, coded):
-                for s in dict.fromkeys(cols[j]):
+                col = rows[f"f{j}"].tolist()
+                for s in dict.fromkeys(col):
                     codes.setdefault(s, len(codes))
-                out.append(np.fromiter(map(codes.__getitem__, cols[j]),
-                                       dtype=np.intp, count=len(chunk)))
-            values.append(np.array([np.fromiter(map(float, cols[j]),
-                                                dtype=float, count=len(chunk))
-                                    for j in value_cols]))
-    except (ValueError, csv.Error):  # incl. a byte that is not UTF-8
+                out.append(np.fromiter(map(codes.__getitem__, col),
+                                       dtype=np.intp, count=len(col)))
+            values.append(np.array([rows[f"f{j}"] for j in value_cols]))
+    except ValueError:  # incl. a ragged row and a byte that is not UTF-8
         return None
     if not values:
         return None
@@ -355,7 +394,7 @@ def _load_csv_rows(path: str, id_col: str, time_col: str, y_col: str,
                    x_cols: list[str] | None) -> PanelData:
     """Row-by-row parse of the same file: the one place that raises a data
     error, so its message and line come from the first bad row."""
-    with _csv_reader(path) as reader:
+    with _csv_reader(path) as (_, reader):
         header, x_cols = _read_header(reader, id_col, time_col, y_col, x_cols)
         pos = {h: j for j, h in enumerate(header)}
         rows: dict[tuple[str, str], tuple[float, list[float]]] = {}

@@ -378,6 +378,64 @@ def test_diagnose_matrix_dir_empty(tmp_path, capsys):
     assert "omega_" in err
 
 
+def _matrix_dir_with(tmp_path, bad):
+    """omega_{8,16,32,64}.csv, strongly dependent, with omega_16 = bad(16)."""
+    d = tmp_path / "mats"
+    d.mkdir()
+    for n in (8, 16, 32, 64):
+        omega = bad(n) if n == 16 else np.full((n, n), 0.5) + 0.5 * np.eye(n)
+        np.savetxt(d / f"omega_{n}.csv", omega, delimiter=",")
+    return d, str(d / "omega_16.csv")
+
+
+def _with_nan(n):
+    omega = np.eye(n)
+    omega[3, 3] = np.nan
+    return omega
+
+
+def _asymmetric(n):
+    omega = np.eye(n)
+    omega[0, 1] = 0.5
+    return omega
+
+
+def _not_psd(n):
+    return np.diag([1.0] * (n - 1) + [-1.0])
+
+
+@pytest.mark.parametrize("bad, code, message", [
+    (_with_nan, 1, "error: {}: matrix contains non-finite values\n"),
+    (_asymmetric, 1, "error: {}: matrix is not symmetric: max|A - A'| = "
+                     "5.000e-01 exceeds 1e-10 * max|A|\n"),
+    (_not_psd, 2, "NotPSD: {}: minimum eigenvalue -1.000e+00 below "
+                  "-1e-08 * lambda_max\n"),
+])
+def test_diagnose_matrix_dir_errors_name_the_file(tmp_path, capsys, bad,
+                                                  code, message):
+    d, path = _matrix_dir_with(tmp_path, bad)
+    got, out, err = run_cli(capsys, "diagnose", "--matrix-dir", str(d))
+    assert (got, out, err) == (code, "", message.format(path))
+
+
+def test_diagnose_matrix_dir_solves_each_matrix_once(tmp_path, capsys,
+                                                     monkeypatch):
+    # the PSD check reads the eigenvalues the norms then reuse
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    d, _ = _matrix_dir_with(tmp_path, lambda n: 0.5 * np.ones((n, n))
+                            + 0.5 * np.eye(n))
+    code, _, err = run_cli(capsys, "diagnose", "--matrix-dir", str(d))
+    assert code == 0, err
+    assert calls == [8, 16, 32, 64]
+
+
 def test_diagnose_family_needs_no_eigenvectors(capsys, monkeypatch):
     # build_omega's PSD check, norm_max_eig and classify read eigenvalues only
     def no_eigh(*args, **kwargs):

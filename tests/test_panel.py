@@ -2,6 +2,8 @@ import dataclasses
 import pickle
 import subprocess
 import sys
+import warnings
+from decimal import Context, Decimal
 from unittest import mock
 
 import numpy as np
@@ -302,12 +304,32 @@ def test_load_csv_field_over_the_csv_limit_is_a_parse_error(tmp_path):
                                      "larger than field limit")
 
 
+@pytest.mark.parametrize("label, value", [("b" * 200_000, "1.0"),
+                                          ("b", "1.5" + " " * 200_000)])
+def test_a_long_field_numpy_reads_is_still_a_parse_error(tmp_path, label,
+                                                         value):
+    # a balanced panel, but for one label or one padded value over the limit
+    f = tmp_path / "p.csv"
+    f.write_text(f"id,time,y,x1\na,1,1.0,0.1\n{label},1,{value},0.1\n"
+                 f"a,2,1.0,0.2\n{label},2,1.0,0.2\n")
+    with pytest.raises(ParseError) as err:
+        load_csv(str(f))
+    assert str(err.value).startswith("line 3: malformed CSV record (field "
+                                     "larger than field limit")
+
+
 # --- the columnar parse against the row-by-row parse ----------------------
 
 LABEL_CHARS = "abcxyz0123456789._-"
+# labels that need quoting or are not ASCII
+RICH_LABEL_CHARS = LABEL_CHARS + ',"\u00e9\u6771 '
 SPECIAL_LABELS = ("nan", "inf", "-0", "1e3", "1_0", "01")
 CORRUPTIONS = ("duplicate", "hole", "bad_number", "non_finite", "short_row",
-               "empty_label", "empty_unit")
+               "empty_label", "empty_unit", "extra_field", "separator_space")
+# What float() reads and numpy's parser does not: underscores between
+# digits and non-ASCII digits.
+FLOAT_ONLY_SPELLINGS = ("1_0", "-2_5.0", "\u0661", "\u0662.\u0665",
+                        "\uff13")
 
 
 def _outcome(load, path):
@@ -325,44 +347,71 @@ def _rows_load(path):
 
 
 @st.composite
-def _labels(draw, size):
+def _labels(draw, size, chars=LABEL_CHARS):
     if draw(st.booleans()):
         ints = draw(st.lists(st.integers(-20, 3000), min_size=size,
                              max_size=size, unique=True))
         return [str(v) for v in ints]
-    text = st.one_of(st.text(LABEL_CHARS, min_size=1, max_size=4),
+    text = st.one_of(st.text(chars, min_size=1, max_size=4)
+                     .filter(str.strip),
                      st.sampled_from(SPECIAL_LABELS))
-    return draw(st.lists(text, min_size=size, max_size=size, unique=True))
+    # unique once stripped, as the loaders compare them
+    return draw(st.lists(text, min_size=size, max_size=size,
+                         unique_by=str.strip))
+
+
+def _quoted(field):
+    return '"' + field.replace('"', '""') + '"'
 
 
 @st.composite
-def _panel_lines(draw):
+def _panel_lines(draw, rich=False):
     """A valid long-format file as a header and rows of fields, each row
-    once per cell in any order, with any column order and padding."""
+    once per cell in any order, with any column order and padding. A rich
+    file also has labels with commas, quotes and non-ASCII letters, and
+    fields in quotes; one in six has a unit label with a newline, and one
+    in six a value spelled so that only float() reads it."""
     n, t, k = (draw(st.integers(2, 5)), draw(st.integers(2, 5)),
                draw(st.integers(1, 3)))
-    units, periods = draw(_labels(n)), draw(_labels(t))
+    chars = RICH_LABEL_CHARS if rich else LABEL_CHARS
+    units, periods = draw(_labels(n, chars)), draw(_labels(t, chars))
     header = draw(st.permutations(["id", "time", "y"]
                                   + [f"x{j + 1}" for j in range(k)]))
     pad = st.sampled_from(["", " ", "  "])
     value = st.floats(allow_nan=False, allow_infinity=False)
+    oddity = draw(st.sampled_from(["", "", "", "", "newline", "float_only"])
+                  if rich else st.just(""))
+    if oddity == "newline":
+        units[0] += draw(st.sampled_from(["\n", "\r\n", "\r"])) + "z"
+
+    def field(text):
+        text = draw(pad) + text + draw(pad)
+        if rich and (any(c in text for c in ',"\n\r')
+                     or draw(st.booleans())):
+            return _quoted(text)
+        return text
+
     rows = []
     for u in units:
         for p in periods:
-            cells = {"id": draw(pad) + u + draw(pad),
-                     "time": draw(pad) + p + draw(pad)}
+            cells = {"id": field(u), "time": field(p)}
             for col in header:
                 if col not in cells:
-                    cells[col] = draw(pad) + repr(draw(value)) + draw(pad)
+                    cells[col] = field(repr(draw(value)))
             rows.append([cells[col] for col in header])
+    if oddity == "float_only":
+        value_col = header.index(draw(st.sampled_from(
+            [col for col in header if col not in ("id", "time")])))
+        row = draw(st.sampled_from(rows))
+        row[value_col] = field(draw(st.sampled_from(FLOAT_ONLY_SPELLINGS)))
     return header, draw(st.permutations(rows))
 
 
-def _write_lines(path, header, rows, blanks=()):
+def _write_lines(path, header, rows, blanks=(), end="\n"):
     lines = [",".join(header)] + [",".join(r) for r in rows]
     for at, blank in sorted(blanks, reverse=True):
         lines.insert(min(at, len(lines)), blank)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_bytes((end.join(lines) + end).encode("utf-8"))
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -404,6 +453,11 @@ def test_columnar_load_replays_errors_of_row_parse(tmp_path_factory, lines,
         rows[at][value_col] = data.draw(st.sampled_from(["inf", "-inf", "nan"]))
     elif corruption == "short_row":
         rows[at].pop()
+    elif corruption == "extra_field":
+        rows[at].append(rows[at][value_col])
+    elif corruption == "separator_space":  # white space to numpy only
+        rows[at][value_col] += data.draw(st.sampled_from(
+            ["\x1c", "\x1d", "\x1e", "\x1f"]))
     elif corruption == "empty_label":
         label_col = header.index(data.draw(st.sampled_from(["id", "time"])))
         rows[at][label_col] = data.draw(st.sampled_from(["", "  "]))
@@ -419,6 +473,141 @@ def test_columnar_load_replays_errors_of_row_parse(tmp_path_factory, lines,
     assert isinstance(reference[0], type)  # every corruption is an error
     with mock.patch.object(panel_module, "_CHUNK_ROWS", chunk):
         assert _outcome(load_csv, str(f)) == reference
+
+
+def _needs_replay(header, rows, blanks):
+    """Whether the columnar parse must hand a valid file to the row parser:
+    a blank line, a newline inside quotes, or a value numpy cannot read."""
+    values = [j for j, col in enumerate(header) if col not in ("id", "time")]
+    return bool(blanks) or any(
+        "\n" in f or "\r" in f for r in rows for f in r) or any(
+        r[j].strip(' "') in FLOAT_ONLY_SPELLINGS for r in rows for j in values)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_panel_lines(rich=True), st.integers(1, 8),
+       st.one_of(st.just([]), st.just([]), st.lists(
+           st.tuples(st.integers(1, 40), st.sampled_from(["", "  "])),
+           min_size=1, max_size=1)),
+       st.sampled_from(["\n", "\r\n", "\r"]))
+def test_columnar_load_equals_row_parse_on_quoted_text(
+        tmp_path_factory, lines, chunk, blanks, end):
+    header, rows = lines
+    f = tmp_path_factory.mktemp("prop") / "p.csv"
+    _write_lines(f, header, rows, blanks, end)
+    reference = _outcome(_rows_load, str(f))
+    assert not isinstance(reference[0], type)  # a valid file
+    with mock.patch.object(panel_module, "_CHUNK_ROWS", chunk), \
+            mock.patch.object(panel_module, "_load_csv_rows",
+                              wraps=panel_module._load_csv_rows) as replay:
+        assert _outcome(load_csv, str(f)) == reference
+    assert replay.called == _needs_replay(header, rows, blanks)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_panel_lines(rich=True), st.integers(1, 8),
+       st.sampled_from(["extra_field", "short_row", "separator_space"]),
+       st.sampled_from(["\n", "\r\n", "\r"]), st.data())
+def test_columnar_load_replays_errors_on_quoted_text(
+        tmp_path_factory, lines, chunk, corruption, end, data):
+    header, rows = lines
+    rows = [list(r) for r in rows]
+    at = data.draw(st.integers(0, len(rows) - 1))
+    if corruption == "extra_field":
+        rows[at].append(rows[at][0])
+    elif corruption == "short_row":
+        rows[at].pop()
+    else:
+        value_col = header.index("y")
+        rows[at][value_col] = "\x1f" + rows[at][value_col].strip('"')
+    f = tmp_path_factory.mktemp("prop") / "p.csv"
+    _write_lines(f, header, rows, (), end)
+    reference = _outcome(_rows_load, str(f))
+    assert isinstance(reference[0], type)  # every corruption is an error
+    with mock.patch.object(panel_module, "_CHUNK_ROWS", chunk):
+        assert _outcome(load_csv, str(f)) == reference
+
+
+def test_quoted_newline_across_a_chunk_boundary_is_replayed(tmp_path):
+    # Read line by line, the second line of each quoted note is a row of
+    # its own, and the file a balanced 3 x 2 panel; the csv module reads a
+    # 2 x 2 panel whose notes hold those lines. In blocks of one line,
+    # every quoted newline crosses a block boundary.
+    f = tmp_path / "p.csv"
+    f.write_text('id,time,y,x1,note\n'
+                 'a,1,1.0,0.1,"open\n'
+                 'c,1,3.0,0.3,shut"\n'
+                 'a,2,2.0,0.2,-\n'
+                 'b,1,4.0,0.4,"open\n'
+                 'c,2,6.0,0.6,shut"\n'
+                 'b,2,5.0,0.5,-\n')
+    reference = _outcome(lambda path: panel_module._load_csv_rows(
+        path, "id", "time", "y", ["x1"]), str(f))
+    assert reference[4:6] == (("a", "b"), ("1", "2"))
+    with mock.patch.object(panel_module, "_CHUNK_ROWS", 1):
+        assert _outcome(lambda path: load_csv(path, x_cols=["x1"]),
+                        str(f)) == reference
+
+
+def test_a_block_of_blank_lines_is_replayed_without_a_warning(tmp_path):
+    f = tmp_path / "p.csv"
+    f.write_text("id,time,y,x1\n\n\na,1,1.0,0.1\nb,1,2.0,0.2\na,2,3.0,0.3\n"
+                 "b,2,4.0,0.4\n")
+    with mock.patch.object(panel_module, "_CHUNK_ROWS", 2), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _outcome(load_csv, str(f)) == _outcome(_rows_load, str(f))
+
+
+HARD_DECIMALS = (
+    "-0", "-0.0", "+0", "0e0", "-0e-400", "1e-400", "-1e-400",
+    "5e-324", "4.9406564584124654e-324", "2.4703282292062327e-324",
+    "2.4703282292062328e-324", "2.2250738585072011e-308",
+    "2.2250738585072012e-308", "2.2250738585072014e-308",
+    "1.7976931348623157e308", "1.7976931348623158e308",
+    "9007199254740993", "9007199254740992.5",
+    "0.1000000000000000055511151231257827",
+    "123456789012345678901234567890123456789.5",
+    "0.30000000000000001665334536937734810635447502136230468750",
+    " 1.5", "1.5 ", "\t-2.25", " 7 ", "1.", ".5", "+.5e-3", "1E+2",
+)
+
+
+def _round_half_cases(rng, count):
+    """Decimal strings exactly halfway between adjacent doubles, and a hair
+    either side of halfway, at 17 to 40 significant digits or more."""
+    exact = Context(prec=1000)  # every double's decimal expansion fits
+    cases = []
+    for d in rng.standard_normal(count) * 10.0 ** rng.integers(-300, 300,
+                                                              count):
+        lo, hi = Decimal(float(d)), Decimal(float(np.nextafter(d, np.inf)))
+        mid = exact.divide(exact.add(lo, hi), 2)
+        for s in (mid, exact.next_minus(mid), exact.next_plus(mid)):
+            cases.append(str(s))
+        for digits in (17, 25, 40):
+            cases.append(f"{lo:.{digits - 1}e}")
+    return cases
+
+
+def test_load_csv_reads_hard_decimals_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(11)
+    subnormal = [repr(v) for v in rng.uniform(0, 2.3e-308, 40).tolist()]
+    strings = [*HARD_DECIMALS, *subnormal, *_round_half_cases(rng, 200)]
+    t = 2
+    n = -(-len(strings) // (2 * t))
+    strings += ["0"] * (2 * n * t - len(strings))
+    f = tmp_path / "p.csv"
+    f.write_text("id,time,y,x1\n" + "".join(
+        f"u{i},{s},{strings[2 * (i * t + s)]},{strings[2 * (i * t + s) + 1]}\n"
+        for i in range(n) for s in range(t)))
+    with mock.patch.object(panel_module, "_load_csv_rows",
+                           wraps=panel_module._load_csv_rows) as replay:
+        panel = load_csv(str(f))
+    assert not replay.called
+    units = sorted(f"u{i}" for i in range(n))
+    got = np.stack([panel.y, panel.x[:, :, 0]], axis=-1)
+    want = np.array([float(s) for s in strings]).reshape(n, t, 2)
+    assert got.tobytes() == want[[int(u[1:]) for u in units]].tobytes()
 
 
 def test_columnar_load_across_chunks_at_the_real_block_size(tmp_path):
