@@ -10,6 +10,7 @@ covariances), 143 when stopped by SIGTERM. Output is JSON (or an aligned
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -39,7 +40,7 @@ from .dependence import (
     _loglog_slope,
 )
 from .dgp import build_omega, family_from_string
-from .errors import NotPSD, NumericalError, UsageError, WorkerPoolError
+from .errors import NumericalError, UsageError, WorkerPoolError
 from .estimators import EstimatorKind, fit
 from .inference import chi2_sf, parse_restrictions, wald
 from .montecarlo import McConfig, McReport, run_mc, write_atomic
@@ -222,13 +223,22 @@ def _cmd_test(args) -> None:
 
 
 def _load_matrix_csv(path: str) -> np.ndarray:
+    # any shape: a residual file is units x periods, and CovMatrix refuses
+    # a covariance that is not square
     try:
-        m = np.loadtxt(path, delimiter=",", ndmin=2)
+        return np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise UsageError(f"{path}: not a numeric CSV matrix ({exc})") from None
-    if m.shape[0] != m.shape[1]:
-        raise UsageError(f"{path}: matrix is {m.shape[0]}x{m.shape[1]}, not square")
-    return m
+
+
+@contextlib.contextmanager
+def _naming(path: str):
+    """Prefix ``path`` to a ValueError or NumericalError raised inside,
+    keeping its class and so its exit code."""
+    try:
+        yield
+    except (ValueError, NumericalError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _matrix_dir_family(directory: str):
@@ -248,11 +258,9 @@ def _matrix_dir_family(directory: str):
         mat = _load_matrix_csv(path)
         if mat.shape[0] != n:
             raise UsageError(f"{path}: expected size {n}, got {mat.shape[0]}")
-        try:
+        with _naming(path):
             cov = CovMatrix(mat)
             cov.eigenvalues  # the PSD check, here; the norms reuse the values
-        except (ValueError, NotPSD) as exc:
-            raise type(exc)(f"{path}: {exc}") from None
         return cov
 
     return family, sorted(found)
@@ -305,11 +313,10 @@ def _cmd_diagnose(args) -> None:
     # single-matrix diagnostics from residuals: norms only, no growth exponent
     if args.data:
         panel = _load_panel(args)
-        result = fit(panel, EstimatorKind(args.model))
-        resid = result.residuals
+        om = omega_hat(fit(panel, EstimatorKind(args.model)).residuals)
     else:
-        resid = _load_matrix_csv(args.residuals_file)
-    om = omega_hat(resid)
+        with _naming(args.residuals_file):
+            om = omega_hat(_load_matrix_csv(args.residuals_file))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "n": om.n,
@@ -323,10 +330,11 @@ def _cmd_diagnose(args) -> None:
 
 
 def _cmd_decompose(args) -> None:
-    mat = _load_matrix_csv(args.omega)
-    cov = CovMatrix(mat)
     n_factors = "auto" if args.factors == "auto" else int(args.factors)
-    split = factor_decompose(cov, n_factors=n_factors)
+    mat = _load_matrix_csv(args.omega)
+    with _naming(args.omega):
+        cov = CovMatrix(mat)
+        split = factor_decompose(cov, n_factors=n_factors)
     recon = split.loadings @ split.loadings.T + split.idio_cov.values
     denom = float(np.linalg.norm(mat)) or 1.0
     rel_err = float(np.linalg.norm(recon - cov.values)) / denom

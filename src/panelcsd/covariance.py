@@ -31,7 +31,8 @@ T-1 is summed exactly. The recursion runs in blocks of periods as matrix
 products (``dgp._ar1``), not as a loop over periods.
 
 The scores, lag windows, PSD repair and exact variances work on stacks of
-fits (a leading axis of B), one product or eigensolve per fit. All three
+fits (a leading axis of B), one product or eigensolve per fit, and read each
+demeaned design in the k-major (k, n, t) layout the fit builds. All three
 estimators have one entry point, :func:`_robust_stack`: the Monte Carlo
 workers call it on blocks of replications, and :func:`cov_cross_section`,
 :func:`cov_kernel` and :func:`cov_plugin` call it on a block of one.
@@ -171,42 +172,38 @@ def _check_periods(kind: EstimatorKind, n_periods: int) -> None:
             "identically zero scores; robust covariances need at least 3")
 
 
-def _k_major(x_dm: np.ndarray) -> np.ndarray:
-    # (..., n, t, k) -> (..., k, n, t); two swaps cost a tenth of moveaxis
-    return x_dm.swapaxes(-1, -2).swapaxes(-2, -3)
-
-
-def _scores(x_dm: np.ndarray, residuals: np.ndarray,
+def _scores(xk: np.ndarray, residuals: np.ndarray,
             gram_inv: np.ndarray) -> np.ndarray:
-    # u_t = G^{-1} x_t' e_t stacked as (B, T, k) for a stack of fits, read
-    # off the k-major designs (B, n, t, k views).
-    xk = _k_major(x_dm)
-    return np.einsum("bknt,bnt->btk", xk, residuals) @ gram_inv.mT
+    # u_t = G^{-1} x_t' e_t stacked as (B, T, k) for a stack of fits, from
+    # the k-major designs (B, k, n, t)
+    return (np.einsum("bknt,bnt->btk", xk, residuals)
+            @ gram_inv.swapaxes(-1, -2))
 
 
 def _repair_psd(v: np.ndarray):
     # A stack (B, k, k) symmetrized, with negative eigenvalues clipped where
     # the smallest is below -PSD_REPAIR_REL * the largest; also returns which
     # were repaired and the eigenvalue mass each lost.
-    v = 0.5 * (v + v.mT)
+    v = 0.5 * (v + v.swapaxes(-1, -2))
     evals, evecs = np.linalg.eigh(v)
     repaired = ~(evals[:, 0] >= -PSD_REPAIR_REL * np.maximum(evals[:, -1], 0.0))
     clipped = np.zeros(len(v))
     if repaired.any():
         w, q = evals[repaired], evecs[repaired]
-        fixed = (q * np.clip(w, 0.0, None)[:, np.newaxis, :]) @ q.mT
-        v[repaired] = 0.5 * (fixed + fixed.mT)
+        fixed = ((q * np.clip(w, 0.0, None)[:, np.newaxis, :])
+                 @ q.swapaxes(-1, -2))
+        v[repaired] = 0.5 * (fixed + fixed.swapaxes(-1, -2))
         clipped[repaired] = [-ev[ev < 0.0].sum() for ev in w]
     return v, repaired, clipped
 
 
-def _robust_stack(kind: EstimatorKind, x_dm: np.ndarray,
+def _robust_stack(kind: EstimatorKind, xk: np.ndarray,
                   residuals: np.ndarray, gram_inv: np.ndarray, method: str,
                   kernel: str = "bartlett", trunc: int | str = 0,
                   declared: str = "unknown", omega: np.ndarray | None = None):
-    """The one robust covariance routine, for a stack of fits: demeaned
-    designs (B, n, t, k) as k-major views, residuals (B, n, t) and Gram
-    inverses (B, k, k). ``method`` is a :class:`CovMethod` value; the kernel
+    """The one robust covariance routine, for a stack of fits: k-major
+    demeaned designs (B, k, n, t), residuals (B, n, t) and Gram inverses
+    (B, k, k). ``method`` is a :class:`CovMethod` value; the kernel
     estimator reads ``kernel``, ``trunc`` and ``declared``, the plug-in one
     ``omega`` (n, n; default each fit's residual outer-product average).
     Returns the PSD-repaired matrices (B, k, k), which were repaired, the
@@ -217,8 +214,8 @@ def _robust_stack(kind: EstimatorKind, x_dm: np.ndarray,
     if method == "plugin":
         if omega is None:
             _check_periods(kind, t)
-            omega = residuals @ residuals.mT / t
-        v = _exact_variance(x_dm, gram_inv, TimeDependenceSpec(), None, omega)
+            omega = residuals @ residuals.swapaxes(-1, -2) / t
+        v = _exact_variance(xk, gram_inv, TimeDependenceSpec(), None, omega)
         return (*_repair_psd(v), None)
     _check_kernel(kernel)
     _check_periods(kind, t)
@@ -228,18 +225,19 @@ def _robust_stack(kind: EstimatorKind, x_dm: np.ndarray,
         raise ValueError("truncation must be nonnegative")
     if c >= t:
         raise TruncTooLarge(f"truncation {c} must be < n_periods {t}")
-    u = _scores(x_dm, residuals, gram_inv)
-    v = u.mT @ u
+    u = _scores(xk, residuals, gram_inv)
+    ut = u.swapaxes(-1, -2)
+    v = ut @ u
     for j in range(1, c + 1):  # every weight at lags 1..c is positive
-        a = u[:, j:].mT @ u[:, :-j]
-        v = v + kernel_weight(kernel, j, c) * (a + a.mT)
+        a = ut[:, :, j:] @ u[:, :-j]
+        v = v + kernel_weight(kernel, j, c) * (a + a.swapaxes(-1, -2))
     return (*_repair_psd(v), None if method == "cs" else c)
 
 
 def _robust_cov(result: FitResult, method: str, **options) -> RobustCov:
     # _robust_stack on a block of one fit, with the metadata of ``method``
     v, repaired, clipped, lag = _robust_stack(
-        result.kind, result.demeaned_x[np.newaxis],
+        result.kind, result.demeaned_x.transpose(2, 0, 1)[np.newaxis],
         result.residuals[np.newaxis], result.gram_inv[np.newaxis],
         method, **options)
     kernel = options["kernel"] if method == "kernel" else None
@@ -308,25 +306,24 @@ def cov_kernel(result: FitResult, kernel: str = "bartlett",
                        declared=declared)
 
 
-def _sandwich(a: np.ndarray, base: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # sum_t a_t' B b_t for (..., n, t, k) arrays read k-major, as k products
+def _sandwich(ak: np.ndarray, base: np.ndarray, bk: np.ndarray) -> np.ndarray:
+    # sum_t a_t' B b_t for k-major (..., k, n, t) arrays, as k products
     # B b^(l) and one (k, n*t) x (n*t, k) product per leading index: free
-    # reshapes for the k-major views fit returns, nothing bigger than the
-    # design formed. ``base`` is (n, n), or one per leading index.
-    ak = _k_major(a)
+    # reshapes for contiguous designs, nothing bigger than the design
+    # formed. ``base`` is (n, n), or one per leading index.
     *lead, k, n, t = ak.shape
     if base.ndim > 2:
         base = base[..., np.newaxis, :, :]
-    bb = base @ _k_major(b)
-    return ak.reshape(*lead, k, n * t) @ bb.reshape(*lead, k, n * t).mT
+    bb = base @ bk
+    return (ak.reshape(*lead, k, n * t)
+            @ bb.reshape(*lead, k, n * t).swapaxes(-1, -2))
 
 
-def _weighted_leads(x_dm: np.ndarray, spec: TimeDependenceSpec) -> np.ndarray:
-    # z_t = sum_{j>=1} rho_j x_{t+j}, built k-major and returned as an
-    # (..., n, t, k) view. MA(q) adds q shifted copies; the summable form is
+def _weighted_leads(xk: np.ndarray, spec: TimeDependenceSpec) -> np.ndarray:
+    # z_t = sum_{j>=1} rho_j x_{t+j} for a k-major (..., k, n, t) design,
+    # in the same layout. MA(q) adds q shifted copies; the summable form is
     # z_s = d w_{s+1} with w_s = x_s + d w_{s+1}, the first-order
     # recursion run backward in time, as one product per leading index.
-    xk = _k_major(x_dm)
     *lead, k, n, t = xk.shape
     z = np.zeros(xk.shape)
     if spec.form == "ma":
@@ -337,19 +334,19 @@ def _weighted_leads(x_dm: np.ndarray, spec: TimeDependenceSpec) -> np.ndarray:
         rows = np.ascontiguousarray(xk[..., ::-1]).reshape(*lead, k * n, t)
         w = _ar1(rows, d).reshape(xk.shape)[..., ::-1]
         z[..., :-1] = d * w[..., 1:]
-    return z.swapaxes(-3, -2).swapaxes(-2, -1)
+    return z
 
 
-def _exact_variance(x_dm: np.ndarray, gram_inv: np.ndarray,
+def _exact_variance(xk: np.ndarray, gram_inv: np.ndarray,
                     spec: TimeDependenceSpec, loadings: np.ndarray | None,
                     sigma: np.ndarray | None) -> np.ndarray:
-    # G^{-1} (sum_t x_t' Omega_0 x_t + C + C') G^{-1} for a demeaned design
-    # that gram_inverse has already checked and a symmetric sigma. The lag-j
-    # error block is rho_j * B, so C = sum_j rho_j sum_t x_t' B x_{t+j} =
-    # sum_t x_t' B z_t with z the weighted leads, one sandwich for all lags.
-    # Also takes a stack: x_dm (B, n, t, k), gram_inv (B, k, k), and sigma
-    # (n, n) or one per design.
-    n = x_dm.shape[-3]
+    # G^{-1} (sum_t x_t' Omega_0 x_t + C + C') G^{-1} for a k-major
+    # demeaned design (k, n, t) that gram_inverse has already checked and a
+    # symmetric sigma. The lag-j error block is rho_j * B, so
+    # C = sum_j rho_j sum_t x_t' B x_{t+j} = sum_t x_t' B z_t with z the
+    # weighted leads, one sandwich for all lags. Also takes a stack:
+    # xk (B, k, n, t), gram_inv (B, k, k), and sigma (n, n) or one per design.
+    n, t = xk.shape[-2:]
     if loadings is not None:
         loadings = np.asarray(loadings, dtype=float)
         if loadings.ndim != 2 or loadings.shape[0] != n:
@@ -366,10 +363,10 @@ def _exact_variance(x_dm: np.ndarray, gram_inv: np.ndarray,
     if spec.channel == "factor" and (loadings is None
                                      or loadings.shape[1] < 1):
         raise SpecMismatch("factor-channel memory needs loadings")
-    meat = _sandwich(x_dm, idio + common, x_dm)
-    if spec.max_lag(x_dm.shape[-2]) > 0:
-        c = _sandwich(x_dm, lag_base, _weighted_leads(x_dm, spec))
-        meat = meat + (c + c.mT)
+    meat = _sandwich(xk, idio + common, xk)
+    if spec.max_lag(t) > 0:
+        c = _sandwich(xk, lag_base, _weighted_leads(xk, spec))
+        meat = meat + (c + c.swapaxes(-1, -2))
     return gram_inv @ meat @ gram_inv
 
 
@@ -442,7 +439,6 @@ def true_variance_mixed(
         sigma = CovMatrix(sigma)
     _, xk, _, _, x_scale = _demean_stack(
         x_design.y[np.newaxis], x_design.x[np.newaxis], kind)
-    x_dm = xk[0].transpose(1, 2, 0)
-    _, gram_inv, _ = gram_inverse(x_dm, x_scale[0])
-    return _exact_variance(x_dm, gram_inv, spec, loadings,
+    _, gram_inv, _ = gram_inverse(xk, x_scale)
+    return _exact_variance(xk[0], gram_inv, spec, loadings,
                            None if sigma is None else sigma.values)

@@ -8,7 +8,9 @@ same projection. :func:`demean` and :func:`gram_inverse` are the one place
 both steps live; the fit and the exact variance targets share them, rank and
 condition check included. The demeaned design is kept k-major, as a
 contiguous (k, n, t) array, which is the layout unit means, the Gram and the
-covariance sandwiches all read fastest; ``demeaned_x`` shows it as (n, t, k).
+covariance sandwiches all read fastest. Every stacked stage, here and in
+:mod:`panelcsd.covariance`, takes it in that layout; only the public
+``FitResult.demeaned_x`` and :func:`demean` show it as an (n, t, k) view.
 
 The demean, the Gram check and the solve work on stacks of panels (a
 leading axis of B): the Monte Carlo workers run them on blocks of
@@ -64,7 +66,7 @@ def _demean_stack(y: np.ndarray, x: np.ndarray, kind: EstimatorKind):
     :func:`gram_inverse`: ``np.linalg.norm`` of each C- or F-ordered design.
     """
     xr = x.reshape(len(x), 1, -1, order="A")  # memory order, as norm reads
-    x_scale = np.sqrt(xr @ xr.mT)[:, 0, 0]
+    x_scale = np.sqrt(xr @ xr.swapaxes(-1, -2))[:, 0, 0]
     xk = x.transpose(0, 3, 1, 2).copy()  # always a copy, even at k = 1
     if kind is EstimatorKind.FIXED_EFFECT:
         x_bar = xk.mean(axis=3, keepdims=True)
@@ -142,9 +144,11 @@ def _refined_inverse(gram: np.ndarray) -> np.ndarray:
     return gram_inv @ (2.0 * np.eye(gram.shape[-1]) - gram @ gram_inv)
 
 
-def gram_inverse(x_dm: np.ndarray,
-                 x_scale: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Check a demeaned design (n, t, k); return (gram, gram_inv, cond).
+def gram_inverse(xk: np.ndarray,
+                 x_scale: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Check one demeaned design, a stack of one as :func:`_demean_stack`
+    returns it: ``xk`` (1, k, n, t) and ``x_scale`` (1,). Returns (gram,
+    gram_inv, cond) of that design.
 
     ``x_scale``, the design's Frobenius norm before demeaning (a projection),
     bounds every singular value of the demeaned design: a Gram eigenvalue at
@@ -153,12 +157,10 @@ def gram_inverse(x_dm: np.ndarray,
     (k * eps * lambda_max) is a collinear one. That, or a condition number
     >= COND_FAIL, raises SingularGram; above COND_WARN it warns with
     ConditionWarning. The inverse takes one Newton step past the direct
-    inverse. The Gram is formed from the k-major (k, n*t) layout, which is
-    free for the designs :func:`demean` and :func:`fit` return. This is the
-    stacked check the Monte Carlo workers run, on a stack of one.
+    inverse. This is the stacked check the Monte Carlo workers run, on a
+    stack of one.
     """
-    gram, cond, verdict = _gram_stack(
-        x_dm.transpose(2, 0, 1)[np.newaxis], np.array([x_scale]))
+    gram, cond, verdict = _gram_stack(xk, x_scale)
     cond = float(cond[0])
     if verdict[0] == _GRAM_RANK:
         raise SingularGram(
@@ -201,8 +203,8 @@ def _fit_stack(y: np.ndarray, x: np.ndarray, kind: EstimatorKind):
     each one, keeping the panels that are finite (PanelData rejects the
     others) and whose design passes the check with a condition number up to
     COND_WARN (the others need fit's exception, warning or ``lstsq``).
-    Returns the kept indices and their demeaned designs ((b, n, t, k) views
-    of k-major arrays), residuals, Gram inverses and slopes."""
+    Returns the kept indices and their demeaned designs (contiguous k-major
+    (b, k, n, t) arrays), residuals, Gram inverses and slopes."""
     kept = np.flatnonzero(np.isfinite(y).all(axis=(1, 2))
                           & np.isfinite(x).all(axis=(1, 2, 3)))
     if len(kept) < len(x):
@@ -215,7 +217,7 @@ def _fit_stack(y: np.ndarray, x: np.ndarray, kind: EstimatorKind):
         gram = gram[usable]
     gram_inv = _refined_inverse(gram)
     beta, residuals = _solve_stack(xk, y_dm, gram_inv)
-    return kept, xk.transpose(0, 2, 3, 1), residuals, gram_inv, beta
+    return kept, xk, residuals, gram_inv, beta
 
 
 @dataclass(frozen=True)
@@ -293,13 +295,12 @@ def fit(panel: PanelData, kind: EstimatorKind = EstimatorKind.FIXED_EFFECT) -> F
     """
     y_dm, xk, y_bar, x_bar, x_scale = _demean_stack(
         panel.y[np.newaxis], panel.x[np.newaxis], kind)
-    x_dm = xk[0].transpose(1, 2, 0)
-    gram, gram_inv, cond = gram_inverse(x_dm, x_scale[0])
+    gram, gram_inv, cond = gram_inverse(xk, x_scale)
+    k, n, t = xk.shape[1:]
     if cond <= COND_WARN:
         beta, residuals = _solve_stack(xk, y_dm, gram_inv[np.newaxis])
         beta, residuals = beta[0], residuals[0]
     else:
-        k, n, t = xk.shape[1:]
         xf = xk[0].reshape(k, n * t)
         yf = y_dm[0].reshape(n * t)
         beta = np.linalg.lstsq(xf.T, yf, rcond=None)[0]
@@ -307,8 +308,8 @@ def fit(panel: PanelData, kind: EstimatorKind = EstimatorKind.FIXED_EFFECT) -> F
     if kind is EstimatorKind.FIXED_EFFECT:
         intercepts = y_bar[0, :, 0] - beta @ x_bar[0, :, :, 0]
     else:
-        intercepts = np.full(x_dm.shape[0],
-                             float(y_bar[0, 0, 0] - beta @ x_bar[0, :, 0, 0]))
+        intercepts = np.full(n, float(y_bar[0, 0, 0]
+                                      - beta @ x_bar[0, :, 0, 0]))
 
     return FitResult(
         kind=kind,
@@ -317,7 +318,7 @@ def fit(panel: PanelData, kind: EstimatorKind = EstimatorKind.FIXED_EFFECT) -> F
         gram_inv=gram_inv,
         residuals=residuals,
         demeaned_y=y_dm[0],
-        demeaned_x=x_dm,
+        demeaned_x=xk[0].transpose(1, 2, 0),
         intercepts=intercepts,
         condition_number=cond,
         condition_warning=cond > COND_WARN,

@@ -241,7 +241,7 @@ def _wald_stack(beta: np.ndarray, v: np.ndarray,
     r_mat, r_val = restriction.matrix, restriction.value
     gap = (r_mat @ beta[..., np.newaxis])[..., 0] - r_val
     s = r_mat @ v @ r_mat.T
-    s = 0.5 * (s + s.mT)
+    s = 0.5 * (s + s.swapaxes(-1, -2))
     evals = np.linalg.eigvalsh(s)
     singular = (evals[:, -1] <= 0.0) | (evals[:, 0] <= 1e-12 * evals[:, -1])
     if singular.any():

@@ -152,12 +152,12 @@ def _estimator_kind(value) -> EstimatorKind:
     return EstimatorKind(value)
 
 
-def _true_variance_for(x_dm: np.ndarray, gram_inv: np.ndarray,
+def _true_variance_for(xk: np.ndarray, gram_inv: np.ndarray,
                        truth: dict) -> np.ndarray:
     """Exact conditional slope variance implied by a draw's truth record,
-    read off the design and Gram inverse its fit has already checked (one
-    fit, or a stack of them)."""
-    return _exact_variance(x_dm, gram_inv, truth["time_memory"],
+    read off the k-major design and Gram inverse its fit has already
+    checked (one fit, or a stack of them)."""
+    return _exact_variance(xk, gram_inv, truth["time_memory"],
                            truth["loadings"], truth["sigma"])
 
 
@@ -173,7 +173,8 @@ def _fixed_design(cfg: McConfig, n: int, t: int):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", ConditionWarning)
                 res = fit(panel, cfg.estimator)
-                tv = _true_variance_for(res.demeaned_x, res.gram_inv, truth)
+                tv = _true_variance_for(res.demeaned_x.transpose(2, 0, 1),
+                                        res.gram_inv, truth)
         except _REP_ERRORS:
             pass
     return (panel.x, truth["mu"]), tv
@@ -200,8 +201,8 @@ def _replicate(cfg: McConfig, n: int, t: int, rep: int, design, restr,
     res = fit(panel, cfg.estimator)
     v = _robust_cov(res, **cfg.cov.to_dict()).matrix
     p_value = wald(res.beta_hat, v, restr).p_value
-    tv = (_true_variance_for(res.demeaned_x, res.gram_inv, truth)
-          if want_tv else np.nan)
+    tv = (_true_variance_for(res.demeaned_x.transpose(2, 0, 1),
+                             res.gram_inv, truth) if want_tv else np.nan)
     return res.beta_hat, v, p_value, tv
 
 
@@ -221,14 +222,14 @@ def _stacked_block(cfg: McConfig, n: int, t: int, reps: range, design,
     """
     seeds = [_derive_seed(cfg.master_seed, n, t, _REP_TAG, r) for r in reps]
     y, x, _ = _draw_block(cfg.dgp, n, t, seeds, design)
-    live, x_dm, resid, gram_inv, b = _fit_stack(y, x, cfg.estimator)
-    v = _robust_stack(cfg.estimator, x_dm, resid, gram_inv,
+    live, xk, resid, gram_inv, b = _fit_stack(y, x, cfg.estimator)
+    v = _robust_stack(cfg.estimator, xk, resid, gram_inv,
                       **cfg.cov.to_dict())[0]
     stat, singular, _ = _wald_stack(b, v, restr)
     ok = (~singular & np.isfinite(stat) & np.isfinite(b).all(axis=1)
           & np.isfinite(v).all(axis=(1, 2)))
     if want_tv:
-        tv = _true_variance_for(x_dm, gram_inv, _truth(cfg.dgp, n, None))
+        tv = _true_variance_for(xk, gram_inv, _truth(cfg.dgp, n, None))
         ok &= np.isfinite(tv).all(axis=(1, 2))
     p_values = [chi2_sf(max(float(st), 0.0), restr.q) for st in stat[ok]]
     rows = live[ok]

@@ -310,7 +310,8 @@ def load_csv(
         A header naming a column twice, missing columns, a regressor listed
         twice or naming the id, time or y column (line 1), a value that
         does not parse, a record the csv module refuses, or a byte that is
-        not UTF-8, with the file line.
+        not UTF-8, with the file line. A bad record is numbered by the line
+        it starts on, counting every line end, also those inside quotes.
     DuplicateCell
         The same (unit, period) appears twice.
     UnbalancedPanel
@@ -390,6 +391,18 @@ def _load_columns(lines, width: int, unit_col: int, period_col: int,
     return y, x, units, periods
 
 
+def _numbered(reader):
+    """(line, record) for each record left in ``reader``, numbered by the
+    file line it starts on: a quoted newline makes a record span lines."""
+    while True:
+        line = reader.line_num + 1
+        try:
+            rec = next(reader)
+        except StopIteration:
+            return
+        yield line, rec
+
+
 def _load_csv_rows(path: str, id_col: str, time_col: str, y_col: str,
                    x_cols: list[str] | None) -> PanelData:
     """Row-by-row parse of the same file: the one place that raises a data
@@ -398,7 +411,7 @@ def _load_csv_rows(path: str, id_col: str, time_col: str, y_col: str,
         header, x_cols = _read_header(reader, id_col, time_col, y_col, x_cols)
         pos = {h: j for j, h in enumerate(header)}
         rows: dict[tuple[str, str], tuple[float, list[float]]] = {}
-        for lineno, rec in enumerate(reader, start=2):
+        for lineno, rec in _numbered(reader):
             if not rec or all(not c.strip() for c in rec):
                 continue
             if len(rec) != len(header):

@@ -12,7 +12,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import child_env
-from panelcsd import EstimatorKind, chi2_sf, fit, load_csv
+from panelcsd import (EstimatorKind, all_norms, chi2_sf, fit, load_csv,
+                      omega_hat)
 from panelcsd.cli import build_parser, dispatch
 from panelcsd.dgp import DgpSpec, Equicorr, gen_panel
 
@@ -502,6 +503,52 @@ def test_decompose_not_square_exits_one(tmp_path, capsys):
     code, _, err = run_cli(capsys, "decompose", "--omega", str(path))
     assert code == 1
     assert "square" in err
+
+
+def test_diagnose_residuals_file_takes_units_by_periods(tmp_path, capsys):
+    m = np.random.default_rng(8).standard_normal((5, 40))
+    path = tmp_path / "r.csv"
+    np.savetxt(path, m, delimiter=",")
+    code, out, err = run_cli(capsys, "diagnose", "--residuals-file",
+                             str(path))
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["n"] == 5
+    assert payload["norms"] == all_norms(omega_hat(np.loadtxt(path,
+                                                              delimiter=",")))
+
+
+def _bad_omega(n=3):
+    omega = np.eye(n)
+    omega[1, 1] = np.nan
+    return omega
+
+
+@pytest.mark.parametrize("bad, code, message", [
+    (_bad_omega(), 1, "error: {}: matrix contains non-finite values\n"),
+    (np.array([[1.0, 0.9], [0.2, 1.0]]), 1,
+     "error: {}: matrix is not symmetric: max|A - A'| = 7.000e-01 exceeds "
+     "1e-10 * max|A|\n"),
+    (np.diag([1.0, -1.0]), 2, "RankDeficient: {}: minimum eigenvalue "
+                              "-1.000e+00 below -1e-08 * lambda_max\n"),
+])
+def test_decompose_errors_name_the_file(tmp_path, capsys, bad, code,
+                                        message):
+    path = tmp_path / "omega.csv"
+    np.savetxt(path, bad, delimiter=",")
+    got, out, err = run_cli(capsys, "decompose", "--omega", str(path))
+    assert (got, out, err) == (code, "", message.format(path))
+
+
+def test_diagnose_residuals_file_errors_name_the_file(tmp_path, capsys):
+    m = np.random.default_rng(8).standard_normal((5, 40))
+    m[2, 7] = np.nan
+    path = tmp_path / "r.csv"
+    np.savetxt(path, m, delimiter=",")
+    got, out, err = run_cli(capsys, "diagnose", "--residuals-file",
+                            str(path))
+    assert (got, out, err) == (
+        1, "", f"error: {path}: matrix contains non-finite values\n")
 
 
 def test_mc_run_and_report(tmp_path, capsys):

@@ -14,6 +14,7 @@ from panelcsd.errors import (SingularCov, SingularRestrictedCov,
                              SpecMismatch, TruncTooLarge, UsageError)
 from panelcsd.covariance import _robust_stack, _weighted_leads
 from panelcsd.dgp import _AR_BLOCK, DgpSpec, Factor, gen_panel
+from panelcsd.estimators import _fit_stack
 
 
 def random_panel(n, t, k, seed, noise=1.0):
@@ -194,16 +195,25 @@ def test_public_covariances_are_the_stacked_routine_on_one_fit(
         method, options, public):
     # the same matrix bytes and metadata as _robust_stack on a block of one,
     # and as that fit's slice of a block of several
-    results = [fit(random_panel(5, 9, 2, seed)) for seed in (21, 22, 23)]
+    panels = [random_panel(5, 9, 2, seed) for seed in (21, 22, 23)]
+    results = [fit(p) for p in panels]
 
     def block(fits):  # k-major designs, as the Monte Carlo fit returns them
-        return (np.stack([r.demeaned_x.transpose(2, 0, 1)
-                          for r in fits]).transpose(0, 2, 3, 1),
+        return (np.stack([r.demeaned_x.transpose(2, 0, 1) for r in fits]),
                 np.stack([r.residuals for r in fits]),
                 np.stack([r.gram_inv for r in fits]))
 
     stacked = _robust_stack(EstimatorKind.FIXED_EFFECT, *block(results),
                             method, **options)
+    # and as the stacked fit's own designs, residuals and Gram inverses
+    kept, *fitted, _ = _fit_stack(np.stack([p.y for p in panels]),
+                                  np.stack([p.x for p in panels]),
+                                  EstimatorKind.FIXED_EFFECT)
+    assert kept.tolist() == [0, 1, 2]
+    from_fit = _robust_stack(EstimatorKind.FIXED_EFFECT, *fitted, method,
+                             **options)
+    for i, res in enumerate(results):
+        assert public(res).matrix.tobytes() == from_fit[0][i].tobytes()
     for i, res in enumerate(results):
         v, repaired, clipped, lag = _robust_stack(
             EstimatorKind.FIXED_EFFECT, *block([res]), method, **options)
@@ -518,10 +528,13 @@ def test_blocked_weighted_leads_match_the_period_loop(t):
     spec = TimeDependenceSpec.idio_summable(0.99)
     panel = random_panel(6, t, 2, seed=t)
     res = fit(panel)
-    want = weighted_leads_loop(np.ascontiguousarray(res.demeaned_x), 0.99)
+    want = weighted_leads_loop(np.ascontiguousarray(res.demeaned_x),
+                               0.99).transpose(2, 0, 1)
     scale = np.abs(want).max()
-    # the k-major view fit returns, and a plain (n, t, k) array
-    for x_dm in (res.demeaned_x, np.ascontiguousarray(res.demeaned_x)):
+    # the contiguous k-major design fit keeps, and a k-major view of a
+    # plain (n, t, k) array
+    for x_dm in (res.demeaned_x.transpose(2, 0, 1),
+                 np.ascontiguousarray(res.demeaned_x).transpose(2, 0, 1)):
         got = _weighted_leads(x_dm, spec)
         assert got.shape == x_dm.shape
         assert_allclose(got, want, rtol=0, atol=1e-12 * scale)

@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from panelcsd import (CovMatrix, DgpSpec, EstimatorKind, PanelData,
                       within_demean)
 from panelcsd.dgp import Diagonal
 from panelcsd.errors import ConditionWarning, SingularGram
-from panelcsd.estimators import _demean_stack
+from panelcsd.estimators import _demean_stack, _fit_stack
 
 
 def random_panel(n, t, k, seed, beta=None, mu_scale=1.0, noise=1.0):
@@ -175,6 +176,36 @@ def test_the_one_design_scale_is_the_frobenius_norm():
         scale = _demean_stack(y[:1], xf[np.newaxis],
                               EstimatorKind.FIXED_EFFECT)[4]
         assert float(scale[0]) == float(np.linalg.norm(xf))
+
+
+def test_stacked_fit_passes_contiguous_k_major_designs():
+    # the layout every stacked stage reads, whether or not the fit drops
+    # panels (here a non-finite one and a rank-deficient one), and the
+    # values of each kept panel's own fit
+    panels = [random_panel(4, 6, 2, seed)[0] for seed in range(4)]
+    y = np.stack([p.y for p in panels])
+    x = np.stack([p.x for p in panels])
+    for kind in EstimatorKind:
+        kept, xk, *_ = _fit_stack(y, x, kind)
+        assert kept.tolist() == [0, 1, 2, 3]
+        assert xk.shape == (4, 2, 4, 6) and xk.flags.c_contiguous
+        for i, p in enumerate(panels):
+            assert np.array_equal(xk[i], fit(p, kind).demeaned_x
+                                  .transpose(2, 0, 1))
+    y[1, 0, 0] = np.nan
+    x[2, :, :, 1] = 0.0
+    kept, xk, *_ = _fit_stack(y, x, EstimatorKind.FIXED_EFFECT)
+    assert kept.tolist() == [0, 3]
+    assert xk.shape == (2, 2, 4, 6) and xk.flags.c_contiguous
+
+
+def test_source_has_no_matrix_transpose_attribute():
+    # ndarray.mT came with numpy 2.0; pyproject.toml allows numpy 1.23
+    src = Path(__file__).resolve().parents[1] / "src" / "panelcsd"
+    uses = [f"{path.name}:{i}" for path in sorted(src.glob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(r"\.mT\b", line)]
+    assert uses == []
 
 
 def test_condition_warning_flag():

@@ -189,8 +189,8 @@ def test_worker_true_variance_matches_public_path(form, kind, n, t, k, seed):
                     true_variance_mixed(panel, kind, tm, truth["loadings"],
                                         sigma)
                 continue
-            got = montecarlo._true_variance_for(res.demeaned_x, res.gram_inv,
-                                                truth)
+            got = montecarlo._true_variance_for(
+                res.demeaned_x.transpose(2, 0, 1), res.gram_inv, truth)
             want = true_variance_mixed(panel, kind, tm, truth["loadings"],
                                        sigma)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), \

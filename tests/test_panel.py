@@ -217,6 +217,16 @@ def test_load_csv_parse_error_lines(tmp_path):
     assert "'y' twice" in str(err.value)
 
 
+def test_load_csv_numbers_a_record_by_the_line_it_starts_on(tmp_path):
+    # the record of unit b spans lines 3-4, so the bad value is on line 5
+    f = tmp_path / "p.csv"
+    f.write_text('id,time,y,x1\na,1,1.0,0.1\nb,1,"2.0\n",0.2\n'
+                 'c,1,oops,3\n')
+    with pytest.raises(ParseError) as err:
+        load_csv(str(f))
+    assert err.value.line == 5
+
+
 def test_load_csv_field_count_mismatch(tmp_path):
     f = tmp_path / "p.csv"
     f.write_text("id,time,y,x1\n1,1,1.0,0.1\n1,2,1.0\n")
@@ -467,10 +477,26 @@ def test_columnar_load_replays_errors_of_row_parse(tmp_path_factory, lines,
         for row in rows:
             if row[unit_col].strip() == unit:
                 row[unit_col] = ""
+    # values with a quoted newline, in rows before the corrupted one: the
+    # error's line is the one its record starts on, counted from the text
+    for i in data.draw(st.sets(st.integers(0, at - 1), max_size=3)
+                       if at else st.just(set())):
+        rows[i][value_col] = '"' + rows[i][value_col] + '\n"'
+    starts, line = [], 1
+    for r in rows:
+        starts.append(line + 1)
+        line += 1 + ",".join(r).count("\n")
     f = tmp_path_factory.mktemp("prop") / "p.csv"
     _write_lines(f, header, rows)
     reference = _outcome(_rows_load, str(f))
     assert isinstance(reference[0], type)  # every corruption is an error
+    if corruption in ("duplicate", "hole"):
+        assert reference[2] is None
+    elif corruption == "empty_unit":
+        assert reference[2] == starts[next(
+            i for i, r in enumerate(rows) if not r[unit_col])]
+    else:
+        assert reference[2] == starts[at]
     with mock.patch.object(panel_module, "_CHUNK_ROWS", chunk):
         assert _outcome(load_csv, str(f)) == reference
 
