@@ -1,195 +1,31 @@
 """Panel regression estimation and inference under cross-sectional dependence.
 
-The package covers the full workflow: balanced-panel containers and stacking
-(`panel`), within and pooled estimators with their period weight blocks
+The package covers the full workflow: balanced-panel containers and CSV
+loading (`panel`), within and pooled estimators with their period weight blocks
 (`estimators`), dependence norms, regime classification, factor splitting and
 fourth-moment diagnostics (`dependence`), covariance requests, robust
 covariance estimators and exact finite-sample variance targets
 (`covariance`), Wald tests with a small restriction grammar (`inference`),
 synthetic cross-sectional covariance families and panel generators (`dgp`),
 and deterministic multi-process Monte Carlo drivers (`montecarlo`).
+
+Each of those modules, and `errors`, lists its public names in its own
+``__all__``; the package exports every one of them, and nothing else.
 """
 
-from .covariance import (
-    CovConfig,
-    CovMethod,
-    RobustCov,
-    cov_cross_section,
-    cov_kernel,
-    cov_plugin,
-    kernel_weight,
-    ma1_coefficient,
-    omega_hat,
-    true_variance_cs,
-    true_variance_mixed,
-)
-from .dependence import (
-    CovMatrix,
-    DependenceProfile,
-    FactorSplit,
-    FourthMomentBounds,
-    Regime,
-    all_norms,
-    classify,
-    factor_decompose,
-    fourth_moment_lower_bound,
-    norm_euclid,
-    norm_euclid_scaled,
-    norm_max_eig,
-    norm_max_row_sum,
-    norm_taxicab_scaled,
-    select_n_factors,
-)
-from .dgp import (
-    EXAMPLE_PRESETS,
-    Arrowhead,
-    Band,
-    Block,
-    DecayCorrelation,
-    DgpSpec,
-    Diagonal,
-    Equicorr,
-    Factor,
-    ScaledEquicorr,
-    SpatialAR,
-    TimeDependenceSpec,
-    build_omega,
-    family_from_string,
-    gen_panel,
-)
-from .errors import (
-    ConditionWarning,
-    DegenerateFamily,
-    DomainError,
-    DuplicateCell,
-    EigenFailure,
-    NegativeDelta,
-    NotPSD,
-    NumericalError,
-    PanelError,
-    ParseError,
-    RankDeficient,
-    SingularCov,
-    SingularGram,
-    SingularRestrictedCov,
-    SpecMismatch,
-    TruncTooLarge,
-    UnbalancedPanel,
-    UsageError,
-    WorkerPoolError,
-)
-from .estimators import (
-    EstimatorKind,
-    FitResult,
-    WeightBlocks,
-    fit,
-    grand_demean,
-    weight_blocks,
-    within_demean,
-)
-from .inference import (
-    LinearRestriction,
-    TestResult,
-    chi2_sf,
-    parse_restrictions,
-    wald,
-)
-from .montecarlo import (
-    McConfig,
-    McReport,
-    aligned_x_coverage,
-    regime_size_ordering,
-    run_mc,
-    t1_cross_section_experiment,
-    worker_pool,
-)
-from .panel import Ordering, PanelData, StackedView, load_csv, stack
+from . import (covariance, dependence, dgp, errors, estimators, inference,
+               montecarlo, panel)
+from .covariance import *  # noqa: F401,F403
+from .dependence import *  # noqa: F401,F403
+from .dgp import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .estimators import *  # noqa: F401,F403
+from .inference import *  # noqa: F401,F403
+from .montecarlo import *  # noqa: F401,F403
+from .panel import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Arrowhead",
-    "Band",
-    "Block",
-    "ConditionWarning",
-    "CovConfig",
-    "CovMatrix",
-    "CovMethod",
-    "DecayCorrelation",
-    "DegenerateFamily",
-    "DependenceProfile",
-    "DgpSpec",
-    "Diagonal",
-    "DomainError",
-    "DuplicateCell",
-    "EXAMPLE_PRESETS",
-    "EigenFailure",
-    "Equicorr",
-    "EstimatorKind",
-    "Factor",
-    "FactorSplit",
-    "FitResult",
-    "FourthMomentBounds",
-    "LinearRestriction",
-    "McConfig",
-    "McReport",
-    "NegativeDelta",
-    "NotPSD",
-    "NumericalError",
-    "Ordering",
-    "PanelData",
-    "PanelError",
-    "ParseError",
-    "RankDeficient",
-    "Regime",
-    "RobustCov",
-    "ScaledEquicorr",
-    "SingularCov",
-    "SingularGram",
-    "SingularRestrictedCov",
-    "SpatialAR",
-    "SpecMismatch",
-    "StackedView",
-    "TestResult",
-    "TimeDependenceSpec",
-    "TruncTooLarge",
-    "UnbalancedPanel",
-    "UsageError",
-    "WeightBlocks",
-    "WorkerPoolError",
-    "aligned_x_coverage",
-    "all_norms",
-    "build_omega",
-    "chi2_sf",
-    "classify",
-    "cov_cross_section",
-    "cov_kernel",
-    "cov_plugin",
-    "factor_decompose",
-    "family_from_string",
-    "fit",
-    "fourth_moment_lower_bound",
-    "gen_panel",
-    "grand_demean",
-    "kernel_weight",
-    "load_csv",
-    "ma1_coefficient",
-    "norm_euclid",
-    "norm_euclid_scaled",
-    "norm_max_eig",
-    "norm_max_row_sum",
-    "norm_taxicab_scaled",
-    "omega_hat",
-    "parse_restrictions",
-    "regime_size_ordering",
-    "run_mc",
-    "select_n_factors",
-    "stack",
-    "t1_cross_section_experiment",
-    "true_variance_cs",
-    "true_variance_mixed",
-    "wald",
-    "weight_blocks",
-    "within_demean",
-    "worker_pool",
-]
+__all__ = sorted({name for module in (covariance, dependence, dgp, errors,
+                                      estimators, inference, montecarlo, panel)
+                  for name in module.__all__})

@@ -3,8 +3,9 @@
 Subcommands: estimate, test, diagnose, decompose, mc run, mc report,
 explore-conjecture. Exit codes: 0 success, 1 bad input (flags, files,
 malformed requests), 2 numerical failure (singular designs, invalid
-covariances), 143 when stopped by SIGTERM. Output is JSON (or an aligned
---format table), written atomically: never left partial.
+covariances), 130 when stopped by Ctrl-C (SIGINT) and 143 by SIGTERM.
+Output is JSON (or an aligned --format table), written atomically: never
+left partial.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import os
 import signal
 import sys
+import warnings
 
 import numpy as np
 
@@ -226,7 +228,9 @@ def _load_matrix_csv(path: str) -> np.ndarray:
     # any shape: a residual file is units x periods, and CovMatrix refuses
     # a covariance that is not square
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():  # empty: a shape check reports it
+            warnings.simplefilter("ignore", UserWarning)
+            return np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise UsageError(f"{path}: not a numeric CSV matrix ({exc})") from None
 
@@ -522,9 +526,10 @@ def dispatch(argv: list[str]) -> int:
     except NumericalError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except _Terminated:
+    except (KeyboardInterrupt, _Terminated) as exc:
         print("error: interrupted", file=sys.stderr)
-        return 128 + signal.SIGTERM
+        return 128 + (signal.SIGINT if isinstance(exc, KeyboardInterrupt)
+                      else signal.SIGTERM)
 
 
 def main() -> None:

@@ -57,7 +57,6 @@ __all__ = [
     "CovMethod",
     "CovConfig",
     "RobustCov",
-    "ma1_coefficient",
     "omega_hat",
     "cov_cross_section",
     "cov_kernel",
@@ -131,18 +130,6 @@ class RobustCov:
             "psd_repaired": self.psd_repaired,
             "clipped_mass": self.clipped_mass,
         }
-
-
-def ma1_coefficient(rho1: float) -> float:
-    """Invert a lag-1 autocorrelation to a first-order MA coefficient.
-
-    Returns psi with rho1 = psi / (1 + psi^2); requires |rho1| <= 0.5.
-    """
-    if abs(rho1) > 0.5:
-        raise ValueError("a first-order MA cannot exceed |rho1| = 0.5")
-    if rho1 == 0.0:
-        return 0.0
-    return float((1.0 - np.sqrt(1.0 - 4.0 * rho1 * rho1)) / (2.0 * rho1))
 
 
 def omega_hat(residuals) -> CovMatrix:

@@ -494,6 +494,10 @@ class TimeDependenceSpec:
             raise SpecMismatch(f"unknown form {self.form!r}")
         if (self.channel == "none") != (self.form == "none"):
             raise SpecMismatch("channel and form must both be 'none' or neither")
+        for name, form in (("psi", "ma"), ("decay", "summable")):
+            if getattr(self, name) is not None and self.form != form:
+                raise SpecMismatch(f"{name} is read only by the {form!r} "
+                                   f"form, not {self.form!r}")
         if self.psi is not None:
             object.__setattr__(self, "psi", check_reals(self.psi, "psi"))
         if self.decay is not None:

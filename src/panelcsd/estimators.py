@@ -40,10 +40,7 @@ __all__ = [
     "EstimatorKind",
     "FitResult",
     "WeightBlocks",
-    "within_demean",
-    "grand_demean",
     "demean",
-    "gram_inverse",
     "fit",
     "weight_blocks",
 ]
@@ -93,16 +90,6 @@ def demean(panel: PanelData, kind: EstimatorKind) -> tuple[np.ndarray, np.ndarra
     y_dm, xk, *_ = _demean_stack(panel.y[np.newaxis], panel.x[np.newaxis],
                                  kind)
     return y_dm[0], xk[0].transpose(1, 2, 0)
-
-
-def within_demean(panel: PanelData) -> tuple[np.ndarray, np.ndarray]:
-    """Remove unit-specific time averages from y and x."""
-    return demean(panel, EstimatorKind.FIXED_EFFECT)
-
-
-def grand_demean(panel: PanelData) -> tuple[np.ndarray, np.ndarray]:
-    """Remove the overall mean from y and each regressor."""
-    return demean(panel, EstimatorKind.POOLED)
 
 
 # Verdicts of :func:`_gram_stack` on each design of a stack.

@@ -1,17 +1,13 @@
-"""Balanced panel container, CSV ingestion, and stacking order conversions.
+"""Balanced panel container and long-format CSV ingestion.
 
 A panel holds an outcome ``y`` of shape (n_units, n_periods) and regressors
-``x`` of shape (n_units, n_periods, n_regressors). Long-format vectors come in
-two orderings: unit-major (all periods of unit 1, then unit 2, ...) and
-time-major (all units at period 1, then period 2, ...). Both are exposed as
-views with explicit index maps so downstream code never guesses.
+``x`` of shape (n_units, n_periods, n_regressors).
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
-import enum
 import functools
 import itertools
 import math
@@ -22,14 +18,7 @@ import numpy as np
 
 from .errors import DuplicateCell, ParseError, UnbalancedPanel
 
-__all__ = ["Ordering", "PanelData", "StackedView", "load_csv", "stack"]
-
-
-class Ordering(enum.Enum):
-    """Long-format row order for stacked panels."""
-
-    BY_UNIT = "by_unit"  # row = unit * n_periods + period
-    BY_TIME = "by_time"  # row = period * n_units + unit
+__all__ = ["PanelData", "load_csv"]
 
 
 @functools.lru_cache(maxsize=32)
@@ -127,51 +116,6 @@ class PanelData:
     @property
     def n_regressors(self) -> int:
         return self.x.shape[2]
-
-
-@dataclass(frozen=True)
-class StackedView:
-    """Long-format view of a panel under a fixed ordering.
-
-    ``y`` has length n_units * n_periods and ``x`` is (n_units * n_periods,
-    n_regressors). ``index_of`` and ``cell_of`` are mutually inverse maps
-    between cells (unit, period) and long rows.
-    """
-
-    y: np.ndarray
-    x: np.ndarray
-    ordering: Ordering
-    n_units: int
-    n_periods: int
-
-    def index_of(self, unit: int, period: int) -> int:
-        if not (0 <= unit < self.n_units and 0 <= period < self.n_periods):
-            raise IndexError("cell out of range")
-        if self.ordering is Ordering.BY_UNIT:
-            return unit * self.n_periods + period
-        return period * self.n_units + unit
-
-    def cell_of(self, row: int) -> tuple[int, int]:
-        if not (0 <= row < self.n_units * self.n_periods):
-            raise IndexError("row out of range")
-        if self.ordering is Ordering.BY_UNIT:
-            return divmod(row, self.n_periods)[0], row % self.n_periods
-        period, unit = divmod(row, self.n_units)
-        return unit, period
-
-
-def stack(panel: PanelData, ordering: Ordering) -> StackedView:
-    """Flatten a panel into long format under the requested ordering."""
-    if ordering is Ordering.BY_UNIT:
-        y = panel.y.reshape(-1).copy()
-        x = panel.x.reshape(-1, panel.n_regressors).copy()
-    elif ordering is Ordering.BY_TIME:
-        y = panel.y.T.reshape(-1).copy()
-        x = panel.x.transpose(1, 0, 2).reshape(-1, panel.n_regressors).copy()
-    else:
-        raise ValueError(f"unknown ordering {ordering!r}")
-    return StackedView(y=y, x=x, ordering=ordering,
-                       n_units=panel.n_units, n_periods=panel.n_periods)
 
 
 def _sort_labels(labels) -> list[str]:

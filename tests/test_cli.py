@@ -551,6 +551,20 @@ def test_diagnose_residuals_file_errors_name_the_file(tmp_path, capsys):
         1, "", f"error: {path}: matrix contains non-finite values\n")
 
 
+@pytest.mark.parametrize("flag", ["decompose --omega",
+                                  "diagnose --residuals-file"])
+def test_empty_matrix_file_is_one_error_line(tmp_path, flag):
+    # a fresh interpreter, so that a warning would reach stderr as printed
+    (tmp_path / "empty.csv").write_bytes(b"")
+    proc = subprocess.run(
+        [sys.executable, "-m", "panelcsd", *flag.split(), "empty.csv"],
+        capture_output=True, text=True, env=child_env(), cwd=tmp_path,
+        timeout=120)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: empty.csv:")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
+
 def test_mc_run_and_report(tmp_path, capsys):
     cfg = {
         "dgp": {"cross_section": "example1", "beta_true": [1.0]},
@@ -715,6 +729,28 @@ def test_mc_run_rejects_non_finite_numbers_before_any_worker(
     assert not report_path.exists()
 
 
+def test_mc_run_rejects_a_memory_field_its_form_ignores_before_any_worker(
+        tmp_path, capsys, monkeypatch):
+    from panelcsd import montecarlo
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "dgp": {"cross_section": "example1", "beta_true": [1.0],
+                "time_memory": {"channel": "idio", "form": "summable",
+                                "decay": 0.5, "psi": [1.0, 0.3]}},
+        "grid": [[6, 10]], "reps": 200, "cov": {"method": "cs"}}))
+    report_path = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "mc", "run", str(cfg_path),
+                             "--out", str(report_path), "--threads", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "psi" in err
+    assert not report_path.exists()
+
+
 def _live_group_members(pgid: int) -> list[int]:
     """The processes of group ``pgid`` that are not zombies, from /proc."""
     members = []
@@ -731,10 +767,9 @@ def _live_group_members(pgid: int) -> list[int]:
     return members
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
-def test_mc_run_sigterm_stops_the_workers(tmp_path):
-    # many cells whose chunks take milliseconds: SIGTERM lands mid-run, and
-    # the run must stop its workers and exit 143 with one line
+def _signal_mc_run(tmp_path, signum, code):
+    # many cells whose chunks take milliseconds: the signal lands mid-run,
+    # and the run must stop its workers and exit ``code`` with one line
     cfg_path = tmp_path / "long.json"
     cfg_path.write_text(json.dumps({
         "dgp": {"cross_section": "example1", "beta_true": [1.0]},
@@ -753,13 +788,13 @@ def test_mc_run_sigterm_stops_the_workers(tmp_path):
             time.sleep(0.05)
         time.sleep(1.0)  # past the workers' start, into the cells
         assert proc.poll() is None, proc.communicate()
-        proc.send_signal(signal.SIGTERM)
+        proc.send_signal(signum)  # to the parent only, not the group
         deadline = time.monotonic() + 5
         out, err = proc.communicate(timeout=5)
         while _live_group_members(proc.pid) and time.monotonic() < deadline:
             time.sleep(0.05)
         assert _live_group_members(proc.pid) == []
-        assert proc.returncode == 143
+        assert proc.returncode == code
         assert (out, err) == ("", "error: interrupted\n")
         assert not report_path.exists()
     finally:
@@ -767,6 +802,16 @@ def test_mc_run_sigterm_stops_the_workers(tmp_path):
             os.kill(pid, signal.SIGKILL)
         proc.kill()
         proc.communicate()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_mc_run_sigterm_stops_the_workers(tmp_path):
+    _signal_mc_run(tmp_path, signal.SIGTERM, 143)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_mc_run_sigint_stops_the_workers(tmp_path):
+    _signal_mc_run(tmp_path, signal.SIGINT, 130)
 
 
 def test_cli_choices_are_the_library_vocabularies():
@@ -889,12 +934,14 @@ def run_console_script(value, *argv):
             f"sys.exit(EntryPoint(name='panelcsd', value={value!r}, "
             "group='console_scripts').load()())")
     return subprocess.run([sys.executable, "-c", code, *argv],
-                          capture_output=True, text=True, env=child_env())
+                          capture_output=True, text=True, env=child_env(),
+                          timeout=120)
 
 
 def test_module_entrypoint_subprocess():
     proc = subprocess.run([sys.executable, "-m", "panelcsd", "--help"],
-                          capture_output=True, text=True, env=child_env())
+                          capture_output=True, text=True, env=child_env(),
+                          timeout=120)
     assert proc.returncode == 0
     assert "estimate" in proc.stdout
 

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 from panelcsd import (CovMatrix, CovMethod, EstimatorKind, FitResult,
                       LinearRestriction, PanelData, TimeDependenceSpec,
                       cov_cross_section, cov_kernel, cov_plugin, fit,
-                      kernel_weight, ma1_coefficient, omega_hat,
+                      kernel_weight, omega_hat,
                       true_variance_cs, true_variance_mixed, wald,
                       weight_blocks)
 from panelcsd.config import auto_truncation, declared_lag
@@ -481,14 +481,6 @@ def test_true_variance_mixed_spec_mismatch():
     with pytest.raises(SpecMismatch):
         true_variance_mixed(panel, EstimatorKind.FIXED_EFFECT,
                             TimeDependenceSpec.none())
-
-
-def test_ma1_coefficient():
-    assert ma1_coefficient(0.0) == pytest.approx(0.0)
-    theta = ma1_coefficient(0.4)
-    assert theta / (1 + theta ** 2) == pytest.approx(0.4, abs=1e-12)
-    with pytest.raises(ValueError):
-        ma1_coefficient(0.51)
 
 
 def test_dominant_factor_term_in_normalized_limit():

@@ -20,6 +20,7 @@ def test_demo_runs(demo, tmp_path):
     # a fresh interpreter, with the same panelcsd the suite imports and a
     # throwaway working directory
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
-                          text=True, env=child_env(), cwd=tmp_path)
+                          text=True, env=child_env(), cwd=tmp_path,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

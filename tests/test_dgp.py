@@ -406,6 +406,22 @@ def test_spec_validation():
         DgpSpec(cross_section=Diagonal(scale=1.0), beta_true=())
 
 
+@pytest.mark.parametrize("kw, field", [
+    ({"channel": "idio", "form": "summable", "decay": 0.5,
+      "psi": (1.0, 0.3)}, "psi"),
+    ({"channel": "factor", "form": "summable", "decay": 0.5,
+      "psi": (1.0,)}, "psi"),
+    ({"channel": "idio", "form": "ma", "psi": (1.0, 0.3),
+      "decay": 0.5}, "decay"),
+    ({"decay": 0.5}, "decay"),
+    ({"psi": (1.0, 0.3)}, "psi"),
+])
+def test_memory_spec_refuses_a_field_its_form_ignores(kw, field):
+    # the draw would ignore the field, and to_dict would still write it
+    with pytest.raises(SpecMismatch, match=field):
+        TimeDependenceSpec(**kw)
+
+
 def test_block_family_validation():
     with pytest.raises(UsageError):
         Block(size=4, n_blocks=2, b=0.5)

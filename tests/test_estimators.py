@@ -6,9 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from panelcsd import (CovMatrix, DgpSpec, EstimatorKind, PanelData,
-                      TimeDependenceSpec, fit, gen_panel, grand_demean,
-                      true_variance_cs, true_variance_mixed, weight_blocks,
-                      within_demean)
+                      TimeDependenceSpec, demean, fit, gen_panel,
+                      true_variance_cs, true_variance_mixed, weight_blocks)
 from panelcsd.dgp import Diagonal
 from panelcsd.errors import ConditionWarning, SingularGram
 from panelcsd.estimators import _demean_stack, _fit_stack
@@ -27,7 +26,7 @@ def random_panel(n, t, k, seed, beta=None, mu_scale=1.0, noise=1.0):
 def test_within_demean_trivials():
     y = np.array([[1.0, 2.0, 3.0], [5.0, 5.0, 5.0]])
     x = np.ones((2, 3, 1))
-    y_dm, x_dm = within_demean(PanelData(y=y, x=x))
+    y_dm, x_dm = demean(PanelData(y=y, x=x), EstimatorKind.FIXED_EFFECT)
     assert_allclose(y_dm[0], [-1.0, 0.0, 1.0])
     assert_allclose(y_dm[1], 0.0)
     # constant-within-unit regressor is annihilated
@@ -42,7 +41,7 @@ def test_within_demean_matches_projection_matrix():
     x = rng.standard_normal((n, t, 2))
     m_unit = np.eye(t) - np.full((t, t), 1.0 / t)
     m_full = np.kron(np.eye(n), m_unit)
-    y_dm, x_dm = within_demean(PanelData(y=y, x=x))
+    y_dm, x_dm = demean(PanelData(y=y, x=x), EstimatorKind.FIXED_EFFECT)
     assert_allclose(y_dm.ravel(), m_full @ y.ravel(), atol=1e-12)
     for j in range(2):
         assert_allclose(x_dm[:, :, j].ravel(), m_full @ x[:, :, j].ravel(),
@@ -52,7 +51,7 @@ def test_within_demean_matches_projection_matrix():
 def test_grand_demean_trivials():
     y = np.array([[1.0, 2.0], [3.0, 4.0]])
     x = np.full((2, 2, 1), 7.0)
-    y_dm, x_dm = grand_demean(PanelData(y=y, x=x))
+    y_dm, x_dm = demean(PanelData(y=y, x=x), EstimatorKind.POOLED)
     assert_allclose(y_dm.ravel(), [-1.5, -0.5, 0.5, 1.5])
     assert_allclose(x_dm, 0.0, atol=1e-15)
 
@@ -63,7 +62,7 @@ def test_grand_demean_matches_projection_matrix():
     y = rng.standard_normal((n, t))
     x = rng.standard_normal((n, t, 1))
     m_bar = np.eye(n * t) - np.full((n * t, n * t), 1.0 / (n * t))
-    y_dm, x_dm = grand_demean(PanelData(y=y, x=x))
+    y_dm, x_dm = demean(PanelData(y=y, x=x), EstimatorKind.POOLED)
     assert_allclose(y_dm.ravel(), m_bar @ y.ravel(), atol=1e-12)
     assert_allclose(x_dm[:, :, 0].ravel(), m_bar @ x[:, :, 0].ravel(),
                     atol=1e-12)
@@ -352,8 +351,7 @@ def test_fit_leaves_the_panel_unchanged(k):
     x0, y0 = panel.x.copy(), panel.y.copy()
     for kind in EstimatorKind:
         fit(panel, kind)
-        within_demean(panel)
-        grand_demean(panel)
+        demean(panel, kind)
     assert np.array_equal(panel.x, x0) and np.array_equal(panel.y, y0)
 
 

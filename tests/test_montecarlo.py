@@ -367,24 +367,24 @@ def test_cov_config_has_one_home():
 
 
 def test_every_package_export_is_exported_by_its_own_module():
-    # each name panelcsd exports comes from a `from .module import` line of
-    # the package, and that module's __all__ must list it too
-    import ast
+    # panelcsd exports exactly the union of its modules' __all__, sorted and
+    # each name once, and every name is the object its own module exports
     import importlib
+    import pkgutil
     import panelcsd
-    with open(panelcsd.__file__) as fh:
-        tree = ast.parse(fh.read())
-    imported = {}
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            for alias in node.names:
-                imported[alias.name] = node.module
-    assert set(panelcsd.__all__) <= set(imported)
-    missing = sorted(
-        f"{module}.{name}" for name, module in imported.items()
-        if name in panelcsd.__all__ and name not in importlib.import_module(
-            f"panelcsd.{module}").__all__)
-    assert missing == []
+    modules = [importlib.import_module(f"panelcsd.{info.name}")
+               for info in pkgutil.iter_modules(panelcsd.__path__)
+               if info.name != "__main__"]
+    listed = [m for m in modules if hasattr(m, "__all__")]
+    assert sorted(m.__name__.split(".")[1] for m in listed) == [
+        "covariance", "dependence", "dgp", "errors", "estimators",
+        "inference", "montecarlo", "panel"]
+    assert panelcsd.__all__ == sorted({name for m in listed
+                                       for name in m.__all__})
+    strays = sorted(f"{m.__name__}.{name}" for m in listed
+                    for name in m.__all__
+                    if getattr(panelcsd, name) is not getattr(m, name))
+    assert strays == []
 
 
 @pytest.mark.parametrize("key, value", [

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import child_env
-from panelcsd import Ordering, PanelData, load_csv, stack
+from panelcsd import PanelData, load_csv
 from panelcsd import panel as panel_module
 from panelcsd.errors import (DuplicateCell, PanelError, ParseError,
                              UnbalancedPanel)
@@ -22,49 +22,6 @@ def small_panel():
     y = np.array([[1.0, 2.0], [3.0, 4.0]])
     x = np.arange(8, dtype=float).reshape(2, 2, 2)
     return PanelData(y=y, x=x)
-
-
-def test_stack_by_unit_order():
-    view = stack(small_panel(), Ordering.BY_UNIT)
-    assert_allclose(view.y, [1.0, 2.0, 3.0, 4.0])
-    # x rows follow the same permutation as y
-    assert_allclose(view.x[0], [0.0, 1.0])
-    assert_allclose(view.x[3], [6.0, 7.0])
-
-
-def test_stack_by_time_order():
-    view = stack(small_panel(), Ordering.BY_TIME)
-    assert_allclose(view.y, [1.0, 3.0, 2.0, 4.0])
-    assert_allclose(view.x[1], [4.0, 5.0])
-
-
-def test_index_maps_are_inverse():
-    panel = small_panel()
-    for ordering in Ordering:
-        view = stack(panel, ordering)
-        for i in range(panel.n_units):
-            for s in range(panel.n_periods):
-                row = view.index_of(i, s)
-                assert view.cell_of(row) == (i, s)
-                assert view.y[row] == panel.y[i, s]
-                assert_allclose(view.x[row], panel.x[i, s])
-        with pytest.raises(IndexError):
-            view.index_of(panel.n_units, 0)
-        with pytest.raises(IndexError):
-            view.cell_of(panel.n_units * panel.n_periods)
-
-
-def test_orderings_are_permutations_of_each_other():
-    rng = np.random.default_rng(3)
-    panel = PanelData(y=rng.standard_normal((4, 3)),
-                      x=rng.standard_normal((4, 3, 2)))
-    by_unit = stack(panel, Ordering.BY_UNIT)
-    by_time = stack(panel, Ordering.BY_TIME)
-    assert_allclose(np.sort(by_unit.y), np.sort(by_time.y))
-    for i in range(4):
-        for s in range(3):
-            assert by_unit.y[by_unit.index_of(i, s)] == \
-                by_time.y[by_time.index_of(i, s)]
 
 
 def test_panel_validation():
