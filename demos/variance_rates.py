@@ -7,7 +7,7 @@ axis. The single-period experiment at the end shows the sharpest form:
 with one period and a common shock, the error does not shrink in N at
 all unless the regressors are exactly centered within the period.
 
-Multi-process runs spawn workers, so this script needs the main guard.
+Workers re-import this script, so it needs the main guard.
 
 Run: python3 demos/variance_rates.py
 """

@@ -527,7 +527,9 @@ def dispatch(argv: list[str]) -> int:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except (KeyboardInterrupt, _Terminated) as exc:
-        print("error: interrupted", file=sys.stderr)
+        # run_mc notes the cell it was running: "in cell (n=N, t=T)"
+        print(" ".join(["error: interrupted", *getattr(exc, "__notes__", ())]),
+              file=sys.stderr)
         return 128 + (signal.SIGINT if isinstance(exc, KeyboardInterrupt)
                       else signal.SIGTERM)
 

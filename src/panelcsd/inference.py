@@ -10,7 +10,7 @@ asymptotic only; no finite-sample degrees-of-freedom correction is applied.
 
 The chi-square tail is a finite sum at integer degrees of freedom, computed
 with the standard library's ``math`` alone, so the package needs numpy and
-nothing else; every spawned Monte Carlo worker imports only that.
+nothing else; every Monte Carlo worker imports only that.
 """
 
 from __future__ import annotations

@@ -2,16 +2,20 @@
 
 Replication r of cell (n, t) derives its seed from a splittable hash of
 (master_seed, n, t, r), so every replication is independent of scheduling.
-All replications execute in spawned worker processes whose numerical
-libraries are pinned to one thread. An experiment starts one pool and every
-``run_mc`` call inside it reuses that pool, so workers are spawned and
-import the package once per experiment, not once per call; a standalone
-``run_mc`` call starts and stops its own pool, and :func:`worker_pool`
-keeps one open across the calls inside it. If the pool breaks,
-``run_mc`` raises :class:`~panelcsd.errors.WorkerPoolError` naming the
-cell. The worker count is an integer >= 1 from the ``workers`` argument,
-else the ``PANELCSD_THREADS`` environment variable, else the CPU count;
-anything else is a ``UsageError``. A worker runs its replications in
+All replications execute in worker processes whose numerical libraries
+are pinned to one thread. Where the platform has one, the workers are forks
+of a forkserver that imported numpy and this package once, when this
+process made its first pool; elsewhere they are spawned. An experiment
+starts one pool and every ``run_mc`` call inside it reuses that pool; a
+standalone ``run_mc`` call starts and stops its own pool, and
+:func:`worker_pool` keeps one open across the calls inside it. A worker
+ends with the pool scope that started it, or with this process, however
+that ends. If the pool breaks, ``run_mc`` raises
+:class:`~panelcsd.errors.WorkerPoolError` naming the cell; an interrupt
+leaving ``run_mc`` carries the cell it stopped in as a note. The worker
+count is an integer >= 1 from the ``workers`` argument, else the
+``PANELCSD_THREADS`` environment variable, else the CPU count; anything
+else is a ``UsageError``. A worker runs its replications in
 stacked blocks: each replication is drawn on its own, then the fit,
 covariance, exact variance and Wald statistic run once per block on stacked
 arrays, with the same bits as one replication at a time. A replication the
@@ -32,6 +36,7 @@ is built or loaded, before any worker starts. The covariance request,
 
 from __future__ import annotations
 
+import atexit
 import json
 import os
 import tempfile
@@ -41,6 +46,8 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 import multiprocessing
+import multiprocessing.connection
+import threading
 import warnings
 
 import numpy as np
@@ -283,12 +290,12 @@ def _worker_block(cfg: McConfig, n: int, t: int, lo: int, hi: int,
     return (*out, kinds)
 
 
-# The environment each spawned worker starts with. BLAS reads its thread
-# count once, at import. glibc's allocator reads its thresholds once, at
-# start: a stacked block frees a few MB of arrays at once, which by default
-# goes back to the kernel and is faulted in again, page by page, by the next
-# block (about 220 page faults per replication at (50, 200)); with these the
-# worker's heap keeps it. Other allocators ignore the two names.
+# The environment each worker starts with. BLAS reads its thread count once,
+# at import. glibc's allocator reads its thresholds once, at start: a stacked
+# block frees a few MB of arrays at once, which by default goes back to the
+# kernel and is faulted in again, page by page, by the next block (about 220
+# page faults per replication at (50, 200)); with these the worker's heap
+# keeps it. Other allocators ignore the two names.
 _WORKER_ENV = {
     **dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                      "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
@@ -299,9 +306,10 @@ _WORKER_ENV = {
 
 
 @contextmanager
-def _worker_env():
-    old = {key: os.environ.get(key) for key in _WORKER_ENV}
-    os.environ.update(_WORKER_ENV)
+def _environ(values: dict[str, str]):
+    """Set ``values`` in the environment for the scope, then restore it."""
+    old = {key: os.environ.get(key) for key in values}
+    os.environ.update(values)
     try:
         yield
     finally:
@@ -312,6 +320,71 @@ def _worker_env():
                 os.environ[key] = val
 
 
+# The pid of the forkserver this process started for its pools, or None.
+# multiprocessing keeps one forkserver per process; this records whether the
+# running one is ours, that is, started with _WORKER_ENV and our preload.
+_SERVER_PID: int | None = None
+_SERVER_LOCK = threading.Lock()
+
+
+def _context():
+    """The start method of a new pool; call it with the worker environment
+    set.
+
+    Where the platform has a forkserver, the first pool starts one that
+    imports numpy and this package once, with the worker environment, and
+    every worker of every later pool is a fork of that clean,
+    single-threaded process: a later two-worker pool starts in about 0.03 s
+    instead of the 0.3 s a spawn pool takes (2 vCPUs). The server stops
+    when this process exits. A forkserver that other code started first
+    has its own environment and preload, so the pool spawns its workers
+    instead.
+    """
+    global _SERVER_PID
+    if "forkserver" not in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("spawn")
+    from multiprocessing import forkserver
+
+    server = forkserver._forkserver
+    with _SERVER_LOCK:
+        if server._forkserver_pid not in (None, _SERVER_PID):
+            return multiprocessing.get_context("spawn")
+        if _SERVER_PID is None:
+            atexit.register(_stop_server)
+        ctx = multiprocessing.get_context("forkserver")
+        ctx.set_forkserver_preload(["numpy", __name__])
+        # The server does not take the parent's sys.path on every Python
+        # version (3.11 ignores it), so it gets this package's directory;
+        # its workers inherit the variable but start no interpreter.
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        path = os.pathsep.join(filter(None, (root,
+                                             os.environ.get("PYTHONPATH"))))
+        with _environ({"PYTHONPATH": path}):
+            server.ensure_running()
+        _SERVER_PID = server._forkserver_pid
+        return ctx
+
+
+def _stop_server() -> None:
+    from multiprocessing import forkserver
+
+    if forkserver._forkserver._forkserver_pid == _SERVER_PID:
+        forkserver._forkserver._stop()
+
+
+def _watch_pool(alive) -> None:
+    """Pool initializer: end this worker as soon as ``alive``, the read end
+    of a pipe whose write end only the pool's owner holds, reads end of
+    file: when the owner closes it, or dies (SIGKILL included). A worker
+    idle on the call queue would otherwise wait there for ever. The daemon
+    thread costs nothing per replication."""
+    def exit_when_closed():
+        multiprocessing.connection.wait([alive])
+        os._exit(1)
+
+    threading.Thread(target=exit_when_closed, daemon=True).start()
+
+
 # The pool of the innermost open _pool scope and its worker count, or None.
 _ACTIVE_POOL: ContextVar[tuple[int, ProcessPoolExecutor] | None] = \
     ContextVar("_ACTIVE_POOL", default=None)
@@ -319,28 +392,37 @@ _ACTIVE_POOL: ContextVar[tuple[int, ProcessPoolExecutor] | None] = \
 
 @contextmanager
 def _pool(workers: int):
-    """A spawn pool of ``workers`` processes: the enclosing scope's when it
-    has one of that size, else a new one, shut down on exit. An exception
+    """A pool of ``workers`` processes: the enclosing scope's when it has
+    one of that size, else a new one, shut down on exit. An exception
     leaving the scope that created the pool (KeyboardInterrupt included)
-    cancels the work still queued before it waits for the workers.
+    ends its workers at once and drops the work still queued.
 
-    A spawn pool starts a worker at each ``submit`` until it has
-    ``workers``, so every submit must run inside the scope that created the
-    pool: that keeps the worker environment (single-thread BLAS) in what
-    each worker inherits. BLAS reads it at import, so an initializer would
-    be too late.
+    The workers come from :func:`_context`. A pool starts a worker at each
+    ``submit`` until it has ``workers``, so every submit must run inside
+    the scope that created the pool: a spawned worker then inherits the
+    worker environment (single-thread BLAS) too. BLAS reads it at import,
+    so an initializer would be too late.
+
+    Each worker watches a pipe that this scope holds open
+    (:func:`_watch_pool`). On an exception the scope closes it before
+    shutting the pool down: an interrupt that lands while a worker starts
+    can leave a worker the executor does not know of, which would take the
+    shutdown message meant for another and leave the shutdown waiting on
+    that other for ever.
     """
     active = _ACTIVE_POOL.get()
     if active is not None and active[0] == workers:
         yield active[1]
         return
-    ctx = multiprocessing.get_context("spawn")
-    with _worker_env():
-        pool = ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
+    alive, keep_alive = multiprocessing.Pipe(duplex=False)
+    with alive, keep_alive, _environ(_WORKER_ENV):
+        pool = ProcessPoolExecutor(max_workers=workers, mp_context=_context(),
+                                   initializer=_watch_pool, initargs=(alive,))
         token = _ACTIVE_POOL.set((workers, pool))
         try:
             yield pool
         except BaseException:
+            keep_alive.close()
             pool.shutdown(wait=True, cancel_futures=True)
             raise
         else:
@@ -354,10 +436,9 @@ def worker_pool(workers: int | None = None):
     """Keep one worker pool open across consecutive calls.
 
     Every :func:`run_mc` call and experiment inside the scope whose worker
-    count resolves to the same number reuses this pool instead of spawning
-    its own, so workers start and import the package once. ``workers``
-    resolves as in :func:`run_mc`. Reports are the same inside or outside
-    the scope.
+    count resolves to the same number reuses this pool instead of starting
+    its own, so its workers start once. ``workers`` resolves as in
+    :func:`run_mc`. Reports are the same inside or outside the scope.
     """
     with _pool(resolve_workers(workers)) as pool:
         yield pool
@@ -469,37 +550,49 @@ class McReport:
             return cls.from_json(fh.read())
 
 
+def _run_cell(pool, config: McConfig, workers: int, n: int, t: int) -> dict:
+    design, tv_fixed = (_fixed_design(config, n, t)
+                        if config.fixed_design else (None, None))
+    try:
+        futures = [
+            pool.submit(_worker_block, config, n, t, lo, hi, design)
+            for lo, hi in _chunk_ranges(
+                config.reps, workers,
+                _batch_size(n, t, len(config.dgp.beta_true)))
+        ]
+        blocks = [fut.result() for fut in futures]
+    except BrokenProcessPool as exc:
+        raise WorkerPoolError(
+            f"the worker pool broke while running cell (n={n}, t={t}). "
+            f"Workers re-import the main module: call run_mc from an "
+            f"importable script under 'if __name__ == \"__main__\":', not "
+            f"from stdin or an interactive session. Otherwise a worker was "
+            f"killed, for example by running out of memory.") from exc
+    beta, vbar, pval, tvar = (np.concatenate(part) for part in
+                              zip(*(blk[:4] for blk in blocks)))
+    kinds = [kind for blk in blocks for kind in blk[4]]
+    return _aggregate_cell(n, t, config, beta, vbar, pval, tvar, kinds,
+                           tv_fixed)
+
+
 def run_mc(config: McConfig, workers: int | None = None) -> McReport:
     """Run the experiment. ``workers`` defaults to the PANELCSD_THREADS
     environment variable, then the CPU count. Output is identical for any
-    worker count. Raises WorkerPoolError when the worker pool breaks."""
+    worker count. Raises WorkerPoolError when the worker pool breaks. An
+    interrupt (KeyboardInterrupt, or any other BaseException that is not an
+    Exception) leaves with the note ``in cell (n=N, t=T)`` appended to its
+    ``__notes__``."""
     workers = resolve_workers(workers)
     cells: list[dict] = []
     with _pool(workers) as pool:
         for n, t in config.grid:
-            design, tv_fixed = (_fixed_design(config, n, t)
-                                if config.fixed_design else (None, None))
             try:
-                futures = [
-                    pool.submit(_worker_block, config, n, t, lo, hi, design)
-                    for lo, hi in _chunk_ranges(
-                        config.reps, workers,
-                        _batch_size(n, t, len(config.dgp.beta_true)))
-                ]
-                blocks = [fut.result() for fut in futures]
-            except BrokenProcessPool as exc:
-                raise WorkerPoolError(
-                    f"the worker pool broke while running cell (n={n}, "
-                    f"t={t}). Spawned workers re-import the main module: "
-                    f"call run_mc from an importable script under "
-                    f"'if __name__ == \"__main__\":', not from stdin or an "
-                    f"interactive session. Otherwise a worker was killed, "
-                    f"for example by running out of memory.") from exc
-            beta, vbar, pval, tvar = (np.concatenate(part) for part in
-                                      zip(*(blk[:4] for blk in blocks)))
-            kinds = [kind for blk in blocks for kind in blk[4]]
-            cells.append(_aggregate_cell(n, t, config, beta, vbar, pval,
-                                         tvar, kinds, tv_fixed))
+                cells.append(_run_cell(pool, config, workers, n, t))
+            except BaseException as exc:
+                if not isinstance(exc, Exception):
+                    exc.__notes__ = [*getattr(exc, "__notes__", ()),
+                                     f"in cell (n={n}, t={t})"]
+                raise
     return McReport(config=config.to_dict(), cells=cells,
                     rate=_fit_rate(cells, config.rate_axis))
 

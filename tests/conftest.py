@@ -1,4 +1,5 @@
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -25,10 +26,26 @@ def child_env():
     return env
 
 
-@pytest.fixture
-def mc_pool():
-    """One two-worker pool for every run_mc call of a test that asks for it,
-    so its workers spawn and import the package once. Not autouse: some
-    tests count the pools they build."""
-    with panelcsd.worker_pool(2) as pool:
-        yield pool
+def live_group_members(pgid: int) -> list[int]:
+    """The processes of group ``pgid`` that are not zombies, from /proc."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                state, _, group = fh.read().rsplit(")", 1)[1].split()[:3]
+        except OSError:
+            continue
+        if int(group) == pgid and state != "Z":
+            members.append(int(entry))
+    return members
+
+
+def group_left_after(pgid: int, seconds: float = 5.0) -> list[int]:
+    """The live processes of group ``pgid`` once it is empty or ``seconds``
+    have passed."""
+    deadline = time.monotonic() + seconds
+    while live_group_members(pgid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return live_group_members(pgid)

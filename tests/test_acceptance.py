@@ -171,7 +171,7 @@ def test_criterion_4_family_classification():
                else "wrong: " + ", ".join(mistakes)), budget=120.0)
 
 
-def test_criterion_5_rate_reproduction(mc_pool):
+def test_criterion_5_rate_reproduction():
     start = time.monotonic()
     strong = run_mc(McConfig(
         dgp=DgpSpec(cross_section=Equicorr(a=1.0, b=0.5), beta_true=(1.0,)),
@@ -197,7 +197,7 @@ def test_criterion_5_rate_reproduction(mc_pool):
             "(< 0.5)", budget=600.0)
 
 
-def test_criterion_6_wald_size(mc_pool):
+def test_criterion_6_wald_size():
     start = time.monotonic()
     strong = run_mc(McConfig(
         dgp=DgpSpec(cross_section=Equicorr(a=1.0, b=0.5), beta_true=(1.0,)),

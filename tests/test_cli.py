@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import child_env
+from conftest import child_env, group_left_after, live_group_members
 from panelcsd import (EstimatorKind, all_norms, chi2_sf, fit, load_csv,
                       omega_hat)
 from panelcsd.cli import build_parser, dispatch
@@ -751,25 +751,9 @@ def test_mc_run_rejects_a_memory_field_its_form_ignores_before_any_worker(
     assert not report_path.exists()
 
 
-def _live_group_members(pgid: int) -> list[int]:
-    """The processes of group ``pgid`` that are not zombies, from /proc."""
-    members = []
-    for entry in os.listdir("/proc"):
-        if not entry.isdigit():
-            continue
-        try:
-            with open(f"/proc/{entry}/stat") as fh:
-                state, _, group = fh.read().rsplit(")", 1)[1].split()[:3]
-        except OSError:
-            continue
-        if int(group) == pgid and state != "Z":
-            members.append(int(entry))
-    return members
-
-
-def _signal_mc_run(tmp_path, signum, code):
+def _signal_mc_run(tmp_path, signum, code, line):
     # many cells whose chunks take milliseconds: the signal lands mid-run,
-    # and the run must stop its workers and exit ``code`` with one line
+    # and the run must stop its workers and exit ``code`` with ``line``
     cfg_path = tmp_path / "long.json"
     cfg_path.write_text(json.dumps({
         "dgp": {"cross_section": "example1", "beta_true": [1.0]},
@@ -782,7 +766,9 @@ def _signal_mc_run(tmp_path, signum, code):
         env=child_env(), start_new_session=True)
     try:
         deadline = time.monotonic() + 60
-        while len(_live_group_members(proc.pid)) < 3:  # the run and workers
+        # the run, the resource tracker, a forkserver where the platform
+        # has one, and the workers
+        while len(live_group_members(proc.pid)) < 4:
             assert proc.poll() is None, proc.communicate()
             assert time.monotonic() < deadline, "the workers never started"
             time.sleep(0.05)
@@ -791,14 +777,13 @@ def _signal_mc_run(tmp_path, signum, code):
         proc.send_signal(signum)  # to the parent only, not the group
         deadline = time.monotonic() + 5
         out, err = proc.communicate(timeout=5)
-        while _live_group_members(proc.pid) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert _live_group_members(proc.pid) == []
+        assert group_left_after(proc.pid, deadline - time.monotonic()) == []
         assert proc.returncode == code
-        assert (out, err) == ("", "error: interrupted\n")
+        if line is not None:
+            assert (out, err) == ("", line)
         assert not report_path.exists()
     finally:
-        for pid in _live_group_members(proc.pid):
+        for pid in live_group_members(proc.pid):
             os.kill(pid, signal.SIGKILL)
         proc.kill()
         proc.communicate()
@@ -806,12 +791,21 @@ def _signal_mc_run(tmp_path, signum, code):
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
 def test_mc_run_sigterm_stops_the_workers(tmp_path):
-    _signal_mc_run(tmp_path, signal.SIGTERM, 143)
+    _signal_mc_run(tmp_path, signal.SIGTERM, 143,
+                   "error: interrupted in cell (n=20, t=20)\n")
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
 def test_mc_run_sigint_stops_the_workers(tmp_path):
-    _signal_mc_run(tmp_path, signal.SIGINT, 130)
+    _signal_mc_run(tmp_path, signal.SIGINT, 130,
+                   "error: interrupted in cell (n=20, t=20)\n")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_mc_run_sigkill_leaves_no_process(tmp_path):
+    # the parent cannot clean up: the pipe each worker watches closes with
+    # it, and the forkserver and resource tracker end when theirs do
+    _signal_mc_run(tmp_path, signal.SIGKILL, -signal.SIGKILL, None)
 
 
 def test_cli_choices_are_the_library_vocabularies():

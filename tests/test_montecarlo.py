@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -16,7 +17,7 @@ from panelcsd import (CovMatrix, EstimatorKind, TimeDependenceSpec, fit,
                       montecarlo, true_variance_mixed)
 from panelcsd.dgp import (EXAMPLE_PRESETS, DecayCorrelation, DgpSpec,
                           Diagonal, Equicorr, Factor, gen_panel)
-from conftest import child_env
+from conftest import child_env, group_left_after, live_group_members
 from panelcsd.config import THREADS_ENV_VAR, resolve_workers
 from panelcsd.errors import (ConditionWarning, SingularGram, UsageError,
                              WorkerPoolError)
@@ -221,7 +222,7 @@ def test_fixed_design_true_variance_failure_is_not_fatal():
     assert cell == without
 
 
-def test_true_variance_ratio_tracks_one(mc_pool):
+def test_true_variance_ratio_tracks_one():
     # consistency of the cross-section variance estimator under a strong
     # factor with a fixed design and growing t
     cfg = McConfig(
@@ -302,7 +303,7 @@ def test_fixed_design_shared_across_workers():
     assert r1.to_json() == r2.to_json()
 
 
-def test_regime_size_ordering(mc_pool):
+def test_regime_size_ordering():
     # weaker dependence reaches nominal test size at a t no later than
     # stronger dependence
     out = regime_size_ordering(workers=2)
@@ -314,7 +315,7 @@ def test_regime_size_ordering(mc_pool):
         assert weak <= strong
 
 
-def test_aligned_x_coverage_reported_side_by_side(mc_pool):
+def test_aligned_x_coverage_reported_side_by_side():
     out = aligned_x_coverage(workers=2)
     for key in ("aligned", "generic"):
         cov = out[key]["coverage_95"]
@@ -478,7 +479,7 @@ def test_nested_pool_scopes_share_only_a_pool_of_the_same_size(monkeypatch):
 
 
 def test_worker_pool_error_names_cell_and_cause():
-    # spawned workers cannot re-import a main module read from stdin
+    # workers cannot re-import a main module read from stdin
     script = (
         "from panelcsd import CovConfig, DgpSpec, Diagonal, McConfig, run_mc\n"
         "run_mc(McConfig(dgp=DgpSpec(cross_section=Diagonal(), "
@@ -491,6 +492,76 @@ def test_worker_pool_error_names_cell_and_cause():
     assert "cell (n=6, t=5)" in proc.stderr
     assert "__main__" in proc.stderr
     assert "killed" in proc.stderr
+
+
+_POOL_PROBE = """
+import json, multiprocessing, os, sys, time
+from panelcsd import McConfig, montecarlo, run_mc
+
+def probe():
+    time.sleep(0.5)  # long enough that each worker takes one
+    return os.getpid(), os.getppid(), {
+        key: os.environ.get(key) for key in montecarlo._WORKER_ENV}
+
+if __name__ == "__main__":
+    config_path, foreign = sys.argv[1], sys.argv[2] == "foreign"
+    os.environ["OPENBLAS_NUM_THREADS"] = "4"
+    if foreign:
+        from multiprocessing import forkserver
+        multiprocessing.set_forkserver_preload([])
+        forkserver.ensure_running()
+    with montecarlo._pool(2) as pool:
+        seen = [f.result() for f in [pool.submit(probe) for _ in range(4)]]
+    with open(config_path) as fh:
+        report = run_mc(McConfig.from_dict(json.load(fh)), workers=2)
+    print(json.dumps({"pid": os.getpid(),
+                      "own_server": montecarlo._SERVER_PID, "seen": seen,
+                      "env": os.environ["OPENBLAS_NUM_THREADS"],
+                      "report": report.to_json()}))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+@pytest.mark.parametrize("foreign", [False, True])
+def test_workers_and_reports_whoever_started_the_forkserver(tmp_path,
+                                                            foreign):
+    # A fresh interpreter that set OPENBLAS_NUM_THREADS=4 before its first
+    # pool, and may have started a forkserver of its own first: every
+    # worker still sees the worker environment, the report is the same, and
+    # no process of the session outlives the interpreter.
+    if foreign and "forkserver" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no forkserver on this platform")
+    script = tmp_path / "probe.py"
+    script.write_text(_POOL_PROBE)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(small_config().to_dict()))
+    out_path, err_path = tmp_path / "out.json", tmp_path / "err.txt"
+    with open(out_path, "w") as out, open(err_path, "w") as err:
+        proc = subprocess.Popen(
+            [sys.executable, str(script), str(config_path),
+             "foreign" if foreign else "own"],
+            stdout=out, stderr=err, env=child_env(), start_new_session=True)
+    try:
+        proc.wait(timeout=120)
+        # timed from the interpreter's exit, not from its pipes' closing
+        assert group_left_after(proc.pid, 5.0) == []
+        assert proc.returncode == 0, err_path.read_text()
+    finally:
+        for pid in live_group_members(proc.pid):
+            os.kill(pid, signal.SIGKILL)
+        proc.kill()
+        proc.wait()
+    got = json.loads(out_path.read_text())
+    assert len({pid for pid, _, _ in got["seen"]}) == 2
+    assert all(env == montecarlo._WORKER_ENV for _, _, env in got["seen"])
+    assert got["env"] == "4"  # the parent's own setting is back
+    parents = {ppid for _, ppid, _ in got["seen"]}
+    if foreign:
+        # that server's environment is not ours: the workers are spawned
+        assert got["own_server"] is None and parents == {got["pid"]}
+    elif "forkserver" in multiprocessing.get_all_start_methods():
+        assert parents == {got["own_server"]}
+    assert got["report"] == run_mc(small_config(), workers=2).to_json()
 
 
 @pytest.mark.parametrize("workers", [0, -1, 1.5, True, "2"])
@@ -660,6 +731,19 @@ def test_pool_drops_queued_work_when_an_exception_leaves_it(error):
                 pool.submit(time.sleep, 0.5)
             raise error("stop")
     assert time.perf_counter() - start < 2.0
+    assert set(multiprocessing.active_children()) <= before
+
+
+def test_pool_ends_a_running_worker_when_an_exception_leaves_it():
+    before = set(multiprocessing.active_children())
+    with pytest.raises(KeyboardInterrupt):
+        with montecarlo._pool(1) as pool:
+            pool.submit(os.getpid).result()  # the worker is up
+            pool.submit(time.sleep, 60)
+            time.sleep(0.3)
+            start = time.perf_counter()
+            raise KeyboardInterrupt
+    assert time.perf_counter() - start < 10.0
     assert set(multiprocessing.active_children()) <= before
 
 
