@@ -5,12 +5,14 @@ Replication r of cell (n, t) derives its seed from a splittable hash of
 All replications execute in worker processes whose numerical libraries
 are pinned to one thread. Where the platform has one, the workers are forks
 of a forkserver that imported numpy and this package once, when this
-process made its first pool; elsewhere they are spawned. An experiment
-starts one pool and every ``run_mc`` call inside it reuses that pool; a
-standalone ``run_mc`` call starts and stops its own pool, and
-:func:`worker_pool` keeps one open across the calls inside it. A worker
-ends with the pool scope that started it, or with this process, however
-that ends. If the pool breaks, ``run_mc`` raises
+process made its first pool; ``multiprocessing`` ends that server after
+this process exits. Elsewhere the workers are spawned. :func:`worker_pool`
+keeps one pool open across the ``run_mc`` calls inside it, as each
+experiment does; a standalone ``run_mc`` call starts and stops its own
+pool. A worker ends with the pool scope that started it, or with this
+process, however that ends. Workers ignore SIGINT, which a terminal sends
+to the whole process group, and leave interrupts to this process. If the
+pool breaks, ``run_mc`` raises
 :class:`~panelcsd.errors.WorkerPoolError` naming the cell; an interrupt
 leaving ``run_mc`` carries the cell it stopped in as a note. The worker
 count is an integer >= 1 from the ``workers`` argument, else the
@@ -36,13 +38,13 @@ is built or loaded, before any worker starts. The covariance request,
 
 from __future__ import annotations
 
-import atexit
 import json
 import os
+import signal
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 import multiprocessing
@@ -335,10 +337,11 @@ def _context():
     imports numpy and this package once, with the worker environment, and
     every worker of every later pool is a fork of that clean,
     single-threaded process: a later two-worker pool starts in about 0.03 s
-    instead of the 0.3 s a spawn pool takes (2 vCPUs). The server stops
-    when this process exits. A forkserver that other code started first
-    has its own environment and preload, so the pool spawns its workers
-    instead.
+    instead of the 0.3 s a spawn pool takes (2 vCPUs). ``multiprocessing``
+    ends the server: it exits once this process and its last worker have
+    closed its alive pipe, and the exit hook removes its socket's
+    directory. A forkserver that other code started first has its own
+    environment and preload, so the pool spawns its workers instead.
     """
     global _SERVER_PID
     if "forkserver" not in multiprocessing.get_all_start_methods():
@@ -349,8 +352,6 @@ def _context():
     with _SERVER_LOCK:
         if server._forkserver_pid not in (None, _SERVER_PID):
             return multiprocessing.get_context("spawn")
-        if _SERVER_PID is None:
-            atexit.register(_stop_server)
         ctx = multiprocessing.get_context("forkserver")
         ctx.set_forkserver_preload(["numpy", __name__])
         # The server does not take the parent's sys.path on every Python
@@ -365,23 +366,19 @@ def _context():
         return ctx
 
 
-def _stop_server() -> None:
-    from multiprocessing import forkserver
-
-    if forkserver._forkserver._forkserver_pid == _SERVER_PID:
-        forkserver._forkserver._stop()
-
-
 def _watch_pool(alive) -> None:
     """Pool initializer: end this worker as soon as ``alive``, the read end
     of a pipe whose write end only the pool's owner holds, reads end of
     file: when the owner closes it, or dies (SIGKILL included). A worker
     idle on the call queue would otherwise wait there for ever. The daemon
-    thread costs nothing per replication."""
+    thread costs nothing per replication. The worker ignores SIGINT: a
+    terminal's Ctrl-C reaches the whole process group, and the owner ends
+    its workers through the pipe."""
     def exit_when_closed():
         multiprocessing.connection.wait([alive])
         os._exit(1)
 
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     threading.Thread(target=exit_when_closed, daemon=True).start()
 
 
@@ -408,7 +405,9 @@ def _pool(workers: int):
     shutting the pool down: an interrupt that lands while a worker starts
     can leave a worker the executor does not know of, which would take the
     shutdown message meant for another and leave the shutdown waiting on
-    that other for ever.
+    that other for ever. A failure of that shutdown (an interrupt between
+    the creation and the start of the executor's thread makes it raise)
+    never replaces the exception in flight.
     """
     active = _ACTIVE_POOL.get()
     if active is not None and active[0] == workers:
@@ -423,7 +422,8 @@ def _pool(workers: int):
             yield pool
         except BaseException:
             keep_alive.close()
-            pool.shutdown(wait=True, cancel_futures=True)
+            with suppress(Exception):  # the exception in flight wins
+                pool.shutdown(wait=True, cancel_futures=True)
             raise
         else:
             pool.shutdown(wait=True)
@@ -665,8 +665,7 @@ def regime_size_ordering(
     }
     out: dict = {"n": n, "t_grid": list(t_grid), "reps": reps, "regimes": {}}
     min_t: dict[str, int | None] = {}
-    workers = resolve_workers(workers)
-    with _pool(workers):
+    with worker_pool(workers):
         for idx, (name, fam) in enumerate(dgps.items()):
             cfg = McConfig(
                 dgp=DgpSpec(cross_section=fam, beta_true=(1.0,)),
@@ -702,8 +701,7 @@ def aligned_x_coverage(
     from .dgp import Factor
 
     out: dict = {"n": n, "t": t, "reps": reps}
-    workers = resolve_workers(workers)
-    with _pool(workers):
+    with worker_pool(workers):
         for key, x_law in (("aligned", "factor_aligned"),
                            ("generic", "iid_normal")):
             cfg = McConfig(

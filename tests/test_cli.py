@@ -751,7 +751,7 @@ def test_mc_run_rejects_a_memory_field_its_form_ignores_before_any_worker(
     assert not report_path.exists()
 
 
-def _signal_mc_run(tmp_path, signum, code, line):
+def _signal_mc_run(tmp_path, signum, code, line, group=False):
     # many cells whose chunks take milliseconds: the signal lands mid-run,
     # and the run must stop its workers and exit ``code`` with ``line``
     cfg_path = tmp_path / "long.json"
@@ -774,7 +774,10 @@ def _signal_mc_run(tmp_path, signum, code, line):
             time.sleep(0.05)
         time.sleep(1.0)  # past the workers' start, into the cells
         assert proc.poll() is None, proc.communicate()
-        proc.send_signal(signum)  # to the parent only, not the group
+        if group:
+            os.killpg(proc.pid, signum)  # as a terminal sends Ctrl-C
+        else:
+            proc.send_signal(signum)  # to the parent only, not the group
         deadline = time.monotonic() + 5
         out, err = proc.communicate(timeout=5)
         assert group_left_after(proc.pid, deadline - time.monotonic()) == []
@@ -799,6 +802,13 @@ def test_mc_run_sigterm_stops_the_workers(tmp_path):
 def test_mc_run_sigint_stops_the_workers(tmp_path):
     _signal_mc_run(tmp_path, signal.SIGINT, 130,
                    "error: interrupted in cell (n=20, t=20)\n")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_mc_run_group_sigint_stops_the_workers(tmp_path):
+    # the workers get the signal too, ignore it, and print nothing
+    _signal_mc_run(tmp_path, signal.SIGINT, 130,
+                   "error: interrupted in cell (n=20, t=20)\n", group=True)
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")

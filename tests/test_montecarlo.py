@@ -1,3 +1,4 @@
+import concurrent.futures.process
 import json
 import multiprocessing
 import os
@@ -18,6 +19,7 @@ from panelcsd import (CovMatrix, EstimatorKind, TimeDependenceSpec, fit,
 from panelcsd.dgp import (EXAMPLE_PRESETS, DecayCorrelation, DgpSpec,
                           Diagonal, Equicorr, Factor, gen_panel)
 from conftest import child_env, group_left_after, live_group_members
+from panelcsd.cli import dispatch
 from panelcsd.config import THREADS_ENV_VAR, resolve_workers
 from panelcsd.errors import (ConditionWarning, SingularGram, UsageError,
                              WorkerPoolError)
@@ -757,3 +759,92 @@ def test_worker_pool_is_shared_by_the_calls_inside_it(monkeypatch):
     assert first.to_json() == run_mc(cfg, workers=2).to_json()
     assert first.to_json() != second.to_json()
     assert built == [2, 2]
+
+
+def test_interrupt_inside_submit_keeps_its_type_and_cell(monkeypatch,
+                                                         tmp_path, capsys):
+    # The interrupt lands after the executor made its manager thread and
+    # before it started it: the pool's shutdown then cannot join that
+    # thread, and must not replace the interrupt.
+    def interrupted(self):
+        raise KeyboardInterrupt
+
+    cfg = small_config()
+    undisturbed = run_mc(cfg, workers=2).to_json()
+    cfg_path, out_path = tmp_path / "config.json", tmp_path / "report.json"
+    cfg_path.write_text(json.dumps(cfg.to_dict()))
+    with monkeypatch.context() as m:
+        m.setattr(concurrent.futures.process._ExecutorManagerThread, "start",
+                  interrupted)
+        with pytest.raises(KeyboardInterrupt) as info:
+            run_mc(cfg, workers=2)
+        assert info.value.__notes__ == ["in cell (n=8, t=12)"]
+        code = dispatch(["mc", "run", str(cfg_path), "--threads", "2",
+                         "--out", str(out_path)])
+    assert code == 130
+    assert capsys.readouterr() == ("", "error: interrupted in cell "
+                                       "(n=8, t=12)\n")
+    assert not out_path.exists()
+    assert run_mc(cfg, workers=2).to_json() == undisturbed
+
+
+def test_workers_ignore_sigint():
+    # a terminal sends Ctrl-C to the whole process group; the parent owns it
+    with panelcsd.worker_pool(2) as pool:
+        assert pool.submit(signal.getsignal,
+                           signal.SIGINT).result() == signal.SIG_IGN
+
+
+_FORK_AT_EXIT = """
+import json, os, sys, time
+from panelcsd import McConfig, run_mc
+
+if __name__ == "__main__":
+    with open(sys.argv[1]) as fh:
+        config = McConfig.from_dict(json.load(fh))
+    run_mc(config, workers=2)
+    run_mc(config, workers=2)
+    child = os.fork()
+    if child == 0:
+        time.sleep(30)
+        os._exit(0)
+    print(child, flush=True)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_exit_leaves_the_forkserver_to_a_forked_child(tmp_path):
+    # A child forked after the pools holds the forkserver's alive pipe open.
+    # The interpreter exits without waiting for it; the server ends once the
+    # child is gone, and nothing is left in TMPDIR.
+    script, config_path = tmp_path / "fork.py", tmp_path / "config.json"
+    script.write_text(_FORK_AT_EXIT)
+    config_path.write_text(json.dumps(small_config().to_dict()))
+    out_path, err_path = tmp_path / "out.txt", tmp_path / "err.txt"
+    env = child_env()
+    env["TMPDIR"] = str(tmp_path)
+    with open(out_path, "w") as out, open(err_path, "w") as err:
+        proc = subprocess.Popen([sys.executable, str(script),
+                                 str(config_path)], stdout=out, stderr=err,
+                                env=env, start_new_session=True)
+    child = None
+    try:
+        deadline = time.monotonic() + 120
+        while not out_path.read_text().endswith("\n"):
+            assert proc.poll() is None, err_path.read_text()
+            assert time.monotonic() < deadline, "no pid was printed"
+            time.sleep(0.05)
+        child = int(out_path.read_text())
+        proc.wait(timeout=5)
+        assert proc.returncode == 0, err_path.read_text()
+        os.kill(child, signal.SIGKILL)
+        child = None
+        assert group_left_after(proc.pid, 5.0) == []
+        assert list(tmp_path.glob("pymp-*")) == []
+    finally:
+        if child is not None:
+            os.kill(child, signal.SIGKILL)
+        for pid in live_group_members(proc.pid):
+            os.kill(pid, signal.SIGKILL)
+        proc.kill()
+        proc.wait()
