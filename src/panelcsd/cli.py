@@ -264,7 +264,7 @@ def _matrix_dir_family(directory: str):
             raise UsageError(f"{path}: expected size {n}, got {mat.shape[0]}")
         with _naming(path):
             cov = CovMatrix(mat)
-            cov.eigenvalues  # the PSD check, here; the norms reuse the values
+            cov.lambda_max  # the PSD check, here; the norms reuse the value
         return cov
 
     return family, sorted(found)

@@ -34,6 +34,22 @@ SYMMETRY_RTOL = 1e-10
 EIG_CLIP_REL = 1e-10
 PSD_RTOL = 1e-8
 
+# Largest eigenvalue without a full eigensolve. A Lanczos run of at most
+# max(3, n // LANCZOS_N_PER_STEP) steps takes it, converged once the top Ritz
+# value's error bound r^2 / gap (r its residual, gap to the next Ritz value)
+# or its residual r falls below LANCZOS_RTOL times the value. A run that does
+# not converge costs a few percent of the eigvalsh it falls back to, at any
+# n; three steps settle any matrix with at most three distinct eigenvalues,
+# such as a two-factor covariance with equal idiosyncratic variances. Positive
+# semidefiniteness is then one Cholesky factorization of
+# Omega + PSD_RTOL * (1 - PSD_SHIFT_MARGIN) * lambda_max * I, done in blocks
+# of CHOLESKY_BLOCK columns; the margin keeps every matrix it passes inside
+# what the eigenvalue check passes, rounding included.
+LANCZOS_N_PER_STEP = 100
+LANCZOS_RTOL = 1e-14
+PSD_SHIFT_MARGIN = 1e-2
+CHOLESKY_BLOCK = 64
+
 # Design conditioning: warn above COND_WARN, refuse above COND_FAIL. The
 # condition number is for the demeaned regressor cross-product (squared
 # singular-value ratio of the demeaned design).

@@ -23,14 +23,19 @@ directions. The two parts add back to the original matrix exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import math
 
 import numpy as np
 
 from .config import (
+    CHOLESKY_BLOCK,
     EIG_CLIP_REL,
     EIGEN_RATIO_M_MAX,
     EIGEN_RATIO_MIN,
+    LANCZOS_N_PER_STEP,
+    LANCZOS_RTOL,
     PSD_RTOL,
+    PSD_SHIFT_MARGIN,
     STRONG_ALPHA_MIN,
     SYMMETRY_RTOL,
     WEAK_ALPHA_MAX,
@@ -74,15 +79,16 @@ class CovMatrix:
     """Symmetric covariance matrix with cached spectral data.
 
     Construction validates symmetry to relative tolerance and stores the
-    exactly symmetrized matrix. Two caches fill lazily and separately:
-    :attr:`eigenvalues` from an eigenvalues-only solve, which is all the
-    norms and the PSD check need, and the eigensystem (values and vectors
+    exactly symmetrized matrix. Three caches fill lazily and separately:
+    :attr:`lambda_max`, the largest eigenvalue after the PSD check, which is
+    all the norms need and usually costs no eigensolve; :attr:`eigenvalues`
+    from an eigenvalues-only solve; and the eigensystem (values and vectors
     from one full solve) behind :attr:`eigenvectors`, :meth:`sqrt` and
     :func:`factor_decompose`, so that every use of the vectors pairs them
-    with their own eigenvalues. Both pass the same check: eigenvalues within
-    ``EIG_CLIP_REL * lambda_max`` of zero are clamped to zero, and anything
-    below ``-PSD_RTOL * max(lambda_max, 0)`` raises :class:`NotPSD`, so a
-    matrix with no positive eigenvalue is PSD only when it is zero.
+    with their own eigenvalues. Both solves pass the same check: eigenvalues
+    within ``EIG_CLIP_REL * lambda_max`` of zero are clamped to zero, and
+    anything below ``-PSD_RTOL * max(lambda_max, 0)`` raises :class:`NotPSD`,
+    so a matrix with no positive eigenvalue is PSD only when it is zero.
     """
 
     def __init__(self, values: np.ndarray, meta: dict | None = None):
@@ -92,15 +98,20 @@ class CovMatrix:
         if not np.isfinite(a).all():
             raise ValueError("matrix contains non-finite values")
         scale = float(np.abs(a).max())
-        gap = float(np.abs(a - a.T).max())
+        # one n x n buffer besides ``a``: |A - A'| first, then (A + A') / 2
+        values = a - a.T
+        gap = float(np.abs(values, out=values).max())
         if scale > 0 and gap > SYMMETRY_RTOL * scale:
             raise ValueError(
                 f"matrix is not symmetric: max|A - A'| = {gap:.3e} "
                 f"exceeds {SYMMETRY_RTOL:.0e} * max|A|")
-        self.values = 0.5 * (a + a.T)
+        values = np.add(a, a.T, out=values)
+        values *= 0.5
+        self.values = values
         self.meta = dict(meta or {})
         self._evals: np.ndarray | None = None
         self._eig: tuple[np.ndarray, np.ndarray] | None = None
+        self._top: float | None = None
 
     @property
     def n(self) -> int:
@@ -138,6 +149,34 @@ class CovMatrix:
         return self._evals
 
     @property
+    def lambda_max(self) -> float:
+        """Largest eigenvalue, after the PSD check.
+
+        A cached spectrum answers at once. Otherwise a Lanczos run
+        (:func:`_lanczos_top`) gives the top Ritz value theta, and one
+        Cholesky factorization of Omega + s I with
+        ``s = PSD_RTOL * (1 - PSD_SHIFT_MARGIN) * theta`` certifies that no
+        eigenvalue lies below ``-PSD_RTOL * lambda_max``. Whatever this
+        cannot settle (no convergence within the step cap, theta <= 0, a
+        failed factorization) falls back to :attr:`eigenvalues`, whose check
+        gives the verdict and the :class:`NotPSD` message.
+        """
+        if self._top is not None:
+            return self._top
+        evals = self._evals
+        if evals is None and self._eig is not None:
+            evals = self._eig[0]
+        if evals is None:
+            theta = _lanczos_top(self.values)
+            if (theta is not None and theta > 0.0 and _cholesky_succeeds(
+                    self.values, PSD_RTOL * (1.0 - PSD_SHIFT_MARGIN) * theta)):
+                self._top = theta
+                return theta
+            evals = self.eigenvalues
+        self._top = float(evals[-1])
+        return self._top
+
+    @property
     def eigenvectors(self) -> np.ndarray:
         """Orthonormal eigenvectors, column i pairing with eigenvalue i."""
         return self._eigensystem()[1]
@@ -151,15 +190,96 @@ class CovMatrix:
         return (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
 
 
+def _lanczos_top(a: np.ndarray) -> float | None:
+    """The top Ritz value of a Lanczos run on the symmetric ``a`` (Golub and
+    Van Loan, Matrix Computations, section 10.1), or None when it has not
+    converged within ``max(3, n // LANCZOS_N_PER_STEP)`` steps.
+
+    The start vector has entries sin(j^2), j = 1..n: fixed, so a run is
+    deterministic, and cheaper than seeding a generator. Like a random
+    draw, and unlike a constant or a sinusoid, it is far from orthogonal
+    to the constant, smooth or alternating eigenvectors covariances have.
+    A start orthogonal to the top eigenvector would give a smaller value,
+    never a wrong PSD verdict. Every new vector is orthogonalized twice
+    against all earlier ones.
+
+    After step k the top Ritz value theta of the tridiagonal T_k has
+    residual r = beta_k |s_k|, where s_k, the last entry of its unit
+    eigenvector, follows from the Ritz values mu_j of T_(k-1) and theta_j
+    of T_k: s_k^2 = prod_j (theta - mu_j) / (theta - theta_j) over the
+    theta_j other than theta. The run has converged when r or r^2 / gap,
+    the bound on theta's error with gap its distance to the next Ritz
+    value, is at most ``LANCZOS_RTOL * |theta|``.
+    """
+    n = a.shape[0]
+    steps = min(n, max(3, n // LANCZOS_N_PER_STEP))
+    basis = np.empty((steps, n))
+    start = np.sin(np.arange(1.0, n + 1.0) ** 2)
+    basis[0] = start / math.sqrt(start @ start)
+    t = np.zeros((steps, steps))
+    prev: list[float] = []
+    for k in range(steps):
+        w = a @ basis[k]
+        t[k, k] = basis[k] @ w
+        done = basis[:k + 1]
+        w -= (done @ w) @ done
+        w -= (done @ w) @ done
+        beta = math.sqrt(w @ w)
+        # Python floats: at small n the per-step overhead is the cost
+        ritz = (np.linalg.eigvalsh(t[:k + 1, :k + 1]).tolist() if k
+                else [float(t[0, 0])])
+        theta = ritz[-1]
+        gap = theta - ritz[-2] if k else 0.0
+        s2 = (math.prod((theta - mu) / (theta - other)
+                        for mu, other in zip(prev, ritz)) if gap > 0 else 1.0)
+        r = beta * math.sqrt(abs(s2))
+        tol = LANCZOS_RTOL * abs(theta)
+        if r <= tol or r * r <= tol * gap:
+            return theta
+        if k + 1 < steps:
+            basis[k + 1] = w / beta
+            t[k + 1, k] = t[k, k + 1] = beta
+        prev = ritz
+    return None
+
+
+def _cholesky_succeeds(a: np.ndarray, shift: float) -> bool:
+    """Whether ``a + shift * I`` has a Cholesky factor.
+
+    A left-looking blocked factorization in one n x n work array: each block
+    of ``CHOLESKY_BLOCK`` columns takes the update from the factor's columns
+    to its left, then ``np.linalg.cholesky`` factors its diagonal block and
+    ``np.linalg.solve`` the panel below it. Besides the work array it holds
+    only block-sized temporaries, where ``np.linalg.cholesky`` of the whole
+    matrix would hold two more n x n buffers.
+    """
+    n = a.shape[0]
+    work = a.copy()
+    work.flat[::n + 1] += shift
+    try:
+        for j in range(0, n, CHOLESKY_BLOCK):
+            e = min(j + CHOLESKY_BLOCK, n)
+            if j:
+                work[j:, j:e] -= work[j:, :j] @ work[j:e, :j].T
+            diag = np.linalg.cholesky(work[j:e, j:e])
+            if e < n:
+                work[e:, j:e] = np.linalg.solve(diag, work[e:, j:e].T).T
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _as_values(omega) -> np.ndarray:
     return omega.values if isinstance(omega, CovMatrix) else np.asarray(omega, dtype=float)
 
 
 def norm_max_eig(omega) -> float:
-    """Largest eigenvalue."""
-    if isinstance(omega, CovMatrix):
-        return float(omega.eigenvalues[-1])
-    return float(CovMatrix(_as_values(omega)).eigenvalues[-1])
+    """Largest eigenvalue, from :attr:`CovMatrix.lambda_max`: after the PSD
+    check, and from a Lanczos run and one Cholesky factorization unless a
+    cached spectrum or the fallback to ``eigvalsh`` gives it."""
+    if not isinstance(omega, CovMatrix):
+        omega = CovMatrix(omega)
+    return omega.lambda_max
 
 
 def norm_max_row_sum(omega) -> float:

@@ -352,7 +352,9 @@ class Factor(_Family):
 
     def build(self, n: int) -> np.ndarray:
         lam = self.loadings(n)
-        return lam @ lam.T + self.idio_var * np.eye(n)
+        omega = lam @ lam.T
+        omega.flat[::n + 1] += self.idio_var  # no n x n identity
+        return omega
 
     def h_n(self, n: int) -> float:
         return float(n ** self.strength)
@@ -448,14 +450,17 @@ def family_from_string(text: str):
 def build_omega(family, n: int) -> CovMatrix:
     """Materialize a family at size n, verifying positive semidefiniteness.
 
-    Raises NotPSD naming the family when the matrix has an eigenvalue below
-    -1e-8 times the largest (wide flat bands are the canonical offender).
+    The check is :attr:`CovMatrix.lambda_max`, which caches the largest
+    eigenvalue for the norms: a Lanczos run and one Cholesky factorization,
+    or ``eigvalsh`` where those cannot settle it. Raises NotPSD naming the
+    family when the matrix has an eigenvalue below -1e-8 times the largest
+    (wide flat bands are the canonical offender). Only the symmetrized copy
+    of ``family.build(n)`` outlives the constructor.
     """
-    values = family.build(n)
-    cov = CovMatrix(values, meta={"family": family.name, "n": n,
-                                  **family.params()})
+    cov = CovMatrix(family.build(n), meta={"family": family.name, "n": n,
+                                           **family.params()})
     try:
-        cov.eigenvalues
+        cov.lambda_max
     except NotPSD as exc:
         raise NotPSD(f"family {family.name!r} at n={n} is not positive "
                      f"semidefinite: {exc}") from None

@@ -421,20 +421,27 @@ def test_diagnose_matrix_dir_errors_name_the_file(tmp_path, capsys, bad,
 
 def test_diagnose_matrix_dir_solves_each_matrix_once(tmp_path, capsys,
                                                      monkeypatch):
-    # the PSD check reads the eigenvalues the norms then reuse
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
+    # the PSD check is one factorization of each matrix, and the norms reuse
+    # the top eigenvalue it certified; no eigensolve sees a whole matrix
+    factored, solved = [], []
 
-    def counted(a, *args, **kwargs):
-        calls.append(len(a))
-        return eigvalsh(a, *args, **kwargs)
+    def counted(calls, solver):
+        def run(a, *args, **kwargs):
+            calls.append(len(a))
+            return solver(a, *args, **kwargs)
+        return run
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name,
+                            counted(solved, getattr(np.linalg, name)))
+    monkeypatch.setattr(np.linalg, "cholesky",
+                        counted(factored, np.linalg.cholesky))
     d, _ = _matrix_dir_with(tmp_path, lambda n: 0.5 * np.ones((n, n))
                             + 0.5 * np.eye(n))
     code, _, err = run_cli(capsys, "diagnose", "--matrix-dir", str(d))
     assert code == 0, err
-    assert calls == [8, 16, 32, 64]
+    assert factored == [8, 16, 32, 64]
+    assert solved and max(solved) < 8
 
 
 def test_diagnose_family_needs_no_eigenvectors(capsys, monkeypatch):
@@ -763,7 +770,9 @@ def _signal_mc_run(tmp_path, signum, code, line, group=False):
         [sys.executable, "-m", "panelcsd", "mc", "run", str(cfg_path),
          "--threads", "2", "--out", str(report_path)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        env=child_env(), start_new_session=True)
+        # a killed run cannot remove its forkserver's pymp-* directory:
+        # keep it under the test's own directory
+        env=child_env() | {"TMPDIR": str(tmp_path)}, start_new_session=True)
     try:
         deadline = time.monotonic() + 60
         # the run, the resource tracker, a forkserver where the platform
