@@ -28,7 +28,11 @@ z_t = sum_{j>=1} rho_j x_{t+j}: one sandwich whatever the memory length.
 Geometric memory, rho_j = d^j, builds z from one backward first-order
 recursion, z_{T-1} = 0 and z_s = d (x_{s+1} + z_{s+1}), so every lag up to
 T-1 is summed exactly. The recursion runs in blocks of periods as matrix
-products (``dgp._ar1``), not as a loop over periods.
+products (``dgp._ar1``), not as a loop over periods. Each error covariance
+enters a sandwich as D + U S U' (``dgp._Structured``): with D = d I, sum_t
+a_t' D b_t is d times one (k, n*t) x (n*t, k) product and the rank-r part
+costs O(n r t) per regressor, so the designs of small rank never meet an
+n x n matrix; a dense D costs the n x n products it always did.
 
 The scores, lag windows, PSD repair and exact variances work on stacks of
 fits (a leading axis of B), one product or eigensolve per fit, and read each
@@ -49,7 +53,7 @@ from .config import (PSD_REPAIR_REL, auto_truncation, declared_lag,
                      field_dict, from_fields)
 from .errors import SingularCov, SpecMismatch, TruncTooLarge, UsageError
 from .dependence import CovMatrix
-from .dgp import TimeDependenceSpec, _ar1
+from .dgp import TimeDependenceSpec, _ar1, _Structured
 from .estimators import EstimatorKind, FitResult, _demean_stack, gram_inverse
 from .panel import PanelData
 
@@ -202,7 +206,8 @@ def _robust_stack(kind: EstimatorKind, xk: np.ndarray,
         if omega is None:
             _check_periods(kind, t)
             omega = residuals @ residuals.swapaxes(-1, -2) / t
-        v = _exact_variance(xk, gram_inv, TimeDependenceSpec(), None, omega)
+        v = _exact_variance(xk, gram_inv, TimeDependenceSpec(), None,
+                            _Structured(omega))
         return (*_repair_psd(v), None)
     _check_kernel(kernel)
     _check_periods(kind, t)
@@ -293,17 +298,30 @@ def cov_kernel(result: FitResult, kernel: str = "bartlett",
                        declared=declared)
 
 
-def _sandwich(ak: np.ndarray, base: np.ndarray, bk: np.ndarray) -> np.ndarray:
-    # sum_t a_t' B b_t for k-major (..., k, n, t) arrays, as k products
-    # B b^(l) and one (k, n*t) x (n*t, k) product per leading index: free
-    # reshapes for contiguous designs, nothing bigger than the design
-    # formed. ``base`` is (n, n), or one per leading index.
+def _sandwich(ak: np.ndarray, base: _Structured,
+              bk: np.ndarray) -> np.ndarray:
+    # sum_t a_t' (D + U S U') b_t for k-major (..., k, n, t) arrays, with
+    # every product one per leading index and nothing bigger than the
+    # design formed. With A and B the (k, n*t) flattenings (free reshapes
+    # for contiguous designs), D = d I gives d A B'; a dense D ((n, n), or
+    # one per leading index) gives k products D b^(l) and A (D B)'. The
+    # rank-r part adds (U'A)' S (U'B), with U'A flattened to (k, r*t).
     *lead, k, n, t = ak.shape
-    if base.ndim > 2:
-        base = base[..., np.newaxis, :, :]
-    bb = base @ bk
-    return (ak.reshape(*lead, k, n * t)
-            @ bb.reshape(*lead, k, n * t).swapaxes(-1, -2))
+    a = ak.reshape(*lead, k, n * t)
+    d = base.d
+    if np.ndim(d):
+        if d.ndim > 2:
+            d = d[..., np.newaxis, :, :]
+        out = a @ (d @ bk).reshape(*lead, k, n * t).swapaxes(-1, -2)
+    else:
+        out = d * (a @ bk.reshape(*lead, k, n * t).swapaxes(-1, -2))
+    if base.u is not None:
+        r = base.u.shape[1]
+        ut = base.u.T
+        out += ((ut @ ak).reshape(*lead, k, r * t)
+                @ (base.s @ (ut @ bk)).reshape(*lead, k, r * t)
+                .swapaxes(-1, -2))
+    return out
 
 
 def _weighted_leads(xk: np.ndarray, spec: TimeDependenceSpec) -> np.ndarray:
@@ -326,23 +344,24 @@ def _weighted_leads(xk: np.ndarray, spec: TimeDependenceSpec) -> np.ndarray:
 
 def _exact_variance(xk: np.ndarray, gram_inv: np.ndarray,
                     spec: TimeDependenceSpec, loadings: np.ndarray | None,
-                    sigma: np.ndarray | None) -> np.ndarray:
+                    sigma: _Structured | None) -> np.ndarray:
     # G^{-1} (sum_t x_t' Omega_0 x_t + C + C') G^{-1} for a k-major
     # demeaned design (k, n, t) that gram_inverse has already checked and a
-    # symmetric sigma. The lag-j error block is rho_j * B, so
+    # symmetric sigma in the structured form (a dense sigma is its ``d``).
+    # Omega_0 = sigma + loadings loadings' enters as one form, the loadings
+    # as its rank-m part. The lag-j error block is rho_j * B, so
     # C = sum_j rho_j sum_t x_t' B x_{t+j} = sum_t x_t' B z_t with z the
     # weighted leads, one sandwich for all lags. Also takes a stack:
-    # xk (B, k, n, t), gram_inv (B, k, k), and sigma (n, n) or one per design.
+    # xk (B, k, n, t), gram_inv (B, k, k), and a dense sigma (n, n) or one
+    # per design.
     n, t = xk.shape[-2:]
     if loadings is not None:
         loadings = np.asarray(loadings, dtype=float)
         if loadings.ndim != 2 or loadings.shape[0] != n:
             raise ValueError(f"loadings must be (n, m) with n={n}")
-    if sigma is not None and sigma.shape[-2:] != (n, n):
+    if (sigma is not None and np.ndim(sigma.d)
+            and sigma.d.shape[-2:] != (n, n)):
         raise ValueError("sigma size does not match the panel cross-section")
-    common = 0.0 if loadings is None else loadings @ loadings.T
-    idio = 0.0 if sigma is None else sigma
-    lag_base = common if spec.channel == "factor" else idio
     if spec.channel == "none" and loadings is None and sigma is None:
         raise SpecMismatch("need loadings and/or sigma to define the errors")
     if spec.channel == "idio" and sigma is None:
@@ -350,8 +369,13 @@ def _exact_variance(xk: np.ndarray, gram_inv: np.ndarray,
     if spec.channel == "factor" and (loadings is None
                                      or loadings.shape[1] < 1):
         raise SpecMismatch("factor-channel memory needs loadings")
-    meat = _sandwich(xk, idio + common, xk)
+    common, base = None, sigma
+    if loadings is not None:  # sigma then has no rank part of its own
+        common = _Structured(0.0, loadings, np.eye(loadings.shape[1]))
+        base = common if sigma is None else common._replace(d=sigma.d)
+    meat = _sandwich(xk, base, xk)
     if spec.max_lag(t) > 0:
+        lag_base = common if spec.channel == "factor" else sigma
         c = _sandwich(xk, lag_base, _weighted_leads(xk, spec))
         meat = meat + (c + c.swapaxes(-1, -2))
     return gram_inv @ meat @ gram_inv
@@ -427,5 +451,6 @@ def true_variance_mixed(
     _, xk, _, _, x_scale = _demean_stack(
         x_design.y[np.newaxis], x_design.x[np.newaxis], kind)
     _, gram_inv, _ = gram_inverse(xk, x_scale)
-    return _exact_variance(xk[0], gram_inv, spec, loadings,
-                           None if sigma is None else sigma.values)
+    return _exact_variance(
+        xk[0], gram_inv, spec, loadings,
+        None if sigma is None else _Structured(sigma.values))

@@ -3,18 +3,25 @@
 Each family maps a cross-section size n to an n x n positive semidefinite
 covariance, together with its dependence scale h(n) (how the largest
 eigenvalue grows). Panels are drawn with exact second-moment structure: the
-cross-section uses a symmetric eigenvalue square root, moving-average memory
+cross-section applies a symmetric square root of the covariance (a factor
+model draws its factors and idiosyncratic parts), moving-average memory
 draws its pre-sample innovations (stationary from the first period), and
-geometric memory uses a first-order recursion initialized from its stationary
-law. Draw order (x, unit effects, error innovations) is fixed so equal seeds
-give byte-identical panels. Every panel comes from one draw,
+geometric memory uses a first-order recursion initialized from its
+stationary law. Draw order (x, unit effects, error innovations) is fixed so
+equal seeds give byte-identical panels. Every panel comes from one draw,
 :func:`_draw_block`, on a block of seeds: the Monte Carlo workers call it on
 blocks of replications and :func:`gen_panel` on a single seed.
 
-The cross-section covariance and its square root are built by
-:func:`build_omega` once per (family, n) per process and shared, read-only,
-by every draw of that size; families must be hashable (all here are frozen
-dataclasses).
+The families whose dependence comes from a few common components
+(diagonal, equicorrelated, a fixed number of blocks, a hub, a factor model)
+also give their covariance in the structured form D + U S U'
+(:class:`_Structured`): D a multiple of the identity, U n x r of small rank
+and S a symmetric r x r core. The draws apply the square root in that form,
+and the exact variance sandwiches it, at O(n r) per column instead of
+O(n^2); the other families use the dense matrix and the square root from
+its eigensolve. The covariance, its form and its root are built
+once per (family, n) per process and shared, read-only, by every draw of
+that size; families must be hashable (all here are frozen dataclasses).
 """
 
 from __future__ import annotations
@@ -22,10 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import functools
 import numbers
+from typing import NamedTuple
 
 import numpy as np
 
-from .config import check_int, check_real, check_reals, field_dict, from_fields
+from .config import (EIG_CLIP_REL, check_int, check_real, check_reals,
+                     field_dict, from_fields)
 from .dependence import CovMatrix
 from .errors import NotPSD, SpecMismatch, UsageError
 from .panel import PanelData
@@ -58,11 +67,34 @@ def _resolve_width(width, n: int) -> int:
     return int(np.ceil(np.sqrt(n))) if width == "sqrt" else width
 
 
+class _Structured(NamedTuple):
+    """A symmetric n x n matrix as D + U S U'. ``d`` is a number (D = d I)
+    or a dense (n, n) array (D = d, or one per leading index of a stack);
+    ``u`` is (n, r) and ``s`` a symmetric (r, r) core, both None when
+    r = 0."""
+
+    d: float | np.ndarray
+    u: np.ndarray | None = None
+    s: np.ndarray | None = None
+
+
+def _equicorrelation(diag: float, off: float, n: int) -> _Structured:
+    # diag on the diagonal and off elsewhere: (diag - off) I + off n e e'
+    # with the unit vector e = 1 / sqrt(n)
+    return _Structured(diag - off, np.full((n, 1), 1.0 / np.sqrt(n)),
+                       np.array([[off * n]]))
+
+
 class _Family:
     """Base of the covariance families: each checks its parameters (floats
     finite, then its own ``_check``) when it is constructed; ``build(n)``
     keeps only the checks that need n. ``params()`` lists the constructor
-    fields in declaration order (``name`` is not one of them)."""
+    fields in declaration order (``name`` is not one of them).
+
+    ``_low_rank(n)`` is ``build(n)`` as a :class:`_Structured` c I + U S U'
+    with a number c, or None for a family with no such form of small rank.
+    Its U has orthonormal columns, except the factor family's, whose U is
+    the loadings and whose S is the identity."""
 
     def __post_init__(self):
         for key, value in self.params().items():
@@ -72,6 +104,9 @@ class _Family:
 
     def params(self) -> dict:
         return field_dict(self)
+
+    def _low_rank(self, n: int) -> _Structured | None:
+        return None
 
 
 @dataclass(frozen=True)
@@ -87,6 +122,9 @@ class Diagonal(_Family):
 
     def build(self, n: int) -> np.ndarray:
         return self.scale * np.eye(n)
+
+    def _low_rank(self, n: int) -> _Structured:
+        return _Structured(self.scale)
 
     def h_n(self, n: int) -> float:
         return 1.0
@@ -176,6 +214,20 @@ class Block(_Family):
             start += s
         return a
 
+    def _low_rank(self, n: int) -> _Structured | None:
+        # a fixed number of blocks: (1 - b) I + sum_j b s_j e_j e_j', e_j
+        # block j's indicator over sqrt(s_j)
+        if self.n_blocks is None:
+            return None
+        sizes = self._sizes(n)
+        u = np.zeros((n, len(sizes)))
+        start = 0
+        for j, s in enumerate(sizes):
+            u[start:start + s, j] = 1.0 / np.sqrt(s)
+            start += s
+        return _Structured(1.0 - self.b, u,
+                           np.diag(self.b * np.array(sizes, float)))
+
     def h_n(self, n: int) -> float:
         return float(max(self._sizes(n)))
 
@@ -259,6 +311,9 @@ class Equicorr(_Family):
         np.fill_diagonal(m, self.a)
         return m
 
+    def _low_rank(self, n: int) -> _Structured:
+        return _equicorrelation(self.a, self.b, n)
+
     def h_n(self, n: int) -> float:
         return float(n) if self.b > 0 else 1.0
 
@@ -282,6 +337,17 @@ class Arrowhead(_Family):
         a[0, 1:] = v
         a[1:, 0] = v
         return a
+
+    def _low_rank(self, n: int) -> _Structured:
+        # I + v (e_1 w' + w e_1') with w the indicator of units 2..n, whose
+        # core [[0, v |w|], [v |w|, 0]] on (e_1, w / |w|) is indefinite
+        if n == 1:
+            return _Structured(1.0)
+        u = np.zeros((n, 2))
+        u[0, 0] = 1.0
+        u[1:, 1] = 1.0 / np.sqrt(n - 1)
+        off = np.sqrt(n - 1) / (self.c * np.sqrt(n))
+        return _Structured(1.0, u, np.array([[0.0, off], [off, 0.0]]))
 
     def h_n(self, n: int) -> float:
         return 1.0
@@ -307,6 +373,9 @@ class ScaledEquicorr(_Family):
         m = np.full((n, n), b)
         np.fill_diagonal(m, 1.0)
         return m
+
+    def _low_rank(self, n: int) -> _Structured:
+        return _equicorrelation(1.0, self.a / np.sqrt(n), n)
 
     def h_n(self, n: int) -> float:
         return float(np.sqrt(n))
@@ -355,6 +424,10 @@ class Factor(_Family):
         omega = lam @ lam.T
         omega.flat[::n + 1] += self.idio_var  # no n x n identity
         return omega
+
+    def _low_rank(self, n: int) -> _Structured:
+        return _Structured(self.idio_var, self.loadings(n),
+                           np.eye(self.n_factors))
 
     def h_n(self, n: int) -> float:
         return float(n ** self.strength)
@@ -645,20 +718,69 @@ def _cross_section_from(raw):
     return _family(params.pop("family", None), params)
 
 
+class _CrossSection(NamedTuple):
+    """What every draw of one (family, n) shares, read-only: the dense
+    ``omega``, ``loadings`` (None unless the family is a factor model) and
+    ``sigma`` that :func:`gen_panel` returns; ``idio``, sigma in the
+    structured form; and ``root``, the errors' symmetric square root in that
+    form (None for a factor family, whose errors go through the
+    loadings)."""
+
+    omega: np.ndarray
+    loadings: np.ndarray | None
+    sigma: np.ndarray
+    idio: _Structured
+    root: _Structured | None
+
+
+def _symmetric_root(form: _Structured) -> _Structured:
+    """The symmetric square root of c I + U S U' with orthonormal U, in the
+    same form: sqrt(c) I + U (sqrt(c I + S) - sqrt(c) I) U', from an
+    eigensolve of the r x r core. Like :meth:`CovMatrix.sqrt`, it clamps to
+    zero the eigenvalues within ``EIG_CLIP_REL`` of the largest, and clips
+    negative ones, so a rank-deficient matrix gets a root of the same rank.
+    """
+    if form.u is None:
+        return _Structured(np.sqrt(form.d))
+    lam, q = np.linalg.eigh(form.s)
+    vals = np.clip(np.append(form.d + lam, form.d), 0.0, None)  # core, c
+    vals[vals <= EIG_CLIP_REL * vals.max()] = 0.0
+    root_c = np.sqrt(vals[-1])
+    return _Structured(root_c, form.u,
+                       (q * (np.sqrt(vals[:-1]) - root_c)) @ q.T)
+
+
+def _apply_root(root: _Structured, z: np.ndarray) -> np.ndarray:
+    """``root @ z`` for z shaped (n, m) or a stack (..., n, m): d z +
+    U (S (U' z)), or the dense product d @ z. Every product is per stacked
+    slice, so a slice gets the same bits alone or stacked."""
+    out = root.d @ z if np.ndim(root.d) else root.d * z
+    if root.u is not None:
+        out += root.u @ (root.s @ (root.u.T @ z))
+    return out
+
+
 # run_mc finishes one cell before it submits the next, so one entry serves
 # a whole cell; more would only keep more n x n matrices alive.
 @functools.lru_cache(maxsize=1)
-def _cross_section(family, n: int):
-    """(omega, loadings, sigma, root) shared read-only by the draws: factor
-    errors go through the loadings (sigma = idio_var * I, no root), all
-    others through the symmetric root of omega (sigma = omega)."""
+def _cross_section(family, n: int) -> _CrossSection:
+    """The :class:`_CrossSection` of ``family`` at size n. ``build_omega``
+    checks the covariance as it always does; a family with a form of small
+    rank takes its root from that form, any other from an eigensolve of the
+    dense covariance."""
     cov = build_omega(family, n)
+    form = family._low_rank(n)
     if isinstance(family, Factor):
-        out = (cov.values, family.loadings(n), family.idio_var * np.eye(n), None)
+        out = _CrossSection(cov.values, form.u, family.idio_var * np.eye(n),
+                            _Structured(form.d), None)
+    elif form is None:
+        out = _CrossSection(cov.values, None, cov.values,
+                            _Structured(cov.values), _Structured(cov.sqrt()))
     else:
-        out = (cov.values, None, cov.values, cov.sqrt())
-    for a in out:
-        if a is not None:
+        out = _CrossSection(cov.values, None, cov.values, form,
+                            _symmetric_root(form))
+    for a in (*out[:3], *out.idio, *(out.root or ())):
+        if isinstance(a, np.ndarray):
             a.setflags(write=False)
     return out
 
@@ -734,7 +856,7 @@ def _draw(spec: DgpSpec, n: int, t: int, seed,
     k = len(spec.beta_true)
     family = spec.cross_section
     rng = np.random.default_rng(seed)
-    loadings = _cross_section(family, n)[1]
+    loadings = _cross_section(family, n).loadings
     if design is not None:
         x, mu = (np.asarray(a, dtype=float) for a in design)
         if x.shape != (n, t, k) or mu.shape != (n,):
@@ -775,10 +897,11 @@ def _draw_block(spec: DgpSpec, n: int, t: int, seeds,
     shaped (B, n, t), (B, n, t, k) and (B, n), one per seed.
 
     Each seed is drawn on its own (:func:`_draw`). The block then filters
-    the rows that carry memory, forms the errors as ``root @ z`` or
-    ``loadings @ f`` plus the scaled idiosyncratic rows, and adds
-    ``x @ beta + mu``. Every product is per replication (a broadcast
-    matmul), so a replication gets the same bits in a block of any size.
+    the rows that carry memory, forms the errors as the covariance's
+    symmetric root times z (:func:`_apply_root`) or as ``loadings @ f``
+    plus the scaled idiosyncratic rows, and adds ``x @ beta + mu``. Every
+    product is per replication (a broadcast matmul), so a replication gets
+    the same bits in a block of any size.
     """
     def stack(arrays):  # a block of one is a view, not a copy
         return arrays[0][np.newaxis] if len(arrays) == 1 else np.stack(arrays)
@@ -788,26 +911,19 @@ def _draw_block(spec: DgpSpec, n: int, t: int, seeds,
     del xs, mus, zs
     family = spec.cross_section
     tm = spec.time_memory
-    _, loadings, _, root = _cross_section(family, n)
+    cs = _cross_section(family, n)
 
     def series(z: np.ndarray, carries_memory: bool) -> np.ndarray:
         return _filter_series(z, tm, t) if carries_memory else z
 
     if isinstance(family, Factor):
         f, e = innovations
-        eps = loadings @ series(f, tm.channel == "factor") + np.sqrt(
+        eps = cs.loadings @ series(f, tm.channel == "factor") + np.sqrt(
             family.idio_var) * series(e, tm.channel == "idio")
     else:
-        eps = root @ series(innovations[0], tm.channel != "none")
+        eps = _apply_root(cs.root, series(innovations[0],
+                                          tm.channel != "none"))
     return mu[..., np.newaxis] + x @ np.asarray(spec.beta_true) + eps, x, mu
-
-
-def _truth(spec: DgpSpec, n: int, mu) -> dict:
-    """What the exact variance and the checks of a draw need (see
-    :func:`gen_panel`)."""
-    omega, loadings, sigma, _ = _cross_section(spec.cross_section, n)
-    return {"mu": mu, "omega": omega, "loadings": loadings, "sigma": sigma,
-            "time_memory": spec.time_memory}
 
 
 def gen_panel(
@@ -832,12 +948,15 @@ def gen_panel(
         ``truth`` holds what the exact variance and the checks of a draw
         need: the unit effects ``mu``, the covariance pieces ``omega``,
         ``loadings`` (None unless the family is a factor model) and
-        ``sigma``, and the spec's ``time_memory``. The covariance pieces
-        and the errors' square root are computed once per (family, n) per
-        process and shared by every draw, so ``omega``, ``loadings`` and
-        ``sigma`` are read-only.
+        ``sigma``, all dense, and the spec's ``time_memory``. The
+        covariance pieces and the errors' square root are computed once per
+        (family, n) per process and shared by every draw, so ``omega``,
+        ``loadings`` and ``sigma`` are read-only.
 
     This is the one panel draw, :func:`_draw_block`, on a single seed.
     """
     y, x, mu = _draw_block(spec, n, t, [seed], design)
-    return PanelData(y=y[0], x=x[0]), _truth(spec, n, mu[0])
+    cs = _cross_section(spec.cross_section, n)
+    return PanelData(y=y[0], x=x[0]), {
+        "mu": mu[0], "omega": cs.omega, "loadings": cs.loadings,
+        "sigma": cs.sigma, "time_memory": spec.time_memory}

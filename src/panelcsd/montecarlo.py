@@ -58,8 +58,8 @@ from .config import check_int, field_dict, from_fields, resolve_workers
 from .covariance import (CovConfig, _exact_variance, _robust_cov,
                          _robust_stack)
 from .dependence import _loglog_slope
-from .dgp import (DgpSpec, Equicorr, _draw_block, _truth, build_omega,
-                  gen_panel)
+from .dgp import (DgpSpec, Equicorr, _apply_root, _cross_section,
+                  _draw_block, _symmetric_root, gen_panel)
 from .errors import ConditionWarning, PanelError, UsageError, WorkerPoolError
 from .estimators import EstimatorKind, _fit_stack, fit
 from .inference import LinearRestriction, _wald_stack, chi2_sf, wald
@@ -161,13 +161,15 @@ def _estimator_kind(value) -> EstimatorKind:
     return EstimatorKind(value)
 
 
-def _true_variance_for(xk: np.ndarray, gram_inv: np.ndarray,
-                       truth: dict) -> np.ndarray:
-    """Exact conditional slope variance implied by a draw's truth record,
+def _true_variance_for(xk: np.ndarray, gram_inv: np.ndarray, dgp: DgpSpec,
+                       n: int) -> np.ndarray:
+    """Exact conditional slope variance of the design ``dgp`` at n units,
     read off the k-major design and Gram inverse its fit has already
-    checked (one fit, or a stack of them)."""
-    return _exact_variance(xk, gram_inv, truth["time_memory"],
-                           truth["loadings"], truth["sigma"])
+    checked (one fit, or a stack of them), with the covariance in the
+    structured form the draws share."""
+    cs = _cross_section(dgp.cross_section, n)
+    return _exact_variance(xk, gram_inv, dgp.time_memory, cs.loadings,
+                           cs.idio)
 
 
 def _fixed_design(cfg: McConfig, n: int, t: int):
@@ -183,7 +185,7 @@ def _fixed_design(cfg: McConfig, n: int, t: int):
                 warnings.simplefilter("ignore", ConditionWarning)
                 res = fit(panel, cfg.estimator)
                 tv = _true_variance_for(res.demeaned_x.transpose(2, 0, 1),
-                                        res.gram_inv, truth)
+                                        res.gram_inv, cfg.dgp, n)
         except _REP_ERRORS:
             pass
     return (panel.x, truth["mu"]), tv
@@ -206,12 +208,12 @@ def _replicate(cfg: McConfig, n: int, t: int, rep: int, design, restr,
     """Replication ``rep`` alone, on blocks of one: the path of every
     replication a stacked block cannot settle. Raises what stopped it."""
     seed = _derive_seed(cfg.master_seed, n, t, _REP_TAG, rep)
-    panel, truth = gen_panel(cfg.dgp, n, t, seed, design=design)
+    panel, _ = gen_panel(cfg.dgp, n, t, seed, design=design)
     res = fit(panel, cfg.estimator)
     v = _robust_cov(res, **cfg.cov.to_dict()).matrix
     p_value = wald(res.beta_hat, v, restr).p_value
     tv = (_true_variance_for(res.demeaned_x.transpose(2, 0, 1),
-                             res.gram_inv, truth) if want_tv else np.nan)
+                             res.gram_inv, cfg.dgp, n) if want_tv else np.nan)
     return res.beta_hat, v, p_value, tv
 
 
@@ -238,7 +240,7 @@ def _stacked_block(cfg: McConfig, n: int, t: int, reps: range, design,
     ok = (~singular & np.isfinite(stat) & np.isfinite(b).all(axis=1)
           & np.isfinite(v).all(axis=(1, 2)))
     if want_tv:
-        tv = _true_variance_for(xk, gram_inv, _truth(cfg.dgp, n, None))
+        tv = _true_variance_for(xk, gram_inv, cfg.dgp, n)
         ok &= np.isfinite(tv).all(axis=(1, 2))
     p_values = [chi2_sf(max(float(st), 0.0), restr.q) for st in stat[ok]]
     rows = live[ok]
@@ -625,11 +627,11 @@ def t1_cross_section_experiment(
     for n in n_grid:
         rng = np.random.default_rng(
             np.random.SeedSequence([int(seed), int(n), 84]))
-        root = build_omega(fam, n).sqrt()
         x = x_mean + rng.standard_normal((n, reps))
         if centered:
             x = x - x.mean(axis=0, keepdims=True)
-        eps = root @ rng.standard_normal((n, reps))
+        eps = _apply_root(_symmetric_root(fam._low_rank(n)),
+                          rng.standard_normal((n, reps)))
         y = beta * x + eps
         bhat = (x * y).sum(axis=0) / (x * x).sum(axis=0)
         rmse_by_n[int(n)] = float(np.sqrt(((bhat - beta) ** 2).mean()))

@@ -12,8 +12,10 @@ from panelcsd import (CovMatrix, CovMethod, EstimatorKind, FitResult,
 from panelcsd.config import auto_truncation, declared_lag
 from panelcsd.errors import (SingularCov, SingularRestrictedCov,
                              SpecMismatch, TruncTooLarge, UsageError)
-from panelcsd.covariance import _robust_stack, _weighted_leads
-from panelcsd.dgp import _AR_BLOCK, DgpSpec, Factor, gen_panel
+from panelcsd.covariance import _robust_stack, _sandwich, _weighted_leads
+from panelcsd.dgp import (_AR_BLOCK, Arrowhead, Block, DgpSpec, Diagonal,
+                          Equicorr, Factor, ScaledEquicorr, _Structured,
+                          gen_panel)
 from panelcsd.estimators import _fit_stack
 
 
@@ -530,3 +532,45 @@ def test_blocked_weighted_leads_match_the_period_loop(t):
         got = _weighted_leads(x_dm, spec)
         assert got.shape == x_dm.shape
         assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+
+# --- the sandwich of a covariance in the structured form --------------------
+
+@pytest.mark.parametrize("family", [
+    Diagonal(scale=2.0), Equicorr(a=1.0, b=0.5), Equicorr(a=1.0, b=1.0),
+    ScaledEquicorr(a=2.0), Arrowhead(c=1.5), Block(n_blocks=3, b=0.4),
+    Factor(n_factors=2, strength=0.7)], ids=lambda f: f.name)
+@pytest.mark.parametrize("n, t", [(4, 3), (30, 20)])
+def test_structured_sandwich_matches_the_dense_one(family, n, t):
+    form = family._low_rank(n)
+    dense = _Structured(family.build(n))
+    rng = np.random.default_rng(n)
+    ak = rng.standard_normal((3, 2, n, t))
+    bk = rng.standard_normal((3, 2, n, t))
+    for b in (bk, ak):  # a second design, and the design itself
+        got = _sandwich(ak, form, b)
+        want = _sandwich(ak, dense, b)
+        assert got.shape == want.shape == (3, 2, 2)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        # each design alone gets the bits it gets in the stack
+        for i in range(3):
+            alone = _sandwich(ak[i], form, b[i])
+            assert alone.tobytes() == got[i].tobytes()
+
+
+def test_dense_base_with_a_low_rank_part_matches_their_sum():
+    # a dense sigma plus loadings, as true_variance_mixed passes them
+    n, t = 6, 5
+    rng = np.random.default_rng(8)
+    sig = rng.standard_normal((n, n))
+    sig = sig @ sig.T
+    lam = rng.standard_normal((n, 2))
+    ak = rng.standard_normal((2, n, t))
+    got = _sandwich(ak, _Structured(sig, lam, np.eye(2)), ak)
+    want = _sandwich(ak, _Structured(sig + lam @ lam.T), ak)
+    assert_allclose(got, want, rtol=1e-13, atol=0)
+    # a stack of dense bases, one per design, as the plug-in passes them
+    stack = np.stack([sig, 2.0 * sig])
+    got = _sandwich(np.stack([ak, ak]), _Structured(stack),
+                    np.stack([ak, ak]))
+    assert_allclose(got[1], 2.0 * got[0], rtol=1e-14, atol=0)

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from panelcsd import TimeDependenceSpec, dgp
-from panelcsd.dgp import (EXAMPLE_PRESETS, Band, Block, DgpSpec, Diagonal,
-                          Equicorr, Factor, SpatialAR, build_omega,
+from panelcsd.dgp import (EXAMPLE_PRESETS, Arrowhead, Band, Block,
+                          DecayCorrelation, DgpSpec, Diagonal, Equicorr,
+                          Factor, ScaledEquicorr, SpatialAR, build_omega,
                           family_from_string, gen_panel)
 from panelcsd.errors import NotPSD, SpecMismatch, UsageError
 
@@ -463,6 +464,9 @@ def test_blocked_filter_series_matches_the_period_loop(t):
 
 _STACK_SPECS = [
     base_spec(Equicorr(a=1.0, b=0.5)),
+    base_spec(Arrowhead(c=1.5), time_memory=TimeDependenceSpec.idio_ma((1.0,
+                                                                       0.5))),
+    base_spec(Block(n_blocks=2, b=0.5)),
     DgpSpec(cross_section=Equicorr(a=1.0, b=0.5), beta_true=(1.0, -0.5),
             time_memory=TimeDependenceSpec.idio_ma((1.0, 0.6, 0.3)),
             error_dist="student_t"),
@@ -490,3 +494,114 @@ def test_stacked_assembly_gives_each_draw_its_gen_panel_bits(spec):
         assert got_y.tobytes() == panel.y.tobytes()
         assert got_x.tobytes() == panel.x.tobytes()
         assert got_mu.tobytes() == truth["mu"].tobytes()
+
+
+# --- covariances of small rank in the structured form -----------------------
+
+LOW_RANK_FAMILIES = [Diagonal(), Diagonal(scale=2.5), Equicorr(a=1.0, b=0.5),
+                     Equicorr(a=2.0, b=0.3), Equicorr(a=1.0, b=1.0),
+                     ScaledEquicorr(a=1.0), ScaledEquicorr(a=2.0),
+                     Arrowhead(c=2.0), Arrowhead(c=1.1),
+                     Block(n_blocks=1, b=0.5), Block(n_blocks=1, b=1.0),
+                     Block(n_blocks=2, b=0.5), Block(n_blocks=3, b=0.9),
+                     Factor(n_factors=1), Factor(n_factors=2, strength=0.5,
+                                                 loading_law="gaussian")]
+FORM_SIZES = [1, 2, 7, 50, 200]
+
+
+def dense(form, n):
+    # D + U S U' as an n x n array
+    out = form.d * np.eye(n) if np.ndim(form.d) == 0 else np.array(form.d)
+    if form.u is not None:
+        out = out + form.u @ form.s @ form.u.T
+    return out
+
+
+def low_rank_cases():
+    # every (family, n) the family builds at (n_blocks <= n, a / sqrt(n)
+    # <= 1, fewer factors than units)
+    for family in LOW_RANK_FAMILIES:
+        for n in FORM_SIZES:
+            try:
+                family.build(n)
+            except UsageError:
+                continue
+            params = ",".join(f"{k}={v}" for k, v in family.params().items())
+            yield pytest.param(family, n, id=f"{family.name}:{params}-{n}")
+
+
+def test_dense_families_have_no_low_rank_form():
+    for family in (Band(), Band(width="sqrt", b=0.5, taper="bartlett"),
+                   DecayCorrelation(), SpatialAR(), Block(size=5),
+                   Block(size="sqrt")):
+        assert family._low_rank(50) is None
+
+
+@pytest.mark.parametrize("family, n", low_rank_cases())
+def test_low_rank_form_is_the_built_covariance(family, n):
+    want = family.build(n)
+    form = family._low_rank(n)
+    assert np.ndim(form.d) == 0
+    assert np.abs(dense(form, n) - want).max() <= 1e-15 * np.abs(want).max()
+    if isinstance(family, Factor):
+        return  # its U is the loadings; its errors need no root
+    if form.u is not None:
+        assert_allclose(form.u.T @ form.u, np.eye(form.u.shape[1]),
+                        rtol=0, atol=1e-14)
+    root = dgp._symmetric_root(form)
+    r = dense(root, n)
+    assert np.abs(r - r.T).max() <= 1e-15 * np.abs(r).max()
+    # (the dense path's eigensolve root squares to within 5.6e-14 here)
+    assert np.abs(r @ r - want).max() <= 1e-13 * np.abs(want).max()
+    # the root the dense path takes from the eigensystem
+    cov = build_omega(family, n)
+    assert np.abs(r - cov.sqrt()).max() <= 1e-13 * np.abs(r).max()
+    z = np.random.default_rng(n).standard_normal((2, n, 5))
+    got = dgp._apply_root(root, z)
+    want_z = cov.sqrt() @ z
+    assert np.abs(got - want_z).max() <= 1e-13 * np.abs(want_z).max()
+    # a slice gets the same bits alone or stacked
+    assert dgp._apply_root(root, z[1]).tobytes() == got[1].tobytes()
+
+
+@pytest.mark.parametrize("family, n", [(Equicorr(a=1.0, b=1.0), 50),
+                                       (Block(n_blocks=1, b=1.0), 50),
+                                       (ScaledEquicorr(a=2.0), 4),
+                                       (Equicorr(a=1.0, b=1.0 - 1e-12), 50)])
+def test_rank_deficient_root_keeps_the_rank_of_the_clipped_dense_root(family,
+                                                                      n):
+    # the all-equal covariance: c = 0, and the dense path clamps its n - 1
+    # zero eigenvalues, so both roots have rank one and give every unit the
+    # same error; so does c = 1e-12, within EIG_CLIP_REL of the top
+    root = dgp._symmetric_root(family._low_rank(n))
+    assert root.d == 0.0
+    dense_root = build_omega(family, n).sqrt()
+    assert np.linalg.matrix_rank(dense_root) == 1
+    assert np.linalg.matrix_rank(dense(root, n)) == 1
+    z = np.random.default_rng(3).standard_normal((n, 6))
+    got = dgp._apply_root(root, z)
+    assert np.abs(got - got[0]).max() == 0.0
+    want = dense_root @ z
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_low_rank_families_draw_without_an_n_by_n_eigensolve(monkeypatch):
+    # the root of a family of small rank comes from its r x r core; a dense
+    # family still takes it from the eigensystem of the n x n covariance
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a, *args, **kwargs):
+        sizes.append(a.shape[-1])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    for family in (Equicorr(a=1.0, b=0.5), Arrowhead(c=2.0),
+                   Block(n_blocks=3, b=0.5), Diagonal()):
+        dgp._cross_section.cache_clear()
+        gen_panel(base_spec(family), 40, 6, seed=1)
+        assert max(sizes, default=0) <= 3, family
+    dgp._cross_section.cache_clear()
+    gen_panel(base_spec(Band()), 40, 6, seed=1)
+    assert sizes[-1] == 40
+    dgp._cross_section.cache_clear()

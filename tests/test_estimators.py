@@ -198,13 +198,29 @@ def test_stacked_fit_passes_contiguous_k_major_designs():
     assert xk.shape == (2, 2, 4, 6) and xk.flags.c_contiguous
 
 
+# Names that came with numpy 2.0: the ndarray.mT attribute, and these
+# functions of the numpy and numpy.linalg namespaces.
+_NUMPY_2_NAMES = re.compile(
+    r"\.mT\b"
+    r"|\b(np|numpy)\.(vecdot|matvec|vecmat|concat|permute_dims|unstack"
+    r"|astype)\b"
+    r"|\b(np|numpy)\.linalg\.(matrix_transpose|vector_norm)\b")
+
+
 def test_source_has_no_matrix_transpose_attribute():
-    # ndarray.mT came with numpy 2.0; pyproject.toml allows numpy 1.23
+    # pyproject.toml allows numpy 1.23, so src/ uses no numpy 2.0-only name
     src = Path(__file__).resolve().parents[1] / "src" / "panelcsd"
     uses = [f"{path.name}:{i}" for path in sorted(src.glob("*.py"))
             for i, line in enumerate(path.read_text().splitlines(), 1)
-            if re.search(r"\.mT\b", line)]
+            if _NUMPY_2_NAMES.search(line)]
     assert uses == []
+    for line in ("x.mT", "np.vecdot(a, b)", "np.concat([a, b])",
+                 "numpy.astype(a, float)", "np.linalg.vector_norm(a)",
+                 "np.linalg.matrix_transpose(a)", "np.unstack(a)"):
+        assert _NUMPY_2_NAMES.search(line), line
+    for line in ("np.concatenate([a, b])", "a.astype(float)",
+                 "np.linalg.norm(a)", "a.swapaxes(-1, -2)", "x.mTx"):
+        assert not _NUMPY_2_NAMES.search(line), line
 
 
 def test_condition_warning_flag():

@@ -16,8 +16,9 @@ from hypothesis import given, settings, strategies as st
 import panelcsd
 from panelcsd import (CovMatrix, EstimatorKind, TimeDependenceSpec, fit,
                       montecarlo, true_variance_mixed)
-from panelcsd.dgp import (EXAMPLE_PRESETS, DecayCorrelation, DgpSpec,
-                          Diagonal, Equicorr, Factor, gen_panel)
+from panelcsd.dgp import (EXAMPLE_PRESETS, Arrowhead, Block,
+                          DecayCorrelation, DgpSpec, Diagonal, Equicorr,
+                          Factor, ScaledEquicorr, gen_panel)
 from conftest import child_env, group_left_after, live_group_members
 from panelcsd.cli import dispatch
 from panelcsd.config import THREADS_ENV_VAR, resolve_workers
@@ -136,11 +137,11 @@ def test_worker_block_tallies_linalg_and_true_variance_failures(monkeypatch):
             raise np.linalg.LinAlgError("fit failed")
         return real_fit(panel, kind)
 
-    def flaky_tv(x_dm, gram_inv, truth):
+    def flaky_tv(x_dm, gram_inv, dgp, n):
         calls["tv"] += 1
         if calls["tv"] == 3:
             raise np.linalg.LinAlgError("true variance failed")
-        return real_tv(x_dm, gram_inv, truth)
+        return real_tv(x_dm, gram_inv, dgp, n)
 
     monkeypatch.setattr(montecarlo, "_stacked_block", failing_stack)
     monkeypatch.setattr(montecarlo, "fit", flaky_fit)
@@ -193,7 +194,7 @@ def test_worker_true_variance_matches_public_path(form, kind, n, t, k, seed):
                                         sigma)
                 continue
             got = montecarlo._true_variance_for(
-                res.demeaned_x.transpose(2, 0, 1), res.gram_inv, truth)
+                res.demeaned_x.transpose(2, 0, 1), res.gram_inv, spec, n)
             want = true_variance_mixed(panel, kind, tm, truth["loadings"],
                                        sigma)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), \
@@ -659,6 +660,22 @@ _STACKING_CASES = {
         (2, 2), DgpSpec(cross_section=Diagonal(), beta_true=(1.0,) * 5)),
     # raised for the whole stack, then by every replication on its own
     "fixed_effect_two_periods": _stacking_config((6, 2)),
+    # covariances of small rank: a root and a sandwich in the structured
+    # form, an indefinite rank-2 core, and a rank-deficient covariance
+    "arrowhead_ma": _stacking_config(
+        (12, 20), DgpSpec(cross_section=Arrowhead(c=1.5), beta_true=(1.0, 0.5),
+                          time_memory=TimeDependenceSpec.idio_ma((1.0, 0.5))),
+        cov=CovConfig(method="kernel", trunc=2)),
+    "scaled_equicorr": _stacking_config(
+        (16, 20), DgpSpec(cross_section=ScaledEquicorr(a=2.0),
+                          beta_true=(1.0,))),
+    "two_blocks_summable": _stacking_config(
+        (15, 24), DgpSpec(cross_section=Block(n_blocks=2, b=0.5),
+                          beta_true=(1.0,),
+                          time_memory=TimeDependenceSpec.idio_summable(0.7))),
+    "equicorr_rank_one": _stacking_config(
+        (10, 20), DgpSpec(cross_section=Equicorr(a=1.0, b=1.0),
+                          beta_true=(1.0,))),
 }
 
 
