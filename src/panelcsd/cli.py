@@ -143,8 +143,8 @@ def _parse_n_grid(arg: str) -> list[int]:
         grid = [int(v) for v in arg.split(",") if v.strip()]
     except ValueError:
         raise UsageError(f"bad --n-grid {arg!r}") from None
-    if not grid:
-        raise UsageError("--n-grid is empty")
+    if not grid or min(grid) < 1:
+        raise UsageError(f"--n-grid must list sizes >= 1, got {arg!r}")
     return grid
 
 

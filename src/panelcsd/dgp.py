@@ -14,14 +14,16 @@ blocks of replications and :func:`gen_panel` on a single seed.
 
 The families whose dependence comes from a few common components
 (diagonal, equicorrelated, a fixed number of blocks, a hub, a factor model)
-also give their covariance in the structured form D + U S U'
+define their covariance in the structured form D + U S U'
 (:class:`_Structured`): D a multiple of the identity, U n x r of small rank
-and S a symmetric r x r core. The draws apply the square root in that form,
-and the exact variance sandwiches it, at O(n r) per column instead of
-O(n^2); the other families use the dense matrix and the square root from
-its eigensolve. The covariance, its form and its root are built
-once per (family, n) per process and shared, read-only, by every draw of
-that size; families must be hashable (all here are frozen dataclasses).
+and S a symmetric r x r core. Their dense matrix is that form made dense,
+so the classification and the draws read one definition. The draws apply
+the square root in that form, and the exact variance sandwiches it, at
+O(n r) per column instead of O(n^2); the other families use the dense
+matrix and the square root from its eigensolve. The covariance, its form
+and its root are built once per (family, n) per process and shared,
+read-only, by every draw of that size; families must be hashable (all
+here are frozen dataclasses).
 """
 
 from __future__ import annotations
@@ -78,6 +80,14 @@ class _Structured(NamedTuple):
     s: np.ndarray | None = None
 
 
+def _dense(form: _Structured, n: int) -> np.ndarray:
+    """c I + U S U' with a number c as an n x n array: (U S) U', or zeros
+    when r = 0, with c then added on the diagonal."""
+    out = np.zeros((n, n)) if form.u is None else (form.u @ form.s) @ form.u.T
+    out.flat[::n + 1] += form.d  # no n x n identity
+    return out
+
+
 def _equicorrelation(diag: float, off: float, n: int) -> _Structured:
     # diag on the diagonal and off elsewhere: (diag - off) I + off n e e'
     # with the unit vector e = 1 / sqrt(n)
@@ -91,10 +101,12 @@ class _Family:
     keeps only the checks that need n. ``params()`` lists the constructor
     fields in declaration order (``name`` is not one of them).
 
-    ``_low_rank(n)`` is ``build(n)`` as a :class:`_Structured` c I + U S U'
-    with a number c, or None for a family with no such form of small rank.
-    Its U has orthonormal columns, except the factor family's, whose U is
-    the loadings and whose S is the identity."""
+    ``_low_rank(n)`` is the covariance as a :class:`_Structured` c I +
+    U S U' with a number c, and ``build(n)`` that form made dense, so
+    ``diagnose`` and the draws read one definition; a family with no such
+    form of small rank returns None and writes its own ``build``. Its U has
+    orthonormal columns, except the factor family's, whose U is the
+    loadings and whose S is the identity."""
 
     def __post_init__(self):
         for key, value in self.params().items():
@@ -108,6 +120,9 @@ class _Family:
     def _low_rank(self, n: int) -> _Structured | None:
         return None
 
+    def build(self, n: int) -> np.ndarray:
+        return _dense(self._low_rank(n), n)
+
 
 @dataclass(frozen=True)
 class Diagonal(_Family):
@@ -119,9 +134,6 @@ class Diagonal(_Family):
     def _check(self):
         if not self.scale > 0:
             raise UsageError("scale must be positive")
-
-    def build(self, n: int) -> np.ndarray:
-        return self.scale * np.eye(n)
 
     def _low_rank(self, n: int) -> _Structured:
         return _Structured(self.scale)
@@ -205,6 +217,8 @@ class Block(_Family):
         return sizes
 
     def build(self, n: int) -> np.ndarray:
+        if self.n_blocks is not None:
+            return super().build(n)
         a = np.zeros((n, n))
         start = 0
         for s in self._sizes(n):
@@ -306,11 +320,6 @@ class Equicorr(_Family):
         if not (0.0 <= self.b <= self.a and self.a > 0):
             raise UsageError("equicorr needs a > 0 and 0 <= b <= a")
 
-    def build(self, n: int) -> np.ndarray:
-        m = np.full((n, n), self.b)
-        np.fill_diagonal(m, self.a)
-        return m
-
     def _low_rank(self, n: int) -> _Structured:
         return _equicorrelation(self.a, self.b, n)
 
@@ -330,13 +339,6 @@ class Arrowhead(_Family):
     def _check(self):
         if not self.c > 1.0:
             raise UsageError("arrowhead c must be > 1 for positive definiteness")
-
-    def build(self, n: int) -> np.ndarray:
-        a = np.eye(n)
-        v = 1.0 / (self.c * np.sqrt(n))
-        a[0, 1:] = v
-        a[1:, 0] = v
-        return a
 
     def _low_rank(self, n: int) -> _Structured:
         # I + v (e_1 w' + w e_1') with w the indicator of units 2..n, whose
@@ -366,16 +368,11 @@ class ScaledEquicorr(_Family):
         if not self.a > 0:
             raise UsageError("scaled_equicorr a must be positive")
 
-    def build(self, n: int) -> np.ndarray:
+    def _low_rank(self, n: int) -> _Structured:
         b = self.a / np.sqrt(n)
         if b > 1.0:
             raise UsageError("a / sqrt(n) must be <= 1")
-        m = np.full((n, n), b)
-        np.fill_diagonal(m, 1.0)
-        return m
-
-    def _low_rank(self, n: int) -> _Structured:
-        return _equicorrelation(1.0, self.a / np.sqrt(n), n)
+        return _equicorrelation(1.0, b, n)
 
     def h_n(self, n: int) -> float:
         return float(np.sqrt(n))
@@ -418,12 +415,6 @@ class Factor(_Family):
         else:
             raw = rng.standard_normal((n, self.n_factors))
         return raw * n ** ((self.strength - 1.0) / 2.0)
-
-    def build(self, n: int) -> np.ndarray:
-        lam = self.loadings(n)
-        omega = lam @ lam.T
-        omega.flat[::n + 1] += self.idio_var  # no n x n identity
-        return omega
 
     def _low_rank(self, n: int) -> _Structured:
         return _Structured(self.idio_var, self.loadings(n),
@@ -771,7 +762,7 @@ def _cross_section(family, n: int) -> _CrossSection:
     cov = build_omega(family, n)
     form = family._low_rank(n)
     if isinstance(family, Factor):
-        out = _CrossSection(cov.values, form.u, family.idio_var * np.eye(n),
+        out = _CrossSection(cov.values, form.u, _dense(_Structured(form.d), n),
                             _Structured(form.d), None)
     elif form is None:
         out = _CrossSection(cov.values, None, cov.values,

@@ -128,6 +128,9 @@ class McConfig:
         object.__setattr__(self, "grid", tuple(
             (check_int(n, "grid entry"), check_int(t, "grid entry"))
             for n, t in self.grid))
+        for n, t in self.grid:
+            if n < 2 or t < 2:
+                raise UsageError(f"grid cell [{n}, {t}] needs n, t >= 2")
         for key in ("reps", "master_seed"):
             object.__setattr__(self, key, check_int(getattr(self, key), key))
         for key in ("fixed_design", "true_variance"):

@@ -646,6 +646,7 @@ def test_mc_run_bad_json(tmp_path, capsys):
     ({"master_seed": 7.9}, "master_seed"),
     ({"grid": [[6]]}, "grid"),
     ({"grid": None}, "grid"),
+    ({"grid": [[5, 0]]}, "grid"),
     ({"estimator": "bogus"}, "estimator"),
     ({"dgp": {"cross_section": "example1", "beta_true": "12"}}, "beta_true"),
 ])
@@ -664,6 +665,7 @@ def test_mc_run_rejects_malformed_config(tmp_path, capsys, edit, key):
                              "--out", str(report_path))
     assert code == 1
     assert key in err and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
     assert not report_path.exists()
 
 
@@ -917,6 +919,16 @@ def test_explore_conjecture(capsys):
     assert abs(payload["fitted_slopes"]["euclid"] - 1.0) < 0.15
     rows = payload["rows"]
     assert [r["n"] for r in rows] == [25, 50, 100, 200]
+
+
+@pytest.mark.parametrize("command", ["diagnose", "explore-conjecture"])
+@pytest.mark.parametrize("grid", ["0,1,2,4", "-4,1,2,16"])
+def test_n_grid_below_one_exits_one(capsys, command, grid):
+    code, out, err = run_cli(capsys, command, "--family", "example1",
+                             f"--n-grid={grid}")
+    assert code == 1 and out == ""
+    assert err.startswith("error: --n-grid") and len(err.splitlines()) == 1
+    assert repr(grid) in err
 
 
 def test_explore_conjecture_bounded_family(capsys):

@@ -396,6 +396,11 @@ def test_every_package_export_is_exported_by_its_own_module():
     ("grid", [[8, 9, 10]]),
     ("grid", None),
     ("grid", 8),
+    ("grid", [[5, 0]]),
+    ("grid", [[0, 10]]),
+    ("grid", [[-3, 10]]),
+    ("grid", [[5, 1]]),
+    ("grid", [[1, 10]]),
     ("estimator", "bogus"),
     ("estimator", None),
 ])
