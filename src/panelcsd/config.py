@@ -50,6 +50,11 @@ LANCZOS_RTOL = 1e-14
 PSD_SHIFT_MARGIN = 1e-2
 CHOLESKY_BLOCK = 64
 
+# A covariance held as its form c I + U S U' gives its entry norms from
+# blocks of rows of about NORM_BLOCK_ELEMENTS entries (512 KiB), computed
+# from the form, so that no n x n array is formed.
+NORM_BLOCK_ELEMENTS = 1 << 16
+
 # Design conditioning: warn above COND_WARN, refuse above COND_FAIL. The
 # condition number is for the demeaned regressor cross-product (squared
 # singular-value ratio of the demeaned design).

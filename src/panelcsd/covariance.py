@@ -29,10 +29,10 @@ Geometric memory, rho_j = d^j, builds z from one backward first-order
 recursion, z_{T-1} = 0 and z_s = d (x_{s+1} + z_{s+1}), so every lag up to
 T-1 is summed exactly. The recursion runs in blocks of periods as matrix
 products (``dgp._ar1``), not as a loop over periods. Each error covariance
-enters a sandwich as D + U S U' (``dgp._Structured``): with D = d I, sum_t
-a_t' D b_t is d times one (k, n*t) x (n*t, k) product and the rank-r part
-costs O(n r t) per regressor, so the designs of small rank never meet an
-n x n matrix; a dense D costs the n x n products it always did.
+enters a sandwich as D + U S U' (``dependence._Structured``): with D = d I,
+sum_t a_t' D b_t is d times one (k, n*t) x (n*t, k) product and the rank-r
+part costs O(n r t) per regressor, so the designs of small rank never meet
+an n x n matrix; a dense D costs the n x n products it always did.
 
 The scores, lag windows, PSD repair and exact variances work on stacks of
 fits (a leading axis of B), one product or eigensolve per fit, and read each
@@ -52,8 +52,8 @@ import numpy as np
 from .config import (PSD_REPAIR_REL, auto_truncation, declared_lag,
                      field_dict, from_fields)
 from .errors import SingularCov, SpecMismatch, TruncTooLarge, UsageError
-from .dependence import CovMatrix
-from .dgp import TimeDependenceSpec, _ar1, _Structured
+from .dependence import CovMatrix, _Structured
+from .dgp import TimeDependenceSpec, _ar1
 from .estimators import EstimatorKind, FitResult, _demean_stack, gram_inverse
 from .panel import PanelData
 

@@ -13,6 +13,12 @@ log-log growth exponent of the eigenvalue norm: bounded norms mean weak
 dependence, linear growth means strong (factor-like) dependence, anything in
 between is moderate.
 
+A :class:`CovMatrix` is either a dense symmetric matrix or, for a family
+with a form c I + U S U' of small rank r (:class:`_Structured`), that form.
+The form's largest eigenvalue is exact, from the r x r core, and its entry
+norms read blocks of rows computed from it, so classifying such a family
+forms no n x n array; its dense ``values`` are formed only when read.
+
 A strong family can be split into an explicit factor part and a weakly
 dependent remainder: with eigenvalues l_1 <= ... <= l_n and eigenvectors p_i,
 the top m directions carry loadings scaled by delta_i = l_{n-m+i} - c_i * l_1
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +41,7 @@ from .config import (
     EIGEN_RATIO_MIN,
     LANCZOS_N_PER_STEP,
     LANCZOS_RTOL,
+    NORM_BLOCK_ELEMENTS,
     PSD_RTOL,
     PSD_SHIFT_MARGIN,
     STRONG_ALPHA_MIN,
@@ -75,20 +83,64 @@ class Regime(enum.Enum):
     STRONG = "strong"
 
 
+class _Structured(NamedTuple):
+    """A symmetric n x n matrix as D + U S U'. ``d`` is a number (D = d I)
+    or a dense (n, n) array (D = d, or one per leading index of a stack);
+    ``u`` is (n, r) and ``s`` a symmetric (r, r) core, both None when
+    r = 0."""
+
+    d: float | np.ndarray
+    u: np.ndarray | None = None
+    s: np.ndarray | None = None
+
+
+def _dense(form: _Structured, n: int, rows: slice = slice(None)) -> np.ndarray:
+    """Rows ``rows`` of c I + U S U' with a number c, as an array with n
+    columns: (U S) U' over those rows, or zeros when r = 0, with c then
+    added on the diagonal (no n x n identity)."""
+    lo, hi, _ = rows.indices(n)
+    out = (np.zeros((hi - lo, n)) if form.u is None
+           else (form.u[rows] @ form.s) @ form.u.T)
+    out.flat[lo::n + 1] += form.d
+    return out
+
+
+def _symmetrized(a: np.ndarray) -> np.ndarray:
+    """(A + A') / 2 as a new read-only array, after checking that A is
+    symmetric to ``SYMMETRY_RTOL``; one n x n buffer besides ``a``."""
+    scale = float(np.abs(a).max())
+    values = a - a.T
+    gap = float(np.abs(values, out=values).max())
+    if scale > 0 and gap > SYMMETRY_RTOL * scale:
+        raise ValueError(
+            f"matrix is not symmetric: max|A - A'| = {gap:.3e} "
+            f"exceeds {SYMMETRY_RTOL:.0e} * max|A|")
+    values = np.add(a, a.T, out=values)
+    values *= 0.5
+    values.setflags(write=False)
+    return values
+
+
 class CovMatrix:
     """Symmetric covariance matrix with cached spectral data.
 
-    Construction validates symmetry to relative tolerance and stores the
-    exactly symmetrized matrix. Three caches fill lazily and separately:
-    :attr:`lambda_max`, the largest eigenvalue after the PSD check, which is
-    all the norms need and usually costs no eigensolve; :attr:`eigenvalues`
-    from an eigenvalues-only solve; and the eigensystem (values and vectors
-    from one full solve) behind :attr:`eigenvectors`, :meth:`sqrt` and
-    :func:`factor_decompose`, so that every use of the vectors pairs them
-    with their own eigenvalues. Both solves pass the same check: eigenvalues
-    within ``EIG_CLIP_REL * lambda_max`` of zero are clamped to zero, and
-    anything below ``-PSD_RTOL * max(lambda_max, 0)`` raises :class:`NotPSD`,
-    so a matrix with no positive eigenvalue is PSD only when it is zero.
+    Construction from an array validates symmetry to relative tolerance and
+    stores the exactly symmetrized matrix. A covariance family with a form
+    c I + U S U' of small rank (``dgp.build_omega``) is held as that form
+    instead, and :attr:`values` forms its dense matrix, symmetrized the same
+    way, only on first use. Either way :attr:`values` is read-only, since
+    the caches describe it.
+
+    Three caches fill lazily and separately: :attr:`lambda_max`, the largest
+    eigenvalue after the PSD check, which is all the norms need and costs no
+    n x n eigensolve; :attr:`eigenvalues` from an eigenvalues-only solve;
+    and the eigensystem (values and vectors from one full solve) behind
+    :attr:`eigenvectors`, :meth:`sqrt` and :func:`factor_decompose`, so
+    that every use of the vectors pairs them with their own eigenvalues.
+    Every spectrum passes the same check: eigenvalues within
+    ``EIG_CLIP_REL * lambda_max`` of zero are clamped to zero, and anything
+    below ``-PSD_RTOL * max(lambda_max, 0)`` raises :class:`NotPSD`, so a
+    matrix with no positive eigenvalue is PSD only when it is zero.
     """
 
     def __init__(self, values: np.ndarray, meta: dict | None = None):
@@ -97,25 +149,53 @@ class CovMatrix:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         if not np.isfinite(a).all():
             raise ValueError("matrix contains non-finite values")
-        scale = float(np.abs(a).max())
-        # one n x n buffer besides ``a``: |A - A'| first, then (A + A') / 2
-        values = a - a.T
-        gap = float(np.abs(values, out=values).max())
-        if scale > 0 and gap > SYMMETRY_RTOL * scale:
-            raise ValueError(
-                f"matrix is not symmetric: max|A - A'| = {gap:.3e} "
-                f"exceeds {SYMMETRY_RTOL:.0e} * max|A|")
-        values = np.add(a, a.T, out=values)
-        values *= 0.5
-        self.values = values
+        self._start(a.shape[0], meta, None)
+        self._values = _symmetrized(a)
+
+    @classmethod
+    def _of_form(cls, form: _Structured, n: int,
+                 meta: dict | None = None) -> "CovMatrix":
+        """The n x n matrix c I + U S U' (a number c) held as its form,
+        whose arrays become read-only."""
+        cov = cls.__new__(cls)
+        cov._start(n, meta, form)
+        for a in form:
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
+        return cov
+
+    def _start(self, n: int, meta: dict | None, form: _Structured | None):
+        self._n = n
         self.meta = dict(meta or {})
+        self._form = form
+        self._values: np.ndarray | None = None
         self._evals: np.ndarray | None = None
         self._eig: tuple[np.ndarray, np.ndarray] | None = None
         self._top: float | None = None
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return self._n
+
+    @property
+    def values(self) -> np.ndarray:
+        """The symmetric matrix, read-only (formed on first use when the
+        matrix is held as its form)."""
+        if self._values is None:
+            self._values = _symmetrized(_dense(self._form, self._n))
+        return self._values
+
+    def _row_blocks(self):
+        """The matrix by blocks of rows: a dense matrix whole, once; one
+        held as its form in blocks of about ``NORM_BLOCK_ELEMENTS`` entries,
+        each computed from the form, so no n x n array is formed."""
+        if self._form is None:
+            yield self.values
+            return
+        n = self._n
+        step = max(1, NORM_BLOCK_ELEMENTS // n)
+        for lo in range(0, n, step):
+            yield _dense(self._form, n, slice(lo, lo + step))
 
     @staticmethod
     def _checked(evals: np.ndarray) -> np.ndarray:
@@ -152,7 +232,9 @@ class CovMatrix:
     def lambda_max(self) -> float:
         """Largest eigenvalue, after the PSD check.
 
-        A cached spectrum answers at once. Otherwise a Lanczos run
+        A matrix held as its form c I + U S U' takes it from the form's
+        exact spectrum (:func:`_form_spectrum`), from an r x r eigensolve.
+        Otherwise a cached spectrum answers at once, or a Lanczos run
         (:func:`_lanczos_top`) gives the top Ritz value theta, and one
         Cholesky factorization of Omega + s I with
         ``s = PSD_RTOL * (1 - PSD_SHIFT_MARGIN) * theta`` certifies that no
@@ -164,7 +246,9 @@ class CovMatrix:
         if self._top is not None:
             return self._top
         evals = self._evals
-        if evals is None and self._eig is not None:
+        if self._form is not None:
+            evals = self._checked(_form_spectrum(self._form, self._n))
+        elif evals is None and self._eig is not None:
             evals = self._eig[0]
         if evals is None:
             theta = _lanczos_top(self.values)
@@ -188,6 +272,19 @@ class CovMatrix:
         same rank."""
         evals, evecs = self._eigensystem()
         return (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
+
+
+def _form_spectrum(form: _Structured, n: int) -> np.ndarray:
+    """The eigenvalues of c I + U S U' (a number c, U n x r) in ascending
+    order: with U = Q R (R k x r, k = min(n, r)), the matrix is
+    c I + Q (R S R') Q', so they are c plus those of the k x k R S R',
+    and c n - k times more."""
+    spectrum = np.full(n, float(form.d))
+    if form.u is not None:
+        r = np.linalg.qr(form.u, mode="r")
+        core = r @ form.s @ r.T
+        spectrum[:len(core)] += np.linalg.eigvalsh(0.5 * (core + core.T))
+    return np.sort(spectrum)
 
 
 def _lanczos_top(a: np.ndarray) -> float | None:
@@ -269,14 +366,29 @@ def _cholesky_succeeds(a: np.ndarray, shift: float) -> bool:
     return True
 
 
-def _as_values(omega) -> np.ndarray:
-    return omega.values if isinstance(omega, CovMatrix) else np.asarray(omega, dtype=float)
+def _entry_norms(omega) -> dict[str, float]:
+    """The norms of the entries of ``omega`` (an array or a
+    :class:`CovMatrix`), from one pass over its row blocks. A dense matrix
+    is one block, so each sum is the one numpy reduction over the whole
+    matrix."""
+    blocks = (omega._row_blocks() if isinstance(omega, CovMatrix)
+              else (np.asarray(omega, dtype=float),))
+    row_max = sum_sq = sum_abs = 0.0
+    for block in blocks:
+        sum_sq += float((block * block).sum())
+        mag = np.abs(block)
+        row_max = max(row_max, float(mag.sum(axis=1).max()))
+        sum_abs += float(mag.sum())
+    n = block.shape[1]
+    return {"max_row_sum": row_max, "euclid_scaled": math.sqrt(sum_sq / n),
+            "taxicab_scaled": sum_abs / n, "euclid": math.sqrt(sum_sq)}
 
 
 def norm_max_eig(omega) -> float:
     """Largest eigenvalue, from :attr:`CovMatrix.lambda_max`: after the PSD
     check, and from a Lanczos run and one Cholesky factorization unless a
-    cached spectrum or the fallback to ``eigvalsh`` gives it."""
+    form's exact spectrum, a cached spectrum or the fallback to ``eigvalsh``
+    gives it."""
     if not isinstance(omega, CovMatrix):
         omega = CovMatrix(omega)
     return omega.lambda_max
@@ -284,36 +396,31 @@ def norm_max_eig(omega) -> float:
 
 def norm_max_row_sum(omega) -> float:
     """Maximum absolute row sum."""
-    a = _as_values(omega)
-    return float(np.abs(a).sum(axis=1).max())
+    return _entry_norms(omega)["max_row_sum"]
 
 
 def norm_euclid_scaled(omega) -> float:
     """Entrywise Euclidean norm scaled by 1/sqrt(n)."""
-    a = _as_values(omega)
-    return float(np.sqrt((a * a).sum() / a.shape[0]))
+    return _entry_norms(omega)["euclid_scaled"]
 
 
 def norm_taxicab_scaled(omega) -> float:
     """Absolute entry sum scaled by 1/n."""
-    a = _as_values(omega)
-    return float(np.abs(a).sum() / a.shape[0])
+    return _entry_norms(omega)["taxicab_scaled"]
 
 
 def norm_euclid(omega) -> float:
     """Unscaled entrywise Euclidean norm, sqrt(sum of squared entries)."""
-    a = _as_values(omega)
-    return float(np.sqrt((a * a).sum()))
+    return _entry_norms(omega)["euclid"]
 
 
 def all_norms(omega) -> dict[str, float]:
-    """The four scaled norms as a dict keyed by short name."""
-    return {
-        "max_eig": norm_max_eig(omega),
-        "max_row_sum": norm_max_row_sum(omega),
-        "euclid_scaled": norm_euclid_scaled(omega),
-        "taxicab_scaled": norm_taxicab_scaled(omega),
-    }
+    """The four scaled norms as a dict keyed by short name, the three entry
+    norms from one pass over the matrix."""
+    entry = _entry_norms(omega)
+    return {"max_eig": norm_max_eig(omega),
+            **{name: entry[name] for name in
+               ("max_row_sum", "euclid_scaled", "taxicab_scaled")}}
 
 
 def _loglog_slope(ns: np.ndarray, vals: np.ndarray) -> tuple[float, float]:

@@ -16,14 +16,14 @@ The families whose dependence comes from a few common components
 (diagonal, equicorrelated, a fixed number of blocks, a hub, a factor model)
 define their covariance in the structured form D + U S U'
 (:class:`_Structured`): D a multiple of the identity, U n x r of small rank
-and S a symmetric r x r core. Their dense matrix is that form made dense,
-so the classification and the draws read one definition. The draws apply
-the square root in that form, and the exact variance sandwiches it, at
-O(n r) per column instead of O(n^2); the other families use the dense
-matrix and the square root from its eigensolve. The covariance, its form
-and its root are built once per (family, n) per process and shared,
-read-only, by every draw of that size; families must be hashable (all
-here are frozen dataclasses).
+and S a symmetric r x r core. :func:`build_omega` holds them as that form,
+so the classification and the draws read one definition and neither forms
+an n x n matrix: the draws apply the square root in that form, and the
+exact variance sandwiches it, at O(n r) per column instead of O(n^2). The
+other families use the dense matrix and the square root from its
+eigensolve. The covariance, its form and its root are built once per
+(family, n) per process and shared, read-only, by every draw of that size;
+families must be hashable (all here are frozen dataclasses).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 
 from .config import (EIG_CLIP_REL, check_int, check_real, check_reals,
                      field_dict, from_fields)
-from .dependence import CovMatrix
+from .dependence import CovMatrix, _dense, _Structured
 from .errors import NotPSD, SpecMismatch, UsageError
 from .panel import PanelData
 
@@ -67,25 +67,6 @@ def _check_width(width, what: str) -> None:
 
 def _resolve_width(width, n: int) -> int:
     return int(np.ceil(np.sqrt(n))) if width == "sqrt" else width
-
-
-class _Structured(NamedTuple):
-    """A symmetric n x n matrix as D + U S U'. ``d`` is a number (D = d I)
-    or a dense (n, n) array (D = d, or one per leading index of a stack);
-    ``u`` is (n, r) and ``s`` a symmetric (r, r) core, both None when
-    r = 0."""
-
-    d: float | np.ndarray
-    u: np.ndarray | None = None
-    s: np.ndarray | None = None
-
-
-def _dense(form: _Structured, n: int) -> np.ndarray:
-    """c I + U S U' with a number c as an n x n array: (U S) U', or zeros
-    when r = 0, with c then added on the diagonal."""
-    out = np.zeros((n, n)) if form.u is None else (form.u @ form.s) @ form.u.T
-    out.flat[::n + 1] += form.d  # no n x n identity
-    return out
 
 
 def _equicorrelation(diag: float, off: float, n: int) -> _Structured:
@@ -514,15 +495,26 @@ def family_from_string(text: str):
 def build_omega(family, n: int) -> CovMatrix:
     """Materialize a family at size n, verifying positive semidefiniteness.
 
-    The check is :attr:`CovMatrix.lambda_max`, which caches the largest
-    eigenvalue for the norms: a Lanczos run and one Cholesky factorization,
-    or ``eigvalsh`` where those cannot settle it. Raises NotPSD naming the
-    family when the matrix has an eigenvalue below -1e-8 times the largest
-    (wide flat bands are the canonical offender). Only the symmetrized copy
-    of ``family.build(n)`` outlives the constructor.
+    A family with a form c I + U S U' of small rank is held as that form:
+    its largest eigenvalue is exact, from the r x r core, its norms read
+    blocks of rows computed from the form, and its dense ``values`` are
+    formed only when read. Any other family's dense ``family.build(n)`` is
+    checked by a Lanczos run and one Cholesky factorization, or
+    ``eigvalsh`` where those cannot settle it; only its symmetrized copy
+    outlives the constructor. Either way :attr:`CovMatrix.lambda_max` is
+    cached for the norms. Raises NotPSD naming the family when the matrix
+    has an eigenvalue below -1e-8 times the largest (wide flat bands are the
+    canonical offender), and prefixes a UsageError of a size the family
+    does not take (too few units for its blocks or factors) with the family
+    and n.
     """
-    cov = CovMatrix(family.build(n), meta={"family": family.name, "n": n,
-                                           **family.params()})
+    meta = {"family": family.name, "n": n, **family.params()}
+    try:
+        form = family._low_rank(n)
+        cov = (CovMatrix(family.build(n), meta) if form is None
+               else CovMatrix._of_form(form, n, meta))
+    except UsageError as exc:
+        raise UsageError(f"family {family.name!r} at n={n}: {exc}") from None
     try:
         cov.lambda_max
     except NotPSD as exc:
@@ -710,16 +702,17 @@ def _cross_section_from(raw):
 
 
 class _CrossSection(NamedTuple):
-    """What every draw of one (family, n) shares, read-only: the dense
-    ``omega``, ``loadings`` (None unless the family is a factor model) and
-    ``sigma`` that :func:`gen_panel` returns; ``idio``, sigma in the
-    structured form; and ``root``, the errors' symmetric square root in that
-    form (None for a factor family, whose errors go through the
-    loadings)."""
+    """What every draw of one (family, n) shares, read-only: the checked
+    covariance ``omega`` and ``sigma``, its idiosyncratic part (``omega``
+    itself unless the family is a factor model), as :class:`CovMatrix`
+    whose dense values only :func:`gen_panel` reads; ``loadings`` (None
+    unless the family is a factor model); ``idio``, sigma in the structured
+    form; and ``root``, the errors' symmetric square root in that form (None
+    for a factor family, whose errors go through the loadings)."""
 
-    omega: np.ndarray
+    omega: CovMatrix
     loadings: np.ndarray | None
-    sigma: np.ndarray
+    sigma: CovMatrix
     idio: _Structured
     root: _Structured | None
 
@@ -752,25 +745,25 @@ def _apply_root(root: _Structured, z: np.ndarray) -> np.ndarray:
 
 
 # run_mc finishes one cell before it submits the next, so one entry serves
-# a whole cell; more would only keep more n x n matrices alive.
+# a whole cell; more would only keep more covariances and roots alive.
 @functools.lru_cache(maxsize=1)
 def _cross_section(family, n: int) -> _CrossSection:
-    """The :class:`_CrossSection` of ``family`` at size n. ``build_omega``
-    checks the covariance as it always does; a family with a form of small
-    rank takes its root from that form, any other from an eigensolve of the
-    dense covariance."""
+    """The :class:`_CrossSection` of ``family`` at size n, from the one
+    :func:`build_omega`. A family with a form of small rank keeps that form
+    and takes its root from it, with no n x n array; any other takes the
+    root from an eigensolve of the dense covariance."""
     cov = build_omega(family, n)
-    form = family._low_rank(n)
+    form = cov._form
     if isinstance(family, Factor):
-        out = _CrossSection(cov.values, form.u, _dense(_Structured(form.d), n),
-                            _Structured(form.d), None)
+        idio = _Structured(form.d)
+        out = _CrossSection(cov, form.u, CovMatrix._of_form(idio, n), idio,
+                            None)
     elif form is None:
-        out = _CrossSection(cov.values, None, cov.values,
-                            _Structured(cov.values), _Structured(cov.sqrt()))
+        out = _CrossSection(cov, None, cov, _Structured(cov.values),
+                            _Structured(cov.sqrt()))
     else:
-        out = _CrossSection(cov.values, None, cov.values, form,
-                            _symmetric_root(form))
-    for a in (*out[:3], *out.idio, *(out.root or ())):
+        out = _CrossSection(cov, None, cov, form, _symmetric_root(form))
+    for a in out.root or ():
         if isinstance(a, np.ndarray):
             a.setflags(write=False)
     return out
@@ -949,5 +942,5 @@ def gen_panel(
     y, x, mu = _draw_block(spec, n, t, [seed], design)
     cs = _cross_section(spec.cross_section, n)
     return PanelData(y=y[0], x=x[0]), {
-        "mu": mu[0], "omega": cs.omega, "loadings": cs.loadings,
-        "sigma": cs.sigma, "time_memory": spec.time_memory}
+        "mu": mu[0], "omega": cs.omega.values, "loadings": cs.loadings,
+        "sigma": cs.sigma.values, "time_memory": spec.time_memory}

@@ -59,10 +59,11 @@ from .covariance import (CovConfig, _exact_variance, _robust_cov,
                          _robust_stack)
 from .dependence import _loglog_slope
 from .dgp import (DgpSpec, Equicorr, _apply_root, _cross_section,
-                  _draw_block, _symmetric_root, gen_panel)
+                  _draw_block, _symmetric_root)
 from .errors import ConditionWarning, PanelError, UsageError, WorkerPoolError
 from .estimators import EstimatorKind, _fit_stack, fit
 from .inference import LinearRestriction, _wald_stack, chi2_sf, wald
+from .panel import PanelData
 
 __all__ = [
     "CovConfig",
@@ -180,7 +181,8 @@ def _fixed_design(cfg: McConfig, n: int, t: int):
     and its exact variance, None when that fails; the replications then
     tally their own failures."""
     seed = _derive_seed(cfg.master_seed, n, t, _DESIGN_TAG, 0)
-    panel, truth = gen_panel(cfg.dgp, n, t, seed)
+    y, x, mu = _draw_block(cfg.dgp, n, t, [seed])
+    panel = PanelData(y=y[0], x=x[0])
     tv = None
     if cfg.true_variance:
         try:
@@ -191,7 +193,7 @@ def _fixed_design(cfg: McConfig, n: int, t: int):
                                         res.gram_inv, cfg.dgp, n)
         except _REP_ERRORS:
             pass
-    return (panel.x, truth["mu"]), tv
+    return (panel.x, mu[0]), tv
 
 
 # Replications per stacked block: the largest count whose designs and
@@ -211,8 +213,8 @@ def _replicate(cfg: McConfig, n: int, t: int, rep: int, design, restr,
     """Replication ``rep`` alone, on blocks of one: the path of every
     replication a stacked block cannot settle. Raises what stopped it."""
     seed = _derive_seed(cfg.master_seed, n, t, _REP_TAG, rep)
-    panel, _ = gen_panel(cfg.dgp, n, t, seed, design=design)
-    res = fit(panel, cfg.estimator)
+    y, x, _ = _draw_block(cfg.dgp, n, t, [seed], design)
+    res = fit(PanelData(y=y[0], x=x[0]), cfg.estimator)
     v = _robust_cov(res, **cfg.cov.to_dict()).matrix
     p_value = wald(res.beta_hat, v, restr).p_value
     tv = (_true_variance_for(res.demeaned_x.transpose(2, 0, 1),
@@ -339,14 +341,16 @@ def _context():
     set.
 
     Where the platform has a forkserver, the first pool starts one that
-    imports numpy and this package once, with the worker environment, and
-    every worker of every later pool is a fork of that clean,
-    single-threaded process: a later two-worker pool starts in about 0.03 s
-    instead of the 0.3 s a spawn pool takes (2 vCPUs). ``multiprocessing``
-    ends the server: it exits once this process and its last worker have
-    closed its alive pipe, and the exit hook removes its socket's
-    directory. A forkserver that other code started first has its own
-    environment and preload, so the pool spawns its workers instead.
+    imports numpy, ``numpy.random`` (which numpy 2 imports only on first
+    use, a few milliseconds into each worker's first draw) and this package
+    once, with the worker environment, and every worker of every later pool
+    is a fork of that clean, single-threaded process: a later two-worker
+    pool starts in about 0.03 s instead of the 0.3 s a spawn pool takes (2
+    vCPUs). ``multiprocessing`` ends the server: it exits once this process
+    and its last worker have closed its alive pipe, and the exit hook
+    removes its socket's directory. A forkserver that other code started
+    first has its own environment and preload, so the pool spawns its
+    workers instead.
     """
     global _SERVER_PID
     if "forkserver" not in multiprocessing.get_all_start_methods():
@@ -358,7 +362,7 @@ def _context():
         if server._forkserver_pid not in (None, _SERVER_PID):
             return multiprocessing.get_context("spawn")
         ctx = multiprocessing.get_context("forkserver")
-        ctx.set_forkserver_preload(["numpy", __name__])
+        ctx.set_forkserver_preload(["numpy", "numpy.random", __name__])
         # The server does not take the parent's sys.path on every Python
         # version (3.11 ignores it), so it gets this package's directory;
         # its workers inherit the variable but start no interpreter.

@@ -455,6 +455,16 @@ def test_diagnose_family_needs_no_eigenvectors(capsys, monkeypatch):
     assert json.loads(out)["regime"] == "strong"
 
 
+def test_diagnose_names_the_family_and_size_it_cannot_build(capsys):
+    code, out, err = run_cli(capsys, "diagnose", "--family",
+                             "scaled_equicorr:a=20", "--n-grid",
+                             "25,50,100,200")
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "'scaled_equicorr' at n=25: " in lines[0]
+
+
 def test_diagnose_data_norms_only(panel_csv, capsys):
     code, out, _ = run_cli(capsys, "diagnose", "--data", panel_csv)
     assert code == 0

@@ -1,11 +1,13 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from panelcsd import TimeDependenceSpec, dgp
+from panelcsd import (CovMatrix, TimeDependenceSpec, all_norms, classify,
+                      dgp, norm_euclid)
 from panelcsd.dgp import (EXAMPLE_PRESETS, Arrowhead, Band, Block,
                           DecayCorrelation, DgpSpec, Diagonal, Equicorr,
                           Factor, ScaledEquicorr, SpatialAR, build_omega,
@@ -584,6 +586,69 @@ def test_low_rank_form_is_the_built_covariance(family, n):
     assert np.abs(got - want_z).max() <= 1e-13 * np.abs(want_z).max()
     # a slice gets the same bits alone or stacked
     assert dgp._apply_root(root, z[1]).tobytes() == got[1].tobytes()
+
+
+@pytest.mark.parametrize("family, n", low_rank_cases())
+def test_build_omega_from_the_form_matches_the_dense_matrix(family, n):
+    # a low-rank family is held as its form: the dense values are the same
+    # bits, the largest eigenvalue comes from the r x r core with no n x n
+    # eigensolve, and the norms read blocks computed from the form
+    cov = build_omega(family, n)
+    dense_cov = CovMatrix(family.build(n))
+    top = cov.lambda_max
+    assert cov._evals is None and cov._eig is None
+    got = {**all_norms(cov), "euclid": norm_euclid(cov)}
+    want = {**all_norms(dense_cov), "euclid": norm_euclid(dense_cov)}
+    assert cov.values.tobytes() == dense_cov.values.tobytes()
+    exact = np.linalg.eigvalsh(dense_cov.values)[-1]
+    assert abs(top - exact) <= 1e-13 * exact
+    want["max_eig"] = exact
+    for name, value in want.items():
+        assert abs(got[name] - value) <= 1e-14 * value, (name, got[name])
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+ONE_1600_SQUARE = 1600 * 1600 * 8  # bytes of one 1600 x 1600 array
+
+
+def test_classify_of_the_factor_preset_forms_no_n_by_n_array():
+    family = EXAMPLE_PRESETS["example11"]
+    peak = _traced_peak(lambda: classify(lambda n: build_omega(family, n),
+                                         [200, 400, 800, 1600]))
+    assert peak < ONE_1600_SQUARE
+
+
+def test_cross_section_of_a_factor_family_forms_no_n_by_n_array(monkeypatch):
+    # the form is built once, its loadings drawn once, and neither the
+    # dense covariance nor the dense idiosyncratic one is formed until
+    # gen_panel's truth reads them
+    family = Factor(n_factors=2)
+    built = []
+    low_rank = Factor._low_rank
+
+    def counted(self, n):
+        built.append(n)
+        return low_rank(self, n)
+
+    monkeypatch.setattr(Factor, "_low_rank", counted)
+    dgp._cross_section.cache_clear()
+    try:
+        peak = _traced_peak(lambda: dgp._cross_section(family, 1600))
+        assert peak < ONE_1600_SQUARE
+        assert built == [1600]
+        cs = dgp._cross_section(family, 1600)
+        assert cs.omega._values is None and cs.sigma._values is None
+        assert_allclose(cs.sigma.values, np.eye(1600), rtol=0, atol=0)
+    finally:
+        dgp._cross_section.cache_clear()
 
 
 @pytest.mark.parametrize("family, n", [(Equicorr(a=1.0, b=1.0), 50),

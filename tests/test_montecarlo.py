@@ -507,9 +507,10 @@ import json, multiprocessing, os, sys, time
 from panelcsd import McConfig, montecarlo, run_mc
 
 def probe():
+    preloaded = "numpy.random" in sys.modules  # before the task imports it
     time.sleep(0.5)  # long enough that each worker takes one
     return os.getpid(), os.getppid(), {
-        key: os.environ.get(key) for key in montecarlo._WORKER_ENV}
+        key: os.environ.get(key) for key in montecarlo._WORKER_ENV}, preloaded
 
 if __name__ == "__main__":
     config_path, foreign = sys.argv[1], sys.argv[2] == "foreign"
@@ -560,15 +561,17 @@ def test_workers_and_reports_whoever_started_the_forkserver(tmp_path,
         proc.kill()
         proc.wait()
     got = json.loads(out_path.read_text())
-    assert len({pid for pid, _, _ in got["seen"]}) == 2
-    assert all(env == montecarlo._WORKER_ENV for _, _, env in got["seen"])
+    assert len({pid for pid, _, _, _ in got["seen"]}) == 2
+    assert all(env == montecarlo._WORKER_ENV for _, _, env, _ in got["seen"])
     assert got["env"] == "4"  # the parent's own setting is back
-    parents = {ppid for _, ppid, _ in got["seen"]}
+    parents = {ppid for _, ppid, _, _ in got["seen"]}
     if foreign:
         # that server's environment is not ours: the workers are spawned
         assert got["own_server"] is None and parents == {got["pid"]}
     elif "forkserver" in multiprocessing.get_all_start_methods():
         assert parents == {got["own_server"]}
+        # numpy imports numpy.random lazily; our server preloads it
+        assert all(preloaded for _, _, _, preloaded in got["seen"])
     assert got["report"] == run_mc(small_config(), workers=2).to_json()
 
 
