@@ -744,8 +744,9 @@ def _apply_root(root: _Structured, z: np.ndarray) -> np.ndarray:
     return out
 
 
-# run_mc finishes one cell before it submits the next, so one entry serves
-# a whole cell; more would only keep more covariances and roots alive.
+# A worker takes run_mc's chunks first in, first out, and a cell's chunks
+# are queued together, so it never returns to an earlier cell: one entry
+# serves each cell; more would only keep more covariances and roots alive.
 @functools.lru_cache(maxsize=1)
 def _cross_section(family, n: int) -> _CrossSection:
     """The :class:`_CrossSection` of ``family`` at size n, from the one

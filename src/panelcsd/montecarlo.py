@@ -24,8 +24,11 @@ arrays, with the same bits as one replication at a time. A replication the
 block cannot settle (a failure, or an ill-conditioned design) reruns alone
 through the public functions. Each worker block returns one record per
 replication: its slope, covariance estimate, p-value and exact variance, or
-the type name of the error that stopped it. The parent joins the blocks in
-replication order and aggregates each cell once: repeated runs of the same
+the type name of the error that stopped it. ``run_mc`` cuts each cell into
+one chunk per worker and queues the next cell before it collects the
+current one, so a worker that finishes early starts on the next cell
+instead of waiting. The parent joins each cell's blocks in replication
+order and aggregates the cells in grid order: repeated runs of the same
 config are byte-identical regardless of the worker count, and the report
 never records how many workers produced it.
 
@@ -142,6 +145,12 @@ class McConfig:
             raise UsageError("reps must be >= 200 for meaningful aggregates")
         if self.rate_axis not in (None, "T", "NT"):
             raise UsageError("rate_axis must be 'T', 'NT', or omitted")
+        if self.rate_axis is not None and len(
+                {_rate_x(self.rate_axis, n, t) for n, t in self.grid}) < 2:
+            raise UsageError(f"rate_axis {self.rate_axis!r} needs a grid "
+                             f"with at least two distinct "
+                             f"{'t' if self.rate_axis == 'T' else 'n*t'} "
+                             f"values, got {[list(c) for c in self.grid]}")
         if not isinstance(self.estimator, EstimatorKind):
             raise UsageError(f"estimator must be an EstimatorKind, "
                              f"got {self.estimator!r}")
@@ -455,11 +464,15 @@ def worker_pool(workers: int | None = None):
 
 def _chunk_ranges(total: int, workers: int,
                   batch: int) -> list[tuple[int, int]]:
-    """About four chunks per worker, each a whole number of stacked blocks
-    of ``batch`` replications, so that a block holds the same replications
-    whatever the worker count."""
-    size = -(-max(1, -(-total // (workers * 4))) // batch) * batch
-    return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
+    """One chunk per worker (one per block when a cell has fewer stacked
+    blocks of ``batch`` replications than workers), each a whole number of
+    blocks, their sizes differing by at most one block. A block then holds
+    the same replications whatever the worker count."""
+    blocks = -(-total // batch)
+    parts = min(workers, blocks)
+    bounds = [min(total, blocks * j // parts * batch)
+              for j in range(parts + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 # Every per-cell statistic; a cell with no successful replication reports
@@ -504,12 +517,19 @@ def _aggregate_cell(n: int, t: int, cfg: McConfig, beta, vbar, pval, tvar,
     return cell
 
 
+def _rate_x(axis: str, n: int, t: int) -> int:
+    return t if axis == "T" else n * t
+
+
 def _fit_rate(cells: list[dict], axis: str | None) -> dict | None:
+    """The log-log slope of rmse on ``axis`` over the cells with an rmse;
+    None without an axis, or when those cells span fewer than two values
+    on it."""
     if axis is None:
         return None
-    pts = [(c["t"] if axis == "T" else c["n"] * c["t"], c["rmse_scalar"])
+    pts = [(_rate_x(axis, c["n"], c["t"]), c["rmse_scalar"])
            for c in cells if c["rmse_scalar"]]
-    if len(pts) < 2:
+    if len({x for x, _ in pts}) < 2:
         return None
     xs = np.array([p[0] for p in pts], dtype=float)
     ys = np.array([p[1] for p in pts], dtype=float)
@@ -559,17 +579,13 @@ class McReport:
             return cls.from_json(fh.read())
 
 
-def _run_cell(pool, config: McConfig, workers: int, n: int, t: int) -> dict:
-    design, tv_fixed = (_fixed_design(config, n, t)
-                        if config.fixed_design else (None, None))
+@contextmanager
+def _in_cell(n: int, t: int):
+    """Name cell (n, t) in what leaves the scope: a broken pool becomes a
+    WorkerPoolError, and an interrupt (a BaseException that is not an
+    Exception) gets the note ``in cell (n=N, t=T)``."""
     try:
-        futures = [
-            pool.submit(_worker_block, config, n, t, lo, hi, design)
-            for lo, hi in _chunk_ranges(
-                config.reps, workers,
-                _batch_size(n, t, len(config.dgp.beta_true)))
-        ]
-        blocks = [fut.result() for fut in futures]
+        yield
     except BrokenProcessPool as exc:
         raise WorkerPoolError(
             f"the worker pool broke while running cell (n={n}, t={t}). "
@@ -577,6 +593,26 @@ def _run_cell(pool, config: McConfig, workers: int, n: int, t: int) -> dict:
             f"importable script under 'if __name__ == \"__main__\":', not "
             f"from stdin or an interactive session. Otherwise a worker was "
             f"killed, for example by running out of memory.") from exc
+    except BaseException as exc:
+        if not isinstance(exc, Exception):
+            exc.__notes__ = [*getattr(exc, "__notes__", ()),
+                             f"in cell (n={n}, t={t})"]
+        raise
+
+
+def _submit_cell(pool, config: McConfig, workers: int, n: int, t: int):
+    """Queue cell (n, t) on the pool, one chunk per worker; returns its
+    futures and, for a fixed-design cell, the design's exact variance."""
+    design, tv_fixed = (_fixed_design(config, n, t)
+                        if config.fixed_design else (None, None))
+    batch = _batch_size(n, t, len(config.dgp.beta_true))
+    return [pool.submit(_worker_block, config, n, t, lo, hi, design)
+            for lo, hi in _chunk_ranges(config.reps, workers, batch)], tv_fixed
+
+
+def _collect_cell(config: McConfig, n: int, t: int, futures,
+                  tv_fixed) -> dict:
+    blocks = [fut.result() for fut in futures]
     beta, vbar, pval, tvar = (np.concatenate(part) for part in
                               zip(*(blk[:4] for blk in blocks)))
     kinds = [kind for blk in blocks for kind in blk[4]]
@@ -590,18 +626,26 @@ def run_mc(config: McConfig, workers: int | None = None) -> McReport:
     worker count. Raises WorkerPoolError when the worker pool breaks. An
     interrupt (KeyboardInterrupt, or any other BaseException that is not an
     Exception) leaves with the note ``in cell (n=N, t=T)`` appended to its
-    ``__notes__``."""
+    ``__notes__``, naming the cell being queued or collected when it landed.
+
+    The grid runs with one cell of look-ahead: the next cell is queued
+    before the current one is collected, so a worker that finishes its
+    chunk early takes one of the next cell's instead of waiting. Cells are
+    aggregated in grid order."""
     workers = resolve_workers(workers)
+    grid = config.grid
     cells: list[dict] = []
+    queued: list = []
     with _pool(workers) as pool:
-        for n, t in config.grid:
-            try:
-                cells.append(_run_cell(pool, config, workers, n, t))
-            except BaseException as exc:
-                if not isinstance(exc, Exception):
-                    exc.__notes__ = [*getattr(exc, "__notes__", ()),
-                                     f"in cell (n={n}, t={t})"]
-                raise
+        for i in range(len(grid) + 1):
+            if i < len(grid):
+                with _in_cell(*grid[i]):
+                    queued.append(_submit_cell(pool, config, workers,
+                                               *grid[i]))
+            if i > 0:
+                with _in_cell(*grid[i - 1]):
+                    cells.append(_collect_cell(config, *grid[i - 1],
+                                               *queued.pop(0)))
     return McReport(config=config.to_dict(), cells=cells,
                     rate=_fit_rate(cells, config.rate_axis))
 

@@ -659,6 +659,10 @@ def test_mc_run_bad_json(tmp_path, capsys):
     ({"grid": [[5, 0]]}, "grid"),
     ({"estimator": "bogus"}, "estimator"),
     ({"dgp": {"cross_section": "example1", "beta_true": "12"}}, "beta_true"),
+    # a rate fitted on one distinct axis value has no slope to fit
+    ({"grid": [[10, 20], [20, 20]], "rate_axis": "T"}, "rate_axis"),
+    ({"grid": [[10, 20], [20, 10]], "rate_axis": "NT"}, "rate_axis"),
+    ({"grid": [[10, 20]], "rate_axis": "T"}, "rate_axis"),
 ])
 def test_mc_run_rejects_malformed_config(tmp_path, capsys, edit, key):
     cfg = {

@@ -1,4 +1,5 @@
 import concurrent.futures.process
+import contextlib
 import json
 import multiprocessing
 import os
@@ -258,6 +259,19 @@ def test_rate_axis_slope():
     assert report.rate is not None
     assert report.rate["axis"] == "NT"
     assert abs(report.rate["slope"] + 0.5) < 0.15
+
+
+def test_rate_is_none_when_the_cells_with_an_rmse_share_one_axis_value():
+    # every replication of the (6, 2) cell fails, which leaves two cells at
+    # t = 20 and no slope to fit
+    cfg = McConfig(dgp=DgpSpec(cross_section=Equicorr(a=1.0, b=0.5),
+                               beta_true=(1.0,)),
+                   grid=((10, 20), (20, 20), (6, 2)), reps=200,
+                   cov=CovConfig(method="cs"), master_seed=17, rate_axis="T")
+    report = run_mc(cfg, workers=1)
+    assert [c["rmse_scalar"] is None for c in report.cells] == [False, False,
+                                                                 True]
+    assert report.rate is None
 
 
 def test_t1_cross_section_experiment():
@@ -746,6 +760,113 @@ def test_chunks_are_whole_stacked_blocks(total, workers, batch):
     assert chunks[0][0] == 0 and chunks[-1][1] == total
     assert all(hi == lo for (_, hi), (lo, _) in zip(chunks, chunks[1:]))
     assert all(lo % batch == 0 and hi > lo for lo, hi in chunks)
+
+
+class _RecordingPool:
+    """Runs a chunk in this process when its result is read, and records
+    each submit and read as (event, cell, chunk) in ``events``."""
+
+    def __init__(self, events):
+        self.events = events
+
+    def submit(self, fn, cfg, n, t, lo, hi, design):
+        self.events.append(("submit", (n, t), (lo, hi)))
+        return _RecordedFuture(self.events, (n, t),
+                               lambda: fn(cfg, n, t, lo, hi, design))
+
+
+class _RecordedFuture:
+    def __init__(self, events, cell, call):
+        self.events, self.cell, self.call = events, cell, call
+
+    def result(self):
+        self.events.append(("result", self.cell, None))
+        return self.call()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_next_cell_is_queued_before_the_current_one_is_collected(monkeypatch,
+                                                               workers):
+    cfg = small_config(grid=((8, 12), (9, 12), (10, 12)))
+    events = []
+    aggregate = montecarlo._aggregate_cell
+
+    def recording_aggregate(n, t, *args):
+        events.append(("aggregate", (n, t), None))
+        return aggregate(n, t, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(montecarlo, "_pool",
+                  lambda workers: contextlib.nullcontext(
+                      _RecordingPool(events)))
+        m.setattr(montecarlo, "_aggregate_cell", recording_aggregate)
+        report = run_mc(cfg, workers=workers)
+    steps = [(event, cell) for event, cell, _ in events]
+    steps = [step for i, step in enumerate(steps)
+             if i == 0 or steps[i - 1] != step]
+    one, two, three = cfg.grid
+    assert steps == [("submit", one), ("submit", two),
+                     ("result", one), ("aggregate", one),
+                     ("submit", three),
+                     ("result", two), ("aggregate", two),
+                     ("result", three), ("aggregate", three)]
+    for n, t in cfg.grid:
+        chunks = [chunk for event, cell, chunk in events
+                  if event == "submit" and cell == (n, t)]
+        batch = montecarlo._batch_size(n, t, 1)
+        assert len(chunks) == workers
+        assert chunks[0][0] == 0 and chunks[-1][1] == cfg.reps
+        assert all(hi == lo for (_, hi), (lo, _) in zip(chunks, chunks[1:]))
+        assert all(lo % batch == 0 and hi > lo for lo, hi in chunks)
+    assert report.to_json() == run_mc(cfg, workers=workers).to_json()
+
+
+@pytest.mark.parametrize("cfg", [
+    _stacking_config((8, 12)),
+    _stacking_config((12, 20), DgpSpec(cross_section=Equicorr(a=1.0, b=0.5),
+                                       beta_true=(1.0, 0.5)),
+                     fixed_design=True),
+], ids=["drawn_design", "fixed_design"])
+def test_multi_cell_reports_are_byte_identical_across_worker_counts(cfg):
+    # the middle cell fails every replication, and each fixed design is
+    # drawn in the parent while the cell before it runs
+    cfg = replace(cfg, grid=(cfg.grid[0], (6, 2), (9, 15)))
+    reports = {run_mc(cfg, workers=workers).to_json()
+               for workers in (1, 2, 3)}
+    assert len(reports) == 1
+    cells = json.loads(reports.pop())["cells"]
+    assert cells[1]["failure_kinds"] == {"SingularCov": 200}
+    assert all(cell["n_fail"] == 0 for cell in (cells[0], cells[2]))
+
+
+def test_interrupt_while_collecting_names_that_cell_and_ends_the_workers(
+        monkeypatch):
+    cfg = small_config(grid=((8, 12), (9, 12), (10, 12)))
+    submitted, seen = [], {}
+    aggregate = montecarlo._aggregate_cell
+
+    class RecordingPool(montecarlo.ProcessPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            submitted.append(args[1:3])
+            return super().submit(fn, *args, **kwargs)
+
+    def interrupted(n, t, *args):
+        if (n, t) == cfg.grid[0]:
+            seen.update(queued=list(submitted),
+                        workers=multiprocessing.active_children())
+            raise KeyboardInterrupt
+        return aggregate(n, t, *args)
+
+    before = set(multiprocessing.active_children())
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(montecarlo, "_aggregate_cell", interrupted)
+    with pytest.raises(KeyboardInterrupt) as info:
+        run_mc(cfg, workers=2)
+    assert info.value.__notes__ == ["in cell (n=8, t=12)"]
+    assert seen["queued"] == [(8, 12)] * 2 + [(9, 12)] * 2
+    assert seen["workers"]
+    assert not any(worker.is_alive() for worker in seen["workers"])
+    assert set(multiprocessing.active_children()) <= before
 
 
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
