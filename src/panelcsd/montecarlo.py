@@ -6,7 +6,11 @@ All replications execute in worker processes whose numerical libraries
 are pinned to one thread. Where the platform has one, the workers are forks
 of a forkserver that imported numpy and this package once, when this
 process made its first pool; ``multiprocessing`` ends that server after
-this process exits. Elsewhere the workers are spawned. :func:`worker_pool`
+this process exits. Those workers do not run the caller's main module when
+they start, only when a task needs a name from it, so a script without an
+``if __name__ == "__main__":`` guard, or one read from stdin, can call
+``run_mc``. Elsewhere the workers are spawned, and re-import the main
+module as spawned processes do. :func:`worker_pool`
 keeps one pool open across the ``run_mc`` calls inside it, as each
 experiment does; a standalone ``run_mc`` call starts and stops its own
 pool. A worker ends with the pool scope that started it, or with this
@@ -41,10 +45,14 @@ is built or loaded, before any worker starts. The covariance request,
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import signal
+import stat
+import sys
 import tempfile
+import types
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager, suppress
@@ -94,12 +102,23 @@ def _derive_seed(master_seed: int, n: int, t: int, tag: int, rep: int) -> int:
 
 def write_atomic(path: str, text: str) -> None:
     """Write ``text`` to ``path`` through a temporary file in the same
-    directory, so a failed write never leaves partial output behind."""
+    directory, so a failed write never leaves partial output behind. A new
+    file gets the mode the umask leaves of 0o666, as ``open`` would give
+    it; a replaced file keeps its mode."""
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        # reading the umask sets it; the stricter 0o077 in between can only
+        # narrow the mode of a file another thread creates meanwhile
+        umask = os.umask(0o077)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -338,6 +357,53 @@ def _environ(values: dict[str, str]):
                 os.environ[key] = val
 
 
+# The entries of multiprocessing's preparation data that make a new process
+# run this process's main module before it takes its first task.
+_MAIN_KEYS = ("init_main_from_name", "init_main_from_path")
+
+if "forkserver" in multiprocessing.get_all_start_methods():
+    from multiprocessing import forkserver, popen_forkserver, spawn, util
+    from multiprocessing.context import (ForkServerContext, ForkServerProcess,
+                                         reduction, set_spawning_popen)
+
+    class _Popen(popen_forkserver.Popen):
+        """Starts a forkserver worker that does not run this process's main
+        module; :func:`_watch_pool` defers it to the first task that needs
+        it. Otherwise the stock ``_launch``, line for line."""
+
+        def _launch(self, process_obj):
+            prep_data = spawn.get_preparation_data(process_obj._name)
+            for key in _MAIN_KEYS:
+                prep_data.pop(key, None)
+            buf = io.BytesIO()
+            set_spawning_popen(self)
+            try:
+                reduction.dump(prep_data, buf)
+                reduction.dump(process_obj, buf)
+            finally:
+                set_spawning_popen(None)
+
+            self.sentinel, w = forkserver.connect_to_new_process(self._fds)
+            # Keep a duplicate of the data pipe's write end as a sentinel of
+            # the parent process used by the child process.
+            _parent_w = os.dup(w)
+            self.finalizer = util.Finalize(self, util.close_fds,
+                                           (_parent_w, self.sentinel))
+            with open(w, 'wb', closefd=True) as f:
+                f.write(buf.getbuffer())
+            self.pid = forkserver.read_signed(self.sentinel)
+
+    class _Process(ForkServerProcess):
+        @staticmethod
+        def _Popen(process_obj):
+            return _Popen(process_obj)
+
+    class _ForkServer(ForkServerContext):
+        """The forkserver start method, with workers that leave the main
+        module to their first task; other contexts keep the stock one."""
+        Process = _Process
+
+
 # The pid of the forkserver this process started for its pools, or None.
 # multiprocessing keeps one forkserver per process; this records whether the
 # running one is ours, that is, started with _WORKER_ENV and our preload.
@@ -355,22 +421,23 @@ def _context():
     once, with the worker environment, and every worker of every later pool
     is a fork of that clean, single-threaded process: a later two-worker
     pool starts in about 0.03 s instead of the 0.3 s a spawn pool takes (2
-    vCPUs). ``multiprocessing`` ends the server: it exits once this process
-    and its last worker have closed its alive pipe, and the exit hook
-    removes its socket's directory. A forkserver that other code started
-    first has its own environment and preload, so the pool spawns its
-    workers instead.
+    vCPUs). These workers do not run the caller's main module when they
+    start, as ``multiprocessing`` has its workers do; they run it only if a
+    task needs a name from it (:func:`_defer_main`). ``multiprocessing``
+    ends the server: it exits once this process and its last worker have
+    closed its alive pipe, and the exit hook removes its socket's
+    directory. A forkserver that other code started first has its own
+    environment and preload, so the pool spawns its workers instead, and
+    those re-import the main module as spawned processes do.
     """
     global _SERVER_PID
     if "forkserver" not in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("spawn")
-    from multiprocessing import forkserver
-
     server = forkserver._forkserver
     with _SERVER_LOCK:
         if server._forkserver_pid not in (None, _SERVER_PID):
             return multiprocessing.get_context("spawn")
-        ctx = multiprocessing.get_context("forkserver")
+        ctx = _ForkServer()
         ctx.set_forkserver_preload(["numpy", "numpy.random", __name__])
         # The server does not take the parent's sys.path on every Python
         # version (3.11 ignores it), so it gets this package's directory;
@@ -384,20 +451,63 @@ def _context():
         return ctx
 
 
-def _watch_pool(alive) -> None:
+def _main_origin(ctx) -> dict:
+    """What a worker of ``ctx`` leaves out of its start and runs on demand
+    instead: the preparation data's main-module entries, none for a spawn
+    context or an interactive session."""
+    if ctx.get_start_method() != "forkserver":
+        return {}
+    data = spawn.get_preparation_data("main")
+    return {key: data[key] for key in _MAIN_KEYS if key in data}
+
+
+def _defer_main(main: dict) -> None:
+    """Make ``__main__`` a stand-in that, on the first name looked up in
+    it, runs the main module ``main`` describes as ``spawn.prepare`` runs it
+    at a spawned worker's start (as ``__mp_main__``, with starting a process
+    refused), then answers from the result. A task that unpickles nothing
+    from ``__main__`` never runs it."""
+    lazy = types.ModuleType("__main__")
+    loaded = []
+
+    def __getattr__(name):
+        if not (loaded or name.startswith("__")):
+            loaded.append(name)  # run it once, even if it fails
+            # the flag spawn._main holds during prepare: a module that
+            # starts a process at import raises, as in a spawned worker
+            process = multiprocessing.current_process()
+            process._inheriting = True
+            try:
+                spawn.prepare(main)
+            finally:
+                del process._inheriting
+        if sys.modules["__main__"] is lazy:
+            raise AttributeError(f"module '__main__' has no attribute "
+                                 f"{name!r}")
+        return getattr(sys.modules["__main__"], name)
+
+    lazy.__getattr__ = __getattr__
+    spawn.old_main_modules.append(sys.modules["__main__"])
+    sys.modules["__main__"] = sys.modules["__mp_main__"] = lazy
+
+
+def _watch_pool(alive, main: dict) -> None:
     """Pool initializer: end this worker as soon as ``alive``, the read end
     of a pipe whose write end only the pool's owner holds, reads end of
     file: when the owner closes it, or dies (SIGKILL included). A worker
     idle on the call queue would otherwise wait there for ever. The daemon
     thread costs nothing per replication. The worker ignores SIGINT: a
     terminal's Ctrl-C reaches the whole process group, and the owner ends
-    its workers through the pipe."""
+    its workers through the pipe. ``main`` describes the main module this
+    worker did not run at start (:func:`_defer_main`)."""
     def exit_when_closed():
         multiprocessing.connection.wait([alive])
         os._exit(1)
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     threading.Thread(target=exit_when_closed, daemon=True).start()
+    if main:
+        _defer_main(main)
 
 
 # The pool of the innermost open _pool scope and its worker count, or None.
@@ -425,7 +535,10 @@ def _pool(workers: int):
     shutdown message meant for another and leave the shutdown waiting on
     that other for ever. A failure of that shutdown (an interrupt between
     the creation and the start of the executor's thread makes it raise)
-    never replaces the exception in flight.
+    never replaces the exception in flight. The scope then waits for the
+    workers the pool started, which exit once the pipe is closed: the
+    pool's queues must outlive a worker that is still unpickling them, or
+    that worker prints a traceback after the parent's own error.
     """
     active = _ACTIVE_POOL.get()
     if active is not None and active[0] == workers:
@@ -433,15 +546,20 @@ def _pool(workers: int):
         return
     alive, keep_alive = multiprocessing.Pipe(duplex=False)
     with alive, keep_alive, _environ(_WORKER_ENV):
-        pool = ProcessPoolExecutor(max_workers=workers, mp_context=_context(),
-                                   initializer=_watch_pool, initargs=(alive,))
+        ctx = _context()
+        pool = ProcessPoolExecutor(max_workers=workers, mp_context=ctx,
+                                   initializer=_watch_pool,
+                                   initargs=(alive, _main_origin(ctx)))
         token = _ACTIVE_POOL.set((workers, pool))
         try:
             yield pool
         except BaseException:
             keep_alive.close()
+            started = list((pool._processes or {}).values())
             with suppress(Exception):  # the exception in flight wins
                 pool.shutdown(wait=True, cancel_futures=True)
+            for worker in started:
+                worker.join()
             raise
         else:
             pool.shutdown(wait=True)
@@ -588,11 +706,13 @@ def _in_cell(n: int, t: int):
         yield
     except BrokenProcessPool as exc:
         raise WorkerPoolError(
-            f"the worker pool broke while running cell (n={n}, t={t}). "
-            f"Workers re-import the main module: call run_mc from an "
-            f"importable script under 'if __name__ == \"__main__\":', not "
-            f"from stdin or an interactive session. Otherwise a worker was "
-            f"killed, for example by running out of memory.") from exc
+            f"the worker pool broke while running cell (n={n}, t={t}): a "
+            f"worker was killed, for example by running out of memory, or "
+            f"could not start. Spawned workers, and a worker whose task "
+            f"needs a name from the main module, run that module: then "
+            f"call run_mc from an importable script under 'if __name__ == "
+            f"\"__main__\":', not from stdin or an interactive "
+            f"session.") from exc
     except BaseException as exc:
         if not isinstance(exc, Exception):
             exc.__notes__ = [*getattr(exc, "__notes__", ()),

@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import signal
+import stat
 import subprocess
 import sys
 import time
@@ -87,6 +88,28 @@ def test_report_save_failure_keeps_previous_file(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="replace failed"):
         report.save(str(path))
     assert path.read_bytes() == b"previous\n"
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
+def test_written_files_get_the_umask_mode_and_replaced_ones_keep_theirs(
+        tmp_path):
+    old = os.umask(0o022)
+    try:
+        new = tmp_path / "new.json"
+        montecarlo.write_atomic(str(new), "new\n")
+        kept = {}
+        for mode in (0o644, 0o640):
+            path = tmp_path / f"{mode:o}.json"
+            path.write_text("previous\n")
+            path.chmod(mode)
+            McReport(config={}, cells=[], rate=None).save(str(path))
+            kept[mode] = stat.S_IMODE(path.stat().st_mode)
+        assert os.umask(0o022) == 0o022  # the umask is left as it was
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(new.stat().st_mode) == 0o644
+    assert new.read_text() == "new\n"
+    assert kept == {0o644: 0o644, 0o640: 0o640}
     assert list(tmp_path.glob("*.tmp")) == []
 
 
@@ -500,20 +523,112 @@ def test_nested_pool_scopes_share_only_a_pool_of_the_same_size(monkeypatch):
     assert built == [2, 1, 2]
 
 
-def test_worker_pool_error_names_cell_and_cause():
-    # workers cannot re-import a main module read from stdin
-    script = (
-        "from panelcsd import CovConfig, DgpSpec, Diagonal, McConfig, run_mc\n"
-        "run_mc(McConfig(dgp=DgpSpec(cross_section=Diagonal(), "
-        "beta_true=(1.0,)), grid=((6, 5),), reps=200, "
-        "cov=CovConfig(method='cs')), workers=2)\n")
-    proc = subprocess.run([sys.executable, "-"], input=script, text=True,
-                          capture_output=True, env=child_env(), timeout=120)
+_KILLED_IN_CELL = """
+import multiprocessing, os, signal
+from panelcsd import CovConfig, DgpSpec, Diagonal, McConfig, run_mc
+
+class Lethal(Diagonal):
+    # a worker that builds this covariance is killed
+    def _low_rank(self, n):
+        if multiprocessing.parent_process() is not None:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return super()._low_rank(n)
+
+if __name__ == "__main__":
+    run_mc(McConfig(dgp=DgpSpec(cross_section=Lethal(), beta_true=(1.0,)),
+                    grid=((6, 5),), reps=200, cov=CovConfig(method="cs")),
+           workers=2)
+"""
+
+
+def test_worker_pool_error_names_cell_and_cause(tmp_path):
+    # a worker killed inside the cell breaks the pool
+    script = tmp_path / "killed.py"
+    script.write_text(_KILLED_IN_CELL)
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True,
+                          text=True, env=child_env(), timeout=120)
     assert proc.returncode != 0
     assert "WorkerPoolError" in proc.stderr
     assert "cell (n=6, t=5)" in proc.stderr
     assert "__main__" in proc.stderr
     assert "killed" in proc.stderr
+
+
+needs_forkserver = pytest.mark.skipif(
+    "forkserver" not in multiprocessing.get_all_start_methods(),
+    reason="spawned workers re-import the main module")
+
+_MAIN_RUNS = """
+import json, os, sys
+with open(sys.argv[1], "a") as fh:
+    print(os.getpid(), file=fh)
+from panelcsd import McConfig, run_mc
+
+if __name__ == "__main__":
+    with open(sys.argv[2]) as fh:
+        config = McConfig.from_dict(json.load(fh))
+    run_mc(config, workers=2)
+    run_mc(config, workers=2)
+    print(os.getpid())
+"""
+
+
+@needs_forkserver
+def test_workers_do_not_run_the_main_module(tmp_path):
+    script, runs = tmp_path / "main_runs.py", tmp_path / "runs.txt"
+    config_path = tmp_path / "config.json"
+    script.write_text(_MAIN_RUNS)
+    config_path.write_text(json.dumps(small_config().to_dict()))
+    proc = subprocess.run([sys.executable, str(script), str(runs),
+                           str(config_path)], capture_output=True, text=True,
+                          env=child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert runs.read_text().split() == proc.stdout.split()
+
+
+_NO_GUARD = """
+import json
+from panelcsd import McConfig, run_mc
+config = McConfig.from_dict(json.loads({config!r}))
+print(run_mc(config, workers=2).to_json(), end="")
+"""
+
+
+@needs_forkserver
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_script_without_a_main_guard_runs(tmp_path, source):
+    cfg = small_config(grid=((8, 12), (9, 12)))
+    text = _NO_GUARD.format(config=json.dumps(cfg.to_dict()))
+    if source == "file":
+        script = tmp_path / "no_guard.py"
+        script.write_text(text)
+        argv, stdin = [sys.executable, str(script)], None
+    else:
+        argv, stdin = [sys.executable, "-"], text
+    proc = subprocess.run(argv, input=stdin, capture_output=True, text=True,
+                          env=child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout == run_mc(cfg, workers=2).to_json()
+
+
+@needs_forkserver
+def test_main_free_launch_is_the_stock_launch_without_the_main_entries():
+    # _Popen._launch copies the stock one; a Python that changes the stock
+    # one needs the copy brought up to date
+    import inspect
+    from multiprocessing import popen_forkserver
+
+    def statements(fn):
+        lines = (line.split("#")[0].strip()
+                 for line in inspect.getsource(fn).splitlines())
+        return [line for line in lines if line]
+
+    ours = statements(montecarlo._Popen._launch)
+    left_out = ["for key in _MAIN_KEYS:", "prep_data.pop(key, None)"]
+    assert [line for line in ours if line not in left_out] == \
+        statements(popen_forkserver.Popen._launch)
+    assert len(ours) == len(statements(popen_forkserver.Popen._launch)) + 2
 
 
 _POOL_PROBE = """
@@ -524,7 +639,8 @@ def probe():
     preloaded = "numpy.random" in sys.modules  # before the task imports it
     time.sleep(0.5)  # long enough that each worker takes one
     return os.getpid(), os.getppid(), {
-        key: os.environ.get(key) for key in montecarlo._WORKER_ENV}, preloaded
+        key: os.environ.get(key) for key in montecarlo._WORKER_ENV}, \
+        preloaded, __name__
 
 if __name__ == "__main__":
     config_path, foreign = sys.argv[1], sys.argv[2] == "foreign"
@@ -575,17 +691,19 @@ def test_workers_and_reports_whoever_started_the_forkserver(tmp_path,
         proc.kill()
         proc.wait()
     got = json.loads(out_path.read_text())
-    assert len({pid for pid, _, _, _ in got["seen"]}) == 2
-    assert all(env == montecarlo._WORKER_ENV for _, _, env, _ in got["seen"])
+    assert len({pid for pid, *_ in got["seen"]}) == 2
+    assert all(env == montecarlo._WORKER_ENV for _, _, env, *_ in got["seen"])
+    # the task lives in the main module, which each worker ran to find it
+    assert all(name == "__mp_main__" for *_, name in got["seen"])
     assert got["env"] == "4"  # the parent's own setting is back
-    parents = {ppid for _, ppid, _, _ in got["seen"]}
+    parents = {ppid for _, ppid, *_ in got["seen"]}
     if foreign:
         # that server's environment is not ours: the workers are spawned
         assert got["own_server"] is None and parents == {got["pid"]}
     elif "forkserver" in multiprocessing.get_all_start_methods():
         assert parents == {got["own_server"]}
         # numpy imports numpy.random lazily; our server preloads it
-        assert all(preloaded for _, _, _, preloaded in got["seen"])
+        assert all(preloaded for _, _, _, preloaded, _ in got["seen"])
     assert got["report"] == run_mc(small_config(), workers=2).to_json()
 
 
@@ -932,6 +1050,46 @@ def test_interrupt_inside_submit_keeps_its_type_and_cell(monkeypatch,
                                        "(n=8, t=12)\n")
     assert not out_path.exists()
     assert run_mc(cfg, workers=2).to_json() == undisturbed
+
+
+_INTERRUPTED_SUBMIT = """
+import concurrent.futures.process, sys
+from panelcsd.cli import dispatch
+
+def interrupted(self):
+    raise KeyboardInterrupt
+
+if __name__ == "__main__":
+    concurrent.futures.process._ExecutorManagerThread.start = interrupted
+    sys.exit(dispatch(["mc", "run", sys.argv[1], "--threads", "2"]))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_interrupt_inside_submit_writes_one_error_line(tmp_path):
+    # A worker the interrupted submit started still unpickles the pool's
+    # queues after the parent has given up on them: it must find them, and
+    # nothing but the parent's one line reaches file descriptor 2, however
+    # late the worker writes.
+    script, config_path = tmp_path / "submit.py", tmp_path / "config.json"
+    script.write_text(_INTERRUPTED_SUBMIT)
+    config_path.write_text(json.dumps(small_config().to_dict()))
+    err_path = tmp_path / "err.txt"
+    with open(err_path, "w") as err:
+        proc = subprocess.Popen([sys.executable, str(script),
+                                 str(config_path)],
+                                stdout=subprocess.DEVNULL, stderr=err,
+                                env=child_env(), start_new_session=True)
+    try:
+        proc.wait(timeout=120)
+        assert group_left_after(proc.pid, 5.0) == []
+    finally:
+        for pid in live_group_members(proc.pid):
+            os.kill(pid, signal.SIGKILL)
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 130
+    assert err_path.read_text() == "error: interrupted in cell (n=8, t=12)\n"
 
 
 def test_workers_ignore_sigint():
