@@ -3,20 +3,17 @@
 Replication r of cell (n, t) derives its seed from a splittable hash of
 (master_seed, n, t, r), so every replication is independent of scheduling.
 All replications execute in worker processes whose numerical libraries
-are pinned to one thread. Where the platform has one, the workers are forks
-of a forkserver that imported numpy and this package once, when this
-process made its first pool; ``multiprocessing`` ends that server after
-this process exits. Those workers do not run the caller's main module when
-they start, only when a task needs a name from it, so a script without an
-``if __name__ == "__main__":`` guard, or one read from stdin, can call
-``run_mc``. Elsewhere the workers are spawned, and re-import the main
-module as spawned processes do. :func:`worker_pool`
-keeps one pool open across the ``run_mc`` calls inside it, as each
-experiment does; a standalone ``run_mc`` call starts and stops its own
-pool. A worker ends with the pool scope that started it, or with this
-process, however that ends. Workers ignore SIGINT, which a terminal sends
-to the whole process group, and leave interrupts to this process. If the
-pool breaks, ``run_mc`` raises
+are pinned to one thread. The workers start, in parallel, on the first
+``run_mc`` call that needs them and stay up until this process exits, so
+later calls start no process; :func:`worker_pool` starts them ahead. An
+exception leaving ``run_mc`` or ``worker_pool`` (an interrupt included)
+ends them at once, and the next call starts fresh ones. A worker exits when
+its input reaches end of file, so a killed parent leaves none behind. A
+worker does not run the caller's main module when it starts, only when a
+task needs a name from it, so a script without an ``if __name__ ==
+"__main__":`` guard, or one read from stdin, can call ``run_mc``. Workers
+ignore SIGINT, which a terminal sends to the whole process group, and
+leave interrupts to this process. If a worker dies, ``run_mc`` raises
 :class:`~panelcsd.errors.WorkerPoolError` naming the cell; an interrupt
 leaving ``run_mc`` carries the cell it stopped in as a note. The worker
 count is an integer >= 1 from the ``workers`` argument, else the
@@ -45,23 +42,21 @@ is built or loaded, before any worker starts. The covariance request,
 
 from __future__ import annotations
 
-import io
+import atexit
+import collections
 import json
 import os
+import pickle
 import signal
 import stat
+import struct
+import subprocess
 import sys
 import tempfile
-import types
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager, suppress
-from contextvars import ContextVar
-from dataclasses import dataclass, field
-import multiprocessing
-import multiprocessing.connection
 import threading
 import warnings
+from contextlib import contextmanager, suppress
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -341,241 +336,163 @@ _WORKER_ENV = {
     "MALLOC_TRIM_THRESHOLD_": str(32 << 20),
 }
 
-
-@contextmanager
-def _environ(values: dict[str, str]):
-    """Set ``values`` in the environment for the scope, then restore it."""
-    old = {key: os.environ.get(key) for key in values}
-    os.environ.update(values)
-    try:
-        yield
-    finally:
-        for key, val in old.items():
-            if val is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = val
+# A frame between this process and a worker: its length, then its bytes,
+# a pickled task or reply; an empty frame tells the worker to exit.
+_HEADER = struct.Struct("<Q")
 
 
-# The entries of multiprocessing's preparation data that make a new process
-# run this process's main module before it takes its first task.
-_MAIN_KEYS = ("init_main_from_name", "init_main_from_path")
-
-if "forkserver" in multiprocessing.get_all_start_methods():
-    from multiprocessing import forkserver, popen_forkserver, spawn, util
-    from multiprocessing.context import (ForkServerContext, ForkServerProcess,
-                                         reduction, set_spawning_popen)
-
-    class _Popen(popen_forkserver.Popen):
-        """Starts a forkserver worker that does not run this process's main
-        module; :func:`_watch_pool` defers it to the first task that needs
-        it. Otherwise the stock ``_launch``, line for line."""
-
-        def _launch(self, process_obj):
-            prep_data = spawn.get_preparation_data(process_obj._name)
-            for key in _MAIN_KEYS:
-                prep_data.pop(key, None)
-            buf = io.BytesIO()
-            set_spawning_popen(self)
-            try:
-                reduction.dump(prep_data, buf)
-                reduction.dump(process_obj, buf)
-            finally:
-                set_spawning_popen(None)
-
-            self.sentinel, w = forkserver.connect_to_new_process(self._fds)
-            # Keep a duplicate of the data pipe's write end as a sentinel of
-            # the parent process used by the child process.
-            _parent_w = os.dup(w)
-            self.finalizer = util.Finalize(self, util.close_fds,
-                                           (_parent_w, self.sentinel))
-            with open(w, 'wb', closefd=True) as f:
-                f.write(buf.getbuffer())
-            self.pid = forkserver.read_signed(self.sentinel)
-
-    class _Process(ForkServerProcess):
-        @staticmethod
-        def _Popen(process_obj):
-            return _Popen(process_obj)
-
-    class _ForkServer(ForkServerContext):
-        """The forkserver start method, with workers that leave the main
-        module to their first task; other contexts keep the stock one."""
-        Process = _Process
+def _write_frame(stream, payload: bytes) -> None:
+    stream.write(_HEADER.pack(len(payload)))
+    stream.write(payload)
+    stream.flush()
 
 
-# The pid of the forkserver this process started for its pools, or None.
-# multiprocessing keeps one forkserver per process; this records whether the
-# running one is ours, that is, started with _WORKER_ENV and our preload.
-_SERVER_PID: int | None = None
-_SERVER_LOCK = threading.Lock()
+def _read_frame(stream) -> bytes | None:
+    """The next frame's bytes, None at end of file or in a cut frame."""
+    head = stream.read(_HEADER.size)
+    if len(head) < _HEADER.size:
+        return None
+    (size,) = _HEADER.unpack(head)
+    body = stream.read(size)
+    return body if len(body) == size else None
 
 
-def _context():
-    """The start method of a new pool; call it with the worker environment
-    set.
+class _Task:
+    """A task sent to a worker; ``result`` reads the worker's replies up to
+    this one's and returns or raises what the task did."""
 
-    Where the platform has a forkserver, the first pool starts one that
-    imports numpy, ``numpy.random`` (which numpy 2 imports only on first
-    use, a few milliseconds into each worker's first draw) and this package
-    once, with the worker environment, and every worker of every later pool
-    is a fork of that clean, single-threaded process: a later two-worker
-    pool starts in about 0.03 s instead of the 0.3 s a spawn pool takes (2
-    vCPUs). These workers do not run the caller's main module when they
-    start, as ``multiprocessing`` has its workers do; they run it only if a
-    task needs a name from it (:func:`_defer_main`). ``multiprocessing``
-    ends the server: it exits once this process and its last worker have
-    closed its alive pipe, and the exit hook removes its socket's
-    directory. A forkserver that other code started first has its own
-    environment and preload, so the pool spawns its workers instead, and
-    those re-import the main module as spawned processes do.
-    """
-    global _SERVER_PID
-    if "forkserver" not in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("spawn")
-    server = forkserver._forkserver
-    with _SERVER_LOCK:
-        if server._forkserver_pid not in (None, _SERVER_PID):
-            return multiprocessing.get_context("spawn")
-        ctx = _ForkServer()
-        ctx.set_forkserver_preload(["numpy", "numpy.random", __name__])
-        # The server does not take the parent's sys.path on every Python
-        # version (3.11 ignores it), so it gets this package's directory;
-        # its workers inherit the variable but start no interpreter.
+    def __init__(self, worker: "_Worker"):
+        self.worker, self.reply = worker, None
+
+    def result(self):
+        while self.reply is None:
+            self.worker.receive()
+        ok, value, trace = self.reply
+        if not ok:
+            raise value from RuntimeError(f"in the worker:\n{trace}")
+        return value
+
+
+class _Worker:
+    """A worker process (:mod:`panelcsd._worker`) and its tasks whose replies
+    are still to be read, oldest first, the order it answers them in."""
+
+    def __init__(self):
+        # the worker imports this package from where this process has it
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         path = os.pathsep.join(filter(None, (root,
                                              os.environ.get("PYTHONPATH"))))
-        with _environ({"PYTHONPATH": path}):
-            server.ensure_running()
-        _SERVER_PID = server._forkserver_pid
-        return ctx
+        # SIGINT stays blocked in the worker (the mask survives exec) until
+        # it ignores it: a terminal's Ctrl-C cannot stop it while it starts
+        masks = hasattr(signal, "pthread_sigmask")  # not on Windows
+        if masks:
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            self.proc = subprocess.Popen(
+                [sys.executable, "-m", "panelcsd._worker"],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                env=os.environ | _WORKER_ENV | {"PYTHONPATH": path})
+        finally:
+            if masks:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        self.waiting: collections.deque[_Task] = collections.deque()
+        _WORKERS.append(self)  # before its first frame: an error ends it
+        self.send((sys.path,
+                   getattr(sys.modules["__main__"], "__file__", None)))
+
+    def send(self, obj) -> None:
+        try:
+            _write_frame(self.proc.stdin,
+                         pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
+        except BrokenPipeError:
+            raise WorkerPoolError(f"worker {self.proc.pid} exited") from None
+
+    def submit(self, fn, *args) -> _Task:
+        self.send((fn, args))
+        self.waiting.append(_Task(self))
+        return self.waiting[-1]
+
+    def receive(self) -> None:
+        """Read the next reply, the oldest waiting task's."""
+        frame = _read_frame(self.proc.stdout)
+        if frame is None:
+            raise WorkerPoolError(f"worker {self.proc.pid} exited")
+        self.waiting.popleft().reply = pickle.loads(frame)
 
 
-def _main_origin(ctx) -> dict:
-    """What a worker of ``ctx`` leaves out of its start and runs on demand
-    instead: the preparation data's main-module entries, none for a spawn
-    context or an interactive session."""
-    if ctx.get_start_method() != "forkserver":
-        return {}
-    data = spawn.get_preparation_data("main")
-    return {key: data[key] for key in _MAIN_KEYS if key in data}
+class _Pool(list):
+    """Workers; each task goes to the one that owes the fewest replies."""
+
+    def submit(self, fn, *args) -> _Task:
+        return min(self, key=lambda w: len(w.waiting)).submit(fn, *args)
 
 
-def _defer_main(main: dict) -> None:
-    """Make ``__main__`` a stand-in that, on the first name looked up in
-    it, runs the main module ``main`` describes as ``spawn.prepare`` runs it
-    at a spawned worker's start (as ``__mp_main__``, with starting a process
-    refused), then answers from the result. A task that unpickles nothing
-    from ``__main__`` never runs it."""
-    lazy = types.ModuleType("__main__")
-    loaded = []
-
-    def __getattr__(name):
-        if not (loaded or name.startswith("__")):
-            loaded.append(name)  # run it once, even if it fails
-            # the flag spawn._main holds during prepare: a module that
-            # starts a process at import raises, as in a spawned worker
-            process = multiprocessing.current_process()
-            process._inheriting = True
-            try:
-                spawn.prepare(main)
-            finally:
-                del process._inheriting
-        if sys.modules["__main__"] is lazy:
-            raise AttributeError(f"module '__main__' has no attribute "
-                                 f"{name!r}")
-        return getattr(sys.modules["__main__"], name)
-
-    lazy.__getattr__ = __getattr__
-    spawn.old_main_modules.append(sys.modules["__main__"])
-    sys.modules["__main__"] = sys.modules["__mp_main__"] = lazy
+# This process's workers, kept until it exits, and the lock that gives one
+# thread at a time their use. _IN_WORKER is True in a worker, which has none.
+_WORKERS: list[_Worker] = []
+_LOCK = threading.RLock()
+_IN_WORKER = False
 
 
-def _watch_pool(alive, main: dict) -> None:
-    """Pool initializer: end this worker as soon as ``alive``, the read end
-    of a pipe whose write end only the pool's owner holds, reads end of
-    file: when the owner closes it, or dies (SIGKILL included). A worker
-    idle on the call queue would otherwise wait there for ever. The daemon
-    thread costs nothing per replication. The worker ignores SIGINT: a
-    terminal's Ctrl-C reaches the whole process group, and the owner ends
-    its workers through the pipe. ``main`` describes the main module this
-    worker did not run at start (:func:`_defer_main`)."""
-    def exit_when_closed():
-        multiprocessing.connection.wait([alive])
-        os._exit(1)
+def _end_workers(stop: bool) -> None:
+    """End, forget and wait for every worker. ``stop`` sends each an empty
+    frame, which ends it at once, and kills one still up after 5 s; else
+    each is killed at once, whatever its pipe holds."""
+    workers, _WORKERS[:] = _WORKERS[:], []
+    for worker in workers:
+        with suppress(OSError):  # an ended worker has closed its input
+            if stop:
+                _write_frame(worker.proc.stdin, b"")
+            else:
+                worker.proc.kill()
+            worker.proc.stdin.close()
+    for worker in workers:
+        with suppress(subprocess.TimeoutExpired):
+            worker.proc.wait(timeout=5)
+        worker.proc.kill()  # a no-op once it has ended
+        worker.proc.wait()
+        worker.proc.stdout.close()
 
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    threading.Thread(target=exit_when_closed, daemon=True).start()
-    if main:
-        _defer_main(main)
+
+def _forget_workers() -> None:
+    """In a child forked from this process: the workers are the parent's, so
+    drop them untouched; the child starts its own when it needs them."""
+    global _WORKERS, _LOCK
+    _WORKERS, _LOCK = [], threading.RLock()
 
 
-# The pool of the innermost open _pool scope and its worker count, or None.
-_ACTIVE_POOL: ContextVar[tuple[int, ProcessPoolExecutor] | None] = \
-    ContextVar("_ACTIVE_POOL", default=None)
+# At exit each worker gets an empty frame: end of file on its input is not
+# enough, since a child forked after it started holds the write end.
+atexit.register(_end_workers, True)
+if hasattr(os, "register_at_fork"):  # not on Windows
+    os.register_at_fork(after_in_child=_forget_workers)
 
 
 @contextmanager
 def _pool(workers: int):
-    """A pool of ``workers`` processes: the enclosing scope's when it has
-    one of that size, else a new one, shut down on exit. An exception
-    leaving the scope that created the pool (KeyboardInterrupt included)
-    ends its workers at once and drops the work still queued.
-
-    The workers come from :func:`_context`. A pool starts a worker at each
-    ``submit`` until it has ``workers``, so every submit must run inside
-    the scope that created the pool: a spawned worker then inherits the
-    worker environment (single-thread BLAS) too. BLAS reads it at import,
-    so an initializer would be too late.
-
-    Each worker watches a pipe that this scope holds open
-    (:func:`_watch_pool`). On an exception the scope closes it before
-    shutting the pool down: an interrupt that lands while a worker starts
-    can leave a worker the executor does not know of, which would take the
-    shutdown message meant for another and leave the shutdown waiting on
-    that other for ever. A failure of that shutdown (an interrupt between
-    the creation and the start of the executor's thread makes it raise)
-    never replaces the exception in flight. The scope then waits for the
-    workers the pool started, which exit once the pipe is closed: the
-    pool's queues must outlive a worker that is still unpickling them, or
-    that worker prints a traceback after the parent's own error.
-    """
-    active = _ACTIVE_POOL.get()
-    if active is not None and active[0] == workers:
-        yield active[1]
-        return
-    alive, keep_alive = multiprocessing.Pipe(duplex=False)
-    with alive, keep_alive, _environ(_WORKER_ENV):
-        ctx = _context()
-        pool = ProcessPoolExecutor(max_workers=workers, mp_context=ctx,
-                                   initializer=_watch_pool,
-                                   initargs=(alive, _main_origin(ctx)))
-        token = _ACTIVE_POOL.set((workers, pool))
+    """The first ``workers`` of this process's workers, the missing ones
+    started in parallel; the count only grows. An exception leaving the
+    scope (an interrupt included) kills every worker, since a frame may be
+    cut short, and drops their work; the next scope starts fresh ones."""
+    with _LOCK:
         try:
-            yield pool
+            if len(_WORKERS) < workers and _IN_WORKER:
+                raise RuntimeError("run_mc was called in a worker: call it "
+                                   "under 'if __name__ == \"__main__\":'")
+            while len(_WORKERS) < workers:
+                _Worker()
+            yield _Pool(_WORKERS[:workers])
         except BaseException:
-            keep_alive.close()
-            started = list((pool._processes or {}).values())
-            with suppress(Exception):  # the exception in flight wins
-                pool.shutdown(wait=True, cancel_futures=True)
-            for worker in started:
-                worker.join()
+            _end_workers(stop=False)
             raise
-        else:
-            pool.shutdown(wait=True)
-        finally:
-            _ACTIVE_POOL.reset(token)
 
 
 @contextmanager
 def worker_pool(workers: int | None = None):
-    """Keep one worker pool open across consecutive calls.
-
-    Every :func:`run_mc` call and experiment inside the scope whose worker
-    count resolves to the same number reuses this pool instead of starting
-    its own, so its workers start once. ``workers`` resolves as in
-    :func:`run_mc`. Reports are the same inside or outside the scope.
-    """
+    """Start this process's workers now, until ``workers`` (resolved as in
+    :func:`run_mc`) are up, for the calls in the scope and every later one.
+    An exception leaving the scope ends them all, and the next call starts
+    fresh ones. Reports are the same inside or outside the scope."""
     with _pool(resolve_workers(workers)) as pool:
         yield pool
 
@@ -699,20 +616,18 @@ class McReport:
 
 @contextmanager
 def _in_cell(n: int, t: int):
-    """Name cell (n, t) in what leaves the scope: a broken pool becomes a
-    WorkerPoolError, and an interrupt (a BaseException that is not an
-    Exception) gets the note ``in cell (n=N, t=T)``."""
+    """Name cell (n, t) in what leaves the scope: a worker that ended
+    becomes a WorkerPoolError, and an interrupt (a BaseException that is
+    not an Exception) gets the note ``in cell (n=N, t=T)``."""
     try:
         yield
-    except BrokenProcessPool as exc:
+    except WorkerPoolError as exc:
         raise WorkerPoolError(
             f"the worker pool broke while running cell (n={n}, t={t}): a "
             f"worker was killed, for example by running out of memory, or "
-            f"could not start. Spawned workers, and a worker whose task "
-            f"needs a name from the main module, run that module: then "
-            f"call run_mc from an importable script under 'if __name__ == "
-            f"\"__main__\":', not from stdin or an interactive "
-            f"session.") from exc
+            f"could not start. A worker whose task needs a name from the "
+            f"main module runs that module first: then call run_mc under "
+            f"'if __name__ == \"__main__\":'.") from exc
     except BaseException as exc:
         if not isinstance(exc, Exception):
             exc.__notes__ = [*getattr(exc, "__notes__", ()),

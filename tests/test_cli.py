@@ -737,9 +737,9 @@ def test_mc_run_rejects_non_finite_numbers_before_any_worker(
     from panelcsd import montecarlo
 
     def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
+        raise AssertionError("the workers were used")
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(montecarlo, "_pool", no_pool)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
         "dgp": {"cross_section": "example1", "beta_true": [1.0], **edit},
@@ -757,9 +757,9 @@ def test_mc_run_rejects_a_memory_field_its_form_ignores_before_any_worker(
     from panelcsd import montecarlo
 
     def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
+        raise AssertionError("the workers were used")
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(montecarlo, "_pool", no_pool)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
         "dgp": {"cross_section": "example1", "beta_true": [1.0],
@@ -774,9 +774,11 @@ def test_mc_run_rejects_a_memory_field_its_form_ignores_before_any_worker(
     assert not report_path.exists()
 
 
-def _signal_mc_run(tmp_path, signum, code, line, group=False):
+def _signal_mc_run(tmp_path, signum, group=False, members=3, settle=1.0):
     # many cells whose chunks take milliseconds: the signal lands mid-run,
-    # and the run must stop its workers and exit ``code`` with ``line``
+    # once the process group holds ``members`` processes (the run and its
+    # workers) and ``settle`` seconds more have passed; the run must leave
+    # no process and no report. Returns its exit code and output.
     cfg_path = tmp_path / "long.json"
     cfg_path.write_text(json.dumps({
         "dgp": {"cross_section": "example1", "beta_true": [1.0]},
@@ -786,18 +788,14 @@ def _signal_mc_run(tmp_path, signum, code, line, group=False):
         [sys.executable, "-m", "panelcsd", "mc", "run", str(cfg_path),
          "--threads", "2", "--out", str(report_path)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        # a killed run cannot remove its forkserver's pymp-* directory:
-        # keep it under the test's own directory
-        env=child_env() | {"TMPDIR": str(tmp_path)}, start_new_session=True)
+        env=child_env(), start_new_session=True)
     try:
         deadline = time.monotonic() + 60
-        # the run, the resource tracker, a forkserver where the platform
-        # has one, and the workers
-        while len(live_group_members(proc.pid)) < 4:
+        while len(live_group_members(proc.pid)) < members:
             assert proc.poll() is None, proc.communicate()
             assert time.monotonic() < deadline, "the workers never started"
-            time.sleep(0.05)
-        time.sleep(1.0)  # past the workers' start, into the cells
+            time.sleep(0.01)
+        time.sleep(settle)
         assert proc.poll() is None, proc.communicate()
         if group:
             os.killpg(proc.pid, signum)  # as a terminal sends Ctrl-C
@@ -806,10 +804,8 @@ def _signal_mc_run(tmp_path, signum, code, line, group=False):
         deadline = time.monotonic() + 5
         out, err = proc.communicate(timeout=5)
         assert group_left_after(proc.pid, deadline - time.monotonic()) == []
-        assert proc.returncode == code
-        if line is not None:
-            assert (out, err) == ("", line)
         assert not report_path.exists()
+        return proc.returncode, out, err
     finally:
         for pid in live_group_members(proc.pid):
             os.kill(pid, signal.SIGKILL)
@@ -819,28 +815,39 @@ def _signal_mc_run(tmp_path, signum, code, line, group=False):
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
 def test_mc_run_sigterm_stops_the_workers(tmp_path):
-    _signal_mc_run(tmp_path, signal.SIGTERM, 143,
-                   "error: interrupted in cell (n=20, t=20)\n")
+    assert _signal_mc_run(tmp_path, signal.SIGTERM) == (
+        143, "", "error: interrupted in cell (n=20, t=20)\n")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_mc_run_sigterm_while_the_workers_start(tmp_path):
+    # as soon as the first worker exists: a worker still starting, even one
+    # the run had no time to record, ends without a word
+    code, out, err = _signal_mc_run(tmp_path, signal.SIGTERM, members=2,
+                                    settle=0.0)
+    assert (code, out) == (143, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: interrupted")
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
 def test_mc_run_sigint_stops_the_workers(tmp_path):
-    _signal_mc_run(tmp_path, signal.SIGINT, 130,
-                   "error: interrupted in cell (n=20, t=20)\n")
+    assert _signal_mc_run(tmp_path, signal.SIGINT) == (
+        130, "", "error: interrupted in cell (n=20, t=20)\n")
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
 def test_mc_run_group_sigint_stops_the_workers(tmp_path):
     # the workers get the signal too, ignore it, and print nothing
-    _signal_mc_run(tmp_path, signal.SIGINT, 130,
-                   "error: interrupted in cell (n=20, t=20)\n", group=True)
+    assert _signal_mc_run(tmp_path, signal.SIGINT, group=True) == (
+        130, "", "error: interrupted in cell (n=20, t=20)\n")
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
 def test_mc_run_sigkill_leaves_no_process(tmp_path):
-    # the parent cannot clean up: the pipe each worker watches closes with
-    # it, and the forkserver and resource tracker end when theirs do
-    _signal_mc_run(tmp_path, signal.SIGKILL, -signal.SIGKILL, None)
+    # the parent cannot clean up: each worker reads end of file on its
+    # input, which closes with the parent, and exits
+    code, *_ = _signal_mc_run(tmp_path, signal.SIGKILL)
+    assert code == -signal.SIGKILL
 
 
 def test_cli_choices_are_the_library_vocabularies():

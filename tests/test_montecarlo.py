@@ -1,4 +1,3 @@
-import concurrent.futures.process
 import contextlib
 import json
 import multiprocessing
@@ -7,6 +6,7 @@ import signal
 import stat
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from dataclasses import replace
@@ -469,18 +469,19 @@ def test_config_from_dict_checks_value_types(key, value):
         small_config(**{key: value})
 
 
-def _count_pools(monkeypatch) -> list:
-    """Swap montecarlo's executor for a subclass that records each pool it
-    builds; returns the record."""
-    built = []
+def _count_starts(monkeypatch) -> list:
+    """End this process's workers, then record the pid of each worker
+    started from here on; returns the record."""
+    montecarlo._end_workers(stop=True)
+    started = []
 
-    class CountingPool(montecarlo.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            built.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
+    class CountingWorker(montecarlo._Worker):
+        def __init__(self):
+            super().__init__()
+            started.append(self.proc.pid)
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
-    return built
+    monkeypatch.setattr(montecarlo, "_Worker", CountingWorker)
+    return started
 
 
 @pytest.mark.parametrize("experiment, kwargs", [
@@ -489,7 +490,7 @@ def _count_pools(monkeypatch) -> list:
 ])
 def test_experiment_shares_one_pool_with_unchanged_reports(
         monkeypatch, experiment, kwargs):
-    built = _count_pools(monkeypatch)
+    started = _count_starts(monkeypatch)
     calls = []
 
     def recording_run_mc(config, workers=None):
@@ -501,36 +502,36 @@ def test_experiment_shares_one_pool_with_unchanged_reports(
     # benchmark's recorder relies on
     monkeypatch.setattr(montecarlo, "run_mc", recording_run_mc)
     experiment(workers=2, **kwargs)
-    assert built == [2]
+    assert len(started) == 2
     assert len(calls) >= 2
     for config, report in calls:
         assert run_mc(config, workers=2).to_json() == report.to_json()
-    assert built == [2] * (1 + len(calls))
+    assert len(started) == 2
 
 
-def test_nested_pool_scopes_share_only_a_pool_of_the_same_size(monkeypatch):
-    built = _count_pools(monkeypatch)
+def test_pool_scopes_share_the_workers_and_only_add_to_them(monkeypatch):
+    started = _count_starts(monkeypatch)
     with montecarlo._pool(2) as outer:
-        with montecarlo._pool(2) as inner:
-            assert inner is outer
-        with montecarlo._pool(1) as other:
-            assert other is not outer
-        with montecarlo._pool(2) as again:
-            assert again is outer
-    assert built == [2, 1]
-    with montecarlo._pool(2) as fresh:
-        assert fresh is not outer
-    assert built == [2, 1, 2]
+        with montecarlo._pool(1) as inner:
+            assert inner == outer[:1]
+        with montecarlo._pool(3) as wider:
+            assert wider[:2] == outer
+    assert len(started) == 3
+    with montecarlo._pool(2) as later:
+        assert later == outer
+    assert len(started) == 3
+    assert all(worker.proc.poll() is None for worker in montecarlo._WORKERS)
 
 
 _KILLED_IN_CELL = """
-import multiprocessing, os, signal
+import os, signal
 from panelcsd import CovConfig, DgpSpec, Diagonal, McConfig, run_mc
 
 class Lethal(Diagonal):
-    # a worker that builds this covariance is killed
+    # a worker that builds this covariance is killed; a worker runs this
+    # script as __mp_main__ to find the class
     def _low_rank(self, n):
-        if multiprocessing.parent_process() is not None:
+        if __name__ == "__mp_main__":
             os.kill(os.getpid(), signal.SIGKILL)
         return super()._low_rank(n)
 
@@ -554,10 +555,6 @@ def test_worker_pool_error_names_cell_and_cause(tmp_path):
     assert "killed" in proc.stderr
 
 
-needs_forkserver = pytest.mark.skipif(
-    "forkserver" not in multiprocessing.get_all_start_methods(),
-    reason="spawned workers re-import the main module")
-
 _MAIN_RUNS = """
 import json, os, sys
 with open(sys.argv[1], "a") as fh:
@@ -573,7 +570,6 @@ if __name__ == "__main__":
 """
 
 
-@needs_forkserver
 def test_workers_do_not_run_the_main_module(tmp_path):
     script, runs = tmp_path / "main_runs.py", tmp_path / "runs.txt"
     config_path = tmp_path / "config.json"
@@ -586,6 +582,29 @@ def test_workers_do_not_run_the_main_module(tmp_path):
     assert runs.read_text().split() == proc.stdout.split()
 
 
+def _run_alone(tmp_path, argv, stdin="", seconds=1.0, timeout=120):
+    """Run ``argv`` in a session of its own, with its output in files. Once
+    it has exited, no process of the session may be left after ``seconds``.
+    Returns its exit code, standard output and standard error."""
+    paths = [tmp_path / name for name in ("in.txt", "out.txt", "err.txt")]
+    paths[0].write_text(stdin)
+    with open(paths[0]) as inp, open(paths[1], "w") as out, \
+            open(paths[2], "w") as err:
+        proc = subprocess.Popen(argv, stdin=inp, stdout=out, stderr=err,
+                                env=child_env(), start_new_session=True)
+    try:
+        proc.wait(timeout=timeout)
+        # timed from the interpreter's exit, not from its pipes' closing
+        left = group_left_after(proc.pid, seconds)
+    finally:
+        for pid in live_group_members(proc.pid):
+            os.kill(pid, signal.SIGKILL)
+        proc.kill()
+        proc.wait()
+    assert left == []
+    return proc.returncode, paths[1].read_text(), paths[2].read_text()
+
+
 _NO_GUARD = """
 import json
 from panelcsd import McConfig, run_mc
@@ -594,41 +613,43 @@ print(run_mc(config, workers=2).to_json(), end="")
 """
 
 
-@needs_forkserver
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
 @pytest.mark.parametrize("source", ["file", "stdin"])
 def test_script_without_a_main_guard_runs(tmp_path, source):
+    # and the workers it started end with it
     cfg = small_config(grid=((8, 12), (9, 12)))
     text = _NO_GUARD.format(config=json.dumps(cfg.to_dict()))
-    if source == "file":
-        script = tmp_path / "no_guard.py"
-        script.write_text(text)
-        argv, stdin = [sys.executable, str(script)], None
-    else:
-        argv, stdin = [sys.executable, "-"], text
-    proc = subprocess.run(argv, input=stdin, capture_output=True, text=True,
-                          env=child_env(), timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ""
-    assert proc.stdout == run_mc(cfg, workers=2).to_json()
+    script = tmp_path / "no_guard.py"
+    script.write_text(text)
+    code, out, err = _run_alone(
+        tmp_path, [sys.executable, str(script) if source == "file" else "-"],
+        stdin=text)
+    assert code == 0, err
+    assert err == ""
+    assert out == run_mc(cfg, workers=2).to_json()
 
 
-@needs_forkserver
-def test_main_free_launch_is_the_stock_launch_without_the_main_entries():
-    # _Popen._launch copies the stock one; a Python that changes the stock
-    # one needs the copy brought up to date
-    import inspect
-    from multiprocessing import popen_forkserver
+_NO_GUARD_OWN_FAMILY = """
+from panelcsd import CovConfig, DgpSpec, Diagonal, McConfig, run_mc
 
-    def statements(fn):
-        lines = (line.split("#")[0].strip()
-                 for line in inspect.getsource(fn).splitlines())
-        return [line for line in lines if line]
+class Mine(Diagonal):
+    pass
 
-    ours = statements(montecarlo._Popen._launch)
-    left_out = ["for key in _MAIN_KEYS:", "prep_data.pop(key, None)"]
-    assert [line for line in ours if line not in left_out] == \
-        statements(popen_forkserver.Popen._launch)
-    assert len(ours) == len(statements(popen_forkserver.Popen._launch)) + 2
+run_mc(McConfig(dgp=DgpSpec(cross_section=Mine(), beta_true=(1.0,)),
+                grid=((6, 5),), reps=200, cov=CovConfig(method="cs")),
+       workers=2)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_script_without_a_main_guard_that_a_worker_runs_fails(tmp_path):
+    # A worker runs the script to find Mine. The script's run_mc call then
+    # runs in the worker, and must fail there, not start workers of its own.
+    script = tmp_path / "own_family.py"
+    script.write_text(_NO_GUARD_OWN_FAMILY)
+    code, out, err = _run_alone(tmp_path, [sys.executable, str(script)])
+    assert code == 1 and out == ""
+    assert "RuntimeError: run_mc was called in a worker" in err
 
 
 _POOL_PROBE = """
@@ -637,9 +658,9 @@ from panelcsd import McConfig, montecarlo, run_mc
 
 def probe():
     preloaded = "numpy.random" in sys.modules  # before the task imports it
-    time.sleep(0.5)  # long enough that each worker takes one
+    time.sleep(0.5)
     return os.getpid(), os.getppid(), {
-        key: os.environ.get(key) for key in montecarlo._WORKER_ENV}, \
+        key: os.environ.get(key) for key in montecarlo._WORKER_ENV}, \\
         preloaded, __name__
 
 if __name__ == "__main__":
@@ -653,8 +674,7 @@ if __name__ == "__main__":
         seen = [f.result() for f in [pool.submit(probe) for _ in range(4)]]
     with open(config_path) as fh:
         report = run_mc(McConfig.from_dict(json.load(fh)), workers=2)
-    print(json.dumps({"pid": os.getpid(),
-                      "own_server": montecarlo._SERVER_PID, "seen": seen,
+    print(json.dumps({"pid": os.getpid(), "seen": seen,
                       "env": os.environ["OPENBLAS_NUM_THREADS"],
                       "report": report.to_json()}))
 """
@@ -665,69 +685,53 @@ if __name__ == "__main__":
 def test_workers_and_reports_whoever_started_the_forkserver(tmp_path,
                                                             foreign):
     # A fresh interpreter that set OPENBLAS_NUM_THREADS=4 before its first
-    # pool, and may have started a forkserver of its own first: every
-    # worker still sees the worker environment, the report is the same, and
-    # no process of the session outlives the interpreter.
+    # run, and may have started a multiprocessing forkserver of its own
+    # first: every worker still sees the worker environment, the report is
+    # the same, and no process of the session outlives the interpreter.
     if foreign and "forkserver" not in multiprocessing.get_all_start_methods():
         pytest.skip("no forkserver on this platform")
     script = tmp_path / "probe.py"
     script.write_text(_POOL_PROBE)
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(small_config().to_dict()))
-    out_path, err_path = tmp_path / "out.json", tmp_path / "err.txt"
-    with open(out_path, "w") as out, open(err_path, "w") as err:
-        proc = subprocess.Popen(
-            [sys.executable, str(script), str(config_path),
-             "foreign" if foreign else "own"],
-            stdout=out, stderr=err, env=child_env(), start_new_session=True)
-    try:
-        proc.wait(timeout=120)
-        # timed from the interpreter's exit, not from its pipes' closing
-        assert group_left_after(proc.pid, 5.0) == []
-        assert proc.returncode == 0, err_path.read_text()
-    finally:
-        for pid in live_group_members(proc.pid):
-            os.kill(pid, signal.SIGKILL)
-        proc.kill()
-        proc.wait()
-    got = json.loads(out_path.read_text())
+    code, out, err = _run_alone(
+        tmp_path, [sys.executable, str(script), str(config_path),
+                   "foreign" if foreign else "own"], seconds=5.0)
+    assert code == 0, err
+    got = json.loads(out)
     assert len({pid for pid, *_ in got["seen"]}) == 2
     assert all(env == montecarlo._WORKER_ENV for _, _, env, *_ in got["seen"])
     # the task lives in the main module, which each worker ran to find it
     assert all(name == "__mp_main__" for *_, name in got["seen"])
-    assert got["env"] == "4"  # the parent's own setting is back
-    parents = {ppid for _, ppid, *_ in got["seen"]}
-    if foreign:
-        # that server's environment is not ours: the workers are spawned
-        assert got["own_server"] is None and parents == {got["pid"]}
-    elif "forkserver" in multiprocessing.get_all_start_methods():
-        assert parents == {got["own_server"]}
-        # numpy imports numpy.random lazily; our server preloads it
-        assert all(preloaded for _, _, _, preloaded, _ in got["seen"])
+    assert got["env"] == "4"  # the parent's own setting is untouched
+    # the workers are the interpreter's own children
+    assert {ppid for _, ppid, *_ in got["seen"]} == {got["pid"]}
+    # numpy imports numpy.random lazily; a worker imports it at start
+    assert all(preloaded for _, _, _, preloaded, _ in got["seen"])
     assert got["report"] == run_mc(small_config(), workers=2).to_json()
 
 
 @pytest.mark.parametrize("workers", [0, -1, 1.5, True, "2"])
 def test_worker_count_must_be_a_positive_integer(monkeypatch, workers):
-    built = _count_pools(monkeypatch)
+    started = _count_starts(monkeypatch)
     with pytest.raises(UsageError, match="workers must be an integer >= 1"):
         run_mc(small_config(), workers=workers)
     with pytest.raises(UsageError, match="workers"):
         regime_size_ordering(workers=workers)
     with pytest.raises(UsageError, match="workers"):
         aligned_x_coverage(workers=workers)
-    assert built == []
+    assert started == []
 
 
 @pytest.mark.parametrize("env", ["abc", "0", "-2", "1.5"])
 def test_worker_count_env_var_must_be_a_positive_integer(monkeypatch, env):
-    built = _count_pools(monkeypatch)
+    started = _count_starts(monkeypatch)
     monkeypatch.setenv(THREADS_ENV_VAR, env)
     with pytest.raises(UsageError, match=THREADS_ENV_VAR):
         run_mc(small_config())
     with pytest.raises(UsageError, match=THREADS_ENV_VAR):
         regime_size_ordering()
-    assert built == []
+    assert started == []
 
 
 def test_worker_count_sources_in_order(monkeypatch):
@@ -961,88 +965,91 @@ def test_interrupt_while_collecting_names_that_cell_and_ends_the_workers(
         monkeypatch):
     cfg = small_config(grid=((8, 12), (9, 12), (10, 12)))
     submitted, seen = [], {}
-    aggregate = montecarlo._aggregate_cell
+    aggregate, submit = montecarlo._aggregate_cell, montecarlo._Pool.submit
 
-    class RecordingPool(montecarlo.ProcessPoolExecutor):
-        def submit(self, fn, *args, **kwargs):
-            submitted.append(args[1:3])
-            return super().submit(fn, *args, **kwargs)
+    def recording_submit(self, fn, *args):
+        submitted.append(args[1:3])
+        return submit(self, fn, *args)
 
     def interrupted(n, t, *args):
         if (n, t) == cfg.grid[0]:
             seen.update(queued=list(submitted),
-                        workers=multiprocessing.active_children())
+                        workers=list(montecarlo._WORKERS))
             raise KeyboardInterrupt
         return aggregate(n, t, *args)
 
-    before = set(multiprocessing.active_children())
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(montecarlo._Pool, "submit", recording_submit)
     monkeypatch.setattr(montecarlo, "_aggregate_cell", interrupted)
     with pytest.raises(KeyboardInterrupt) as info:
         run_mc(cfg, workers=2)
     assert info.value.__notes__ == ["in cell (n=8, t=12)"]
     assert seen["queued"] == [(8, 12)] * 2 + [(9, 12)] * 2
     assert seen["workers"]
-    assert not any(worker.is_alive() for worker in seen["workers"])
-    assert set(multiprocessing.active_children()) <= before
+    assert all(w.proc.returncode is not None for w in seen["workers"])
+    assert montecarlo._WORKERS == []
 
 
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
 def test_pool_drops_queued_work_when_an_exception_leaves_it(error):
-    before = set(multiprocessing.active_children())
     start = time.perf_counter()
     with pytest.raises(error):
         with montecarlo._pool(1) as pool:
             for _ in range(20):
                 pool.submit(time.sleep, 0.5)
+            workers = list(montecarlo._WORKERS)
             raise error("stop")
     assert time.perf_counter() - start < 2.0
-    assert set(multiprocessing.active_children()) <= before
+    assert all(w.proc.returncode is not None for w in workers)
+    assert montecarlo._WORKERS == []
 
 
 def test_pool_ends_a_running_worker_when_an_exception_leaves_it():
-    before = set(multiprocessing.active_children())
     with pytest.raises(KeyboardInterrupt):
         with montecarlo._pool(1) as pool:
             pool.submit(os.getpid).result()  # the worker is up
             pool.submit(time.sleep, 60)
             time.sleep(0.3)
+            workers = list(montecarlo._WORKERS)
             start = time.perf_counter()
             raise KeyboardInterrupt
     assert time.perf_counter() - start < 10.0
-    assert set(multiprocessing.active_children()) <= before
+    assert all(w.proc.returncode is not None for w in workers)
 
 
-def test_worker_pool_is_shared_by_the_calls_inside_it(monkeypatch):
-    built = _count_pools(monkeypatch)
+def test_workers_start_once_for_the_calls_of_a_process(monkeypatch):
+    started = _count_starts(monkeypatch)
     cfg = small_config()
     with panelcsd.worker_pool(2):
         first = run_mc(cfg, workers=2)
         second = run_mc(replace(cfg, master_seed=6), workers=2)
-    assert built == [2]
+    assert len(started) == 2
     assert first.to_json() == run_mc(cfg, workers=2).to_json()
     assert first.to_json() != second.to_json()
-    assert built == [2, 2]
+    assert len(started) == 2
+    assert [w.proc.pid for w in montecarlo._WORKERS] == started
+
+
+def _cut_frame_then_interrupt(self, fn, *args):
+    # the interrupt lands halfway through a task's frame
+    self.proc.stdin.write(montecarlo._HEADER.pack(1 << 20) + b"cut")
+    self.proc.stdin.flush()
+    raise KeyboardInterrupt
 
 
 def test_interrupt_inside_submit_keeps_its_type_and_cell(monkeypatch,
                                                          tmp_path, capsys):
-    # The interrupt lands after the executor made its manager thread and
-    # before it started it: the pool's shutdown then cannot join that
-    # thread, and must not replace the interrupt.
-    def interrupted(self):
-        raise KeyboardInterrupt
-
+    # A worker holding part of a frame cannot take another: the workers
+    # are killed, and the next call starts fresh ones.
     cfg = small_config()
     undisturbed = run_mc(cfg, workers=2).to_json()
     cfg_path, out_path = tmp_path / "config.json", tmp_path / "report.json"
     cfg_path.write_text(json.dumps(cfg.to_dict()))
     with monkeypatch.context() as m:
-        m.setattr(concurrent.futures.process._ExecutorManagerThread, "start",
-                  interrupted)
+        m.setattr(montecarlo._Worker, "submit", _cut_frame_then_interrupt)
         with pytest.raises(KeyboardInterrupt) as info:
             run_mc(cfg, workers=2)
         assert info.value.__notes__ == ["in cell (n=8, t=12)"]
+        assert montecarlo._WORKERS == []
         code = dispatch(["mc", "run", str(cfg_path), "--threads", "2",
                          "--out", str(out_path)])
     assert code == 130
@@ -1053,43 +1060,60 @@ def test_interrupt_inside_submit_keeps_its_type_and_cell(monkeypatch,
 
 
 _INTERRUPTED_SUBMIT = """
-import concurrent.futures.process, sys
+import sys
+from panelcsd import montecarlo
 from panelcsd.cli import dispatch
 
-def interrupted(self):
+def interrupted(self, fn, *args):
+    self.proc.stdin.write(montecarlo._HEADER.pack(1 << 20) + b"cut")
+    self.proc.stdin.flush()
     raise KeyboardInterrupt
 
 if __name__ == "__main__":
-    concurrent.futures.process._ExecutorManagerThread.start = interrupted
+    montecarlo._Worker.submit = interrupted
     sys.exit(dispatch(["mc", "run", sys.argv[1], "--threads", "2"]))
 """
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
 def test_interrupt_inside_submit_writes_one_error_line(tmp_path):
-    # A worker the interrupted submit started still unpickles the pool's
-    # queues after the parent has given up on them: it must find them, and
-    # nothing but the parent's one line reaches file descriptor 2, however
-    # late the worker writes.
+    # The workers the run started may still be starting, or hold part of a
+    # frame, when the interrupt lands: nothing but the parent's one line
+    # reaches file descriptor 2, however late a worker would write.
     script, config_path = tmp_path / "submit.py", tmp_path / "config.json"
     script.write_text(_INTERRUPTED_SUBMIT)
     config_path.write_text(json.dumps(small_config().to_dict()))
-    err_path = tmp_path / "err.txt"
-    with open(err_path, "w") as err:
-        proc = subprocess.Popen([sys.executable, str(script),
-                                 str(config_path)],
-                                stdout=subprocess.DEVNULL, stderr=err,
-                                env=child_env(), start_new_session=True)
+    code, out, err = _run_alone(tmp_path, [sys.executable, str(script),
+                                           str(config_path)])
+    assert code == 130
+    assert err == "error: interrupted in cell (n=8, t=12)\n"
+
+
+def test_threads_take_turns_with_the_workers():
+    # The process's threads share its workers and their pipes: interleaved
+    # frames or replies read by the wrong thread would change a report or
+    # hang. More workers than cores, and a short switch interval.
+    cfgs = [small_config(master_seed=seed, grid=((8, 12), (9, 12)))
+            for seed in range(4)]
+    want = [run_mc(cfg, workers=3).to_json() for cfg in cfgs]
+    got = [None] * len(cfgs)
+
+    def run(i):
+        got[i] = run_mc(cfgs[i], workers=3).to_json()
+
+    threads = [threading.Thread(target=run, args=(i,), daemon=True)
+               for i in range(len(cfgs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
     try:
-        proc.wait(timeout=120)
-        assert group_left_after(proc.pid, 5.0) == []
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
     finally:
-        for pid in live_group_members(proc.pid):
-            os.kill(pid, signal.SIGKILL)
-        proc.kill()
-        proc.wait()
-    assert proc.returncode == 130
-    assert err_path.read_text() == "error: interrupted in cell (n=8, t=12)\n"
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == want
 
 
 def test_workers_ignore_sigint():
@@ -1099,56 +1123,104 @@ def test_workers_ignore_sigint():
                            signal.SIGINT).result() == signal.SIG_IGN
 
 
-_FORK_AT_EXIT = """
+_FORK = """
 import json, os, sys, time
-from panelcsd import McConfig, run_mc
+from panelcsd import McConfig, montecarlo, run_mc
+
+def pids():
+    return [worker.proc.pid for worker in montecarlo._WORKERS]
 
 if __name__ == "__main__":
     with open(sys.argv[1]) as fh:
         config = McConfig.from_dict(json.load(fh))
-    run_mc(config, workers=2)
-    run_mc(config, workers=2)
+    report = run_mc(config, workers=2).to_json()
+    mine = pids()
     child = os.fork()
-    if child == 0:
+    if child == 0 and sys.argv[2] == "idle":
         time.sleep(30)
         os._exit(0)
-    print(child, flush=True)
+    if child == 0:  # starts its own workers; its exit ends only those
+        same = run_mc(config, workers=2).to_json() == report
+        print(json.dumps({"same": same, "workers": pids()}), flush=True)
+        sys.exit(0)
+    if sys.argv[2] == "run":
+        os.waitpid(child, 0)
+        same = run_mc(config, workers=2).to_json() == report
+        print(json.dumps({"same": same, "workers": pids()}))
+    print(json.dumps({"child": child, "workers": mine}), flush=True)
 """
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
-def test_exit_leaves_the_forkserver_to_a_forked_child(tmp_path):
-    # A child forked after the pools holds the forkserver's alive pipe open.
-    # The interpreter exits without waiting for it; the server ends once the
-    # child is gone, and nothing is left in TMPDIR.
+@pytest.mark.skipif(not hasattr(os, "fork")
+                    or not os.path.isdir("/proc/self"),
+                    reason="forks and reads /proc")
+def test_exit_ends_the_workers_a_forked_child_holds(tmp_path):
+    # A child forked after the workers started holds their input open. The
+    # interpreter exits without waiting for it, and its workers end with it.
     script, config_path = tmp_path / "fork.py", tmp_path / "config.json"
-    script.write_text(_FORK_AT_EXIT)
+    script.write_text(_FORK)
     config_path.write_text(json.dumps(small_config().to_dict()))
     out_path, err_path = tmp_path / "out.txt", tmp_path / "err.txt"
-    env = child_env()
-    env["TMPDIR"] = str(tmp_path)
     with open(out_path, "w") as out, open(err_path, "w") as err:
         proc = subprocess.Popen([sys.executable, str(script),
-                                 str(config_path)], stdout=out, stderr=err,
-                                env=env, start_new_session=True)
-    child = None
+                                 str(config_path), "idle"], stdout=out,
+                                stderr=err, env=child_env(),
+                                start_new_session=True)
     try:
-        deadline = time.monotonic() + 120
-        while not out_path.read_text().endswith("\n"):
-            assert proc.poll() is None, err_path.read_text()
-            assert time.monotonic() < deadline, "no pid was printed"
-            time.sleep(0.05)
-        child = int(out_path.read_text())
-        proc.wait(timeout=5)
+        proc.wait(timeout=120)
         assert proc.returncode == 0, err_path.read_text()
+        child = json.loads(out_path.read_text())["child"]
+        assert group_left_after(proc.pid, 1.0) == [child]
         os.kill(child, signal.SIGKILL)
-        child = None
         assert group_left_after(proc.pid, 5.0) == []
-        assert list(tmp_path.glob("pymp-*")) == []
     finally:
-        if child is not None:
-            os.kill(child, signal.SIGKILL)
         for pid in live_group_members(proc.pid):
             os.kill(pid, signal.SIGKILL)
         proc.kill()
         proc.wait()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork")
+                    or not os.path.isdir("/proc/self"),
+                    reason="forks and reads /proc")
+def test_forked_child_runs_on_workers_of_its_own(tmp_path):
+    # The child does not touch the parent's workers: its run starts its own
+    # and gives the same report, its exit ends only those, and the parent
+    # goes on with its own.
+    script, config_path = tmp_path / "fork.py", tmp_path / "config.json"
+    script.write_text(_FORK)
+    config_path.write_text(json.dumps(small_config().to_dict()))
+    code, out, err = _run_alone(tmp_path, [sys.executable, str(script),
+                                           str(config_path), "run"])
+    assert code == 0, err
+    in_child, in_parent, before_fork = map(json.loads, out.splitlines())
+    assert in_child["same"] and in_parent["same"]
+    assert in_parent["workers"] == before_fork["workers"]
+    assert len(set(in_child["workers"]) | set(in_parent["workers"])) == 4
+
+
+_BIG_FRAMES = """
+from panelcsd import CovConfig, DgpSpec, Equicorr, McConfig, run_mc
+
+if __name__ == "__main__":
+    # each chunk's design (8 x 520 x 2 doubles) and each chunk's replies
+    # (800 replications of 88 bytes) are more than a pipe holds
+    report = run_mc(McConfig(
+        dgp=DgpSpec(cross_section=Equicorr(a=1.0, b=0.5),
+                    beta_true=(1.0, 0.5)),
+        grid=((8, 520), (9, 520), (10, 520)), reps=1600,
+        cov=CovConfig(method="cs"), fixed_design=True), workers=2)
+    print([cell["n_fail"] for cell in report.cells])
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_frames_larger_than_a_pipe_do_not_deadlock(tmp_path):
+    # The next cell's chunks are written while the workers' replies to the
+    # current one fill their pipes, which this process is not reading yet.
+    script = tmp_path / "big.py"
+    script.write_text(_BIG_FRAMES)
+    code, out, err = _run_alone(tmp_path, [sys.executable, str(script)],
+                                timeout=60)
+    assert code == 0, err
+    assert out == "[0, 0, 0]\n"
