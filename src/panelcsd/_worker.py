@@ -1,12 +1,23 @@
-"""A worker process of :func:`panelcsd.run_mc`: ``python -m panelcsd._worker``.
+"""The worker processes of :func:`panelcsd.run_mc`.
 
-It reads frames (:func:`panelcsd.montecarlo._read_frame`) on standard input:
-first the parent's ``sys.path`` and main script path, then one pickled
-``(function, args)`` task per frame, each answered in order by one frame on
-standard output, ``(True, result, None)`` or ``(False, exception,
-traceback)``. An empty frame or end of file ends it at once and silently,
-mid-task if need be. It ignores SIGINT, and runs the parent's main script,
-as ``__mp_main__``, only when a task first needs a name defined there.
+``python -m panelcsd._worker FD`` is a worker server: it imports numpy and
+this package once, then forks one worker for each request on the Unix
+socket FD, a one-byte message carrying the worker's input and output pipes,
+and answers with the worker's pid (:data:`panelcsd.montecarlo._PID`). A
+forked worker shares the pages the server's imports touched instead of
+faulting them in again, as a new interpreter would. At end of file on the
+socket the server kills and reaps its workers and exits. Without ``FD``
+(where a process cannot fork) the process is itself one worker, on its
+standard input and output.
+
+A worker reads frames (:func:`panelcsd.montecarlo._read_frame`) on
+standard input: first the parent's ``sys.path`` and main script path, then
+one pickled ``(function, args)`` task per frame, each answered in order by
+one frame on standard output, ``(True, result, None)`` or ``(False,
+exception, traceback)``. An empty frame or end of file ends it at once and
+silently, mid-task if need be. Server and workers ignore SIGINT. A worker
+runs the parent's main script, as ``__mp_main__``, only when a task first
+needs a name defined there.
 """
 
 import functools
@@ -16,15 +27,17 @@ import pickle
 import queue
 import runpy
 import signal
+import socket
 import sys
 import threading
 import traceback
 import types
+from contextlib import suppress
 
 import numpy.random  # noqa: F401  numpy 2 imports it only on first use
 
 from . import montecarlo
-from .montecarlo import _read_frame, _write_frame
+from .montecarlo import _PID, _read_frame, _write_frame
 
 _main_path: str | None = None
 
@@ -56,12 +69,35 @@ def _read_input(frames: queue.SimpleQueue) -> None:
     os._exit(0)
 
 
-def main() -> None:
+def serve(channel: socket.socket) -> None:
+    """Fork a worker on each pair of pipes ``channel`` brings, until end of
+    file; then kill and reap them all."""
+    pids = []
+    with suppress(OSError):  # the parent has gone
+        while (fds := socket.recv_fds(channel, 1, 2)[1]):
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    channel.close()
+                    os.dup2(fds[0], 0)
+                    os.dup2(fds[1], 1)
+                    for fd in fds:
+                        os.close(fd)
+                    work()
+                finally:
+                    os._exit(1)
+            for fd in fds:
+                os.close(fd)
+            pids.append(pid)
+            channel.sendall(_PID.pack(pid))
+    for pid in pids:
+        os.kill(pid, signal.SIGKILL)  # an ended worker waits to be reaped
+        os.waitpid(pid, 0)
+
+
+def work() -> None:
+    """Run the tasks that come on standard input, for ever."""
     global _main_path
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    if hasattr(signal, "pthread_sigmask"):  # the parent started it blocked
-        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
-    montecarlo._IN_WORKER = True
     # replies go to a copy of standard output; what a task prints, to stderr
     out = os.fdopen(os.dup(1), "wb")
     os.dup2(2, 1)
@@ -81,4 +117,11 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    if hasattr(signal, "pthread_sigmask"):  # the parent started it blocked
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+    montecarlo._IN_WORKER = True
+    if len(sys.argv) > 1:
+        serve(socket.socket(fileno=int(sys.argv[1])))
+    else:
+        work()

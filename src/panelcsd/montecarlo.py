@@ -3,22 +3,25 @@
 Replication r of cell (n, t) derives its seed from a splittable hash of
 (master_seed, n, t, r), so every replication is independent of scheduling.
 All replications execute in worker processes whose numerical libraries
-are pinned to one thread. The workers start, in parallel, on the first
-``run_mc`` call that needs them and stay up until this process exits, so
-later calls start no process; :func:`worker_pool` starts them ahead. An
+are pinned to one thread. The first ``run_mc`` call that needs workers
+starts a worker server that imports numpy and this package once and forks
+each worker from itself; the workers stay up until this process exits, so
+later calls start no process, and :func:`worker_pool` starts them ahead.
+They are replaced by fresh forks when ``sys.path`` has changed or a module
+was reloaded since they started, and threads take turns with them. An
 exception leaving ``run_mc`` or ``worker_pool`` (an interrupt included)
 ends them at once, and the next call starts fresh ones. A worker exits when
-its input reaches end of file, so a killed parent leaves none behind. A
-worker does not run the caller's main module when it starts, only when a
-task needs a name from it, so a script without an ``if __name__ ==
-"__main__":`` guard, or one read from stdin, can call ``run_mc``. Workers
-ignore SIGINT, which a terminal sends to the whole process group, and
-leave interrupts to this process. If a worker dies, ``run_mc`` raises
-:class:`~panelcsd.errors.WorkerPoolError` naming the cell; an interrupt
-leaving ``run_mc`` carries the cell it stopped in as a note. The worker
-count is an integer >= 1 from the ``workers`` argument, else the
-``PANELCSD_THREADS`` environment variable, else the CPU count; anything
-else is a ``UsageError``. A worker runs its replications in
+its input reaches end of file, and the server when its socket does, so a
+killed parent leaves none behind. A worker does not run the caller's main
+module when it starts, only when a task needs a name from it, so a script
+without an ``if __name__ == "__main__":`` guard, or one read from stdin,
+can call ``run_mc``. Workers ignore SIGINT, which a terminal sends to the
+whole process group, and leave interrupts to this process. If a worker
+dies, ``run_mc`` raises :class:`~panelcsd.errors.WorkerPoolError` naming
+the cell; an interrupt leaving ``run_mc`` carries the cell it stopped in as
+a note. The worker count is an integer >= 1 from the ``workers`` argument,
+else the ``PANELCSD_THREADS`` environment variable, else the CPU count;
+anything else is a ``UsageError``. A worker runs its replications in
 stacked blocks: each replication is drawn on its own, then the fit,
 covariance, exact variance and Wald statistic run once per block on stacked
 arrays, with the same bits as one replication at a time. A replication the
@@ -48,12 +51,14 @@ import json
 import os
 import pickle
 import signal
+import socket
 import stat
 import struct
 import subprocess
 import sys
 import tempfile
 import threading
+import types
 import warnings
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
@@ -337,8 +342,10 @@ _WORKER_ENV = {
 }
 
 # A frame between this process and a worker: its length, then its bytes,
-# a pickled task or reply; an empty frame tells the worker to exit.
+# a pickled task or reply; an empty frame tells the worker to exit. A worker
+# server answers a request for a worker with the worker's pid.
 _HEADER = struct.Struct("<Q")
+_PID = struct.Struct("<q")
 
 
 def _write_frame(stream, payload: bytes) -> None:
@@ -355,6 +362,68 @@ def _read_frame(stream) -> bytes | None:
     (size,) = _HEADER.unpack(head)
     body = stream.read(size)
     return body if len(body) == size else None
+
+
+def _python(*args: str, **popen) -> subprocess.Popen:
+    """Start ``python -m panelcsd._worker args`` with the worker
+    environment, importing this package from where this process has it."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
+    # SIGINT stays blocked in the new process (the mask survives exec) until
+    # it ignores it: a terminal's Ctrl-C cannot stop it while it starts
+    masks = hasattr(signal, "pthread_sigmask")  # not on Windows
+    if masks:
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        return subprocess.Popen(
+            [sys.executable, "-m", "panelcsd._worker", *args],
+            env=os.environ | _WORKER_ENV | {"PYTHONPATH": path}, **popen)
+    finally:
+        if masks:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
+class _Server:
+    """A worker server (:mod:`panelcsd._worker`): it imports numpy and this
+    package once and forks each worker from itself, so that the workers
+    share the pages those imports touched. Ending it kills its workers."""
+
+    def __init__(self):
+        self.channel, theirs = socket.socketpair()
+        with theirs:
+            self.proc = _python(str(theirs.fileno()),
+                                pass_fds=(theirs.fileno(),),
+                                stdin=subprocess.DEVNULL,
+                                stdout=subprocess.DEVNULL)
+
+    def fork(self):
+        """A new worker's pid, input and output."""
+        task_r, task_w = os.pipe()
+        reply_r, reply_w = os.pipe()
+        stdin, stdout = open(task_w, "wb"), open(reply_r, "rb")
+        try:
+            socket.send_fds(self.channel, [b"w"], [task_r, reply_w])
+            reply = self.channel.recv(_PID.size, socket.MSG_WAITALL)
+        except OSError:  # the server has gone
+            reply = b""
+        finally:
+            os.close(task_r)
+            os.close(reply_w)
+        if len(reply) < _PID.size:
+            stdin.close()
+            stdout.close()
+            raise WorkerPoolError(f"worker server {self.proc.pid} exited")
+        return _PID.unpack(reply)[0], stdin, stdout
+
+    def end(self) -> None:
+        """Make the server kill and reap its workers, and wait for it."""
+        with suppress(OSError):  # it may have gone
+            self.channel.shutdown(socket.SHUT_RDWR)
+        self.channel.close()
+        with suppress(subprocess.TimeoutExpired):
+            self.proc.wait(timeout=5)
+        self.proc.kill()  # a no-op once it has ended
+        self.proc.wait()
 
 
 class _Task:
@@ -375,37 +444,33 @@ class _Task:
 
 class _Worker:
     """A worker process (:mod:`panelcsd._worker`) and its tasks whose replies
-    are still to be read, oldest first, the order it answers them in."""
+    are still to be read, oldest first, the order it answers them in. It is
+    forked by this process's worker server, or, where a process cannot fork,
+    started as an interpreter of its own (``proc``)."""
 
     def __init__(self):
-        # the worker imports this package from where this process has it
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        path = os.pathsep.join(filter(None, (root,
-                                             os.environ.get("PYTHONPATH"))))
-        # SIGINT stays blocked in the worker (the mask survives exec) until
-        # it ignores it: a terminal's Ctrl-C cannot stop it while it starts
-        masks = hasattr(signal, "pthread_sigmask")  # not on Windows
-        if masks:
-            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-        try:
-            self.proc = subprocess.Popen(
-                [sys.executable, "-m", "panelcsd._worker"],
-                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                env=os.environ | _WORKER_ENV | {"PYTHONPATH": path})
-        finally:
-            if masks:
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        global _SERVER
+        self.proc = None
+        if not _FORKS:
+            self.proc = _python(stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+            self.pid, self.stdin, self.stdout = (self.proc.pid,
+                                                 self.proc.stdin,
+                                                 self.proc.stdout)
+        else:
+            _SERVER = _SERVER or _Server()
+            self.pid, self.stdin, self.stdout = _SERVER.fork()
         self.waiting: collections.deque[_Task] = collections.deque()
+        self.path = list(sys.path)
         _WORKERS.append(self)  # before its first frame: an error ends it
-        self.send((sys.path,
+        self.send((self.path,
                    getattr(sys.modules["__main__"], "__file__", None)))
 
     def send(self, obj) -> None:
         try:
-            _write_frame(self.proc.stdin,
+            _write_frame(self.stdin,
                          pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
         except BrokenPipeError:
-            raise WorkerPoolError(f"worker {self.proc.pid} exited") from None
+            raise WorkerPoolError(f"worker {self.pid} exited") from None
 
     def submit(self, fn, *args) -> _Task:
         self.send((fn, args))
@@ -414,9 +479,9 @@ class _Worker:
 
     def receive(self) -> None:
         """Read the next reply, the oldest waiting task's."""
-        frame = _read_frame(self.proc.stdout)
+        frame = _read_frame(self.stdout)
         if frame is None:
-            raise WorkerPoolError(f"worker {self.proc.pid} exited")
+            raise WorkerPoolError(f"worker {self.pid} exited")
         self.waiting.popleft().reply = pickle.loads(frame)
 
 
@@ -427,43 +492,55 @@ class _Pool(list):
         return min(self, key=lambda w: len(w.waiting)).submit(fn, *args)
 
 
-# This process's workers, kept until it exits, and the lock that gives one
-# thread at a time their use. _IN_WORKER is True in a worker, which has none.
+# This process's workers and their server, kept until it exits; the lock
+# that gives one thread at a time their use; the spec of each module as
+# last seen. _IN_WORKER is True in a worker, which has none.
+_FORKS = hasattr(os, "fork") and hasattr(socket, "send_fds")
 _WORKERS: list[_Worker] = []
+_SERVER: _Server | None = None
 _LOCK = threading.RLock()
+_SPECS: dict[str, object] = {}
 _IN_WORKER = False
 
 
-def _end_workers(stop: bool) -> None:
-    """End, forget and wait for every worker. ``stop`` sends each an empty
-    frame, which ends it at once, and kills one still up after 5 s; else
-    each is killed at once, whatever its pipe holds."""
+def _end_workers() -> None:
+    """Kill, forget and wait for every worker, whatever its pipes hold, and
+    for their server."""
+    global _SERVER
     workers, _WORKERS[:] = _WORKERS[:], []
+    server, _SERVER = _SERVER, None
     for worker in workers:
         with suppress(OSError):  # an ended worker has closed its input
-            if stop:
-                _write_frame(worker.proc.stdin, b"")
-            else:
-                worker.proc.kill()
-            worker.proc.stdin.close()
+            worker.stdin.close()  # a worker exits at end of file
+        if worker.proc:
+            worker.proc.kill()
+            worker.proc.wait()
+    if server:
+        server.end()
     for worker in workers:
-        with suppress(subprocess.TimeoutExpired):
-            worker.proc.wait(timeout=5)
-        worker.proc.kill()  # a no-op once it has ended
-        worker.proc.wait()
-        worker.proc.stdout.close()
+        worker.stdout.close()
+
+
+def _code_changed() -> bool:
+    """Whether a module was reloaded (``importlib.reload`` gives it a new
+    spec) since the last call; the workers would still run its old code."""
+    changed = False
+    for name, module in list(sys.modules.items()):
+        if type(module) is types.ModuleType:
+            spec = module.__dict__.get("__spec__")
+            if _SPECS.setdefault(name, spec) is not spec:
+                _SPECS[name], changed = spec, True
+    return changed
 
 
 def _forget_workers() -> None:
     """In a child forked from this process: the workers are the parent's, so
     drop them untouched; the child starts its own when it needs them."""
-    global _WORKERS, _LOCK
-    _WORKERS, _LOCK = [], threading.RLock()
+    global _WORKERS, _SERVER, _LOCK
+    _WORKERS, _SERVER, _LOCK = [], None, threading.RLock()
 
 
-# At exit each worker gets an empty frame: end of file on its input is not
-# enough, since a child forked after it started holds the write end.
-atexit.register(_end_workers, True)
+atexit.register(_end_workers)
 if hasattr(os, "register_at_fork"):  # not on Windows
     os.register_at_fork(after_in_child=_forget_workers)
 
@@ -471,11 +548,15 @@ if hasattr(os, "register_at_fork"):  # not on Windows
 @contextmanager
 def _pool(workers: int):
     """The first ``workers`` of this process's workers, the missing ones
-    started in parallel; the count only grows. An exception leaving the
-    scope (an interrupt included) kills every worker, since a frame may be
-    cut short, and drops their work; the next scope starts fresh ones."""
+    started now; the count only grows. The workers are replaced by fresh
+    ones when ``sys.path`` has changed or a module was reloaded since they
+    started. An exception leaving the scope (an interrupt included) kills
+    every worker, since a frame may be cut short, and drops their work; the
+    next scope starts fresh ones."""
     with _LOCK:
         try:
+            if (_code_changed() or _WORKERS and _WORKERS[0].path != sys.path):
+                _end_workers()
             if len(_WORKERS) < workers and _IN_WORKER:
                 raise RuntimeError("run_mc was called in a worker: call it "
                                    "under 'if __name__ == \"__main__\":'")
@@ -483,7 +564,7 @@ def _pool(workers: int):
                 _Worker()
             yield _Pool(_WORKERS[:workers])
         except BaseException:
-            _end_workers(stop=False)
+            _end_workers()
             raise
 
 
@@ -492,7 +573,9 @@ def worker_pool(workers: int | None = None):
     """Start this process's workers now, until ``workers`` (resolved as in
     :func:`run_mc`) are up, for the calls in the scope and every later one.
     An exception leaving the scope ends them all, and the next call starts
-    fresh ones. Reports are the same inside or outside the scope."""
+    fresh ones. Reports are the same inside or outside the scope. The
+    scope holds the workers for its thread: ``run_mc`` in another thread
+    waits until it ends."""
     with _pool(resolve_workers(workers)) as pool:
         yield pool
 
@@ -666,7 +749,8 @@ def run_mc(config: McConfig, workers: int | None = None) -> McReport:
     The grid runs with one cell of look-ahead: the next cell is queued
     before the current one is collected, so a worker that finishes its
     chunk early takes one of the next cell's instead of waiting. Cells are
-    aggregated in grid order."""
+    aggregated in grid order. Calls from several threads share this
+    process's workers and run one at a time."""
     workers = resolve_workers(workers)
     grid = config.grid
     cells: list[dict] = []

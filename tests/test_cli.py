@@ -774,11 +774,12 @@ def test_mc_run_rejects_a_memory_field_its_form_ignores_before_any_worker(
     assert not report_path.exists()
 
 
-def _signal_mc_run(tmp_path, signum, group=False, members=3, settle=1.0):
+def _signal_mc_run(tmp_path, signum, group=False, members=4, settle=1.0):
     # many cells whose chunks take milliseconds: the signal lands mid-run,
-    # once the process group holds ``members`` processes (the run and its
-    # workers) and ``settle`` seconds more have passed; the run must leave
-    # no process and no report. Returns its exit code and output.
+    # once the process group holds ``members`` processes (the run, its
+    # worker server and the two workers the server forks) and ``settle``
+    # seconds more have passed; the run must leave no process and no
+    # report. Returns its exit code and output.
     cfg_path = tmp_path / "long.json"
     cfg_path.write_text(json.dumps({
         "dgp": {"cross_section": "example1", "beta_true": [1.0]},
@@ -820,11 +821,13 @@ def test_mc_run_sigterm_stops_the_workers(tmp_path):
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
-def test_mc_run_sigterm_while_the_workers_start(tmp_path):
-    # as soon as the first worker exists: a worker still starting, even one
-    # the run had no time to record, ends without a word
-    code, out, err = _signal_mc_run(tmp_path, signal.SIGTERM, members=2,
-                                    settle=0.0)
+@pytest.mark.parametrize("members", [2, 3])
+def test_mc_run_sigterm_while_the_workers_start(tmp_path, members):
+    # as soon as the worker server, or its first worker, exists: a server
+    # still importing, or a worker before its first frame, ends without a
+    # word
+    code, out, err = _signal_mc_run(tmp_path, signal.SIGTERM,
+                                    members=members, settle=0.0)
     assert (code, out) == (143, "")
     assert len(err.splitlines()) == 1 and err.startswith("error: interrupted")
 
@@ -845,7 +848,8 @@ def test_mc_run_group_sigint_stops_the_workers(tmp_path):
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
 def test_mc_run_sigkill_leaves_no_process(tmp_path):
     # the parent cannot clean up: each worker reads end of file on its
-    # input, which closes with the parent, and exits
+    # input, and the worker server on its socket, which close with the
+    # parent, and they exit
     code, *_ = _signal_mc_run(tmp_path, signal.SIGKILL)
     assert code == -signal.SIGKILL
 

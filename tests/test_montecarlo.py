@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import json
 import multiprocessing
 import os
@@ -472,16 +473,25 @@ def test_config_from_dict_checks_value_types(key, value):
 def _count_starts(monkeypatch) -> list:
     """End this process's workers, then record the pid of each worker
     started from here on; returns the record."""
-    montecarlo._end_workers(stop=True)
+    montecarlo._end_workers()
     started = []
 
     class CountingWorker(montecarlo._Worker):
         def __init__(self):
             super().__init__()
-            started.append(self.proc.pid)
+            started.append(self.pid)
 
     monkeypatch.setattr(montecarlo, "_Worker", CountingWorker)
     return started
+
+
+def _ended(worker) -> bool:
+    """Whether ``worker``'s process has ended and been reaped."""
+    try:
+        os.kill(worker.pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
 
 
 @pytest.mark.parametrize("experiment, kwargs", [
@@ -520,7 +530,9 @@ def test_pool_scopes_share_the_workers_and_only_add_to_them(monkeypatch):
     with montecarlo._pool(2) as later:
         assert later == outer
     assert len(started) == 3
-    assert all(worker.proc.poll() is None for worker in montecarlo._WORKERS)
+    assert [task.result() for task in [worker.submit(os.getpid)
+                                       for worker in montecarlo._WORKERS]
+            ] == started
 
 
 _KILLED_IN_CELL = """
@@ -659,7 +671,9 @@ from panelcsd import McConfig, montecarlo, run_mc
 def probe():
     preloaded = "numpy.random" in sys.modules  # before the task imports it
     time.sleep(0.5)
-    return os.getpid(), os.getppid(), {
+    with open(f"/proc/{os.getppid()}/stat") as fh:
+        server_parent = int(fh.read().rsplit(")", 1)[1].split()[1])
+    return os.getpid(), (os.getppid(), server_parent), {
         key: os.environ.get(key) for key in montecarlo._WORKER_ENV}, \\
         preloaded, __name__
 
@@ -704,8 +718,9 @@ def test_workers_and_reports_whoever_started_the_forkserver(tmp_path,
     # the task lives in the main module, which each worker ran to find it
     assert all(name == "__mp_main__" for *_, name in got["seen"])
     assert got["env"] == "4"  # the parent's own setting is untouched
-    # the workers are the interpreter's own children
-    assert {ppid for _, ppid, *_ in got["seen"]} == {got["pid"]}
+    # one worker server, the interpreter's own child, forked the workers
+    servers = {tuple(parents) for _, parents, *_ in got["seen"]}
+    assert len(servers) == 1 and servers.pop()[1] == got["pid"]
     # numpy imports numpy.random lazily; a worker imports it at start
     assert all(preloaded for _, _, _, preloaded, _ in got["seen"])
     assert got["report"] == run_mc(small_config(), workers=2).to_json()
@@ -985,7 +1000,7 @@ def test_interrupt_while_collecting_names_that_cell_and_ends_the_workers(
     assert info.value.__notes__ == ["in cell (n=8, t=12)"]
     assert seen["queued"] == [(8, 12)] * 2 + [(9, 12)] * 2
     assert seen["workers"]
-    assert all(w.proc.returncode is not None for w in seen["workers"])
+    assert all(_ended(w) for w in seen["workers"])
     assert montecarlo._WORKERS == []
 
 
@@ -999,7 +1014,7 @@ def test_pool_drops_queued_work_when_an_exception_leaves_it(error):
             workers = list(montecarlo._WORKERS)
             raise error("stop")
     assert time.perf_counter() - start < 2.0
-    assert all(w.proc.returncode is not None for w in workers)
+    assert all(_ended(w) for w in workers)
     assert montecarlo._WORKERS == []
 
 
@@ -1013,7 +1028,7 @@ def test_pool_ends_a_running_worker_when_an_exception_leaves_it():
             start = time.perf_counter()
             raise KeyboardInterrupt
     assert time.perf_counter() - start < 10.0
-    assert all(w.proc.returncode is not None for w in workers)
+    assert all(_ended(w) for w in workers)
 
 
 def test_workers_start_once_for_the_calls_of_a_process(monkeypatch):
@@ -1026,13 +1041,63 @@ def test_workers_start_once_for_the_calls_of_a_process(monkeypatch):
     assert first.to_json() == run_mc(cfg, workers=2).to_json()
     assert first.to_json() != second.to_json()
     assert len(started) == 2
-    assert [w.proc.pid for w in montecarlo._WORKERS] == started
+    assert [w.pid for w in montecarlo._WORKERS] == started
+
+
+_VERSIONED = "def version():\n    return {version!r}\n"
+
+
+def _versions(module) -> list:
+    with montecarlo._pool(2) as pool:
+        return [task.result() for task in [pool.submit(module.version)
+                                           for _ in range(2)]]
+
+
+def test_workers_run_the_code_of_a_reloaded_module(tmp_path, monkeypatch):
+    # Workers keep the modules they imported. Once this process reloads
+    # one, the next scope replaces them, and the new ones run the new code.
+    monkeypatch.syspath_prepend(tmp_path)
+    source = tmp_path / "versioned.py"
+    source.write_text(_VERSIONED.format(version="first"))
+    import versioned
+    monkeypatch.setitem(sys.modules, "versioned", versioned)
+    assert _versions(versioned) == ["first"] * 2
+    source.write_text(_VERSIONED.format(version="second, edited"))
+    importlib.reload(versioned)
+    assert _versions(versioned) == ["second, edited"] * 2
+
+
+def test_workers_follow_a_changed_sys_path(tmp_path, monkeypatch):
+    # workers already up when a directory joins sys.path are replaced
+    with montecarlo._pool(2) as pool:
+        pool.submit(os.getpid).result()
+    monkeypatch.syspath_prepend(tmp_path)
+    (tmp_path / "late.py").write_text(_VERSIONED.format(version="late"))
+    import late
+    monkeypatch.setitem(sys.modules, "late", late)
+    assert _versions(late) == ["late"] * 2
+
+
+def test_workers_without_fork_are_interpreters_of_their_own(monkeypatch):
+    # where a process cannot fork, each worker is started as a new one
+    cfg = small_config()
+    want = run_mc(cfg, workers=2).to_json()
+    montecarlo._end_workers()
+    monkeypatch.setattr(montecarlo, "_FORKS", False)
+    try:
+        assert run_mc(cfg, workers=2).to_json() == want
+        workers = list(montecarlo._WORKERS)
+        assert montecarlo._SERVER is None
+        assert [w.proc.pid for w in workers] == [w.pid for w in workers]
+    finally:
+        montecarlo._end_workers()
+    assert all(w.proc.returncode is not None for w in workers)
 
 
 def _cut_frame_then_interrupt(self, fn, *args):
     # the interrupt lands halfway through a task's frame
-    self.proc.stdin.write(montecarlo._HEADER.pack(1 << 20) + b"cut")
-    self.proc.stdin.flush()
+    self.stdin.write(montecarlo._HEADER.pack(1 << 20) + b"cut")
+    self.stdin.flush()
     raise KeyboardInterrupt
 
 
@@ -1065,8 +1130,8 @@ from panelcsd import montecarlo
 from panelcsd.cli import dispatch
 
 def interrupted(self, fn, *args):
-    self.proc.stdin.write(montecarlo._HEADER.pack(1 << 20) + b"cut")
-    self.proc.stdin.flush()
+    self.stdin.write(montecarlo._HEADER.pack(1 << 20) + b"cut")
+    self.stdin.flush()
     raise KeyboardInterrupt
 
 if __name__ == "__main__":
@@ -1128,7 +1193,7 @@ import json, os, sys, time
 from panelcsd import McConfig, montecarlo, run_mc
 
 def pids():
-    return [worker.proc.pid for worker in montecarlo._WORKERS]
+    return [worker.pid for worker in montecarlo._WORKERS]
 
 if __name__ == "__main__":
     with open(sys.argv[1]) as fh:
