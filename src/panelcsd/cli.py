@@ -143,8 +143,9 @@ def _parse_n_grid(arg: str) -> list[int]:
         grid = [int(v) for v in arg.split(",") if v.strip()]
     except ValueError:
         raise UsageError(f"bad --n-grid {arg!r}") from None
-    if not grid or min(grid) < 1:
-        raise UsageError(f"--n-grid must list sizes >= 1, got {arg!r}")
+    if len(set(grid)) < 2 or min(grid) < 1:
+        raise UsageError("--n-grid must list two or more distinct sizes "
+                         f">= 1, got {arg!r}")
     return grid
 
 

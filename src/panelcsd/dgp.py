@@ -12,12 +12,13 @@ equal seeds give byte-identical panels. Every panel comes from one draw,
 :func:`_draw_block`, on a block of seeds: the Monte Carlo workers call it on
 blocks of replications and :func:`gen_panel` on a single seed.
 
-The families whose dependence comes from a few common components
-(diagonal, equicorrelated, a fixed number of blocks, a hub, a factor model)
-define their covariance in the structured form D + U S U'
-(:class:`_Structured`): D a multiple of the identity, U n x r of small rank
-and S a symmetric r x r core. :func:`build_omega` holds them as that form,
-so the classification and the draws read one definition and neither forms
+The families whose dependence comes from common components (diagonal,
+equicorrelated, block-diagonal, a hub, a factor model) define their
+covariance in the structured form D + U S U' (:class:`_Structured`): D a
+multiple of the identity, U n x r (one column per block for the block
+family, so ceil(n / size) columns for blocks of a fixed size) and S a
+symmetric r x r core. :func:`build_omega` holds them as that form, so the
+classification and the draws read one definition and neither forms
 an n x n matrix: the draws apply the square root in that form, and the
 exact variance sandwiches it, at O(n r) per column instead of O(n^2). The
 other families use the dense matrix and the square root from its
@@ -166,7 +167,9 @@ class Block(_Family):
 
     Give exactly one of ``size`` (int, or "sqrt" for blocks of size about
     sqrt(n)) or ``n_blocks`` (a fixed number of blocks whose size grows
-    with n).
+    with n). Either way the covariance is the form (1 - b) I + U S U' with
+    one orthonormal column of U per block, so blocks of a fixed size give
+    ceil(n / size) columns.
     """
 
     size: int | str | None = None
@@ -185,43 +188,23 @@ class Block(_Family):
             raise UsageError("block b must be in [0, 1]")
 
     def _sizes(self, n: int) -> list[int]:
-        if self.n_blocks is not None:
-            nb = self.n_blocks
-            if nb > n:
-                raise UsageError("n_blocks must be in [1, n]")
-            base, extra = divmod(n, nb)
-            return [base + (1 if i < extra else 0) for i in range(nb)]
-        s = _resolve_width(self.size, n)
-        sizes = [s] * (n // s)
-        if n % s:
-            sizes.append(n % s)
-        return sizes
-
-    def build(self, n: int) -> np.ndarray:
-        if self.n_blocks is not None:
-            return super().build(n)
-        a = np.zeros((n, n))
-        start = 0
-        for s in self._sizes(n):
-            blk = np.full((s, s), self.b)
-            np.fill_diagonal(blk, 1.0)
-            a[start:start + s, start:start + s] = blk
-            start += s
-        return a
-
-    def _low_rank(self, n: int) -> _Structured | None:
-        # a fixed number of blocks: (1 - b) I + sum_j b s_j e_j e_j', e_j
-        # block j's indicator over sqrt(s_j)
         if self.n_blocks is None:
-            return None
-        sizes = self._sizes(n)
+            s = _resolve_width(self.size, n)
+            return [s] * (n // s) + ([n % s] if n % s else [])
+        if self.n_blocks > n:
+            raise UsageError("n_blocks must be in [1, n]")
+        base, extra = divmod(n, self.n_blocks)
+        return [base + (i < extra) for i in range(self.n_blocks)]
+
+    def _low_rank(self, n: int) -> _Structured:
+        # (1 - b) I + sum_j b s_j e_j e_j', e_j block j's indicator over
+        # sqrt(s_j)
+        sizes = np.array(self._sizes(n))
         u = np.zeros((n, len(sizes)))
-        start = 0
-        for j, s in enumerate(sizes):
-            u[start:start + s, j] = 1.0 / np.sqrt(s)
-            start += s
+        u[np.arange(n), np.repeat(np.arange(len(sizes)), sizes)] = np.repeat(
+            1.0 / np.sqrt(sizes), sizes)
         return _Structured(1.0 - self.b, u,
-                           np.diag(self.b * np.array(sizes, float)))
+                           np.diag(self.b * sizes.astype(float)))
 
     def h_n(self, n: int) -> float:
         return float(max(self._sizes(n)))

@@ -685,7 +685,18 @@ class McReport:
     @classmethod
     def from_json(cls, text: str) -> "McReport":
         d = json.loads(text)
-        return cls(config=d["config"], cells=d["cells"], rate=d.get("rate"),
+        d = d if isinstance(d, dict) else {}
+        cells, rate = d.get("cells"), d.get("rate")
+        cell_keys = {"n", "t", "reps", "n_fail"}
+        if not (isinstance(d.get("config"), dict) and isinstance(cells, list)
+                and all(isinstance(c, dict) and c.keys() >= cell_keys
+                        for c in cells)
+                and (rate is None or isinstance(rate, dict)
+                     and rate.keys() >= {"axis", "slope", "ci95"})):
+            raise UsageError("not a Monte Carlo report: it needs a 'config' "
+                             "object, 'cells' with n, t, reps and n_fail, "
+                             "and a null or full 'rate'")
+        return cls(config=d["config"], cells=cells, rate=rate,
                    schema_version=d.get("schema_version", 1))
 
     def save(self, path: str) -> None:
@@ -694,7 +705,10 @@ class McReport:
     @classmethod
     def load(cls, path: str) -> "McReport":
         with open(path) as fh:
-            return cls.from_json(fh.read())
+            try:
+                return cls.from_json(fh.read())
+            except (ValueError, UsageError) as exc:  # ValueError: not JSON
+                raise UsageError(f"{path}: {exc}") from None
 
 
 @contextmanager

@@ -618,6 +618,24 @@ def test_mc_run_and_report(tmp_path, capsys):
     assert json.loads(out) == report
 
 
+@pytest.mark.parametrize("text", [
+    "{}", "[1, 2]",
+    '{"config": {}, "cells": [{"n": 6, "reps": 200, "n_fail": 0}], '
+    '"rate": null}',
+], ids=["empty_object", "list", "cell_without_t"])
+def test_mc_report_of_a_json_file_that_is_not_a_report_exits_one(
+        tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    out_path = tmp_path / "out.txt"
+    code, out, err = run_cli(capsys, "mc", "report", str(path),
+                             "--out", str(out_path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}: not a Monte Carlo report")
+    assert len(err.splitlines()) == 1
+    assert not out_path.exists()
+
+
 def test_mc_run_rejects_low_reps(tmp_path, capsys):
     cfg = {
         "dgp": {"cross_section": "example1", "beta_true": [1.0]},
@@ -947,8 +965,9 @@ def test_explore_conjecture(capsys):
 
 
 @pytest.mark.parametrize("command", ["diagnose", "explore-conjecture"])
-@pytest.mark.parametrize("grid", ["0,1,2,4", "-4,1,2,16"])
-def test_n_grid_below_one_exits_one(capsys, command, grid):
+@pytest.mark.parametrize("grid", ["0,1,2,4", "-4,1,2,16", "5", "50,50"])
+def test_n_grid_below_one_or_of_one_size_exits_one(capsys, command, grid):
+    # a size below 1, or one distinct size that gives no slope to fit
     code, out, err = run_cli(capsys, command, "--family", "example1",
                              f"--n-grid={grid}")
     assert code == 1 and out == ""

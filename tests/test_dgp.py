@@ -506,6 +506,8 @@ LOW_RANK_FAMILIES = [Diagonal(), Diagonal(scale=2.5), Equicorr(a=1.0, b=0.5),
                      Arrowhead(c=2.0), Arrowhead(c=1.1),
                      Block(n_blocks=1, b=0.5), Block(n_blocks=1, b=1.0),
                      Block(n_blocks=2, b=0.5), Block(n_blocks=3, b=0.9),
+                     Block(size=5), Block(size="sqrt"), Block(size=2),
+                     Block(size=3, b=1.0),
                      Factor(n_factors=1), Factor(n_factors=2, strength=0.5,
                                                  loading_law="gaussian")]
 FORM_SIZES = [1, 2, 7, 50, 200]
@@ -531,7 +533,8 @@ def closed_form(family, n):
         out[0, 1:] = out[1:, 0] = 1.0 / (family.c * np.sqrt(n))
         return out
     if isinstance(family, Block):
-        block = np.repeat(np.arange(family.n_blocks), family._sizes(n))
+        sizes = family._sizes(n)
+        block = np.repeat(np.arange(len(sizes)), sizes)
         out = np.where(block[:, None] == block, family.b, 0.0)
     elif isinstance(family, Equicorr):
         out = np.full((n, n), family.b)
@@ -556,8 +559,7 @@ def low_rank_cases():
 
 def test_dense_families_have_no_low_rank_form():
     for family in (Band(), Band(width="sqrt", b=0.5, taper="bartlett"),
-                   DecayCorrelation(), SpatialAR(), Block(size=5),
-                   Block(size="sqrt")):
+                   DecayCorrelation(), SpatialAR()):
         assert family._low_rank(50) is None
 
 
@@ -619,10 +621,24 @@ def _traced_peak(call) -> int:
 ONE_1600_SQUARE = 1600 * 1600 * 8  # bytes of one 1600 x 1600 array
 
 
-def test_classify_of_the_factor_preset_forms_no_n_by_n_array():
-    family = EXAMPLE_PRESETS["example11"]
+@pytest.mark.parametrize("preset", ["example11", "example3", "example8"])
+def test_classify_of_the_factor_preset_forms_no_n_by_n_array(preset):
+    family = EXAMPLE_PRESETS[preset]
     peak = _traced_peak(lambda: classify(lambda n: build_omega(family, n),
                                          [200, 400, 800, 1600]))
+    assert peak < ONE_1600_SQUARE
+
+
+@pytest.mark.parametrize("preset", ["example3", "example8"])
+def test_cross_section_of_a_block_preset_forms_no_n_by_n_array(preset):
+    # blocks of size 5 or sqrt(n): the form, its root and the form-backed
+    # covariance, with no dense n x n array
+    dgp._cross_section.cache_clear()
+    try:
+        peak = _traced_peak(
+            lambda: dgp._cross_section(EXAMPLE_PRESETS[preset], 1600))
+    finally:
+        dgp._cross_section.cache_clear()
     assert peak < ONE_1600_SQUARE
 
 

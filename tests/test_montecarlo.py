@@ -963,7 +963,10 @@ def test_next_cell_is_queued_before_the_current_one_is_collected(monkeypatch,
     _stacking_config((12, 20), DgpSpec(cross_section=Equicorr(a=1.0, b=0.5),
                                        beta_true=(1.0, 0.5)),
                      fixed_design=True),
-], ids=["drawn_design", "fixed_design"])
+    _stacking_config((8, 12), DgpSpec(
+        cross_section=Block(size="sqrt", b=0.5), beta_true=(1.0, -0.5),
+        time_memory=TimeDependenceSpec.idio_ma((1.0, 0.5)))),
+], ids=["drawn_design", "fixed_design", "block_drawn_design"])
 def test_multi_cell_reports_are_byte_identical_across_worker_counts(cfg):
     # the middle cell fails every replication, and each fixed design is
     # drawn in the parent while the cell before it runs
