@@ -377,14 +377,10 @@ def _cmd_mc_report(args) -> None:
         return
     header = ["n", "t", "reps", "fails", "rmse", "size_05", "coverage_95",
               "vbar/true"]
-    rows = []
-    for c in report.cells:
-        ratio = c.get("vbar_true_ratio")
-        rows.append([
-            c["n"], c["t"], c["reps"], c["n_fail"], _fmt(c.get("rmse_scalar")),
-            _fmt(c.get("size_05")), _fmt(c.get("coverage_95")),
-            _fmt(ratio[0]) if ratio else "-",
-        ])
+    rows = [[c["n"], c["t"], c["reps"], c["n_fail"], _fmt(c.get("rmse_scalar")),
+             _fmt(c.get("size_05")), _fmt(c.get("coverage_95")),
+             _fmt(c["vbar_true_ratio"][0]) if c.get("vbar_true_ratio") else "-"]
+            for c in report.cells]
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)

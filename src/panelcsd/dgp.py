@@ -811,87 +811,74 @@ def _ar1(c: np.ndarray, phi: float) -> np.ndarray:
     return out
 
 
-def _draw(spec: DgpSpec, n: int, t: int, seed,
-          design: tuple[np.ndarray, np.ndarray] | None = None):
-    """One replication's random draws, in the order the determinism contract
-    fixes: x, then mu, then the innovations.
-
-    Returns ``(x, mu, innovations)``. ``innovations`` is ``(f, e)`` for a
-    factor family, the common factors' rows before the idiosyncratic ones,
-    and ``(z,)`` for every other family; rows that carry MA(q) memory hold
-    t + q columns, all others t.
-    """
-    k = len(spec.beta_true)
-    family = spec.cross_section
-    rng = np.random.default_rng(seed)
-    loadings = _cross_section(family, n).loadings
-    if design is not None:
-        x, mu = (np.asarray(a, dtype=float) for a in design)
-        if x.shape != (n, t, k) or mu.shape != (n,):
-            raise ValueError("design shapes do not match (n, t, k)")
-    else:
-        if spec.x_law == "factor_aligned":
-            m = loadings.shape[1]
-            g = rng.standard_normal((k, m, t))
-            eta = rng.standard_normal((n, t, k))
-            x = np.einsum("im,kmt->itk", loadings, g) / np.sqrt(m) + eta
-        else:
-            x = rng.standard_normal((n, t, k))
-            if spec.x_law == "cs_centered":
-                x = x - x.mean(axis=0, keepdims=True)
-        mu = (rng.uniform(-1.0, 1.0, size=n) if spec.mu_law == "uniform"
-              else np.zeros(n))
-
-    tm = spec.time_memory
-
-    def draw(rows: int, carries_memory: bool) -> np.ndarray:
-        q = len(tm.psi) - 1 if carries_memory and tm.form == "ma" else 0
-        if spec.error_dist == "gaussian":
-            return rng.standard_normal((rows, t + q))
-        z = rng.standard_t(spec.t_df, size=(rows, t + q))
-        return z * np.sqrt((spec.t_df - 2.0) / spec.t_df)
-
-    if isinstance(family, Factor):
-        innovations = (draw(loadings.shape[1], tm.channel == "factor"),
-                       draw(n, tm.channel == "idio"))
-    else:
-        innovations = (draw(n, tm.channel != "none"),)
-    return x, mu, innovations
-
-
 def _draw_block(spec: DgpSpec, n: int, t: int, seeds,
                 design: tuple[np.ndarray, np.ndarray] | None = None):
     """The one panel draw, for a block of replications: ``(y, x, mu)``
     shaped (B, n, t), (B, n, t, k) and (B, n), one per seed.
 
-    Each seed is drawn on its own (:func:`_draw`). The block then filters
-    the rows that carry memory, forms the errors as the covariance's
-    symmetric root times z (:func:`_apply_root`) or as ``loadings @ f``
-    plus the scaled idiosyncratic rows, and adds ``x @ beta + mu``. Every
-    product is per replication (a broadcast matmul), so a replication gets
-    the same bits in a block of any size.
+    Each seed draws from its own ``default_rng(seed)``, straight into its
+    slice of the block's arrays, in the order the determinism contract
+    fixes: x, then mu, then the innovations, a factor family's common
+    factor rows before its idiosyncratic ones. Rows that carry MA(q) memory
+    hold t + q innovation columns, all others t. A fixed ``design`` (x, mu)
+    is broadcast to the block read-only, not copied, and the seeds then
+    drive only the innovations.
+
+    The block then filters the rows that carry memory, forms the errors as
+    the covariance's symmetric root times z (:func:`_apply_root`) or as
+    ``loadings @ f`` plus the scaled idiosyncratic rows, and adds
+    ``mu + x @ beta``. Every product is per replication (a broadcast
+    matmul), so a replication gets the same bits in a block of any size.
     """
-    def stack(arrays):  # a block of one is a view, not a copy
-        return arrays[0][np.newaxis] if len(arrays) == 1 else np.stack(arrays)
-
-    xs, mus, zs = zip(*(_draw(spec, n, t, seed, design) for seed in seeds))
-    x, mu, innovations = stack(xs), stack(mus), [stack(z) for z in zip(*zs)]
-    del xs, mus, zs
-    family = spec.cross_section
-    tm = spec.time_memory
+    b, k = len(seeds), len(spec.beta_true)
+    family, tm = spec.cross_section, spec.time_memory
     cs = _cross_section(family, n)
-
-    def series(z: np.ndarray, carries_memory: bool) -> np.ndarray:
-        return _filter_series(z, tm, t) if carries_memory else z
-
-    if isinstance(family, Factor):
-        f, e = innovations
-        eps = cs.loadings @ series(f, tm.channel == "factor") + np.sqrt(
-            family.idio_var) * series(e, tm.channel == "idio")
+    if design is not None:
+        x, mu = (np.asarray(a, dtype=float) for a in design)
+        if x.shape != (n, t, k) or mu.shape != (n,):
+            raise ValueError("design shapes do not match (n, t, k)")
+        x, mu = np.broadcast_to(x, (b, n, t, k)), np.broadcast_to(mu, (b, n))
     else:
-        eps = _apply_root(cs.root, series(innovations[0],
-                                          tm.channel != "none"))
-    return mu[..., np.newaxis] + x @ np.asarray(spec.beta_true) + eps, x, mu
+        x, mu = np.empty((b, n, t, k)), np.zeros((b, n))
+
+    # (rows, whether they carry memory) per channel, factor rows first
+    if isinstance(family, Factor):
+        m = cs.loadings.shape[1]
+        channels = ((m, tm.channel == "factor"), (n, tm.channel == "idio"))
+    else:
+        channels = ((n, tm.channel != "none"),)
+    q = len(tm.psi) - 1 if tm.form == "ma" else 0  # MA(q) pre-sample columns
+    z = [np.empty((b, rows, t + q * memory)) for rows, memory in channels]
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        if design is None:
+            if spec.x_law == "factor_aligned":
+                g = rng.standard_normal((k, m, t))
+                x[i] = np.einsum("im,kmt->itk", cs.loadings, g) / np.sqrt(
+                    m) + rng.standard_normal((n, t, k))
+            else:
+                rng.standard_normal(out=x[i])
+                if spec.x_law == "cs_centered":
+                    x[i] -= x[i].mean(axis=0, keepdims=True)
+            if spec.mu_law == "uniform":
+                mu[i] = rng.uniform(-1.0, 1.0, size=n)
+        for zc in z:
+            if spec.error_dist == "gaussian":
+                rng.standard_normal(out=zc[i])
+            else:
+                zc[i] = rng.standard_t(spec.t_df, size=zc.shape[1:]) * np.sqrt(
+                    (spec.t_df - 2.0) / spec.t_df)
+    z = [_filter_series(zc, tm, t) if memory else zc
+         for zc, (_, memory) in zip(z, channels)]
+    if isinstance(family, Factor):
+        eps = cs.loadings @ z[0] + np.sqrt(family.idio_var) * z[1]
+    else:
+        eps = _apply_root(cs.root, z[0])
+    beta = np.asarray(spec.beta_true)
+    # at k = 1 a product, not matmul's non-BLAS loop: the same bits
+    y = mu[..., np.newaxis] + (x[..., 0] * beta[0] if k == 1 else x @ beta)
+    y += eps
+    return y, x, mu
 
 
 def gen_panel(
@@ -908,7 +895,8 @@ def gen_panel(
     seed : int or numpy SeedSequence
     design : (x, mu), optional
         Reuse a fixed design instead of drawing one (x shaped (n, t, k),
-        mu shaped (n,)); the seed then only drives the errors.
+        mu shaped (n,)); the seed then only drives the errors, and the
+        panel's x is a read-only view of the design's x.
 
     Returns
     -------

@@ -65,7 +65,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import check_int, field_dict, from_fields, resolve_workers
+from .config import (check_int, check_real, check_reals, field_dict,
+                     from_fields, resolve_workers)
 from .covariance import (CovConfig, _exact_variance, _robust_cov,
                          _robust_stack)
 from .dependence import _loglog_slope
@@ -684,18 +685,33 @@ class McReport:
 
     @classmethod
     def from_json(cls, text: str) -> "McReport":
+        """The report a JSON text holds; UsageError when it lacks a part
+        that ``mc report`` prints or holds one of the wrong type."""
         d = json.loads(text)
         d = d if isinstance(d, dict) else {}
         cells, rate = d.get("cells"), d.get("rate")
-        cell_keys = {"n", "t", "reps", "n_fail"}
-        if not (isinstance(d.get("config"), dict) and isinstance(cells, list)
-                and all(isinstance(c, dict) and c.keys() >= cell_keys
-                        for c in cells)
-                and (rate is None or isinstance(rate, dict)
-                     and rate.keys() >= {"axis", "slope", "ci95"})):
-            raise UsageError("not a Monte Carlo report: it needs a 'config' "
-                             "object, 'cells' with n, t, reps and n_fail, "
-                             "and a null or full 'rate'")
+        try:
+            if not (isinstance(d.get("config"), dict)
+                    and isinstance(cells, list)
+                    and all(isinstance(c, dict) for c in cells)
+                    and (rate is None or isinstance(rate, dict))):
+                raise UsageError("it needs a 'config' object, a 'cells' list "
+                                 "of objects and a null or object 'rate'")
+            for c in cells:
+                for key in ("n", "t", "reps", "n_fail"):
+                    check_int(c.get(key), f"cell {key}")
+                for key in ("rmse_scalar", "size_05", "coverage_95"):
+                    if c.get(key) is not None:
+                        check_real(c[key], f"cell {key}")
+                if c.get("vbar_true_ratio") is not None:
+                    check_reals(c["vbar_true_ratio"], "cell vbar_true_ratio")
+            if rate is not None:
+                check_real(rate.get("slope"), "rate slope")
+                if not (isinstance(rate.get("axis"), str) and len(
+                        check_reals(rate.get("ci95"), "rate ci95")) == 2):
+                    raise UsageError("rate needs an axis name and a ci95 pair")
+        except UsageError as exc:
+            raise UsageError(f"not a Monte Carlo report: {exc}") from None
         return cls(config=d["config"], cells=cells, rate=rate,
                    schema_version=d.get("schema_version", 1))
 

@@ -618,11 +618,21 @@ def test_mc_run_and_report(tmp_path, capsys):
     assert json.loads(out) == report
 
 
+def _report_text(cell_extra=None, rate=None):
+    cell = {"n": 6, "t": 10, "reps": 200, "n_fail": 0, **(cell_extra or {})}
+    return json.dumps({"config": {}, "cells": [cell], "rate": rate})
+
+
 @pytest.mark.parametrize("text", [
     "{}", "[1, 2]",
     '{"config": {}, "cells": [{"n": 6, "reps": 200, "n_fail": 0}], '
     '"rate": null}',
-], ids=["empty_object", "list", "cell_without_t"])
+    _report_text({"vbar_true_ratio": 3}),
+    _report_text(rate={"axis": "T", "slope": -0.5, "ci95": 2}),
+    _report_text({"n": "5"}),
+    _report_text({"rmse_scalar": [1]}),
+], ids=["empty_object", "list", "cell_without_t", "ratio_a_number",
+        "ci95_a_number", "n_a_string", "rmse_a_list"])
 def test_mc_report_of_a_json_file_that_is_not_a_report_exits_one(
         tmp_path, capsys, text):
     path = tmp_path / "bad.json"

@@ -498,6 +498,114 @@ def test_stacked_assembly_gives_each_draw_its_gen_panel_bits(spec):
         assert got_mu.tobytes() == truth["mu"].tobytes()
 
 
+def _longhand(spec, n, t, seed):
+    # the seed contract written out: x, then mu, then the innovations (a
+    # factor family's factor rows first), each from default_rng(seed); rows
+    # with MA(q) memory hold q pre-sample columns
+    k, family, tm = len(spec.beta_true), spec.cross_section, spec.time_memory
+    rng = np.random.default_rng(seed)
+    if spec.x_law == "factor_aligned":
+        loadings = family.loadings(n)
+        m = loadings.shape[1]
+        g = rng.standard_normal((k, m, t))
+        eta = rng.standard_normal((n, t, k))
+        x = np.einsum("im,kmt->itk", loadings, g) / np.sqrt(m) + eta
+    else:
+        x = rng.standard_normal((n, t, k))
+        if spec.x_law == "cs_centered":
+            x = x - x.mean(axis=0, keepdims=True)
+    mu = (rng.uniform(-1.0, 1.0, size=n) if spec.mu_law == "uniform"
+          else np.zeros(n))
+    q = len(tm.psi) - 1 if tm.form == "ma" else 0
+
+    def innovations(rows, columns):
+        if spec.error_dist == "gaussian":
+            return rng.standard_normal((rows, columns))
+        return rng.standard_t(spec.t_df, size=(rows, columns)) * np.sqrt(
+            (spec.t_df - 2.0) / spec.t_df)
+
+    if isinstance(family, Factor):
+        f = innovations(family.n_factors, t + q * (tm.channel == "factor"))
+        e = innovations(n, t + q * (tm.channel == "idio"))
+        return x, mu, (f, e)
+    return x, mu, (innovations(n, t + q),)
+
+
+def _moving_average(z, psi, t):
+    # out[:, s] = sum_j psi_j z[:, s + q - j], psi scaled to unit norm
+    psi = np.asarray(psi) / np.linalg.norm(psi)
+    q = len(psi) - 1
+    return sum(p * z[:, q - j:q - j + t] for j, p in enumerate(psi))
+
+
+def _dense_root(omega):
+    lam, vec = np.linalg.eigh(omega)
+    return (vec * np.sqrt(np.clip(lam, 0.0, None))) @ vec.T
+
+
+_CONTRACT_SPECS = {
+    "iid": DgpSpec(cross_section=Equicorr(a=1.0, b=0.5), beta_true=(1.0,)),
+    "cs_centered": DgpSpec(cross_section=Band(), beta_true=(2.0, -1.0),
+                           x_law="cs_centered"),
+    "factor_aligned": DgpSpec(cross_section=Factor(n_factors=2),
+                              beta_true=(1.0, 0.5), x_law="factor_aligned"),
+    "student_t": DgpSpec(cross_section=Arrowhead(c=1.5), beta_true=(1.0,),
+                         error_dist="student_t", mu_law="zero"),
+    "ma_idio": DgpSpec(cross_section=Block(size=3), beta_true=(0.5, 1.0, 2.0),
+                       time_memory=TimeDependenceSpec.idio_ma((1.0, 0.6,
+                                                               0.3))),
+    "factor_ma": DgpSpec(cross_section=Factor(n_factors=1, idio_var=2.0),
+                         beta_true=(1.0,),
+                         time_memory=TimeDependenceSpec.factor_ma((1.0, 0.4))),
+}
+
+
+@pytest.mark.parametrize("name", _CONTRACT_SPECS)
+def test_block_draws_follow_the_seed_contract_written_out(name):
+    # the block's x and mu bytes come from each seed's own default_rng in
+    # the contract's order, and y is mu + x beta + the errors from that
+    # seed's innovations, here without any of the block's code
+    spec = _CONTRACT_SPECS[name]
+    n, t, seeds = 7, 12, [21, 22, 23]
+    family, tm = spec.cross_section, spec.time_memory
+    beta = np.asarray(spec.beta_true)
+    y, x, mu = dgp._draw_block(spec, n, t, seeds)
+    for i, seed in enumerate(seeds):
+        want_x, want_mu, z = _longhand(spec, n, t, seed)
+        assert x[i].tobytes() == want_x.tobytes()
+        assert mu[i].tobytes() == want_mu.tobytes()
+        memory = ((tm.channel == "factor", tm.channel == "idio")
+                  if isinstance(family, Factor) else (tm.channel == "idio",))
+        z = [_moving_average(zc, tm.psi, t) if carries else zc
+             for zc, carries in zip(z, memory)]
+        if isinstance(family, Factor):
+            eps = family.loadings(n) @ z[0] + np.sqrt(family.idio_var) * z[1]
+        else:
+            eps = _dense_root(build_omega(family, n).values) @ z[0]
+        want_y = want_mu[:, None] + want_x @ beta + eps
+        assert_allclose(y[i], want_y, rtol=0, atol=1e-12 * np.abs(want_y).max())
+
+
+@pytest.mark.parametrize("spec", _STACK_SPECS)
+def test_block_on_a_fixed_design_gives_each_draw_its_gen_panel_bits(spec):
+    # the block shares a read-only design among its replications without
+    # writing it, and each replication is what gen_panel draws on it alone
+    n, t, seeds = 9, 2 * dgp._AR_BLOCK + 5, [3, 4, 5, 6]
+    panel, truth = gen_panel(spec, n, t, 99)
+    design = (panel.x.copy(), truth["mu"].copy())
+    before = [a.tobytes() for a in design]
+    for a in design:
+        a.setflags(write=False)
+    y, x, mu = dgp._draw_block(spec, n, t, seeds, design)
+    assert y.shape == (len(seeds), n, t)
+    for seed, got_y, got_x, got_mu in zip(seeds, y, x, mu):
+        one, one_truth = gen_panel(spec, n, t, seed, design=design)
+        assert got_y.tobytes() == one.y.tobytes()
+        assert got_x.tobytes() == before[0] == one.x.tobytes()
+        assert got_mu.tobytes() == before[1] == one_truth["mu"].tobytes()
+    assert [a.tobytes() for a in design] == before
+
+
 # --- covariances of small rank in the structured form -----------------------
 
 LOW_RANK_FAMILIES = [Diagonal(), Diagonal(scale=2.5), Equicorr(a=1.0, b=0.5),
