@@ -7,7 +7,9 @@ axis. The single-period experiment at the end shows the sharpest form:
 with one period and a common shock, the error does not shrink in N at
 all unless the regressors are exactly centered within the period.
 
-Workers re-import this script, so it needs the main guard.
+run_mc's workers run this script only when a task needs a name defined
+in it, and this demo's tasks need none; the main guard keeps an import
+of the script from running the simulations.
 
 Run: python3 demos/variance_rates.py
 """

@@ -38,7 +38,7 @@ from .dependence import (
     all_norms,
     classify,
     factor_decompose,
-    norm_euclid,
+    _entry_norms,
     _loglog_slope,
 )
 from .dgp import build_omega, family_from_string
@@ -403,10 +403,10 @@ def _cmd_explore_conjecture(args) -> None:
     rows = []
     for n in grid:
         om = build_omega(fam, n)
-        norms = all_norms(om)
-        eu = norm_euclid(om)
-        rows.append({"n": n, "max_eig": norms["max_eig"],
-                     "taxicab_scaled": norms["taxicab_scaled"],
+        entry = _entry_norms(om)
+        eu = entry["euclid"]
+        rows.append({"n": n, "max_eig": om.lambda_max,
+                     "taxicab_scaled": entry["taxicab_scaled"],
                      "euclid": eu, "euclid_over_sqrt_n": eu / np.sqrt(n)})
     series = ["max_eig", "taxicab_scaled", "euclid", "euclid_over_sqrt_n"]
     ns = np.array(grid, dtype=float)

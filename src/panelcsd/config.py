@@ -29,26 +29,12 @@ EIGEN_RATIO_M_MAX = 8
 # Symmetric-matrix hygiene. Symmetry is checked relative to the largest entry;
 # eigenvalues within EIG_CLIP_REL of zero (relative to the top eigenvalue) are
 # clamped to exactly zero; eigenvalues below -PSD_RTOL * lambda_max mean the
-# matrix is not positive semidefinite.
+# matrix is not positive semidefinite. lambda_max itself is exact, the top of
+# a checked spectrum: the r x r core's of a covariance held as its form
+# c I + U S U', else eigvalsh's of the dense matrix.
 SYMMETRY_RTOL = 1e-10
 EIG_CLIP_REL = 1e-10
 PSD_RTOL = 1e-8
-
-# Largest eigenvalue without a full eigensolve. A Lanczos run of at most
-# max(3, n // LANCZOS_N_PER_STEP) steps takes it, converged once the top Ritz
-# value's error bound r^2 / gap (r its residual, gap to the next Ritz value)
-# or its residual r falls below LANCZOS_RTOL times the value. A run that does
-# not converge costs a few percent of the eigvalsh it falls back to, at any
-# n; three steps settle any matrix with at most three distinct eigenvalues,
-# such as a two-factor covariance with equal idiosyncratic variances. Positive
-# semidefiniteness is then one Cholesky factorization of
-# Omega + PSD_RTOL * (1 - PSD_SHIFT_MARGIN) * lambda_max * I, done in blocks
-# of CHOLESKY_BLOCK columns; the margin keeps every matrix it passes inside
-# what the eigenvalue check passes, rounding included.
-LANCZOS_N_PER_STEP = 100
-LANCZOS_RTOL = 1e-14
-PSD_SHIFT_MARGIN = 1e-2
-CHOLESKY_BLOCK = 64
 
 # A covariance held as its form c I + U S U' gives its entry norms from
 # blocks of rows of about NORM_BLOCK_ELEMENTS entries (512 KiB), computed

@@ -35,15 +35,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import (
-    CHOLESKY_BLOCK,
     EIG_CLIP_REL,
     EIGEN_RATIO_M_MAX,
     EIGEN_RATIO_MIN,
-    LANCZOS_N_PER_STEP,
-    LANCZOS_RTOL,
     NORM_BLOCK_ELEMENTS,
     PSD_RTOL,
-    PSD_SHIFT_MARGIN,
     STRONG_ALPHA_MIN,
     SYMMETRY_RTOL,
     WEAK_ALPHA_MAX,
@@ -132,11 +128,13 @@ class CovMatrix:
     the caches describe it.
 
     Three caches fill lazily and separately: :attr:`lambda_max`, the largest
-    eigenvalue after the PSD check, which is all the norms need and costs no
-    n x n eigensolve; :attr:`eigenvalues` from an eigenvalues-only solve;
-    and the eigensystem (values and vectors from one full solve) behind
+    eigenvalue after the PSD check, which is all the norms need;
+    :attr:`eigenvalues` from an eigenvalues-only solve (``eigvalsh``); and
+    the eigensystem (values and vectors from one full solve) behind
     :attr:`eigenvectors`, :meth:`sqrt` and :func:`factor_decompose`, so
     that every use of the vectors pairs them with their own eigenvalues.
+    One rule gives :attr:`lambda_max`: exact from a form's r x r core, else
+    the top of a spectrum already solved, else of :attr:`eigenvalues`.
     Every spectrum passes the same check: eigenvalues within
     ``EIG_CLIP_REL * lambda_max`` of zero are clamped to zero, and anything
     below ``-PSD_RTOL * max(lambda_max, 0)`` raises :class:`NotPSD`, so a
@@ -230,34 +228,22 @@ class CovMatrix:
 
     @property
     def lambda_max(self) -> float:
-        """Largest eigenvalue, after the PSD check.
-
-        A matrix held as its form c I + U S U' takes it from the form's
-        exact spectrum (:func:`_form_spectrum`), from an r x r eigensolve.
-        Otherwise a cached spectrum answers at once, or a Lanczos run
-        (:func:`_lanczos_top`) gives the top Ritz value theta, and one
-        Cholesky factorization of Omega + s I with
-        ``s = PSD_RTOL * (1 - PSD_SHIFT_MARGIN) * theta`` certifies that no
-        eigenvalue lies below ``-PSD_RTOL * lambda_max``. Whatever this
-        cannot settle (no convergence within the step cap, theta <= 0, a
-        failed factorization) falls back to :attr:`eigenvalues`, whose check
-        gives the verdict and the :class:`NotPSD` message.
+        """Largest eigenvalue, after the PSD check: the top of the checked
+        spectrum the matrix already has. A matrix held as its form
+        c I + U S U' takes it from the form's exact spectrum
+        (:func:`_form_spectrum`), an r x r eigensolve; any other from a
+        cached :attr:`eigenvalues` or eigensystem, in that order, else from
+        :attr:`eigenvalues` (``eigvalsh``). Either way :meth:`_checked`
+        gives the PSD verdict and the :class:`NotPSD` message.
         """
-        if self._top is not None:
-            return self._top
-        evals = self._evals
-        if self._form is not None:
-            evals = self._checked(_form_spectrum(self._form, self._n))
-        elif evals is None and self._eig is not None:
-            evals = self._eig[0]
-        if evals is None:
-            theta = _lanczos_top(self.values)
-            if (theta is not None and theta > 0.0 and _cholesky_succeeds(
-                    self.values, PSD_RTOL * (1.0 - PSD_SHIFT_MARGIN) * theta)):
-                self._top = theta
-                return theta
-            evals = self.eigenvalues
-        self._top = float(evals[-1])
+        if self._top is None:
+            if self._form is not None:
+                evals = self._checked(_form_spectrum(self._form, self._n))
+            elif self._evals is None and self._eig is not None:
+                evals = self._eig[0]
+            else:
+                evals = self.eigenvalues
+            self._top = float(evals[-1])
         return self._top
 
     @property
@@ -287,85 +273,6 @@ def _form_spectrum(form: _Structured, n: int) -> np.ndarray:
     return np.sort(spectrum)
 
 
-def _lanczos_top(a: np.ndarray) -> float | None:
-    """The top Ritz value of a Lanczos run on the symmetric ``a`` (Golub and
-    Van Loan, Matrix Computations, section 10.1), or None when it has not
-    converged within ``max(3, n // LANCZOS_N_PER_STEP)`` steps.
-
-    The start vector has entries sin(j^2), j = 1..n: fixed, so a run is
-    deterministic, and cheaper than seeding a generator. Like a random
-    draw, and unlike a constant or a sinusoid, it is far from orthogonal
-    to the constant, smooth or alternating eigenvectors covariances have.
-    A start orthogonal to the top eigenvector would give a smaller value,
-    never a wrong PSD verdict. Every new vector is orthogonalized twice
-    against all earlier ones.
-
-    After step k the top Ritz value theta of the tridiagonal T_k has
-    residual r = beta_k |s_k|, where s_k, the last entry of its unit
-    eigenvector, follows from the Ritz values mu_j of T_(k-1) and theta_j
-    of T_k: s_k^2 = prod_j (theta - mu_j) / (theta - theta_j) over the
-    theta_j other than theta. The run has converged when r or r^2 / gap,
-    the bound on theta's error with gap its distance to the next Ritz
-    value, is at most ``LANCZOS_RTOL * |theta|``.
-    """
-    n = a.shape[0]
-    steps = min(n, max(3, n // LANCZOS_N_PER_STEP))
-    basis = np.empty((steps, n))
-    start = np.sin(np.arange(1.0, n + 1.0) ** 2)
-    basis[0] = start / math.sqrt(start @ start)
-    t = np.zeros((steps, steps))
-    prev: list[float] = []
-    for k in range(steps):
-        w = a @ basis[k]
-        t[k, k] = basis[k] @ w
-        done = basis[:k + 1]
-        w -= (done @ w) @ done
-        w -= (done @ w) @ done
-        beta = math.sqrt(w @ w)
-        # Python floats: at small n the per-step overhead is the cost
-        ritz = (np.linalg.eigvalsh(t[:k + 1, :k + 1]).tolist() if k
-                else [float(t[0, 0])])
-        theta = ritz[-1]
-        gap = theta - ritz[-2] if k else 0.0
-        s2 = (math.prod((theta - mu) / (theta - other)
-                        for mu, other in zip(prev, ritz)) if gap > 0 else 1.0)
-        r = beta * math.sqrt(abs(s2))
-        tol = LANCZOS_RTOL * abs(theta)
-        if r <= tol or r * r <= tol * gap:
-            return theta
-        if k + 1 < steps:
-            basis[k + 1] = w / beta
-            t[k + 1, k] = t[k, k + 1] = beta
-        prev = ritz
-    return None
-
-
-def _cholesky_succeeds(a: np.ndarray, shift: float) -> bool:
-    """Whether ``a + shift * I`` has a Cholesky factor.
-
-    A left-looking blocked factorization in one n x n work array: each block
-    of ``CHOLESKY_BLOCK`` columns takes the update from the factor's columns
-    to its left, then ``np.linalg.cholesky`` factors its diagonal block and
-    ``np.linalg.solve`` the panel below it. Besides the work array it holds
-    only block-sized temporaries, where ``np.linalg.cholesky`` of the whole
-    matrix would hold two more n x n buffers.
-    """
-    n = a.shape[0]
-    work = a.copy()
-    work.flat[::n + 1] += shift
-    try:
-        for j in range(0, n, CHOLESKY_BLOCK):
-            e = min(j + CHOLESKY_BLOCK, n)
-            if j:
-                work[j:, j:e] -= work[j:, :j] @ work[j:e, :j].T
-            diag = np.linalg.cholesky(work[j:e, j:e])
-            if e < n:
-                work[e:, j:e] = np.linalg.solve(diag, work[e:, j:e].T).T
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def _entry_norms(omega) -> dict[str, float]:
     """The norms of the entries of ``omega`` (an array or a
     :class:`CovMatrix`), from one pass over its row blocks. A dense matrix
@@ -386,9 +293,7 @@ def _entry_norms(omega) -> dict[str, float]:
 
 def norm_max_eig(omega) -> float:
     """Largest eigenvalue, from :attr:`CovMatrix.lambda_max`: after the PSD
-    check, and from a Lanczos run and one Cholesky factorization unless a
-    form's exact spectrum, a cached spectrum or the fallback to ``eigvalsh``
-    gives it."""
+    check, exact from a form's r x r core, else from ``eigvalsh``."""
     if not isinstance(omega, CovMatrix):
         omega = CovMatrix(omega)
     return omega.lambda_max

@@ -88,7 +88,9 @@ class _Family:
     ``diagnose`` and the draws read one definition; a family with no such
     form of small rank returns None and writes its own ``build``. Its U has
     orthonormal columns, except the factor family's, whose U is the
-    loadings and whose S is the identity."""
+    loadings and whose S is the identity. The form also gives the exact
+    largest eigenvalue, from its r x r core; a dense ``build`` pays for
+    ``eigvalsh``."""
 
     def __post_init__(self):
         for key, value in self.params().items():
@@ -217,7 +219,9 @@ class DecayCorrelation(_Family):
     p > 1 gives summable rows (weak), 0 < p < 1 gives norms growing like
     n^(1-p) (moderate), p = 0 gives constant off-diagonals (strong). The
     sequence is convex and decreasing, hence positive semidefinite for
-    b <= 1 by the Polya criterion.
+    b <= 1 by the Polya criterion. At p = 0 the covariance is the
+    equicorrelation (1 - b) I + b e e' and is held as that form, exact
+    largest eigenvalue included; any other p is a dense matrix.
     """
 
     p: float = 1.5
@@ -230,7 +234,12 @@ class DecayCorrelation(_Family):
         if not self.p >= 0:
             raise UsageError("decay exponent p must be >= 0")
 
+    def _low_rank(self, n: int) -> _Structured | None:
+        return _equicorrelation(1.0, self.b, n) if self.p == 0 else None
+
     def build(self, n: int) -> np.ndarray:
+        if self.p == 0:
+            return super().build(n)
         d = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
         a = self.b * (1.0 + d.astype(float)) ** (-self.p)
         np.fill_diagonal(a, 1.0)
@@ -482,14 +491,13 @@ def build_omega(family, n: int) -> CovMatrix:
     its largest eigenvalue is exact, from the r x r core, its norms read
     blocks of rows computed from the form, and its dense ``values`` are
     formed only when read. Any other family's dense ``family.build(n)`` is
-    checked by a Lanczos run and one Cholesky factorization, or
-    ``eigvalsh`` where those cannot settle it; only its symmetrized copy
-    outlives the constructor. Either way :attr:`CovMatrix.lambda_max` is
-    cached for the norms. Raises NotPSD naming the family when the matrix
-    has an eigenvalue below -1e-8 times the largest (wide flat bands are the
-    canonical offender), and prefixes a UsageError of a size the family
-    does not take (too few units for its blocks or factors) with the family
-    and n.
+    checked by ``eigvalsh``, whose top is its largest eigenvalue; only its
+    symmetrized copy outlives the constructor. Either way
+    :attr:`CovMatrix.lambda_max` is exact and cached for the norms. Raises
+    NotPSD naming the family when the matrix has an eigenvalue below -1e-8
+    times the largest (wide flat bands are the canonical offender), and
+    prefixes a UsageError of a size the family does not take (too few units
+    for its blocks or factors) with the family and n.
     """
     meta = {"family": family.name, "n": n, **family.params()}
     try:

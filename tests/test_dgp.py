@@ -612,6 +612,7 @@ LOW_RANK_FAMILIES = [Diagonal(), Diagonal(scale=2.5), Equicorr(a=1.0, b=0.5),
                      Equicorr(a=2.0, b=0.3), Equicorr(a=1.0, b=1.0),
                      ScaledEquicorr(a=1.0), ScaledEquicorr(a=2.0),
                      Arrowhead(c=2.0), Arrowhead(c=1.1),
+                     DecayCorrelation(p=0.0), DecayCorrelation(p=0.0, b=0.2),
                      Block(n_blocks=1, b=0.5), Block(n_blocks=1, b=1.0),
                      Block(n_blocks=2, b=0.5), Block(n_blocks=3, b=0.9),
                      Block(size=5), Block(size="sqrt"), Block(size=2),
@@ -644,7 +645,7 @@ def closed_form(family, n):
         sizes = family._sizes(n)
         block = np.repeat(np.arange(len(sizes)), sizes)
         out = np.where(block[:, None] == block, family.b, 0.0)
-    elif isinstance(family, Equicorr):
+    elif isinstance(family, (Equicorr, DecayCorrelation)):
         out = np.full((n, n), family.b)
     else:
         out = np.full((n, n), family.a / np.sqrt(n))
