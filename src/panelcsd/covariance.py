@@ -29,10 +29,10 @@ Geometric memory, rho_j = d^j, builds z from one backward first-order
 recursion, z_{T-1} = 0 and z_s = d (x_{s+1} + z_{s+1}), so every lag up to
 T-1 is summed exactly. The recursion runs in blocks of periods as matrix
 products (``dgp._ar1``), not as a loop over periods. Each error covariance
-enters a sandwich as D + U S U' (``dependence._Structured``): with D = d I,
-sum_t a_t' D b_t is d times one (k, n*t) x (n*t, k) product and the rank-r
-part costs O(n r t) per regressor, so the designs of small rank never meet
-an n x n matrix; a dense D costs the n x n products it always did.
+enters a sandwich as a :class:`~panelcsd.dependence._Structured` form
+(:meth:`~panelcsd.dependence._Structured.sandwich`), so the designs of
+small rank never meet an n x n matrix; a dense covariance costs the n x n
+products it always did.
 
 The scores, lag windows, PSD repair and exact variances work on stacks of
 fits (a leading axis of B), one product or eigensolve per fit, and read each
@@ -298,32 +298,6 @@ def cov_kernel(result: FitResult, kernel: str = "bartlett",
                        declared=declared)
 
 
-def _sandwich(ak: np.ndarray, base: _Structured,
-              bk: np.ndarray) -> np.ndarray:
-    # sum_t a_t' (D + U S U') b_t for k-major (..., k, n, t) arrays, with
-    # every product one per leading index and nothing bigger than the
-    # design formed. With A and B the (k, n*t) flattenings (free reshapes
-    # for contiguous designs), D = d I gives d A B'; a dense D ((n, n), or
-    # one per leading index) gives k products D b^(l) and A (D B)'. The
-    # rank-r part adds (U'A)' S (U'B), with U'A flattened to (k, r*t).
-    *lead, k, n, t = ak.shape
-    a = ak.reshape(*lead, k, n * t)
-    d = base.d
-    if np.ndim(d):
-        if d.ndim > 2:
-            d = d[..., np.newaxis, :, :]
-        out = a @ (d @ bk).reshape(*lead, k, n * t).swapaxes(-1, -2)
-    else:
-        out = d * (a @ bk.reshape(*lead, k, n * t).swapaxes(-1, -2))
-    if base.u is not None:
-        r = base.u.shape[1]
-        ut = base.u.T
-        out += ((ut @ ak).reshape(*lead, k, r * t)
-                @ (base.s @ (ut @ bk)).reshape(*lead, k, r * t)
-                .swapaxes(-1, -2))
-    return out
-
-
 def _weighted_leads(xk: np.ndarray, spec: TimeDependenceSpec) -> np.ndarray:
     # z_t = sum_{j>=1} rho_j x_{t+j} for a k-major (..., k, n, t) design,
     # in the same layout. MA(q) adds q shifted copies; the summable form is
@@ -373,10 +347,10 @@ def _exact_variance(xk: np.ndarray, gram_inv: np.ndarray,
     if loadings is not None:  # sigma then has no rank part of its own
         common = _Structured(0.0, loadings, np.eye(loadings.shape[1]))
         base = common if sigma is None else common._replace(d=sigma.d)
-    meat = _sandwich(xk, base, xk)
+    meat = base.sandwich(xk, xk)
     if spec.max_lag(t) > 0:
         lag_base = common if spec.channel == "factor" else sigma
-        c = _sandwich(xk, lag_base, _weighted_leads(xk, spec))
+        c = lag_base.sandwich(xk, _weighted_leads(xk, spec))
         meat = meat + (c + c.swapaxes(-1, -2))
     return gram_inv @ meat @ gram_inv
 

@@ -13,11 +13,9 @@ log-log growth exponent of the eigenvalue norm: bounded norms mean weak
 dependence, linear growth means strong (factor-like) dependence, anything in
 between is moderate.
 
-A :class:`CovMatrix` is either a dense symmetric matrix or, for a family
-with a form c I + U S U' of small rank r (:class:`_Structured`), that form.
-The form's largest eigenvalue is exact, from the r x r core, and its entry
-norms read blocks of rows computed from it, so classifying such a family
-forms no n x n array; its dense ``values`` are formed only when read.
+A :class:`CovMatrix` is either a dense symmetric matrix or a form of small
+rank (:class:`_Structured`), whose exact largest eigenvalue and blocks of
+rows it reads without forming an n x n array.
 
 A strong family can be split into an explicit factor part and a weakly
 dependent remainder: with eigenvalues l_1 <= ... <= l_n and eigenvectors p_i,
@@ -80,25 +78,99 @@ class Regime(enum.Enum):
 
 
 class _Structured(NamedTuple):
-    """A symmetric n x n matrix as D + U S U'. ``d`` is a number (D = d I)
-    or a dense (n, n) array (D = d, or one per leading index of a stack);
-    ``u`` is (n, r) and ``s`` a symmetric (r, r) core, both None when
-    r = 0."""
+    """A symmetric n x n matrix as D + U S U', and the one code that does
+    arithmetic with that form. ``d`` is a number (D = d I) or a dense
+    (n, n) array (D = d, or one per leading index of a stack); ``u`` is
+    (n, r) and ``s`` a symmetric (r, r) core, both None when r = 0.
+
+    The covariance families whose dependence comes from common components
+    (diagonal, equicorrelated, block-diagonal, a hub, a factor model) are
+    c I + U S U' with a number c and a small r. U has orthonormal columns
+    (one per block for the block family, so ceil(n / size) of them for
+    blocks of a fixed size), except a factor model's, whose U is the
+    loadings and whose S is the identity. A dense covariance or root is the
+    form with r = 0. The methods read U only through U'z, U w, rows of U,
+    its R factor and its width r, at O(n r) per column of z or w.
+    """
 
     d: float | np.ndarray
     u: np.ndarray | None = None
     s: np.ndarray | None = None
 
+    @classmethod
+    def equicorrelation(cls, diag: float, off: float, n: int) -> "_Structured":
+        """``diag`` on the diagonal and ``off`` elsewhere: (diag - off) I +
+        off n e e' with the unit vector e = 1 / sqrt(n)."""
+        return cls(diag - off, np.full((n, 1), 1.0 / np.sqrt(n)),
+                   np.array([[off * n]]))
 
-def _dense(form: _Structured, n: int, rows: slice = slice(None)) -> np.ndarray:
-    """Rows ``rows`` of c I + U S U' with a number c, as an array with n
-    columns: (U S) U' over those rows, or zeros when r = 0, with c then
-    added on the diagonal (no n x n identity)."""
-    lo, hi, _ = rows.indices(n)
-    out = (np.zeros((hi - lo, n)) if form.u is None
-           else (form.u[rows] @ form.s) @ form.u.T)
-    out.flat[lo::n + 1] += form.d
-    return out
+    def rows(self, n: int, rows: slice = slice(None)) -> np.ndarray:
+        """Rows ``rows`` of c I + U S U' (a number c): (U S) U' over those
+        rows, or zeros when r = 0, with c added on the diagonal."""
+        lo, hi, _ = rows.indices(n)
+        out = (np.zeros((hi - lo, n)) if self.u is None
+               else (self.u[rows] @ self.s) @ self.u.T)
+        out.flat[lo::n + 1] += self.d
+        return out
+
+    def spectrum(self, n: int) -> np.ndarray:
+        """The eigenvalues of c I + U S U' (a number c) in ascending order:
+        with U = Q R (R k x r, k = min(n, r)), the matrix is
+        c I + Q (R S R') Q', so they are c plus those of the k x k R S R',
+        and c n - k times more."""
+        spectrum = np.full(n, float(self.d))
+        if self.u is not None:
+            r = np.linalg.qr(self.u, mode="r")
+            core = r @ self.s @ r.T
+            spectrum[:len(core)] += np.linalg.eigvalsh(0.5 * (core + core.T))
+        return np.sort(spectrum)
+
+    def root(self) -> "_Structured":
+        """The symmetric root of c I + U S U' with orthonormal U, in the
+        same form: sqrt(c) I + U (sqrt(c I + S) - sqrt(c) I) U', from an
+        eigensolve of S. Like :meth:`CovMatrix.sqrt`, it clamps to zero the
+        eigenvalues within ``EIG_CLIP_REL`` of the largest and clips negative
+        ones, so a rank-deficient matrix gets a root of the same rank."""
+        if self.u is None:
+            return _Structured(np.sqrt(self.d))
+        lam, q = np.linalg.eigh(self.s)
+        vals = np.clip(np.append(self.d + lam, self.d), 0.0, None)  # core, c
+        vals[vals <= EIG_CLIP_REL * vals.max()] = 0.0
+        root_c = np.sqrt(vals[-1])
+        return _Structured(root_c, self.u,
+                           (q * (np.sqrt(vals[:-1]) - root_c)) @ q.T)
+
+    def __matmul__(self, z: np.ndarray) -> np.ndarray:
+        """The form times z shaped (n, m) or a stack (..., n, m): d z +
+        U (S (U' z)), or the dense product d @ z. Every product is per
+        stacked slice, so a slice gets the same bits alone or stacked."""
+        out = self.d @ z if np.ndim(self.d) else self.d * z
+        if self.u is not None:
+            out += self.u @ (self.s @ (self.u.T @ z))
+        return out
+
+    def sandwich(self, ak: np.ndarray, bk: np.ndarray) -> np.ndarray:
+        """sum_t a_t' (D + U S U') b_t for k-major (..., k, n, t) arrays,
+        one product per leading index. With A and B the (k, n*t)
+        flattenings, D = d I gives d A B'; a dense D ((n, n), or one per
+        leading index) gives k products D b^(l) and A (D B)'. The rank-r
+        part adds (U'A)' S (U'B), with U'A flattened to (k, r*t)."""
+        *lead, k, n, t = ak.shape
+        a = ak.reshape(*lead, k, n * t)
+        d = self.d
+        if np.ndim(d):
+            if d.ndim > 2:
+                d = d[..., np.newaxis, :, :]
+            out = a @ (d @ bk).reshape(*lead, k, n * t).swapaxes(-1, -2)
+        else:
+            out = d * (a @ bk.reshape(*lead, k, n * t).swapaxes(-1, -2))
+        if self.u is not None:
+            r = self.u.shape[1]
+            ut = self.u.T
+            out += ((ut @ ak).reshape(*lead, k, r * t)
+                    @ (self.s @ (ut @ bk)).reshape(*lead, k, r * t)
+                    .swapaxes(-1, -2))
+        return out
 
 
 def _symmetrized(a: np.ndarray) -> np.ndarray:
@@ -180,7 +252,7 @@ class CovMatrix:
         """The symmetric matrix, read-only (formed on first use when the
         matrix is held as its form)."""
         if self._values is None:
-            self._values = _symmetrized(_dense(self._form, self._n))
+            self._values = _symmetrized(self._form.rows(self._n))
         return self._values
 
     def _row_blocks(self):
@@ -193,7 +265,7 @@ class CovMatrix:
         n = self._n
         step = max(1, NORM_BLOCK_ELEMENTS // n)
         for lo in range(0, n, step):
-            yield _dense(self._form, n, slice(lo, lo + step))
+            yield self._form.rows(n, slice(lo, lo + step))
 
     @staticmethod
     def _checked(evals: np.ndarray) -> np.ndarray:
@@ -231,14 +303,14 @@ class CovMatrix:
         """Largest eigenvalue, after the PSD check: the top of the checked
         spectrum the matrix already has. A matrix held as its form
         c I + U S U' takes it from the form's exact spectrum
-        (:func:`_form_spectrum`), an r x r eigensolve; any other from a
-        cached :attr:`eigenvalues` or eigensystem, in that order, else from
-        :attr:`eigenvalues` (``eigvalsh``). Either way :meth:`_checked`
+        (:meth:`_Structured.spectrum`), an r x r eigensolve; any other from
+        a cached :attr:`eigenvalues` or eigensystem, in that order, else
+        from :attr:`eigenvalues` (``eigvalsh``). Either way :meth:`_checked`
         gives the PSD verdict and the :class:`NotPSD` message.
         """
         if self._top is None:
             if self._form is not None:
-                evals = self._checked(_form_spectrum(self._form, self._n))
+                evals = self._checked(self._form.spectrum(self._n))
             elif self._evals is None and self._eig is not None:
                 evals = self._eig[0]
             else:
@@ -258,19 +330,6 @@ class CovMatrix:
         same rank."""
         evals, evecs = self._eigensystem()
         return (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
-
-
-def _form_spectrum(form: _Structured, n: int) -> np.ndarray:
-    """The eigenvalues of c I + U S U' (a number c, U n x r) in ascending
-    order: with U = Q R (R k x r, k = min(n, r)), the matrix is
-    c I + Q (R S R') Q', so they are c plus those of the k x k R S R',
-    and c n - k times more."""
-    spectrum = np.full(n, float(form.d))
-    if form.u is not None:
-        r = np.linalg.qr(form.u, mode="r")
-        core = r @ form.s @ r.T
-        spectrum[:len(core)] += np.linalg.eigvalsh(0.5 * (core + core.T))
-    return np.sort(spectrum)
 
 
 def _entry_norms(omega) -> dict[str, float]:

@@ -14,17 +14,15 @@ blocks of replications and :func:`gen_panel` on a single seed.
 
 The families whose dependence comes from common components (diagonal,
 equicorrelated, block-diagonal, a hub, a factor model) define their
-covariance in the structured form D + U S U' (:class:`_Structured`): D a
-multiple of the identity, U n x r (one column per block for the block
-family, so ceil(n / size) columns for blocks of a fixed size) and S a
-symmetric r x r core. :func:`build_omega` holds them as that form, so the
-classification and the draws read one definition and neither forms
-an n x n matrix: the draws apply the square root in that form, and the
-exact variance sandwiches it, at O(n r) per column instead of O(n^2). The
-other families use the dense matrix and the square root from its
-eigensolve. The covariance, its form and its root are built once per
-(family, n) per process and shared, read-only, by every draw of that size;
-families must be hashable (all here are frozen dataclasses).
+covariance as a form of small rank, :class:`~panelcsd.dependence._Structured`,
+which owns all arithmetic on it. :func:`build_omega` holds them as that
+form, so the classification and the draws read one definition and neither
+forms an n x n matrix: the draws apply its root, and the exact variance
+sandwiches it, at O(n r) per column instead of O(n^2). The other families
+use the dense matrix and the square root from its eigensolve. The
+covariance, its form and its root are built once per (family, n) per
+process and shared, read-only, by every draw of that size; families must
+be hashable (all here are frozen dataclasses).
 """
 
 from __future__ import annotations
@@ -36,9 +34,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import (EIG_CLIP_REL, check_int, check_real, check_reals,
-                     field_dict, from_fields)
-from .dependence import CovMatrix, _dense, _Structured
+from .config import (check_int, check_real, check_reals, field_dict,
+                     from_fields)
+from .dependence import CovMatrix, _Structured
 from .errors import NotPSD, SpecMismatch, UsageError
 from .panel import PanelData
 
@@ -70,26 +68,18 @@ def _resolve_width(width, n: int) -> int:
     return int(np.ceil(np.sqrt(n))) if width == "sqrt" else width
 
 
-def _equicorrelation(diag: float, off: float, n: int) -> _Structured:
-    # diag on the diagonal and off elsewhere: (diag - off) I + off n e e'
-    # with the unit vector e = 1 / sqrt(n)
-    return _Structured(diag - off, np.full((n, 1), 1.0 / np.sqrt(n)),
-                       np.array([[off * n]]))
-
-
 class _Family:
     """Base of the covariance families: each checks its parameters (floats
     finite, then its own ``_check``) when it is constructed; ``build(n)``
     keeps only the checks that need n. ``params()`` lists the constructor
     fields in declaration order (``name`` is not one of them).
 
-    ``_low_rank(n)`` is the covariance as a :class:`_Structured` c I +
-    U S U' with a number c, and ``build(n)`` that form made dense, so
-    ``diagnose`` and the draws read one definition; a family with no such
-    form of small rank returns None and writes its own ``build``. Its U has
-    orthonormal columns, except the factor family's, whose U is the
-    loadings and whose S is the identity. The form also gives the exact
-    largest eigenvalue, from its r x r core; a dense ``build`` pays for
+    ``_low_rank(n)`` is the covariance as a form of small rank
+    (:class:`~panelcsd.dependence._Structured`, where the form is
+    described), and ``build(n)`` that form made dense, so ``diagnose`` and
+    the draws read one definition; a family with no such form returns None
+    and writes its own ``build``. The form also gives the exact largest
+    eigenvalue, from its r x r core; a dense ``build`` pays for
     ``eigvalsh``."""
 
     def __post_init__(self):
@@ -105,7 +95,7 @@ class _Family:
         return None
 
     def build(self, n: int) -> np.ndarray:
-        return _dense(self._low_rank(n), n)
+        return self._low_rank(n).rows(n)
 
 
 @dataclass(frozen=True)
@@ -235,7 +225,7 @@ class DecayCorrelation(_Family):
             raise UsageError("decay exponent p must be >= 0")
 
     def _low_rank(self, n: int) -> _Structured | None:
-        return _equicorrelation(1.0, self.b, n) if self.p == 0 else None
+        return _Structured.equicorrelation(1.0, self.b, n) if self.p == 0 else None
 
     def build(self, n: int) -> np.ndarray:
         if self.p == 0:
@@ -259,7 +249,11 @@ class SpatialAR(_Family):
 
     W is the row-normalized adjacency of a cycle (each unit's two ring
     neighbours at weight 1/2), so the covariance is
-    (I - rho W)^(-1) (I - rho W')^(-1). Bounded norms for |rho| < 1.
+    (I - rho W)^(-1) (I - rho W')^(-1). Bounded norms for |rho| < 1. At
+    n <= 2 both neighbours are one unit (at n = 1 the unit itself), which
+    gets both weights, 1 in all, so every row of W still sums to 1.
+    Entries of the covariance below the smallest normal double are set to
+    zero: subnormals add nothing a report can show and slow every product.
     """
 
     rho: float = 0.4
@@ -272,10 +266,12 @@ class SpatialAR(_Family):
     def build(self, n: int) -> np.ndarray:
         w = np.zeros((n, n))
         idx = np.arange(n)
-        w[idx, (idx + 1) % n] = 0.5
-        w[idx, (idx - 1) % n] = 0.5
+        w[idx, (idx + 1) % n] += 0.5
+        w[idx, (idx - 1) % n] += 0.5
         m = np.linalg.inv(np.eye(n) - self.rho * w)
-        return m @ m.T
+        omega = m @ m.T
+        omega[np.abs(omega) < np.finfo(float).tiny] = 0.0
+        return omega
 
     def h_n(self, n: int) -> float:
         return 1.0
@@ -294,7 +290,7 @@ class Equicorr(_Family):
             raise UsageError("equicorr needs a > 0 and 0 <= b <= a")
 
     def _low_rank(self, n: int) -> _Structured:
-        return _equicorrelation(self.a, self.b, n)
+        return _Structured.equicorrelation(self.a, self.b, n)
 
     def h_n(self, n: int) -> float:
         return float(n) if self.b > 0 else 1.0
@@ -345,7 +341,7 @@ class ScaledEquicorr(_Family):
         b = self.a / np.sqrt(n)
         if b > 1.0:
             raise UsageError("a / sqrt(n) must be <= 1")
-        return _equicorrelation(1.0, b, n)
+        return _Structured.equicorrelation(1.0, b, n)
 
     def h_n(self, n: int) -> float:
         return float(np.sqrt(n))
@@ -487,8 +483,9 @@ def family_from_string(text: str):
 def build_omega(family, n: int) -> CovMatrix:
     """Materialize a family at size n, verifying positive semidefiniteness.
 
-    A family with a form c I + U S U' of small rank is held as that form:
-    its largest eigenvalue is exact, from the r x r core, its norms read
+    A family with a form of small rank (``family._low_rank(n)``, a
+    :class:`~panelcsd.dependence._Structured`) is held as that form: its
+    largest eigenvalue is exact, from the form's spectrum, its norms read
     blocks of rows computed from the form, and its dense ``values`` are
     formed only when read. Any other family's dense ``family.build(n)`` is
     checked by ``eigvalsh``, whose top is its largest eigenvalue; only its
@@ -708,33 +705,6 @@ class _CrossSection(NamedTuple):
     root: _Structured | None
 
 
-def _symmetric_root(form: _Structured) -> _Structured:
-    """The symmetric square root of c I + U S U' with orthonormal U, in the
-    same form: sqrt(c) I + U (sqrt(c I + S) - sqrt(c) I) U', from an
-    eigensolve of the r x r core. Like :meth:`CovMatrix.sqrt`, it clamps to
-    zero the eigenvalues within ``EIG_CLIP_REL`` of the largest, and clips
-    negative ones, so a rank-deficient matrix gets a root of the same rank.
-    """
-    if form.u is None:
-        return _Structured(np.sqrt(form.d))
-    lam, q = np.linalg.eigh(form.s)
-    vals = np.clip(np.append(form.d + lam, form.d), 0.0, None)  # core, c
-    vals[vals <= EIG_CLIP_REL * vals.max()] = 0.0
-    root_c = np.sqrt(vals[-1])
-    return _Structured(root_c, form.u,
-                       (q * (np.sqrt(vals[:-1]) - root_c)) @ q.T)
-
-
-def _apply_root(root: _Structured, z: np.ndarray) -> np.ndarray:
-    """``root @ z`` for z shaped (n, m) or a stack (..., n, m): d z +
-    U (S (U' z)), or the dense product d @ z. Every product is per stacked
-    slice, so a slice gets the same bits alone or stacked."""
-    out = root.d @ z if np.ndim(root.d) else root.d * z
-    if root.u is not None:
-        out += root.u @ (root.s @ (root.u.T @ z))
-    return out
-
-
 # A worker takes run_mc's chunks first in, first out, and a cell's chunks
 # are queued together, so it never returns to an earlier cell: one entry
 # serves each cell; more would only keep more covariances and roots alive.
@@ -754,7 +724,7 @@ def _cross_section(family, n: int) -> _CrossSection:
         out = _CrossSection(cov, None, cov, _Structured(cov.values),
                             _Structured(cov.sqrt()))
     else:
-        out = _CrossSection(cov, None, cov, form, _symmetric_root(form))
+        out = _CrossSection(cov, None, cov, form, form.root())
     for a in out.root or ():
         if isinstance(a, np.ndarray):
             a.setflags(write=False)
@@ -833,7 +803,7 @@ def _draw_block(spec: DgpSpec, n: int, t: int, seeds,
     drive only the innovations.
 
     The block then filters the rows that carry memory, forms the errors as
-    the covariance's symmetric root times z (:func:`_apply_root`) or as
+    the covariance's symmetric root times z (``cs.root @ z``) or as
     ``loadings @ f`` plus the scaled idiosyncratic rows, and adds
     ``mu + x @ beta``. Every product is per replication (a broadcast
     matmul), so a replication gets the same bits in a block of any size.
@@ -881,7 +851,7 @@ def _draw_block(spec: DgpSpec, n: int, t: int, seeds,
     if isinstance(family, Factor):
         eps = cs.loadings @ z[0] + np.sqrt(family.idio_var) * z[1]
     else:
-        eps = _apply_root(cs.root, z[0])
+        eps = cs.root @ z[0]
     beta = np.asarray(spec.beta_true)
     # at k = 1 a product, not matmul's non-BLAS loop: the same bits
     y = mu[..., np.newaxis] + (x[..., 0] * beta[0] if k == 1 else x @ beta)

@@ -2,39 +2,41 @@
 
 Replication r of cell (n, t) derives its seed from a splittable hash of
 (master_seed, n, t, r), so every replication is independent of scheduling.
-All replications execute in worker processes whose numerical libraries
-are pinned to one thread. The first ``run_mc`` call that needs workers
-starts a worker server that imports numpy and this package once and forks
-each worker from itself; the workers stay up until this process exits, so
-later calls start no process, and :func:`worker_pool` starts them ahead.
-They are replaced by fresh forks when ``sys.path`` has changed or a module
-was reloaded since they started, and threads take turns with them. An
-exception leaving ``run_mc`` or ``worker_pool`` (an interrupt included)
-ends them at once, and the next call starts fresh ones. A worker exits when
-its input reaches end of file, and the server when its socket does, so a
-killed parent leaves none behind. A worker does not run the caller's main
-module when it starts, only when a task needs a name from it, so a script
-without an ``if __name__ == "__main__":`` guard, or one read from stdin,
-can call ``run_mc``. Workers ignore SIGINT, which a terminal sends to the
-whole process group, and leave interrupts to this process. If a worker
-dies, ``run_mc`` raises :class:`~panelcsd.errors.WorkerPoolError` naming
-the cell; an interrupt leaving ``run_mc`` carries the cell it stopped in as
-a note. The worker count is an integer >= 1 from the ``workers`` argument,
-else the ``PANELCSD_THREADS`` environment variable, else the CPU count;
-anything else is a ``UsageError``. A worker runs its replications in
-stacked blocks: each replication is drawn on its own, then the fit,
-covariance, exact variance and Wald statistic run once per block on stacked
-arrays, with the same bits as one replication at a time. A replication the
-block cannot settle (a failure, or an ill-conditioned design) reruns alone
-through the public functions. Each worker block returns one record per
-replication: its slope, covariance estimate, p-value and exact variance, or
-the type name of the error that stopped it. ``run_mc`` cuts each cell into
-one chunk per worker and queues the next cell before it collects the
-current one, so a worker that finishes early starts on the next cell
-instead of waiting. The parent joins each cell's blocks in replication
-order and aggregates the cells in grid order: repeated runs of the same
-config are byte-identical regardless of the worker count, and the report
-never records how many workers produced it.
+All replications, and a fixed design with its exact variance, execute in
+worker processes whose numerical libraries are pinned to one thread, so no
+number in a report depends on the caller's thread count. The first
+``run_mc`` call that needs workers starts a worker server that imports
+numpy and this package once and forks each worker from itself; the workers
+stay up until this process exits, so later calls start no process, and
+:func:`worker_pool` starts them ahead. They are replaced by fresh forks
+when ``sys.path`` has changed or a module was reloaded since they started,
+and threads take turns with them. An exception leaving ``run_mc`` or
+``worker_pool`` (an interrupt included) ends them at once, and the next
+call starts fresh ones. A worker exits when its input reaches end of file,
+and the server when its socket does, so a killed parent leaves none behind.
+A worker does not run the caller's main module when it starts, only when a
+task needs a name from it, so a script without an
+``if __name__ == "__main__":`` guard, or one read from stdin, can call
+``run_mc``. Workers ignore SIGINT, which a terminal sends to the whole process group, and leave
+interrupts to this process. If a worker dies, ``run_mc`` raises
+:class:`~panelcsd.errors.WorkerPoolError` naming the cell; an interrupt
+leaving ``run_mc`` carries the cell it stopped in as a note. The worker
+count is an integer >= 1 from the ``workers`` argument, else the
+``PANELCSD_THREADS`` environment variable, else the CPU count; anything
+else is a ``UsageError``. A worker runs its replications in stacked blocks:
+each replication is drawn on its own, then the fit, covariance, exact
+variance and Wald statistic run once per block on stacked arrays, with the
+same bits as one replication at a time. A replication the block cannot
+settle (a failure, or an ill-conditioned design) reruns alone through the
+public functions. Each worker block returns one record per replication: its
+slope, covariance estimate, p-value and exact variance, or the type name of
+the error that stopped it. ``run_mc`` cuts each cell into one chunk per
+worker and queues the next cell before it collects the current one, so a
+worker that finishes early starts on the next cell instead of waiting. The
+parent joins each cell's blocks in replication order and aggregates the
+cells in grid order: repeated runs of the same config are byte-identical
+regardless of the worker count, and the report never records how many
+workers produced it.
 
 Failed replications (singular designs, invalid covariances) are tallied by
 error type, never silently dropped; a cell is flagged as failed when more
@@ -70,8 +72,7 @@ from .config import (check_int, check_real, check_reals, field_dict,
 from .covariance import (CovConfig, _exact_variance, _robust_cov,
                          _robust_stack)
 from .dependence import _loglog_slope
-from .dgp import (DgpSpec, Equicorr, _apply_root, _cross_section,
-                  _draw_block, _symmetric_root)
+from .dgp import DgpSpec, Equicorr, _cross_section, _draw_block
 from .errors import ConditionWarning, PanelError, UsageError, WorkerPoolError
 from .estimators import EstimatorKind, _fit_stack, fit
 from .inference import LinearRestriction, _wald_stack, chi2_sf, wald
@@ -205,15 +206,15 @@ def _true_variance_for(xk: np.ndarray, gram_inv: np.ndarray, dgp: DgpSpec,
                            cs.idio)
 
 
-def _fixed_design(cfg: McConfig, n: int, t: int):
+def _fixed_design(cfg: McConfig, n: int, t: int, want_tv: bool):
     """The design every replication of a fixed-design cell shares (tag 0),
-    and its exact variance, None when that fails; the replications then
-    tally their own failures."""
+    and, when ``want_tv``, its exact variance, else None; None also when
+    that fails, and the replications then tally their own failures."""
     seed = _derive_seed(cfg.master_seed, n, t, _DESIGN_TAG, 0)
     y, x, mu = _draw_block(cfg.dgp, n, t, [seed])
     panel = PanelData(y=y[0], x=x[0])
     tv = None
-    if cfg.true_variance:
+    if want_tv:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", ConditionWarning)
@@ -287,12 +288,14 @@ def _stacked_block(cfg: McConfig, n: int, t: int, reps: range, design,
     return redo
 
 
-def _worker_block(cfg: McConfig, n: int, t: int, lo: int, hi: int,
-                  design: tuple[np.ndarray, np.ndarray] | None):
+def _worker_block(cfg: McConfig, n: int, t: int, lo: int, hi: int):
     """Run replications [lo, hi) of one cell, in stacked blocks of
     ``_batch_size`` replications. Returns per-replication slopes, covariance
     estimates, p-values and exact variances (NaN where a replication has
-    none), and one failure kind per replication, None on success.
+    none), one failure kind per replication (None on success), and, from
+    the chunk that holds replication 0, the exact variance of a fixed
+    design (else None). Every chunk draws that design from its tag-0 seed,
+    the same bits in every worker.
 
     A replication the stack cannot settle, or every replication of a block
     whose stacked algebra raises, reruns alone (:func:`_replicate`), so its
@@ -302,6 +305,9 @@ def _worker_block(cfg: McConfig, n: int, t: int, lo: int, hi: int,
     out = (np.full((hi - lo, k), np.nan), np.full((hi - lo, k, k), np.nan),
            np.full(hi - lo, np.nan), np.full((hi - lo, k, k), np.nan))
     kinds: list[str | None] = [None] * (hi - lo)
+    design, tv_fixed = (
+        _fixed_design(cfg, n, t, cfg.true_variance and lo == 0)
+        if cfg.fixed_design else (None, None))
     want_tv = cfg.true_variance and not cfg.fixed_design
     restr = LinearRestriction(np.eye(k), np.asarray(cfg.dgp.beta_true))
     size = _batch_size(n, t, k)
@@ -325,7 +331,7 @@ def _worker_block(cfg: McConfig, n: int, t: int, lo: int, hi: int,
                     continue
                 for dest, value in zip(out, got):
                     dest[i] = value
-    return (*out, kinds)
+    return (*out, kinds, tv_fixed)
 
 
 # The environment each worker starts with. BLAS reads its thread count once,
@@ -750,22 +756,19 @@ def _in_cell(n: int, t: int):
 
 def _submit_cell(pool, config: McConfig, workers: int, n: int, t: int):
     """Queue cell (n, t) on the pool, one chunk per worker; returns its
-    futures and, for a fixed-design cell, the design's exact variance."""
-    design, tv_fixed = (_fixed_design(config, n, t)
-                        if config.fixed_design else (None, None))
+    futures."""
     batch = _batch_size(n, t, len(config.dgp.beta_true))
-    return [pool.submit(_worker_block, config, n, t, lo, hi, design)
-            for lo, hi in _chunk_ranges(config.reps, workers, batch)], tv_fixed
+    return [pool.submit(_worker_block, config, n, t, lo, hi)
+            for lo, hi in _chunk_ranges(config.reps, workers, batch)]
 
 
-def _collect_cell(config: McConfig, n: int, t: int, futures,
-                  tv_fixed) -> dict:
+def _collect_cell(config: McConfig, n: int, t: int, futures) -> dict:
     blocks = [fut.result() for fut in futures]
     beta, vbar, pval, tvar = (np.concatenate(part) for part in
                               zip(*(blk[:4] for blk in blocks)))
     kinds = [kind for blk in blocks for kind in blk[4]]
     return _aggregate_cell(n, t, config, beta, vbar, pval, tvar, kinds,
-                           tv_fixed)
+                           blocks[0][5])
 
 
 def run_mc(config: McConfig, workers: int | None = None) -> McReport:
@@ -794,7 +797,7 @@ def run_mc(config: McConfig, workers: int | None = None) -> McReport:
             if i > 0:
                 with _in_cell(*grid[i - 1]):
                     cells.append(_collect_cell(config, *grid[i - 1],
-                                               *queued.pop(0)))
+                                               queued.pop(0)))
     return McReport(config=config.to_dict(), cells=cells,
                     rate=_fit_rate(cells, config.rate_axis))
 
@@ -830,8 +833,7 @@ def t1_cross_section_experiment(
         x = x_mean + rng.standard_normal((n, reps))
         if centered:
             x = x - x.mean(axis=0, keepdims=True)
-        eps = _apply_root(_symmetric_root(fam._low_rank(n)),
-                          rng.standard_normal((n, reps)))
+        eps = fam._low_rank(n).root() @ rng.standard_normal((n, reps))
         y = beta * x + eps
         bhat = (x * y).sum(axis=0) / (x * x).sum(axis=0)
         rmse_by_n[int(n)] = float(np.sqrt(((bhat - beta) ** 2).mean()))

@@ -12,7 +12,7 @@ from panelcsd import (CovMatrix, CovMethod, EstimatorKind, FitResult,
 from panelcsd.config import auto_truncation, declared_lag
 from panelcsd.errors import (SingularCov, SingularRestrictedCov,
                              SpecMismatch, TruncTooLarge, UsageError)
-from panelcsd.covariance import _robust_stack, _sandwich, _weighted_leads
+from panelcsd.covariance import _robust_stack, _weighted_leads
 from panelcsd.dgp import (_AR_BLOCK, Arrowhead, Block, DgpSpec, Diagonal,
                           Equicorr, Factor, ScaledEquicorr, _Structured,
                           gen_panel)
@@ -548,13 +548,13 @@ def test_structured_sandwich_matches_the_dense_one(family, n, t):
     ak = rng.standard_normal((3, 2, n, t))
     bk = rng.standard_normal((3, 2, n, t))
     for b in (bk, ak):  # a second design, and the design itself
-        got = _sandwich(ak, form, b)
-        want = _sandwich(ak, dense, b)
+        got = form.sandwich(ak, b)
+        want = dense.sandwich(ak, b)
         assert got.shape == want.shape == (3, 2, 2)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         # each design alone gets the bits it gets in the stack
         for i in range(3):
-            alone = _sandwich(ak[i], form, b[i])
+            alone = form.sandwich(ak[i], b[i])
             assert alone.tobytes() == got[i].tobytes()
 
 
@@ -566,11 +566,10 @@ def test_dense_base_with_a_low_rank_part_matches_their_sum():
     sig = sig @ sig.T
     lam = rng.standard_normal((n, 2))
     ak = rng.standard_normal((2, n, t))
-    got = _sandwich(ak, _Structured(sig, lam, np.eye(2)), ak)
-    want = _sandwich(ak, _Structured(sig + lam @ lam.T), ak)
+    got = _Structured(sig, lam, np.eye(2)).sandwich(ak, ak)
+    want = _Structured(sig + lam @ lam.T).sandwich(ak, ak)
     assert_allclose(got, want, rtol=1e-13, atol=0)
     # a stack of dense bases, one per design, as the plug-in passes them
     stack = np.stack([sig, 2.0 * sig])
-    got = _sandwich(np.stack([ak, ak]), _Structured(stack),
-                    np.stack([ak, ak]))
+    got = _Structured(stack).sandwich(np.stack([ak, ak]), np.stack([ak, ak]))
     assert_allclose(got[1], 2.0 * got[0], rtol=1e-14, atol=0)

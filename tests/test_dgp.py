@@ -49,6 +49,22 @@ def test_spatial_ar_bounded():
     assert max(tops) < 10.0
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_spatial_ar_weights_sum_to_one(n):
+    # W is symmetric, so its rows sum to 1 exactly when the covariance's
+    # rows sum to 1 / (1 - rho)^2; at n <= 2 both ring neighbours are one
+    # unit, which gets both weights
+    rho = 0.4
+    omega = SpatialAR(rho=rho).build(n)
+    assert_allclose(omega.sum(axis=1), 1.0 / (1.0 - rho) ** 2, rtol=1e-14)
+
+
+def test_spatial_ar_has_no_subnormal_entry():
+    omega = SpatialAR(rho=0.4).build(1600)
+    subnormal = (omega != 0.0) & (np.abs(omega) < np.finfo(float).tiny)
+    assert not subnormal.any()
+
+
 def test_not_psd_names_family():
     family = Band(width="sqrt", b=0.9, taper="flat")
     with pytest.raises(NotPSD) as err:
@@ -683,7 +699,7 @@ def test_low_rank_form_is_the_built_covariance(family, n):
     if form.u is not None:
         assert_allclose(form.u.T @ form.u, np.eye(form.u.shape[1]),
                         rtol=0, atol=1e-14)
-    root = dgp._symmetric_root(form)
+    root = form.root()
     r = dense(root, n)
     assert np.abs(r - r.T).max() <= 1e-15 * np.abs(r).max()
     # (the dense path's eigensolve root squares to within 5.6e-14 here)
@@ -692,11 +708,11 @@ def test_low_rank_form_is_the_built_covariance(family, n):
     cov = build_omega(family, n)
     assert np.abs(r - cov.sqrt()).max() <= 1e-13 * np.abs(r).max()
     z = np.random.default_rng(n).standard_normal((2, n, 5))
-    got = dgp._apply_root(root, z)
+    got = root @ z
     want_z = cov.sqrt() @ z
     assert np.abs(got - want_z).max() <= 1e-13 * np.abs(want_z).max()
     # a slice gets the same bits alone or stacked
-    assert dgp._apply_root(root, z[1]).tobytes() == got[1].tobytes()
+    assert (root @ z[1]).tobytes() == got[1].tobytes()
 
 
 @pytest.mark.parametrize("family, n", low_rank_cases())
@@ -711,8 +727,12 @@ def test_build_omega_from_the_form_matches_the_dense_matrix(family, n):
     got = {**all_norms(cov), "euclid": norm_euclid(cov)}
     want = {**all_norms(dense_cov), "euclid": norm_euclid(dense_cov)}
     assert cov.values.tobytes() == dense_cov.values.tobytes()
-    exact = np.linalg.eigvalsh(dense_cov.values)[-1]
+    dense_spectrum = np.linalg.eigvalsh(dense_cov.values)
+    exact = dense_spectrum[-1]
     assert abs(top - exact) <= 1e-13 * exact
+    # the whole spectrum, entry by entry, not only its top
+    gap = np.abs(cov._form.spectrum(n) - dense_spectrum).max()
+    assert gap <= 1e-13 * exact, gap / exact
     want["max_eig"] = exact
     for name, value in want.items():
         assert abs(got[name] - value) <= 1e-14 * value, (name, got[name])
@@ -785,13 +805,13 @@ def test_rank_deficient_root_keeps_the_rank_of_the_clipped_dense_root(family,
     # the all-equal covariance: c = 0, and the dense path clamps its n - 1
     # zero eigenvalues, so both roots have rank one and give every unit the
     # same error; so does c = 1e-12, within EIG_CLIP_REL of the top
-    root = dgp._symmetric_root(family._low_rank(n))
+    root = family._low_rank(n).root()
     assert root.d == 0.0
     dense_root = build_omega(family, n).sqrt()
     assert np.linalg.matrix_rank(dense_root) == 1
     assert np.linalg.matrix_rank(dense(root, n)) == 1
     z = np.random.default_rng(3).standard_normal((n, 6))
-    got = dgp._apply_root(root, z)
+    got = root @ z
     assert np.abs(got - got[0]).max() == 0.0
     want = dense_root @ z
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()

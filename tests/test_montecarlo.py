@@ -148,7 +148,7 @@ def test_worker_block_tallies_linalg_and_true_variance_failures(monkeypatch):
     # stacked block fails as a whole first, so every replication reruns
     # alone, where the fit and the exact variance are per replication.
     cfg = small_config()
-    clean = montecarlo._worker_block(cfg, 8, 12, 0, 5, None)
+    clean = montecarlo._worker_block(cfg, 8, 12, 0, 5)
     real_fit = montecarlo.fit
     real_tv = montecarlo._true_variance_for
     calls = {"fit": 0, "tv": 0}
@@ -171,8 +171,8 @@ def test_worker_block_tallies_linalg_and_true_variance_failures(monkeypatch):
     monkeypatch.setattr(montecarlo, "_stacked_block", failing_stack)
     monkeypatch.setattr(montecarlo, "fit", flaky_fit)
     monkeypatch.setattr(montecarlo, "_true_variance_for", flaky_tv)
-    beta, vbar, pval, tvar, kinds = \
-        montecarlo._worker_block(cfg, 8, 12, 0, 5, None)
+    beta, vbar, pval, tvar, kinds, _ = \
+        montecarlo._worker_block(cfg, 8, 12, 0, 5)
     assert len(kinds) == 5
     # rep 1 fails in fit; rep 3 is the third true variance (reps 0, 2, 3)
     assert kinds == [None, "LinAlgError", None, "LinAlgError", None]
@@ -342,6 +342,28 @@ def test_fixed_design_shared_across_workers():
     r1 = run_mc(cfg, workers=1)
     r2 = run_mc(cfg, workers=2)
     assert r1.to_json() == r2.to_json()
+
+
+def test_fixed_design_report_is_the_same_at_any_caller_thread_count(tmp_path):
+    # the design and its exact variance (for the dense example6, an n x n
+    # product whose bits depend on the BLAS thread count) come from the
+    # one-thread workers, so the calling process's thread count cannot
+    # reach the report
+    cfg_path = tmp_path / "fixed.json"
+    cfg_path.write_text(json.dumps({
+        "dgp": {"cross_section": "example6", "beta_true": [1.0, 0.5]},
+        "grid": [[600, 10]], "reps": 200, "master_seed": 3,
+        "fixed_design": True, "true_variance": True}))
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"report{threads}.json"
+        env = child_env() | dict.fromkeys(
+            ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"), threads)
+        subprocess.run([sys.executable, "-m", "panelcsd", "mc", "run",
+                        str(cfg_path), "--threads", "2", "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=120)
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_regime_size_ordering():
@@ -840,10 +862,8 @@ _STACKING_CASES = {
 
 def _cell_in_process(cfg):
     n, t = cfg.grid[0]
-    design, tv_fixed = (montecarlo._fixed_design(cfg, n, t)
-                        if cfg.fixed_design else (None, None))
-    block = montecarlo._worker_block(cfg, n, t, 0, cfg.reps, design)
-    return block, montecarlo._aggregate_cell(n, t, cfg, *block, tv_fixed)
+    block = montecarlo._worker_block(cfg, n, t, 0, cfg.reps)
+    return block, montecarlo._aggregate_cell(n, t, cfg, *block)
 
 
 @pytest.mark.parametrize("name", sorted(_STACKING_CASES))
@@ -862,8 +882,8 @@ def test_stacked_blocks_match_one_replication_per_block(monkeypatch, name):
     k = len(cfg.dgp.beta_true)
     restr = montecarlo.LinearRestriction(np.eye(k), cfg.dgp.beta_true)
     want_tv = cfg.true_variance and not cfg.fixed_design
-    design = (montecarlo._fixed_design(cfg, n, t)[0] if cfg.fixed_design
-              else None)
+    design = (montecarlo._fixed_design(cfg, n, t, False)[0]
+              if cfg.fixed_design else None)
     for rep in [r for r, kind in enumerate(stacked[4]) if kind is None][:8]:
         alone = montecarlo._replicate(cfg, n, t, rep, design, restr, want_tv)
         for got, want in zip(stacked[:4], alone):
@@ -906,10 +926,10 @@ class _RecordingPool:
     def __init__(self, events):
         self.events = events
 
-    def submit(self, fn, cfg, n, t, lo, hi, design):
+    def submit(self, fn, cfg, n, t, lo, hi):
         self.events.append(("submit", (n, t), (lo, hi)))
         return _RecordedFuture(self.events, (n, t),
-                               lambda: fn(cfg, n, t, lo, hi, design))
+                               lambda: fn(cfg, n, t, lo, hi))
 
 
 class _RecordedFuture:
