@@ -6,12 +6,12 @@ A panel holds an outcome ``y`` of shape (n_units, n_periods) and regressors
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import csv
 import functools
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -132,11 +132,11 @@ def _sort_labels(labels) -> list[str]:
 
 
 # Rows per block of the columnar parse. Large enough that the per-block numpy
-# calls cost little; small because a block's lines are what the parse holds
-# at once. On a 200k-row, six-column file (18 MB) the process peaked at
-# 70 MB with this size (65 MB at 1,024 rows and 79 MB at 65,536, parsing
-# within 7% of the time), 122 MB parsing all rows at once, and 140 MB with
-# the row parser.
+# calls cost little; small because a block's lines and rows are what the
+# parse holds at once besides the values. On a 200k-row, six-column file
+# (18 MB, a 6.1 MiB panel) a process that loads it once peaked at 52 MB with
+# this size (48 MB at 1,024 rows and 76 MB at 65,536), 107 MB parsing all
+# rows at once, and 139 MB with the row parser.
 _CHUNK_ROWS = 8192
 
 
@@ -237,16 +237,19 @@ def load_csv(
 
     The data lines are parsed in blocks of rows, one call to numpy's C text
     reader per block. It converts numbers with the routine ``float()``
-    uses, so the bits are the same. The file is read again row by row, by
-    the csv module and ``float()``, when a block has a ragged or blank
-    row, a value numpy does not read (``1_0`` and non-ASCII digits, which
-    ``float()`` reads, among them), a newline inside quotes, a line longer
-    than ``csv.field_size_limit()``, or a NUL or an ASCII separator
-    character (``\x1c`` to ``\x1f``, white space to numpy's number parser
-    and not to ``float()``); and when the file has an empty label, a
-    non-finite value, a repeated or missing cell, or no data rows. That
-    pass raises the error below or, where there is none, returns the
-    panel; so errors and their lines do not depend on the block boundaries.
+    uses, so the bits are the same. Each block's values are kept until the
+    labels are sorted and then moved into the panel, so the parse holds
+    about 2.4 times the panel's bytes at its peak, plus one block of lines.
+    The file is read again row by row, by the csv module and ``float()``,
+    when a block has a ragged row, a value numpy does not read (``1_0``
+    and non-ASCII digits, which ``float()`` reads, among them), a newline
+    inside quotes, a line longer than ``csv.field_size_limit()``, or a NUL
+    or an ASCII separator character (``\x1c`` to ``\x1f``, white space to
+    numpy's number parser and not to ``float()``); and when the file has
+    an empty label, a non-finite value, a repeated or missing cell, or no
+    data rows. That pass raises the error below or, where there is none,
+    returns the panel; so errors and their lines do not depend on the block
+    boundaries.
 
     Raises
     ------
@@ -283,56 +286,70 @@ def _load_columns(lines, width: int, unit_col: int, period_col: int,
         formats[j] = "f8"
     dtype = np.dtype(",".join(formats))
     limit = csv.field_size_limit()
-    seen = ({}, {})  # raw label -> first-seen code, for units and periods
-    coded = ([], [])
-    values = []
+    # raw label -> first-seen code, for units and periods: a missing label
+    # gets the count of labels before it
+    seen = (collections.defaultdict(), collections.defaultdict())
+    for codes in seen:
+        codes.default_factory = codes.__len__
+    coded, values = [], []  # per block: its two code arrays, its values
     try:
         while chunk := list(itertools.islice(lines, _CHUNK_ROWS)):
-            text = "".join(chunk)
-            if (max(map(len, chunk)) > limit
-                    or any(c in text for c in _NOT_NUMERIC_SPACE)
-                    or _quote_left_open(chunk[-1])):
+            if max(map(len, chunk)) > limit:
                 return None
-            with warnings.catch_warnings():  # a chunk of blank lines
-                warnings.simplefilter("ignore", UserWarning)
-                rows = np.loadtxt(chunk, dtype=dtype, delimiter=",",
-                                  quotechar='"', comments=None, ndmin=1)
-            if len(rows) < len(chunk):  # a blank line or a quoted newline
+            # Both readers skip a line of white space; numpy raises on one
+            # that is not a bare line end, so it never sees them.
+            kept = list(itertools.filterfalse(str.isspace, chunk))
+            if not kept:
+                continue
+            if (any(c in "".join(kept) for c in _NOT_NUMERIC_SPACE)
+                    or _quote_left_open(kept[-1])):
                 return None
-            for j, codes, out in zip((unit_col, period_col), seen, coded):
-                col = rows[f"f{j}"].tolist()
-                for s in dict.fromkeys(col):
-                    codes.setdefault(s, len(codes))
-                out.append(np.fromiter(map(codes.__getitem__, col),
-                                       dtype=np.intp, count=len(col)))
-            values.append(np.array([rows[f"f{j}"] for j in value_cols]))
+            rows = np.loadtxt(kept, dtype=dtype, delimiter=",",
+                              quotechar='"', comments=None, ndmin=1)
+            # Each row takes at least one kept line, and a newline inside
+            # quotes joins its opening and closing lines, neither of them
+            # white space, into one row: so it leaves fewer rows than lines.
+            if len(rows) < len(kept):
+                return None
+            block = np.array([rows[f"f{j}"] for j in value_cols])
+            if not np.isfinite(block).all():
+                return None
+            coded.append(tuple(
+                np.fromiter(map(codes.__getitem__, rows[f"f{j}"].tolist()),
+                            dtype=np.intp, count=len(rows))
+                for j, codes in zip((unit_col, period_col), seen)))
+            values.append(block)
     except ValueError:  # incl. a ragged row and a byte that is not UTF-8
         return None
     if not values:
         return None
-    values = np.concatenate(values, axis=1)
-    if not np.isfinite(values).all():
-        return None
     axes = []
-    for codes, out in zip(seen, coded):
+    for codes in seen:
         stripped = [s.strip() for s in codes]  # indexed by code
         if not all(stripped):
             return None
         labels = _sort_labels(set(stripped))
         rank = {s: i for i, s in enumerate(labels)}
-        ranks = np.array([rank[s] for s in stripped], dtype=np.intp)
-        axes.append((labels, ranks[np.concatenate(out)]))
+        axes.append((labels, np.array([rank[s] for s in stripped],
+                                      dtype=np.intp)))
     (units, unit_rank), (periods, period_rank) = axes
-    n, t = len(units), len(periods)
-    cell = unit_rank * t + period_rank
+    n, t, k = len(units), len(periods), len(value_cols) - 1
+    cell = np.concatenate([unit_rank[u] * t + period_rank[p]
+                           for u, p in coded])
+    # the codes and the last block's lines and rows, freed before the
+    # panel's arrays are allocated
+    del coded, kept, rows
     # every cell exactly once: no duplicate and no hole
     if not (np.bincount(cell, minlength=n * t) == 1).all():
         return None
-    block = np.empty_like(values)
-    block[:, cell] = values
-    y = block[0].reshape(n, t)
-    x = np.ascontiguousarray(block[1:].T).reshape(n, t, len(value_cols) - 1)
-    return y, x, units, periods
+    y, x = np.empty(n * t), np.empty((n * t, k))
+    start = 0
+    for block in values:
+        part = cell[start:start + block.shape[1]]
+        y[part] = block[0]
+        x[part] = block[1:].T
+        start += block.shape[1]
+    return y.reshape(n, t), x.reshape(n, t, k), units, periods
 
 
 def _numbered(reader):

@@ -1,5 +1,6 @@
 import os
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,16 @@ def child_env():
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     return env
+
+
+def traced_peak(call) -> int:
+    """The peak of the memory traced by tracemalloc while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def live_group_members(pgid: int) -> list[int]:

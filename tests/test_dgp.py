@@ -1,11 +1,11 @@
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from conftest import traced_peak
 from panelcsd import (CovMatrix, TimeDependenceSpec, all_norms, classify,
                       dgp, norm_euclid)
 from panelcsd.dgp import (EXAMPLE_PRESETS, Arrowhead, Band, Block,
@@ -738,23 +738,14 @@ def test_build_omega_from_the_form_matches_the_dense_matrix(family, n):
         assert abs(got[name] - value) <= 1e-14 * value, (name, got[name])
 
 
-def _traced_peak(call) -> int:
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 ONE_1600_SQUARE = 1600 * 1600 * 8  # bytes of one 1600 x 1600 array
 
 
 @pytest.mark.parametrize("preset", ["example11", "example3", "example8"])
 def test_classify_of_the_factor_preset_forms_no_n_by_n_array(preset):
     family = EXAMPLE_PRESETS[preset]
-    peak = _traced_peak(lambda: classify(lambda n: build_omega(family, n),
-                                         [200, 400, 800, 1600]))
+    peak = traced_peak(lambda: classify(lambda n: build_omega(family, n),
+                                        [200, 400, 800, 1600]))
     assert peak < ONE_1600_SQUARE
 
 
@@ -764,7 +755,7 @@ def test_cross_section_of_a_block_preset_forms_no_n_by_n_array(preset):
     # covariance, with no dense n x n array
     dgp._cross_section.cache_clear()
     try:
-        peak = _traced_peak(
+        peak = traced_peak(
             lambda: dgp._cross_section(EXAMPLE_PRESETS[preset], 1600))
     finally:
         dgp._cross_section.cache_clear()
@@ -786,7 +777,7 @@ def test_cross_section_of_a_factor_family_forms_no_n_by_n_array(monkeypatch):
     monkeypatch.setattr(Factor, "_low_rank", counted)
     dgp._cross_section.cache_clear()
     try:
-        peak = _traced_peak(lambda: dgp._cross_section(family, 1600))
+        peak = traced_peak(lambda: dgp._cross_section(family, 1600))
         assert peak < ONE_1600_SQUARE
         assert built == [1600]
         cs = dgp._cross_section(family, 1600)

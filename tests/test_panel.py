@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import child_env
+from conftest import child_env, traced_peak
 from panelcsd import PanelData, load_csv
 from panelcsd import panel as panel_module
 from panelcsd.errors import (DuplicateCell, PanelError, ParseError,
@@ -396,8 +396,9 @@ def test_columnar_load_equals_row_parse(tmp_path_factory, lines, chunk,
             mock.patch.object(panel_module, "_load_csv_rows",
                               wraps=panel_module._load_csv_rows) as replay:
         assert _outcome(load_csv, str(f)) == reference
-    # a blank line is the one irregularity of a valid file
-    assert replay.called == bool(blanks)
+    # both readers skip a blank line, so no block of a valid file of plain
+    # fields must fall back
+    assert not replay.called
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -458,11 +459,11 @@ def test_columnar_load_replays_errors_of_row_parse(tmp_path_factory, lines,
         assert _outcome(load_csv, str(f)) == reference
 
 
-def _needs_replay(header, rows, blanks):
+def _needs_replay(header, rows):
     """Whether the columnar parse must hand a valid file to the row parser:
-    a blank line, a newline inside quotes, or a value numpy cannot read."""
+    a newline inside quotes, or a value numpy cannot read."""
     values = [j for j, col in enumerate(header) if col not in ("id", "time")]
-    return bool(blanks) or any(
+    return any(
         "\n" in f or "\r" in f for r in rows for f in r) or any(
         r[j].strip(' "') in FLOAT_ONLY_SPELLINGS for r in rows for j in values)
 
@@ -484,7 +485,7 @@ def test_columnar_load_equals_row_parse_on_quoted_text(
             mock.patch.object(panel_module, "_load_csv_rows",
                               wraps=panel_module._load_csv_rows) as replay:
         assert _outcome(load_csv, str(f)) == reference
-    assert replay.called == _needs_replay(header, rows, blanks)
+    assert replay.called == _needs_replay(header, rows)
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -532,14 +533,18 @@ def test_quoted_newline_across_a_chunk_boundary_is_replayed(tmp_path):
                         str(f)) == reference
 
 
-def test_a_block_of_blank_lines_is_replayed_without_a_warning(tmp_path):
+def test_a_block_of_blank_lines_is_skipped_without_a_warning(tmp_path):
     f = tmp_path / "p.csv"
     f.write_text("id,time,y,x1\n\n\na,1,1.0,0.1\nb,1,2.0,0.2\na,2,3.0,0.3\n"
                  "b,2,4.0,0.4\n")
+    reference = _outcome(_rows_load, str(f))
     with mock.patch.object(panel_module, "_CHUNK_ROWS", 2), \
+            mock.patch.object(panel_module, "_load_csv_rows",
+                              wraps=panel_module._load_csv_rows) as replay, \
             warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _outcome(load_csv, str(f)) == _outcome(_rows_load, str(f))
+        assert _outcome(load_csv, str(f)) == reference
+    assert not replay.called
 
 
 HARD_DECIMALS = (
@@ -593,7 +598,13 @@ def test_load_csv_reads_hard_decimals_bit_for_bit(tmp_path):
     assert got.tobytes() == want[[int(u[1:]) for u in units]].tobytes()
 
 
-def test_columnar_load_across_chunks_at_the_real_block_size(tmp_path):
+@pytest.mark.parametrize("end, blanks", [
+    ("\n", ()),
+    # blank lines in the middle and at the end, which both readers skip
+    ("\r\n", ((1, ""), (4000, "  "), (8192, ""), (8193, "\t"), (9001, ""))),
+], ids=["lf", "crlf_blank_lines"])
+def test_columnar_load_across_chunks_at_the_real_block_size(tmp_path, end,
+                                                            blanks):
     n, t = 90, 100  # 9,000 rows: more than one block
     assert n * t > panel_module._CHUNK_ROWS
     rng = np.random.default_rng(5)
@@ -603,7 +614,8 @@ def test_columnar_load_across_chunks_at_the_real_block_size(tmp_path):
             for i in range(n) for s in range(t)]
     order = rng.permutation(len(rows))
     f = tmp_path / "p.csv"
-    _write_lines(f, ["id", "time", "y", "x1", "x2"], [rows[j] for j in order])
+    _write_lines(f, ["id", "time", "y", "x1", "x2"], [rows[j] for j in order],
+                 blanks, end)
     with mock.patch.object(panel_module, "_load_csv_rows",
                            wraps=panel_module._load_csv_rows) as replay:
         panel = load_csv(str(f))
@@ -616,11 +628,36 @@ def test_columnar_load_across_chunks_at_the_real_block_size(tmp_path):
 
     # a duplicate of a first-block row, in the last block
     _write_lines(f, ["id", "time", "y", "x1", "x2"],
-                 [rows[j] for j in order] + [rows[order[0]]])
+                 [rows[j] for j in order] + [rows[order[0]]], blanks, end)
     with pytest.raises(DuplicateCell) as err:
         load_csv(str(f))
     u, p = rows[order[0]][:2]
     assert str(err.value) == f"duplicate cell (id={u!r}, time={p!r})"
+
+
+def test_columnar_load_holds_about_two_panels_and_returns_bare_arrays(
+        tmp_path):
+    # the blocks' values, then the panel's own y and x: the panel's bytes
+    # about 2.4 times at the peak, and the panel pins no wider array
+    n, t, k = 200, 200, 3
+    rng = np.random.default_rng(8)
+    values = rng.standard_normal((n * t, k + 1)).tolist()
+    rows = [[f"u{i}", str(s), *map(repr, values[i * t + s])]
+            for i in range(n) for s in range(t)]
+    f = tmp_path / "p.csv"
+    _write_lines(f, ["id", "time", "y", "x1", "x2", "x3"],
+                 [rows[j] for j in rng.permutation(len(rows))])
+    loaded = []
+    with mock.patch.object(panel_module, "_CHUNK_ROWS", 1024), \
+            mock.patch.object(panel_module, "_load_csv_rows",
+                              wraps=panel_module._load_csv_rows) as replay:
+        peak = traced_peak(lambda: loaded.append(load_csv(str(f))))
+    assert not replay.called
+    panel_bytes = 8 * n * t * (k + 1)
+    assert peak < 3 * panel_bytes
+    (panel,) = loaded
+    for a in (panel.y, panel.x):
+        assert a.base is None or a.base.nbytes <= a.nbytes
 
 
 def test_panels_compare_by_value_and_return_a_bool():
