@@ -29,9 +29,10 @@ EIGEN_RATIO_M_MAX = 8
 # Symmetric-matrix hygiene. Symmetry is checked relative to the largest entry;
 # eigenvalues within EIG_CLIP_REL of zero (relative to the top eigenvalue) are
 # clamped to exactly zero; eigenvalues below -PSD_RTOL * lambda_max mean the
-# matrix is not positive semidefinite. lambda_max itself is exact, the top of
-# a checked spectrum: the r x r core's of a covariance held as its form
-# c I + U S U', else eigvalsh's of the dense matrix.
+# matrix is not positive semidefinite. A covariance keeps one checked
+# spectrum and lambda_max is its exact top: the spectrum of the r x r core
+# of a covariance held as its form c I + U S U', else that of its first
+# dense solve, an eigh already run or eigvalsh.
 SYMMETRY_RTOL = 1e-10
 EIG_CLIP_REL = 1e-10
 PSD_RTOL = 1e-8

@@ -14,8 +14,8 @@ dependence, linear growth means strong (factor-like) dependence, anything in
 between is moderate.
 
 A :class:`CovMatrix` is either a dense symmetric matrix or a form of small
-rank (:class:`_Structured`), whose exact largest eigenvalue and blocks of
-rows it reads without forming an n x n array.
+rank (:class:`_Structured`), whose exact spectrum and blocks of rows it
+reads without forming an n x n array.
 
 A strong family can be split into an explicit factor part and a weakly
 dependent remainder: with eigenvalues l_1 <= ... <= l_n and eigenvectors p_i,
@@ -199,15 +199,14 @@ class CovMatrix:
     way, only on first use. Either way :attr:`values` is read-only, since
     the caches describe it.
 
-    Three caches fill lazily and separately: :attr:`lambda_max`, the largest
-    eigenvalue after the PSD check, which is all the norms need;
-    :attr:`eigenvalues` from an eigenvalues-only solve (``eigvalsh``); and
-    the eigensystem (values and vectors from one full solve) behind
-    :attr:`eigenvectors`, :meth:`sqrt` and :func:`factor_decompose`, so
-    that every use of the vectors pairs them with their own eigenvalues.
-    One rule gives :attr:`lambda_max`: exact from a form's r x r core, else
-    the top of a spectrum already solved, else of :attr:`eigenvalues`.
-    Every spectrum passes the same check: eigenvalues within
+    The matrix keeps one checked spectrum, :attr:`eigenvalues`: a form's
+    exact spectrum from its r x r core, whatever else has run; else that of
+    the first dense solve it gets, a full eigensolve (``eigh``) or an
+    eigenvalues-only one (``eigvalsh``). :attr:`lambda_max` is its top.
+    Eigenvectors are kept only for the callers that read them,
+    :attr:`eigenvectors` and :func:`factor_decompose`, paired with the
+    eigenvalues of their own solve; :meth:`sqrt` keeps none. Every
+    spectrum passes the same check: eigenvalues within
     ``EIG_CLIP_REL * lambda_max`` of zero are clamped to zero, and anything
     below ``-PSD_RTOL * max(lambda_max, 0)`` raises :class:`NotPSD`, so a
     matrix with no positive eigenvalue is PSD only when it is zero.
@@ -241,7 +240,6 @@ class CovMatrix:
         self._values: np.ndarray | None = None
         self._evals: np.ndarray | None = None
         self._eig: tuple[np.ndarray, np.ndarray] | None = None
-        self._top: float | None = None
 
     @property
     def n(self) -> int:
@@ -267,6 +265,20 @@ class CovMatrix:
         for lo in range(0, n, step):
             yield self._form.rows(n, slice(lo, lo + step))
 
+    def _solve(self, vectors: bool):
+        """Checked eigenvalues of the dense matrix, with eigenvectors from
+        ``eigh`` if ``vectors``, else None from ``eigvalsh``; the first solve
+        fills the spectrum of a matrix with no form."""
+        try:
+            evals, evecs = (np.linalg.eigh(self.values) if vectors
+                            else (np.linalg.eigvalsh(self.values), None))
+        except np.linalg.LinAlgError as exc:
+            raise EigenFailure(f"symmetric eigensolve failed: {exc}") from exc
+        evals = self._checked(evals)
+        if self._evals is None and self._form is None:
+            self._evals = evals
+        return evals, evecs
+
     @staticmethod
     def _checked(evals: np.ndarray) -> np.ndarray:
         top = float(evals[-1])
@@ -279,44 +291,30 @@ class CovMatrix:
         return evals
 
     def _eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """Checked eigenvalues and their eigenvectors from one ``eigh``,
+        kept for the callers that read the vectors."""
         if self._eig is None:
-            try:
-                evals, evecs = np.linalg.eigh(self.values)
-            except np.linalg.LinAlgError as exc:
-                raise EigenFailure(f"symmetric eigensolve failed: {exc}") from exc
-            self._eig = (self._checked(evals), evecs)
+            self._eig = self._solve(vectors=True)
         return self._eig
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues in ascending order (small ones clamped to zero)."""
+        """The checked spectrum in ascending order (small eigenvalues
+        clamped to zero): exact from a form's r x r core
+        (:meth:`_Structured.spectrum`), else from the first dense solve,
+        an ``eigh`` already run or ``eigvalsh``."""
         if self._evals is None:
-            try:
-                evals = np.linalg.eigvalsh(self.values)
-            except np.linalg.LinAlgError as exc:
-                raise EigenFailure(f"symmetric eigensolve failed: {exc}") from exc
-            self._evals = self._checked(evals)
+            if self._form is not None:
+                self._evals = self._checked(self._form.spectrum(self._n))
+            else:
+                self._solve(vectors=False)
         return self._evals
 
     @property
     def lambda_max(self) -> float:
-        """Largest eigenvalue, after the PSD check: the top of the checked
-        spectrum the matrix already has. A matrix held as its form
-        c I + U S U' takes it from the form's exact spectrum
-        (:meth:`_Structured.spectrum`), an r x r eigensolve; any other from
-        a cached :attr:`eigenvalues` or eigensystem, in that order, else
-        from :attr:`eigenvalues` (``eigvalsh``). Either way :meth:`_checked`
-        gives the PSD verdict and the :class:`NotPSD` message.
-        """
-        if self._top is None:
-            if self._form is not None:
-                evals = self._checked(self._form.spectrum(self._n))
-            elif self._evals is None and self._eig is not None:
-                evals = self._eig[0]
-            else:
-                evals = self.eigenvalues
-            self._top = float(evals[-1])
-        return self._top
+        """Largest eigenvalue, after the PSD check: the top of
+        :attr:`eigenvalues`."""
+        return float(self.eigenvalues[-1])
 
     @property
     def eigenvectors(self) -> np.ndarray:
@@ -324,11 +322,11 @@ class CovMatrix:
         return self._eigensystem()[1]
 
     def sqrt(self) -> np.ndarray:
-        """Symmetric square root P diag(sqrt(l)) P' from the cached
-        eigensystem, eigenvalues clipped at zero: a rank-deficient matrix,
-        whose small eigenvalues the check clamps to zero, gets a root of the
-        same rank."""
-        evals, evecs = self._eigensystem()
+        """Symmetric square root P diag(sqrt(l)) P' from one ``eigh``,
+        eigenvalues clipped at zero: a rank-deficient matrix, whose small
+        eigenvalues the check clamps to zero, gets a root of the same rank.
+        It keeps no eigenvectors."""
+        evals, evecs = self._solve(vectors=True)
         return (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
 
 
@@ -351,8 +349,8 @@ def _entry_norms(omega) -> dict[str, float]:
 
 
 def norm_max_eig(omega) -> float:
-    """Largest eigenvalue, from :attr:`CovMatrix.lambda_max`: after the PSD
-    check, exact from a form's r x r core, else from ``eigvalsh``."""
+    """Largest eigenvalue, from :attr:`CovMatrix.lambda_max`: the top of
+    its checked spectrum, exact from a form's r x r core."""
     if not isinstance(omega, CovMatrix):
         omega = CovMatrix(omega)
     return omega.lambda_max

@@ -78,9 +78,9 @@ class _Family:
     (:class:`~panelcsd.dependence._Structured`, where the form is
     described), and ``build(n)`` that form made dense, so ``diagnose`` and
     the draws read one definition; a family with no such form returns None
-    and writes its own ``build``. The form also gives the exact largest
-    eigenvalue, from its r x r core; a dense ``build`` pays for
-    ``eigvalsh``."""
+    and writes its own ``build``. The form also gives the exact spectrum,
+    and so the largest eigenvalue, from its r x r core; a dense ``build``
+    pays for ``eigvalsh``."""
 
     def __post_init__(self):
         for key, value in self.params().items():
@@ -713,7 +713,8 @@ def _cross_section(family, n: int) -> _CrossSection:
     """The :class:`_CrossSection` of ``family`` at size n, from the one
     :func:`build_omega`. A family with a form of small rank keeps that form
     and takes its root from it, with no n x n array; any other takes the
-    root from an eigensolve of the dense covariance."""
+    root from an eigensolve of the dense covariance and keeps two n x n
+    arrays, the covariance and its root, but not the eigenvectors."""
     cov = build_omega(family, n)
     form = cov._form
     if isinstance(family, Factor):

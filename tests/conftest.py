@@ -3,6 +3,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import panelcsd
@@ -25,6 +26,21 @@ def child_env():
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     return env
+
+
+def eigensolve_orders(monkeypatch) -> list[int]:
+    """The orders of the matrices that ``np.linalg.eigh`` and ``eigvalsh``
+    solve from now on, in call order."""
+    orders = []
+    for name in ("eigh", "eigvalsh"):
+        def recording(a, *args, _solve=getattr(np.linalg, name), **kwargs):
+            orders.append(np.shape(a)[-1])
+            return _solve(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recording)
+    return orders
+
+
+ONE_1600_SQUARE = 1600 * 1600 * 8  # bytes of one 1600 x 1600 array
 
 
 def traced_peak(call) -> int:

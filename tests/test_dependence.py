@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import ONE_1600_SQUARE, eigensolve_orders, traced_peak
 from panelcsd import (CovMatrix, Regime, all_norms, classify, factor_decompose,
                       fourth_moment_lower_bound, norm_euclid,
                       norm_euclid_scaled, norm_max_eig, norm_max_row_sum,
@@ -108,10 +109,39 @@ def test_lambda_max_matches_eigvalsh_on_every_preset(n):
         assert gap <= 1e-12 * _top(cov), (name, gap)
 
 
-def test_lambda_max_of_the_factor_preset_at_1600_needs_no_eigensolve():
-    cov = build_omega(family_from_string("example11"), 1600)
-    assert cov._evals is None and cov._eig is None
-    assert abs(cov.lambda_max - _top(cov)) <= 1e-12 * _top(cov)
+def test_lambda_max_of_the_factor_preset_at_1600_needs_no_eigensolve(
+        monkeypatch):
+    tops = []
+    with monkeypatch.context() as patch:
+        orders = eigensolve_orders(patch)
+        peak = traced_peak(lambda: tops.append(
+            build_omega(family_from_string("example11"), 1600).lambda_max))
+    assert max(orders) == 2 and peak < ONE_1600_SQUARE
+    want = _top(build_omega(family_from_string("example11"), 1600))
+    assert abs(tops[0] - want) <= 1e-12 * want
+
+
+def test_eigenvalues_of_a_form_backed_preset_at_1600_need_no_n_by_n_array(
+        monkeypatch):
+    # the exact spectrum of the form: no n x n array, no n x n eigensolve
+    names = [name for name, family in EXAMPLE_PRESETS.items()
+             if family._low_rank(1600) is not None]
+    assert names == ["example1", "example3", "example8", "example9",
+                     "example10", "example11", "example12", "example13",
+                     "example14"]
+    orders = eigensolve_orders(monkeypatch)
+    for name in names:
+        spectra = []
+
+        def spectrum():
+            cov = build_omega(EXAMPLE_PRESETS[name], 1600)
+            spectra.append((cov.eigenvalues, cov.lambda_max))
+
+        assert traced_peak(spectrum) < ONE_1600_SQUARE, name
+        evals, top = spectra[0]
+        assert evals.shape == (1600,) and np.all(np.diff(evals) >= 0), name
+        assert evals[-1] == top and evals[0] >= 0.0, name
+    assert max(orders) < 1600
 
 
 def test_lambda_max_of_a_top_eigenvector_hidden_from_a_fixed_start():
@@ -133,16 +163,36 @@ def test_lambda_max_of_a_top_eigenvector_hidden_from_a_fixed_start():
     assert abs(CovMatrix(a).lambda_max - want) <= 1e-12 * want
 
 
+@pytest.mark.parametrize("first", [CovMatrix.sqrt,
+                                   lambda cov: cov.eigenvectors],
+                         ids=["sqrt", "eigenvectors"])
+def test_a_dense_solve_first_leaves_a_form_its_exact_spectrum(first):
+    # the dense eigh behind the root or the eigenvectors does not stand in
+    # for the form's spectrum, whichever is read first
+    n = 60
+    form = EXAMPLE_PRESETS["example11"]._low_rank(n)
+    cov = CovMatrix._of_form(form, n)
+    first(cov)
+    want = CovMatrix._of_form(form, n).eigenvalues
+    assert cov.eigenvalues.tobytes() == want.tobytes()
+    assert cov.lambda_max == want[-1]
+
+
 @pytest.mark.parametrize("n", [50, 1600])
-def test_the_p_zero_decay_preset_is_the_equicorrelation_form(n):
-    decay = build_omega(family_from_string("example9"), n)
-    equi = build_omega(family_from_string("example13"), n)
+def test_the_p_zero_decay_preset_is_the_equicorrelation_form(n, monkeypatch):
+    # both held as the same form, whose 1 x 1 core gives the exact spectrum
+    orders = eigensolve_orders(monkeypatch)
+    covs = []
+    peak = traced_peak(lambda: covs.extend(
+        build_omega(family_from_string(name), n)
+        for name in ("example9", "example13")))
+    decay, equi = covs
     for a, b in zip(decay._form, equi._form):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
     want = 1.0 + (n - 1) / 2.0
-    for cov in (decay, equi):
+    for cov in covs:
         assert abs(cov.lambda_max - want) <= 1e-12 * want
-        assert cov._evals is None and cov._eig is None
+    assert orders == [1, 1] and peak < n * n * 8
 
 
 @pytest.mark.parametrize("values", [Band(width=40, b=0.5).build(100),

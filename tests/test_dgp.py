@@ -1,13 +1,15 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import traced_peak
+from conftest import ONE_1600_SQUARE, eigensolve_orders, traced_peak
 from panelcsd import (CovMatrix, TimeDependenceSpec, all_norms, classify,
                       dgp, norm_euclid)
+from panelcsd.config import EIG_CLIP_REL
 from panelcsd.dgp import (EXAMPLE_PRESETS, Arrowhead, Band, Block,
                           DecayCorrelation, DgpSpec, Diagonal, Equicorr,
                           Factor, ScaledEquicorr, SpatialAR, build_omega,
@@ -716,14 +718,22 @@ def test_low_rank_form_is_the_built_covariance(family, n):
 
 
 @pytest.mark.parametrize("family, n", low_rank_cases())
-def test_build_omega_from_the_form_matches_the_dense_matrix(family, n):
+def test_build_omega_from_the_form_matches_the_dense_matrix(family, n,
+                                                          monkeypatch):
     # a low-rank family is held as its form: the dense values are the same
-    # bits, the largest eigenvalue comes from the r x r core with no n x n
-    # eigensolve, and the norms read blocks computed from the form
-    cov = build_omega(family, n)
+    # bits, the spectrum comes from one solve of the r x r core with no
+    # n x n values formed, and the norms read blocks computed from the form
+    with monkeypatch.context() as patch:
+        orders = eigensolve_orders(patch)
+        patch.setattr(CovMatrix, "values", property(
+            lambda cov: pytest.fail("formed the n x n values")))
+        cov = build_omega(family, n)
+        top = cov.lambda_max
+        spectrum = cov.eigenvalues
+    form = family._low_rank(n)
+    assert orders == ([] if form.u is None
+                      else [min(n, form.u.shape[1])]), orders
     dense_cov = CovMatrix(family.build(n))
-    top = cov.lambda_max
-    assert cov._evals is None and cov._eig is None
     got = {**all_norms(cov), "euclid": norm_euclid(cov)}
     want = {**all_norms(dense_cov), "euclid": norm_euclid(dense_cov)}
     assert cov.values.tobytes() == dense_cov.values.tobytes()
@@ -731,14 +741,11 @@ def test_build_omega_from_the_form_matches_the_dense_matrix(family, n):
     exact = dense_spectrum[-1]
     assert abs(top - exact) <= 1e-13 * exact
     # the whole spectrum, entry by entry, not only its top
-    gap = np.abs(cov._form.spectrum(n) - dense_spectrum).max()
+    gap = np.abs(spectrum - dense_spectrum).max()
     assert gap <= 1e-13 * exact, gap / exact
     want["max_eig"] = exact
     for name, value in want.items():
         assert abs(got[name] - value) <= 1e-14 * value, (name, got[name])
-
-
-ONE_1600_SQUARE = 1600 * 1600 * 8  # bytes of one 1600 x 1600 array
 
 
 @pytest.mark.parametrize("preset", ["example11", "example3", "example8"])
@@ -783,6 +790,28 @@ def test_cross_section_of_a_factor_family_forms_no_n_by_n_array(monkeypatch):
         cs = dgp._cross_section(family, 1600)
         assert cs.omega._values is None and cs.sigma._values is None
         assert_allclose(cs.sigma.values, np.eye(1600), rtol=0, atol=0)
+    finally:
+        dgp._cross_section.cache_clear()
+
+
+def test_a_dense_cross_section_holds_its_covariance_and_root_only():
+    # a dense family's cell keeps two n x n arrays, the covariance and the
+    # root of its eigh, and not the eigenvectors
+    n = 800
+    one_square = n * n * 8
+    dgp._cross_section.cache_clear()
+    tracemalloc.start()
+    try:
+        cs = dgp._cross_section(EXAMPLE_PRESETS["example2"], n)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    try:
+        assert 2 * one_square <= held < 2.5 * one_square, held / one_square
+        w, v = np.linalg.eigh(cs.omega.values)
+        w = np.where(np.abs(w) <= EIG_CLIP_REL * w[-1], 0.0, w)
+        want = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+        assert cs.root.d.tobytes() == want.tobytes()
     finally:
         dgp._cross_section.cache_clear()
 
